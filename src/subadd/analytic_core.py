@@ -50,7 +50,7 @@ from typing import Optional, Union
 
 import mpmath
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, require_int
 
 __all__ = [
     "Params",
@@ -364,11 +364,7 @@ class HighPrecision:
     """
 
     def __init__(self, prec_bits: int = 128) -> None:
-        if not isinstance(prec_bits, int) or isinstance(prec_bits, bool):
-            raise InputError(f"prec_bits must be an int, got {prec_bits!r}")
-        if prec_bits < 128:
-            raise InputError(f"prec_bits must be >= 128, got {prec_bits}")
-        self.prec_bits = prec_bits
+        self.prec_bits = require_int(prec_bits, "prec_bits", 128)
 
     # -- lifting -----------------------------------------------------------
 

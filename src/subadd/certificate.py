@@ -34,8 +34,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .analytic_core import Params
-from .errors import InputError
+from .analytic_core import Params, _require_params
 from .intervals import (
     Interval,
     Tristate,
@@ -134,12 +133,6 @@ def _iphi(z: Interval) -> Interval:
         az = Interval(0.0, max(-z.lo, z.hi))
     zz = isq(az)
     return imul(isub(imul(Interval.point(4.0), zz), _TWO), iexp(isub(_ZERO, zz)))
-
-
-def _require_params(p: Params) -> Params:
-    if not isinstance(p, Params):
-        raise InputError(f"params must be a Params instance, got {p!r}")
-    return p
 
 
 def check_region_A(p: Params) -> ConditionResult:

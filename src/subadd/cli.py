@@ -36,8 +36,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import statement_oracles
 from .analytic_core import Order, Params
 from .certificate import Verdict, certify_S2
-from .cone import Cone, ConeElement, GeneratorId, GeneratorKind, make_generators
-from .errors import DomainError, InputError, PreconditionError, ToolkitError
+from .cone import (
+    MAX_GENERATORS,
+    Cone,
+    ConeElement,
+    GeneratorId,
+    GeneratorKind,
+    make_generators,
+)
+from .errors import (
+    DomainError,
+    InputError,
+    PreconditionError,
+    ToolkitError,
+    require_int,
+)
 from .intervals import Interval
 from .search import (
     ScanConfig,
@@ -127,17 +140,9 @@ class RunConfig:
                 f"format must be one of {', '.join(_FORMATS)}, "
                 f"got {self.output_format!r}"
             )
-        if (
-            not isinstance(self.precision_bits, int)
-            or isinstance(self.precision_bits, bool)
-            or self.precision_bits < 128
-        ):
-            raise InputError(
-                f"precision-bits must be an int >= 128, got {self.precision_bits!r}"
-            )
-        for name, value in (("n-base", self.n_base), ("n-reserve", self.n_reserve)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise InputError(f"{name} must be a positive int, got {value!r}")
+        require_int(self.precision_bits, "precision-bits", 128)
+        require_int(self.n_base, "n-base", 1, MAX_GENERATORS)
+        require_int(self.n_reserve, "n-reserve", 1, MAX_GENERATORS)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     coneopts = argparse.ArgumentParser(add_help=False)
     coneopts.add_argument(
-        "--n-base", type=int, default=None, help="number of BASE generators"
+        "--n-base",
+        type=int,
+        default=None,
+        help=f"number of BASE generators (1 to {MAX_GENERATORS})",
     )
     coneopts.add_argument(
-        "--n-reserve", type=int, default=None, help="number of RESERVE generators"
+        "--n-reserve",
+        type=int,
+        default=None,
+        help=f"number of RESERVE generators (1 to {MAX_GENERATORS})",
     )
 
     parser = argparse.ArgumentParser(

@@ -7,7 +7,8 @@ irrational:
 - RESERVE generator ``k`` (k >= 1) has value ``1 / sqrt(prime(2k))``
 
 (``prime(i)`` is the i-th prime; BASE takes the odd positions and RESERVE
-the even ones, so all generators use distinct primes).  Because rational
+the even ones, so all generators use distinct primes).  Generator counts
+and indices are capped at :data:`MAX_GENERATORS`.  Because rational
 multiples of square roots of distinct primes are linearly independent over
 the rationals, every element of the generated cone — a finite sum
 ``sum r_i * gen_i`` with strictly positive rational ``r_i`` — has a
@@ -53,11 +54,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-import sympy
-
-from .errors import ConstructionBugError, InputError
+from .errors import ConstructionBugError, InputError, require_int
 from .intervals import Interval, iadd, idiv, imul, isqrt
 
 __all__ = [
@@ -70,9 +69,35 @@ __all__ = [
     "Cone",
     "make_generators",
     "q_of",
+    "MAX_GENERATORS",
 ]
 
 _UPPER_BOUND_SEED = 771077
+
+#: Largest generator count accepted by :func:`make_generators` and largest
+#: BASE index accepted by :func:`q_of`.  BASE generator ``n`` carries the
+#: exact coefficient ``2^-n``, so the cap bounds coefficient size, and it
+#: bounds the prime cache at ``prime(2 * MAX_GENERATORS)``.
+MAX_GENERATORS = 1000
+
+#: Primes found so far, in order; grown on demand by :func:`_nth_prime`.
+_PRIMES: List[int] = [2, 3]
+
+
+def _nth_prime(i: int) -> int:
+    """The ``i``-th prime (``_nth_prime(1) == 2``), by trial division of odd
+    candidates against the cached primes up to their square root."""
+    primes = _PRIMES
+    candidate = primes[-1] + 2
+    while len(primes) < i:
+        for p in primes:
+            if p * p > candidate:
+                primes.append(candidate)
+                break
+            if candidate % p == 0:
+                break
+        candidate += 2
+    return primes[i - 1]
 
 
 class GeneratorKind(enum.Enum):
@@ -93,10 +118,7 @@ class GeneratorId:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, GeneratorKind):
             raise InputError(f"kind must be a GeneratorKind, got {self.kind!r}")
-        if not isinstance(self.index, int) or isinstance(self.index, bool):
-            raise InputError(f"index must be an int, got {self.index!r}")
-        if self.index < 1:
-            raise InputError(f"index must be >= 1, got {self.index}")
+        require_int(self.index, "index", 1)
 
     def sort_key(self) -> Tuple[int, int]:
         return (0 if self.kind is GeneratorKind.BASE else 1, self.index)
@@ -253,13 +275,10 @@ def q_of(n: int) -> int:
     Certification is exact integer arithmetic: ``(2^n - 1)^2 * prime <
     q^2 < 4^n * prime`` (both strict because a prime times a nonzero
     square is never a square).  These two inequalities are equivalent to
-    ``1 - 2^-n < p_n q < 1``.
+    ``1 - 2^-n < p_n q < 1``.  ``n`` must lie in ``[1, MAX_GENERATORS]``.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"n must be an int, got {n!r}")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    prime = int(sympy.prime(2 * n - 1))
+    require_int(n, "n", 1, MAX_GENERATORS)
+    prime = _nth_prime(2 * n - 1)
     m = (2**n - 1) ** 2 * prime
     q = math.isqrt(m) + 1
     if not (m < q * q and q * q < 4**n * prime):
@@ -426,8 +445,7 @@ class Cone:
         certificate behind :func:`q_of` proves ``1 - 2^-n < q_n p_n < 1``
         for every row; the returned intervals are display enclosures of
         the two real values."""
-        if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-            raise InputError(f"N must be a positive int, got {N!r}")
+        require_int(N, "N", 1)
         if N > self.n_base:
             raise InputError(f"N={N} exceeds the {self.n_base} BASE generators")
         rows = []
@@ -450,8 +468,7 @@ class Cone:
         value(x_k), value(f(x_k)))`` for ``x_k = (1/k) *`` (RESERVE
         generator 1), whose real value is ``1 / (k sqrt(prime(2)))``.  The
         map fixes each ``x_k``; this is re-verified exactly per row."""
-        if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-            raise InputError(f"N must be a positive int, got {N!r}")
+        require_int(N, "N", 1)
         if self.n_reserve < 1:
             raise InputError("liminf sequence needs at least one RESERVE generator")
         gid = GeneratorId(GeneratorKind.RESERVE, 1)
@@ -478,8 +495,7 @@ class Cone:
         ``f(x) <= x + p_n (q_n - 1) < x + 1 - p_n < 1 + eps`` whenever
         ``x < eps``; off the rays ``f(x) = x < eps``.
         """
-        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-            raise InputError(f"samples must be a positive int, got {samples!r}")
+        require_int(samples, "samples", 1)
         try:
             eps_frac = Fraction(eps)
         except (TypeError, ValueError) as exc:
@@ -533,17 +549,15 @@ def make_generators(n_base: int, n_reserve: int) -> Cone:
     """Build the standard cone instance: BASE generators ``1..n_base``
     (values ``2^-n / sqrt(prime(2n-1))``: primes 2, 5, 11, ...) and
     RESERVE generators ``1..n_reserve`` (values ``1 / sqrt(prime(2k))``:
-    primes 3, 7, 13, ...).  Both counts must be >= 1."""
-    if not isinstance(n_base, int) or isinstance(n_base, bool) or n_base < 1:
-        raise InputError(f"n_base must be a positive int, got {n_base!r}")
-    if not isinstance(n_reserve, int) or isinstance(n_reserve, bool) or n_reserve < 1:
-        raise InputError(f"n_reserve must be a positive int, got {n_reserve!r}")
+    primes 3, 7, 13, ...).  Both counts must lie in ``[1, MAX_GENERATORS]``."""
+    require_int(n_base, "n_base", 1, MAX_GENERATORS)
+    require_int(n_reserve, "n_reserve", 1, MAX_GENERATORS)
     gens = []
     for n in range(1, n_base + 1):
         gens.append(
             Generator(
                 gid=GeneratorId(GeneratorKind.BASE, n),
-                prime=int(sympy.prime(2 * n - 1)),
+                prime=_nth_prime(2 * n - 1),
                 coef=Fraction(1, 2**n),
             )
         )
@@ -551,7 +565,7 @@ def make_generators(n_base: int, n_reserve: int) -> Cone:
         gens.append(
             Generator(
                 gid=GeneratorId(GeneratorKind.RESERVE, k),
-                prime=int(sympy.prime(2 * k)),
+                prime=_nth_prime(2 * k),
                 coef=Fraction(1),
             )
         )

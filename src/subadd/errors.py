@@ -5,10 +5,13 @@ Every error raised deliberately by this package derives from
 subclasses separate *caller* mistakes (bad argument values, malformed
 configuration) from *mathematical* failure modes (leaving a function's
 domain, numeric overflow, division by an interval straddling zero) and from
-*internal* defects detected by self-checks.
+*internal* defects detected by self-checks.  :func:`require_int` is the
+one integer-argument check every module shares.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 __all__ = [
     "ToolkitError",
@@ -18,6 +21,7 @@ __all__ = [
     "SingularityError",
     "PreconditionError",
     "ConstructionBugError",
+    "require_int",
 ]
 
 
@@ -50,3 +54,18 @@ class PreconditionError(ToolkitError):
 class ConstructionBugError(ToolkitError):
     """An internal self-check failed; indicates a defect in this package,
     not in the caller's input."""
+
+
+def require_int(
+    value: object, what: str, lo: Optional[int] = None, hi: Optional[int] = None
+) -> int:
+    """Return ``value`` if it is an ``int`` (``bool`` excluded) within the
+    inclusive bounds ``[lo, hi]`` (``None`` leaves a side open); raise
+    :class:`InputError` naming ``what`` otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an int, got {value!r}")
+    if lo is not None and value < lo:
+        raise InputError(f"{what} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise InputError(f"{what} must be <= {hi}, got {value}")
+    return value

@@ -6,10 +6,10 @@ Pipeline:
    ``n x n`` grid over a rectangle, then repeatedly re-grid a 10x smaller
    box centred on the running argmin (clipped to the original rectangle),
    keeping the best node seen (ties broken lexicographically).  All node
-   arithmetic runs in the selected kernel backend under the determinism
-   contract of ``_gridscan_py``; the report's ``min_gap`` is re-evaluated
-   at the argmin with :func:`subadd.analytic_core.gap` so the reported
-   value is backend-independent for a given argmin.
+   arithmetic runs in the NumPy kernel :func:`scan_block` under the
+   determinism contract below; the report's ``min_gap`` is re-evaluated
+   at the argmin with :func:`subadd.analytic_core.gap`, the scalar path
+   every other layer uses.
 
 2. **Line-search polish** (inside :func:`find_violation`): golden-section
    descent along alternating coordinate lines (5 sweeps, 200 iterations
@@ -33,6 +33,24 @@ rows: it recomputes each row's order-3 margin at the stored witness point
 in high precision and corroborates order-2 behaviour with a scan.  The
 recomputed margins do **not** match the stored reference margins — see the
 README's "Known discrepancies".
+
+Kernel contract.  ``scan_block(a, mu, sigma, alpha, x0, dx, y0, dy, i0,
+i1, j0, j1)`` evaluates the order-``a`` gap of the working function at
+every node ``(x0 + i*dx, y0 + j*dy)`` for ``i in [i0, i1)``, ``j in [j0,
+j1)`` and returns ``(min_gap, best_i, best_j)``, where ``(best_i,
+best_j)`` is the first row-major node attaining the minimum, or
+``(inf, -1, -1)`` if no node produced a finite value.  Results are
+bit-reproducible:
+
+- node coordinates are computed as ``x0 + i*dx`` (multiply, then add)
+  with absolute indices, so any block partition of the index rectangle
+  yields bit-identical coordinates;
+- the function value is built with the exact expression tree of
+  ``analytic_core.eval_f`` and the gap as ``(a*f(x) + f(y)) - f(a*x + y)``;
+- row-major first-occurrence tie-breaking equals the lexicographically
+  smallest ``(i, j)`` among minimisers, which makes block-wise reduction
+  associative (combine block results by ``(value, i, j)`` tuple-minimum);
+- NaN and infinite gaps (overflow artefacts) never win.
 """
 
 from __future__ import annotations
@@ -41,17 +59,19 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ._backend import scan_block
+import numpy as np
+
 from .analytic_core import (
     HighPrecision,
     Order,
     OrderLike,
     Params,
     Point,
+    _require_params,
     gap,
     order_value,
 )
-from .errors import InputError, RangeError
+from .errors import InputError, RangeError, require_int
 
 __all__ = [
     "ScanConfig",
@@ -119,14 +139,8 @@ class ScanConfig:
             raise InputError(f"box endpoints must be finite, got {box}")
         if not (x_lo < x_hi and y_lo < y_hi):
             raise InputError(f"box endpoints must be ordered, got {box}")
-        if not isinstance(self.grid_n, int) or isinstance(self.grid_n, bool):
-            raise InputError(f"grid_n must be an int, got {self.grid_n!r}")
-        if self.grid_n < 2:
-            raise InputError(f"grid_n must be >= 2, got {self.grid_n}")
-        if not isinstance(self.refine_depth, int) or isinstance(self.refine_depth, bool):
-            raise InputError(f"refine_depth must be an int, got {self.refine_depth!r}")
-        if self.refine_depth < 0:
-            raise InputError(f"refine_depth must be >= 0, got {self.refine_depth}")
+        require_int(self.grid_n, "grid_n", 2)
+        require_int(self.refine_depth, "refine_depth", 0)
         tol = self.tolerance
         try:
             tol = float(tol)
@@ -183,16 +197,62 @@ class TableRow:
     expected_margin: float
 
 
-def _require_params(p: Params) -> Params:
-    if not isinstance(p, Params):
-        raise InputError(f"params must be a Params instance, got {p!r}")
-    return p
-
-
 def _require_config(cfg: ScanConfig) -> ScanConfig:
     if not isinstance(cfg, ScanConfig):
         raise InputError(f"config must be a ScanConfig instance, got {cfg!r}")
     return cfg
+
+
+def _f_values(t: np.ndarray, mu: float, sigma: float, alpha: float, h0: float) -> np.ndarray:
+    """Vectorised working-function values with eval_f's expression tree."""
+    at = np.fabs(t)
+    g = at + np.log1p(at)
+    z = (at - mu) / sigma
+    h = np.exp(-(z * z))
+    return g + alpha * (h - h0)
+
+
+def scan_block(
+    a: float,
+    mu: float,
+    sigma: float,
+    alpha: float,
+    x0: float,
+    dx: float,
+    y0: float,
+    dy: float,
+    i0: int,
+    i1: int,
+    j0: int,
+    j1: int,
+):
+    """Scan one index block; see the module docstring for the contract."""
+    z0 = (0.0 - mu) / sigma
+    h0 = float(np.exp(-(z0 * z0)))
+
+    i_idx = np.arange(i0, i1, dtype=np.float64)
+    j_idx = np.arange(j0, j1, dtype=np.float64)
+    xs = x0 + i_idx * dx
+    ys = y0 + j_idx * dy
+
+    fx = _f_values(xs, mu, sigma, alpha, h0)
+    fy = _f_values(ys, mu, sigma, alpha, h0)
+    s = a * xs[:, None] + ys[None, :]
+    fs = _f_values(s, mu, sigma, alpha, h0)
+
+    gaps = (a * fx[:, None] + fy[None, :]) - fs
+
+    if gaps.size == 0:
+        return np.inf, -1, -1
+
+    # First row-major occurrence of the minimum, tracked strictly from
+    # +inf: NaN/inf never win.
+    finite = np.isfinite(gaps)
+    if not finite.any():
+        return np.inf, -1, -1
+    flat = np.nanargmin(np.where(finite, gaps, np.inf))
+    bi, bj = np.unravel_index(flat, gaps.shape)
+    return float(gaps[bi, bj]), int(i0 + bi), int(j0 + bj)
 
 
 def scan_gap_min(a: OrderLike, p: Params, cfg: ScanConfig) -> ScanReport:

@@ -37,9 +37,16 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .analytic_core import Params, eval_f, f_prime, gap, h_second
+from .analytic_core import (
+    Params,
+    _require_params,
+    eval_f,
+    f_prime,
+    gap,
+    h_second,
+)
 from .certificate import check_region_B
-from .errors import DomainError, InputError, PreconditionError
+from .errors import DomainError, InputError, PreconditionError, require_int
 from .intervals import Tristate
 
 __all__ = [
@@ -76,12 +83,6 @@ class SemigroupStatus(enum.Enum):
     FOUND = "FOUND"
     PROVEN_ABSENT = "PROVEN_ABSENT"
     BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
-
-
-def _require_params(p: Params) -> Params:
-    if not isinstance(p, Params):
-        raise InputError(f"params must be a Params instance, got {p!r}")
-    return p
 
 
 def _r_and_r2(fn: str, p: Optional[Params]):
@@ -183,8 +184,7 @@ def check_symmetrization(p: Params, n: int = 2_000) -> bool:
     Precondition ``mu >= 1`` (the statement's hypothesis).
     """
     p = _require_params(p)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f"n must be a positive int, got {n!r}")
+    require_int(n, "n", 1)
     if p.mu < 1.0:
         raise PreconditionError(
             f"symmetrization is claimed for mu >= 1 only, got mu={p.mu}"
@@ -216,8 +216,7 @@ def check_tau_concavity(p: Params, t: float, n: int = 1_001) -> bool:
     t = float(t)
     if not 0.0 < t <= 1.0:
         raise DomainError(f"tau concavity requires t in (0, 1], got {t}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        raise InputError(f"n must be an int >= 3, got {n!r}")
+    require_int(n, "n", 3)
     b_mu, b_alpha = check_region_B(p)
     if b_mu.verdict is not Tristate.TRUE or b_alpha.verdict is not Tristate.TRUE:
         raise PreconditionError(
@@ -278,8 +277,7 @@ def semigroup_search(
     tgt = _as_fraction(target, "target")
     if tgt <= 0:
         raise InputError(f"target must be > 0, got {tgt}")
-    if not isinstance(max_terms, int) or isinstance(max_terms, bool) or max_terms < 1:
-        raise InputError(f"max_terms must be a positive int, got {max_terms!r}")
+    require_int(max_terms, "max_terms", 1)
     gens = [_as_fraction(g, f"generators[{i}]") for i, g in enumerate(generators)]
     if not gens:
         raise InputError("generators must be nonempty")
@@ -348,8 +346,7 @@ def indicator_case_table(a: int):
     mixed patterns force an irrational sum; irrational+irrational leaves
     the sum free (the adversary picks, so the worst case is rational).
     """
-    if not isinstance(a, int) or isinstance(a, bool) or a not in (1, 2, 3):
-        raise InputError(f"a must be one of 1, 2, 3; got {a!r}")
+    require_int(a, "a", 1, 3)
     rows = []
     for x_rat in (True, False):
         for y_rat in (True, False):

@@ -119,8 +119,8 @@ TABLE_GAP2_AT_WITNESS = (
 # --- scan brackets ---------------------------------------------------------
 
 # Full-box scan ([-8, 8]^2, 801 x 801, 3 refinement rounds) minima: value
-# brackets wide enough to absorb last-ulp backend differences, narrow
-# enough to pin the basin.
+# brackets wide enough to absorb last-ulp differences between platforms'
+# exp/log1p, narrow enough to pin the basin.
 SCAN2_CERT_MIN_BRACKET = (-0.010273, -0.010270)
 SCAN2_TABLE_MIN_BRACKETS = (
     (-0.06448, -0.06445),

@@ -5,8 +5,14 @@ configuration precedence, and stderr discipline."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import subadd
 
 from subadd.analytic_core import Order, Params
 from subadd.certificate import CertificateReport, certify_S2
@@ -254,6 +260,56 @@ def test_cone_rejects_zero_generators(capsys):
     code, _, err = run_cli(capsys, "cone", "--n-base", "0")
     assert code == 2
     assert "n-base" in err
+
+
+def test_cone_rejects_generator_count_above_cap(capsys):
+    code, _, err = run_cli(capsys, "cone", "--n-base", "100000000")
+    assert code == 2
+    assert "n-base" in err
+    code, _, err = run_cli(capsys, "cone", "--n-reserve", "100000000")
+    assert code == 2
+    assert "n-reserve" in err
+
+
+# ---------------------------------------------------------------------------
+# import hygiene
+# ---------------------------------------------------------------------------
+
+
+#: Everything importing the CLI may load beyond the standard library: the
+#: two runtime dependencies (mpmath uses gmpy2 when it is installed) and
+#: the package's own modules.
+_CLI_THIRD_PARTY = {"numpy", "mpmath", "gmpy2"}
+_CLI_PACKAGE_MODULES = {
+    "subadd",
+    "subadd.analytic_core",
+    "subadd.certificate",
+    "subadd.cli",
+    "subadd.cone",
+    "subadd.errors",
+    "subadd.intervals",
+    "subadd.search",
+    "subadd.serialize",
+    "subadd.statement_oracles",
+}
+
+
+def test_cli_import_loads_only_runtime_dependencies():
+    src = str(Path(subadd.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import json, sys; before = set(sys.modules); import subadd.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(json.loads(out.stdout))
+    package = {m for m in loaded if m == "subadd" or m.startswith("subadd.")}
+    assert package <= _CLI_PACKAGE_MODULES
+    outside = {m.split(".")[0] for m in loaded - package} - set(sys.stdlib_module_names)
+    assert outside <= _CLI_THIRD_PARTY
 
 
 # ---------------------------------------------------------------------------

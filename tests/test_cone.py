@@ -13,12 +13,14 @@ import pytest
 
 import _frozen
 from subadd.cone import (
+    MAX_GENERATORS,
     Cone,
     ConeElement,
     Generator,
     GeneratorId,
     GeneratorKind,
     WitnessCase,
+    _nth_prime,
     make_generators,
     q_of,
 )
@@ -80,6 +82,9 @@ def test_q_of_validation():
         q_of(2.0)
     with pytest.raises(InputError):
         q_of(True)
+    assert q_of(MAX_GENERATORS) > 0
+    with pytest.raises(InputError):
+        q_of(MAX_GENERATORS + 1)
 
 
 def test_cone_q_of_requires_known_ray(small_cone):
@@ -103,6 +108,44 @@ def test_builder_interleaves_primes(cone):
     assert cone.generator(R(2)).coef == 1
 
 
+def _trial_division_primes(count):
+    found = []
+    candidate = 2
+    while len(found) < count:
+        for p in found:
+            if p * p > candidate:
+                found.append(candidate)
+                break
+            if candidate % p == 0:
+                break
+        else:
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def test_nth_prime_matches_trial_division():
+    # BASE n uses prime(2n - 1) and RESERVE k prime(2k), so the largest
+    # index any allowed cone asks for is 2 * MAX_GENERATORS.
+    largest = 2 * MAX_GENERATORS
+    reference = _trial_division_primes(largest)
+    assert [_nth_prime(i) for i in range(1, 501)] == reference[:500]
+    assert _nth_prime(1000) == 7919
+    assert _nth_prime(largest) == reference[-1]
+
+
+def test_builder_primes_of_sixty_base_cone():
+    cone = make_generators(60, 5)
+    assert [cone.generator(B(n)).prime for n in range(1, 61)] == [
+        2, 5, 11, 17, 23, 31, 41, 47, 59, 67, 73, 83, 97, 103, 109, 127,
+        137, 149, 157, 167, 179, 191, 197, 211, 227, 233, 241, 257, 269, 277,
+        283, 307, 313, 331, 347, 353, 367, 379, 389, 401, 419, 431, 439, 449,
+        461, 467, 487, 499, 509, 523, 547, 563, 571, 587, 599, 607, 617, 631,
+        643, 653,
+    ]
+    assert [cone.generator(R(k)).prime for k in range(1, 6)] == [3, 7, 13, 19, 29]
+
+
 def test_builder_validation():
     with pytest.raises(InputError):
         make_generators(0, 1)
@@ -112,6 +155,12 @@ def test_builder_validation():
         make_generators(-1, 2)
     with pytest.raises(InputError):
         make_generators(2.5, 1)
+    with pytest.raises(InputError):
+        make_generators(MAX_GENERATORS + 1, 1)
+    with pytest.raises(InputError):
+        make_generators(1, MAX_GENERATORS + 1)
+    with pytest.raises(InputError):
+        make_generators(100_000_000, 5)
 
 
 def test_cone_rejects_duplicate_primes():

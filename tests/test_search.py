@@ -14,7 +14,6 @@ import mpmath
 import pytest
 
 import _frozen
-from subadd._backend import BACKEND_NAME, scan_block
 from subadd.analytic_core import HighPrecision, Params
 from subadd.certificate import Verdict, certify_S2
 from subadd.errors import InputError
@@ -25,6 +24,7 @@ from subadd.search import (
     Violation,
     find_violation,
     reproduce_table,
+    scan_block,
     scan_gap_min,
     verify_point,
     violation_scan_config,
@@ -124,10 +124,6 @@ def test_mirror_box_bitwise_equality(cert_params):
     assert rep_pos.min_gap == rep_neg.min_gap
     assert rep_pos.argmin.x == -rep_neg.argmin.x
     assert rep_pos.argmin.y == -rep_neg.argmin.y
-
-
-def test_backend_name_is_declared():
-    assert BACKEND_NAME in ("compiled", "numpy-fallback")
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ CONE_SAMPLE_INDICES = (1, 2, 3, 10, 20)
 
 
 def first_primes(count: int):
-    """The first ``count`` primes by trial division (independent of sympy)."""
+    """The first ``count`` primes by plain trial division, independent of
+    the package's own prime helper."""
     found = []
     candidate = 2
     while len(found) < count:
