@@ -56,10 +56,9 @@ bit-reproducible:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import numpy as np
 
 from .analytic_core import (
     HighPrecision,
@@ -72,6 +71,31 @@ from .analytic_core import (
     order_value,
 )
 from .errors import InputError, RangeError, require_int
+
+
+def _load_numpy():
+    """Import numpy with a single OpenBLAS thread unless the caller set
+    ``OPENBLAS_NUM_THREADS``.
+
+    The toolkit makes no BLAS call, yet OpenBLAS starts a worker pool when
+    it loads, and an idle worker spins before it sleeps: about 70 ms of
+    wall time and CPU added to every cold ``subadd`` command, varying with
+    what else the host runs (2-core Xeon VM).  OpenBLAS reads the variable
+    once, at load, so it is set for this import only.  Without effect if
+    numpy was imported first.
+    """
+    pin = "OPENBLAS_NUM_THREADS" not in os.environ
+    if pin:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        if pin:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return numpy
+
+
+np = _load_numpy()
 
 __all__ = [
     "ScanConfig",

@@ -312,6 +312,36 @@ def test_cli_import_loads_only_runtime_dependencies():
     assert outside <= _CLI_THIRD_PARTY
 
 
+def _threads_after_cli_import(blas_threads):
+    """(OS thread count, OPENBLAS_NUM_THREADS) seen by a fresh interpreter
+    right after ``import subadd.cli``; the variable is unset when
+    ``blas_threads`` is None."""
+    src = str(Path(subadd.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    probe = (
+        "import json, os; import subadd.cli; "
+        "print(json.dumps([len(os.listdir('/proc/self/task')), "
+        "os.environ.get('OPENBLAS_NUM_THREADS')]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return tuple(json.loads(out.stdout))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_cli_import_starts_no_blas_threads():
+    # The toolkit makes no BLAS call: loading numpy through it leaves the
+    # process single-threaded and does not leak the setting into the
+    # environment; a count the caller set is kept.
+    assert _threads_after_cli_import(None) == (1, None)
+    assert _threads_after_cli_import("2")[1] == "2"
+
+
 # ---------------------------------------------------------------------------
 # argparse-level behaviour
 # ---------------------------------------------------------------------------
