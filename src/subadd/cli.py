@@ -53,6 +53,7 @@ from .errors import (
 )
 from .intervals import Interval
 from .search import (
+    MAX_GRID_N,
     ScanConfig,
     find_violation,
     reproduce_table,
@@ -225,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     scanopts.add_argument(
         "--box", default=None, metavar="X0,X1,Y0,Y1", help="search rectangle"
     )
-    scanopts.add_argument("--grid-n", type=int, default=None, help="nodes per axis")
+    grid_help = f"nodes per axis (2 to {MAX_GRID_N})"
+    scanopts.add_argument("--grid-n", type=int, default=None, help=grid_help)
     scanopts.add_argument(
         "--refine-depth", type=int, default=None, help="extra 10x refinement rounds"
     )
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     gridonly = argparse.ArgumentParser(add_help=False)
-    gridonly.add_argument("--grid-n", type=int, default=None, help="nodes per axis")
+    gridonly.add_argument("--grid-n", type=int, default=None, help=grid_help)
     gridonly.add_argument(
         "--refine-depth", type=int, default=None, help="extra 10x refinement rounds"
     )

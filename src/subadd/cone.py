@@ -54,9 +54,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ConstructionBugError, InputError, require_int
+from .errors import ConstructionBugError, InputError, require_fraction, require_int
 from .intervals import Interval, iadd, idiv, imul, isqrt
 
 __all__ = [
@@ -161,29 +161,6 @@ def _fraction_interval(fr: Fraction) -> Interval:
     return Interval(math.nextafter(f, -math.inf), math.nextafter(f, math.inf))
 
 
-CoeffLike = Union[Fraction, int, str]
-
-
-def _as_positive_fraction(value: CoeffLike, what: str) -> Fraction:
-    if isinstance(value, Fraction):
-        out = value
-    elif isinstance(value, int) and not isinstance(value, bool):
-        out = Fraction(value)
-    elif isinstance(value, str):
-        try:
-            out = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{what} is not a valid rational: {value!r}") from exc
-    else:
-        raise InputError(
-            f"{what} must be an exact rational (Fraction, int, or 'p/q' "
-            f"string), got {value!r}"
-        )
-    if out <= 0:
-        raise InputError(f"{what} must be > 0, got {out}")
-    return out
-
-
 @dataclass(frozen=True)
 class ConeElement:
     """A cone element as its unique sparse coefficient vector: a sorted,
@@ -215,7 +192,10 @@ class ConeElement:
                 raise InputError(f"coefficient key must be a GeneratorId, got {gid!r}")
             if gid in seen:
                 raise InputError(f"duplicate generator {gid} in element")
-            seen[gid] = _as_positive_fraction(c, f"coefficient of {gid}")
+            coeff = require_fraction(c, f"coefficient of {gid}")
+            if coeff <= 0:
+                raise InputError(f"coefficient of {gid} must be > 0, got {coeff}")
+            seen[gid] = coeff
         ordered = tuple(sorted(seen.items(), key=lambda kv: kv[0].sort_key()))
         object.__setattr__(self, "coeffs", ordered)
 
@@ -313,6 +293,7 @@ class Cone:
                 )
             primes.add(gen.prime)
             self._by_id[gen.gid] = gen
+        self._ids = tuple(sorted(self._by_id, key=lambda g: g.sort_key()))
         self._scales: Dict[GeneratorId, int] = {}
         self.n_base = sum(1 for gid in self._by_id if gid.kind is GeneratorKind.BASE)
         self.n_reserve = len(self._by_id) - self.n_base
@@ -326,7 +307,7 @@ class Cone:
         return gen
 
     def generator_ids(self) -> Tuple[GeneratorId, ...]:
-        return tuple(sorted(self._by_id, key=lambda g: g.sort_key()))
+        return self._ids
 
     def q_of(self, n: int) -> int:
         """Certified scale of BASE generator ``n`` of this cone."""

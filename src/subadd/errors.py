@@ -5,12 +5,14 @@ Every error raised deliberately by this package derives from
 subclasses separate *caller* mistakes (bad argument values, malformed
 configuration) from *mathematical* failure modes (leaving a function's
 domain, numeric overflow, division by an interval straddling zero) and from
-*internal* defects detected by self-checks.  :func:`require_int` is the
-one integer-argument check every module shares.
+*internal* defects detected by self-checks.  :func:`require_int` and
+:func:`require_fraction` are the integer and exact-rational argument
+checks every module shares.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "PreconditionError",
     "ConstructionBugError",
     "require_int",
+    "require_fraction",
 ]
 
 
@@ -69,3 +72,24 @@ def require_int(
     if hi is not None and value > hi:
         raise InputError(f"{what} must be <= {hi}, got {value}")
     return value
+
+
+def require_fraction(value: object, what: str) -> Fraction:
+    """Return ``value`` as an exact :class:`~fractions.Fraction`.
+
+    Accepts a ``Fraction``, an ``int`` (``bool`` excluded) or a ``'p/q'``
+    string; raise :class:`InputError` naming ``what`` otherwise.  Floats
+    are refused because every caller decides exactly."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{what} is not a valid rational: {value!r}") from exc
+    raise InputError(
+        f"{what} must be an exact rational (Fraction, int, or 'p/q' "
+        f"string), got {value!r}"
+    )

@@ -7,9 +7,20 @@ Pipeline:
    box centred on the running argmin (clipped to the original rectangle),
    keeping the best node seen (ties broken lexicographically).  All node
    arithmetic runs in the NumPy kernel :func:`scan_block` under the
-   determinism contract below; the report's ``min_gap`` is re-evaluated
-   at the argmin with :func:`subadd.analytic_core.gap`, the scalar path
-   every other layer uses.
+   contract below; the report's ``min_gap`` is re-evaluated at the argmin
+   with :func:`subadd.analytic_core.gap`, the scalar path every other
+   layer uses.
+
+   Node placement.  Each level takes ``dx = (x1 - x0)/(n - 1)`` and the
+   y-step rounded *down* onto the lattice of ``a*dx``: the largest
+   ``dy <= (y1 - y0)/(n - 1)`` with ``dy/(a*dx) = l/m`` for integers
+   ``m + l <= 64``, provided the top row of nodes stays within one
+   unsnapped y-step of ``y1``; otherwise the plain step.  Either step is
+   then shrunk by ulps until the last node ``x0 + (n-1)*dx`` (resp.
+   ``y0 + (n-1)*dy``) lies inside the box, so every node of every level,
+   clipped levels included, lies inside the rectangle.  The full box at
+   orders 1, 2, 2.5 and 3 needs no snapping (``l/m`` = 1, 1/2, 2/5,
+   1/3).
 
 2. **Line-search polish** (inside :func:`find_violation`): golden-section
    descent along alternating coordinate lines (5 sweeps, 200 iterations
@@ -39,17 +50,30 @@ i1, j0, j1)`` evaluates the order-``a`` gap of the working function at
 every node ``(x0 + i*dx, y0 + j*dy)`` for ``i in [i0, i1)``, ``j in [j0,
 j1)`` and returns ``(min_gap, best_i, best_j)``, where ``(best_i,
 best_j)`` is the first row-major node attaining the minimum, or
-``(inf, -1, -1)`` if no node produced a finite value.  Results are
-bit-reproducible:
+``(inf, -1, -1)`` if no node produced a finite value.
 
-- node coordinates are computed as ``x0 + i*dx`` (multiply, then add)
-  with absolute indices, so any block partition of the index rectangle
-  yields bit-identical coordinates;
-- the function value is built with the exact expression tree of
-  ``analytic_core.eval_f`` and the gap as ``(a*f(x) + f(y)) - f(a*x + y)``;
-- row-major first-occurrence tie-breaking equals the lexicographically
+- Node coordinates are computed as ``x0 + i*dx`` (multiply, then add)
+  with absolute indices; ``f`` uses the exact expression tree of
+  ``analytic_core.eval_f`` and the gap is ``(a*f(x) + f(y)) - f(s)``.
+- Lattice path.  When ``dy/(a*dx)`` equals ``l/m`` to within ``2**-44``
+  relative for coprime ``m + l <= 64`` (derived from ``a``, ``dx`` and
+  ``dy`` alone), every ``a*x_i + y_j`` lies on one 1-D lattice and ``s``
+  is taken as ``(a*x0 + y0) + k*delta`` with ``delta = a*dx/m`` and the
+  absolute lattice index ``k = m*i + l*j``.  ``f`` is evaluated once per
+  lattice point of the block, about ``(m + l)*n`` calls, and each node
+  reads its value through a strided view.  ``s`` differs from the
+  directly computed ``a*x_i + y_j`` by a few roundings.
+- Node path.  Otherwise (a lattice longer than one row tile, as for the
+  box ``(0, 1e-6, -8, 8)``), ``s = a*x_i + y_j`` and ``f(s)`` are computed
+  per node, one row tile at a time.
+- The ``n^2`` part is tiled in row blocks of 64 rows into one reused
+  buffer, so peak memory is O(64*n), not O(n^2), on both paths.
+- Results are bit-reproducible, and any block partition of the index
+  rectangle gives bit-identical values: the path depends only on ``a``,
+  ``dx`` and ``dy``, and lattice indices are absolute.
+- Row-major first-occurrence tie-breaking equals the lexicographically
   smallest ``(i, j)`` among minimisers, which makes block-wise reduction
-  associative (combine block results by ``(value, i, j)`` tuple-minimum);
+  associative (combine block results by ``(value, i, j)`` tuple-minimum).
 - NaN and infinite gaps (overflow artefacts) never win.
 """
 
@@ -98,6 +122,7 @@ def _load_numpy():
 np = _load_numpy()
 
 __all__ = [
+    "MAX_GRID_N",
     "ScanConfig",
     "ScanReport",
     "Violation",
@@ -121,6 +146,17 @@ _DEFAULT_GRID_N = 401
 _DEFAULT_REFINE_DEPTH = 2
 _DEFAULT_TOLERANCE = 1e-9
 
+#: Largest accepted ``grid_n``.  A level costs ``grid_n**2`` gap
+#: evaluations: 1e8 at the cap, seconds of work, where ``grid_n`` 1e5
+#: would take hours.  The toolkit and its tests use at most 2401.
+MAX_GRID_N = 10_001
+
+#: Rows per tile of a scan's O(n^2) part, and the bound on the lattice
+#: period ``m + l`` (so the lattice is no longer than one tile).
+_BLOCK_ROWS = 64
+#: Relative slack within which ``dy / (a*dx)`` counts as equal to ``l/m``.
+_RATIO_TOL = 2.0 ** -44
+
 #: Stored reference rows: (mu, sigma, x_star, y_star, stored_margin), all
 #: sharing TABLE_ALPHA.  ``stored_margin`` is the reference value this
 #: package attempts (and documentedly fails) to reproduce.
@@ -139,9 +175,9 @@ class ScanConfig:
     """Grid-scan configuration.
 
     ``box`` is ``(x_lo, x_hi, y_lo, y_hi)`` with finite ordered endpoints;
-    ``grid_n >= 2`` nodes per axis; ``refine_depth >= 0`` extra shrink
-    rounds; ``tolerance > 0`` is the negativity threshold below which a
-    scan minimum is treated as a violation candidate.
+    ``2 <= grid_n <= MAX_GRID_N`` nodes per axis; ``refine_depth >= 0``
+    extra shrink rounds; ``tolerance > 0`` is the negativity threshold
+    below which a scan minimum is treated as a violation candidate.
     """
 
     box: Tuple[float, float, float, float]
@@ -163,7 +199,7 @@ class ScanConfig:
             raise InputError(f"box endpoints must be finite, got {box}")
         if not (x_lo < x_hi and y_lo < y_hi):
             raise InputError(f"box endpoints must be ordered, got {box}")
-        require_int(self.grid_n, "grid_n", 2)
+        require_int(self.grid_n, "grid_n", 2, MAX_GRID_N)
         require_int(self.refine_depth, "refine_depth", 0)
         tol = self.tolerance
         try:
@@ -236,6 +272,35 @@ def _f_values(t: np.ndarray, mu: float, sigma: float, alpha: float, h0: float) -
     return g + alpha * (h - h0)
 
 
+def _lattice_ratio(
+    a: float, dx: float, dy: float, keep: float
+) -> Optional[Tuple[int, int]]:
+    """The ``(m, l)`` with ``m + l <= _BLOCK_ROWS`` whose ratio ``l/m`` is
+    the largest in ``[r*keep, r*(1 + _RATIO_TOL)]``, ``r = dy/(a*dx)``
+    (lowest terms), or ``None`` if no ratio lies there."""
+    adx = a * dx
+    r = dy / adx if adx > 0.0 else math.nan
+    if not 0.0 < r < math.inf:
+        return None
+    best = None
+    lo, hi = r * keep, r * (1.0 + _RATIO_TOL)
+    for m in range(1, _BLOCK_ROWS):
+        l = min(math.floor(hi * m), _BLOCK_ROWS - m)
+        if l >= 1 and l >= lo * m and (best is None or l * best[0] > best[1] * m):
+            best = (m, l)
+    return best
+
+
+def _fit_step(lo: float, hi: float, n: int, step: float) -> float:
+    """Shrink ``step`` until the last node ``lo + (n-1)*step`` is at most
+    ``hi``, so that rounding never places a node outside the box."""
+    cut = 2.0 ** -53
+    while lo + (n - 1) * step > hi:
+        step *= 1.0 - cut
+        cut *= 2.0
+    return step
+
+
 def scan_block(
     a: float,
     mu: float,
@@ -251,38 +316,63 @@ def scan_block(
     j1: int,
 ):
     """Scan one index block; see the module docstring for the contract."""
+    if i1 <= i0 or j1 <= j0:
+        return np.inf, -1, -1
     z0 = (0.0 - mu) / sigma
     h0 = float(np.exp(-(z0 * z0)))
 
-    i_idx = np.arange(i0, i1, dtype=np.float64)
-    j_idx = np.arange(j0, j1, dtype=np.float64)
-    xs = x0 + i_idx * dx
-    ys = y0 + j_idx * dy
-
-    fx = _f_values(xs, mu, sigma, alpha, h0)
+    xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
+    ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
+    afx = a * _f_values(xs, mu, sigma, alpha, h0)
     fy = _f_values(ys, mu, sigma, alpha, h0)
-    s = a * xs[:, None] + ys[None, :]
-    fs = _f_values(s, mu, sigma, alpha, h0)
 
-    gaps = (a * fx[:, None] + fy[None, :]) - fs
+    ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
+    if ratio is not None:
+        # f(a*x_i + y_j) = f(s0 + k*delta) with k = m*i + l*j: evaluate
+        # the lattice once, from the block's first to its last k.
+        m, l = ratio
+        delta = a * dx / m
+        k0 = m * i0 + l * j0
+        ks = np.arange(k0, m * (i1 - 1) + l * (j1 - 1) + 1, dtype=np.float64)
+        fs = _f_values((a * x0 + y0) + ks * delta, mu, sigma, alpha, h0)
+        strides = (m * fs.itemsize, l * fs.itemsize)
+    else:
+        ax = a * xs
 
-    if gaps.size == 0:
-        return np.inf, -1, -1
+    ni, nj = i1 - i0, j1 - j0
+    buf = np.empty((min(ni, _BLOCK_ROWS), nj))
+    best = (np.inf, -1, -1)
+    for r0 in range(0, ni, _BLOCK_ROWS):
+        r1 = min(ni, r0 + _BLOCK_ROWS)
+        gaps = buf[: r1 - r0]
+        if ratio is not None:
+            fs_b = np.lib.stride_tricks.as_strided(
+                fs[m * r0 :], shape=gaps.shape, strides=strides, writeable=False
+            )
+        else:
+            np.add(ax[r0:r1, None], ys[None, :], out=gaps)
+            fs_b = _f_values(gaps, mu, sigma, alpha, h0)
+        np.add(afx[r0:r1, None], fy[None, :], out=gaps)
+        np.subtract(gaps, fs_b, out=gaps)
 
-    # First row-major occurrence of the minimum, tracked strictly from
-    # +inf: NaN/inf never win.
-    finite = np.isfinite(gaps)
-    if not finite.any():
-        return np.inf, -1, -1
-    flat = np.nanargmin(np.where(finite, gaps, np.inf))
-    bi, bj = np.unravel_index(flat, gaps.shape)
-    return float(gaps[bi, bj]), int(i0 + bi), int(j0 + bj)
+        # First row-major occurrence of the minimum; NaN and +-inf never
+        # win.  argmin stops at a NaN, so mask only when it returns one.
+        flat = int(np.argmin(gaps))
+        if not math.isfinite(gaps.flat[flat]):
+            np.copyto(gaps, np.inf, where=~np.isfinite(gaps))
+            flat = int(np.argmin(gaps))
+        value = float(gaps.flat[flat])
+        if value < best[0]:
+            bi, bj = divmod(flat, nj)
+            best = (value, i0 + r0 + bi, j0 + bj)
+    return best
 
 
 def scan_gap_min(a: OrderLike, p: Params, cfg: ScanConfig) -> ScanReport:
     """Deterministic refined grid scan of the order-``a`` gap minimum.
 
-    See the module docstring for the refinement and tie-breaking rules.
+    See the module docstring for the refinement, node-placement and
+    tie-breaking rules.
     """
     av = order_value(a)
     p = _require_params(p)
@@ -304,8 +394,15 @@ def scan_gap_min(a: OrderLike, p: Params, cfg: ScanConfig) -> ScanReport:
             bx1 = min(x_hi, cx + wx / 2.0)
             by0 = max(y_lo, cy - wy / 2.0)
             by1 = min(y_hi, cy + wy / 2.0)
-        dx = (bx1 - bx0) / (n - 1)
+        dx = _fit_step(bx0, bx1, n, (bx1 - bx0) / (n - 1))
         dy = (by1 - by0) / (n - 1)
+        # Snap dy down onto the lattice of a*dx when that costs less than
+        # one y-step of the box's height.
+        ratio = _lattice_ratio(av, dx, dy, (n - 2) / (n - 1))
+        if ratio is not None:
+            m, l = ratio
+            dy = min(dy, l * (av * dx / m))
+        dy = _fit_step(by0, by1, n, dy)
         raw, bi, bj = scan_block(
             av, p.mu, p.sigma, p.alpha, bx0, dx, by0, dy, 0, n, 0, n
         )

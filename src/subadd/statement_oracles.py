@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 import math
 import random
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .analytic_core import (
@@ -46,7 +45,13 @@ from .analytic_core import (
     h_second,
 )
 from .certificate import check_region_B
-from .errors import DomainError, InputError, PreconditionError, require_int
+from .errors import (
+    DomainError,
+    InputError,
+    PreconditionError,
+    require_fraction,
+    require_int,
+)
 from .intervals import Tristate
 
 __all__ = [
@@ -240,23 +245,6 @@ def check_tau_concavity(p: Params, t: float, n: int = 1_001) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _as_fraction(value, what: str) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{what} is not a valid rational: {value!r}") from exc
-    raise InputError(
-        f"{what} must be an exact rational (Fraction, int, or 'p/q' "
-        f"string); floats are not accepted because the decision is exact. "
-        f"Got {value!r}"
-    )
-
-
 def semigroup_search(
     target,
     generators: Sequence,
@@ -274,11 +262,11 @@ def semigroup_search(
     terms).  ``BUDGET_EXHAUSTED`` is returned when the scaled table would
     exceed ``budget`` cells; no claim is made in that case.
     """
-    tgt = _as_fraction(target, "target")
+    tgt = require_fraction(target, "target")
     if tgt <= 0:
         raise InputError(f"target must be > 0, got {tgt}")
     require_int(max_terms, "max_terms", 1)
-    gens = [_as_fraction(g, f"generators[{i}]") for i, g in enumerate(generators)]
+    gens = [require_fraction(g, f"generators[{i}]") for i, g in enumerate(generators)]
     if not gens:
         raise InputError("generators must be nonempty")
     if any(g <= 0 for g in gens):

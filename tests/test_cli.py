@@ -18,7 +18,7 @@ from subadd.analytic_core import Order, Params
 from subadd.certificate import CertificateReport, certify_S2
 from subadd.cli import build_config, build_parser, main
 from subadd.intervals import Interval
-from subadd.search import ScanConfig, Violation
+from subadd.search import MAX_GRID_N, ScanConfig, Violation
 from subadd.serialize import from_jsonable
 
 
@@ -269,6 +269,16 @@ def test_cone_rejects_generator_count_above_cap(capsys):
     code, _, err = run_cli(capsys, "cone", "--n-reserve", "100000000")
     assert code == 2
     assert "n-reserve" in err
+
+
+def test_scan_rejects_grid_n_above_cap(capsys):
+    for sub in ("scan", "violate", "table"):
+        code, out, err = run_cli(capsys, sub, "--grid-n", "1000000")
+        assert code == 2
+        assert "grid_n" in err and not out
+    code, _, err = run_cli(capsys, "scan", "--grid-n", str(MAX_GRID_N + 1))
+    assert code == 2
+    assert str(MAX_GRID_N) in err
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,14 @@ def test_generator_value_intervals(cone):
     assert r1.width() < 20 * math.ulp(r1.hi)
 
 
+def test_generator_ids_sorted_once(cone):
+    """The ids are sorted at construction; every call returns that tuple."""
+    ids = cone.generator_ids()
+    assert ids == tuple(sorted(ids, key=lambda g: g.sort_key()))
+    assert ids[:2] == (B(1), B(2)) and len(ids) == 25
+    assert cone.generator_ids() is ids
+
+
 def test_unknown_generator_lookup(cone):
     with pytest.raises(InputError):
         cone.generator(B(21))
@@ -210,6 +218,23 @@ def test_element_validation():
         ConeElement(coeffs=((B(1), Fraction(1)), (B(1), Fraction(2))))
     with pytest.raises(InputError):
         ConeElement(coeffs=(("b1", Fraction(1)),))
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1/0", "half", "-1/2", 0])
+def test_element_rejects_inexact_or_nonpositive_coefficients(bad):
+    """Coefficients go through ``errors.require_fraction`` plus the
+    cone's own ``> 0`` check."""
+    with pytest.raises(InputError):
+        ConeElement(coeffs=((B(1), bad),))
+
+
+def test_element_accepts_exact_coefficients():
+    x = ConeElement(coeffs=((B(1), 2), (B(2), "3/4"), (R(1), Fraction(1, 3))))
+    assert x.to_dict() == {
+        B(1): Fraction(2),
+        B(2): Fraction(3, 4),
+        R(1): Fraction(1, 3),
+    }
 
 
 def test_element_normalisation_and_addition():

@@ -9,15 +9,19 @@ violation.  See the README's "Known discrepancies".
 
 import math
 import random
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
 import _frozen
-from subadd.analytic_core import HighPrecision, Params
+from subadd import search
+from subadd.analytic_core import HighPrecision, Params, gap
 from subadd.certificate import Verdict, certify_S2
 from subadd.errors import InputError
 from subadd.search import (
+    MAX_GRID_N,
     ScanConfig,
     ScanReport,
     TableRow,
@@ -51,6 +55,16 @@ def test_scan_config_validation():
         ScanConfig(box=(0.0, math.inf, 0.0, 1.0), grid_n=11, refine_depth=0)
 
 
+def test_scan_config_rejects_grid_n_above_cap():
+    box = (0.0, 1.0, 0.0, 1.0)
+    assert ScanConfig(box=box, grid_n=MAX_GRID_N).grid_n == MAX_GRID_N
+    for n in (MAX_GRID_N + 1, 1_000_000):
+        with pytest.raises(InputError):
+            ScanConfig(box=box, grid_n=n)
+        with pytest.raises(InputError):
+            violation_scan_config(Params(mu=1.2, sigma=0.05, alpha=0.05), grid_n=n)
+
+
 # ---------------------------------------------------------------------------
 # determinism and bookkeeping
 # ---------------------------------------------------------------------------
@@ -70,6 +84,15 @@ def test_scan_evaluation_count(cert_params):
         cfg = ScanConfig(box=(-1.0, 1.0, -1.0, 1.0), grid_n=51, refine_depth=depth)
         rep = scan_gap_min(2.0, cert_params, cfg)
         assert rep.evaluations == (depth + 1) * 51 * 51
+
+
+def test_scan_survives_levels_shrunk_to_a_point(cert_params):
+    """Deep levels are narrower than one ulp of their centre, so their
+    steps round to 0 (here ``dx == dy == 0`` from level 18 on)."""
+    cfg = ScanConfig(box=FULL_BOX, grid_n=41, refine_depth=20)
+    rep = scan_gap_min(2.0, cert_params, cfg)
+    assert rep.evaluations == 21 * 41 * 41
+    assert rep.min_gap == gap(2.0, "f", rep.argmin.x, rep.argmin.y, cert_params)
 
 
 def test_scan_argmin_inside_box_and_value_reproducible(cert_params):
@@ -124,6 +147,204 @@ def test_mirror_box_bitwise_equality(cert_params):
     assert rep_pos.min_gap == rep_neg.min_gap
     assert rep_pos.argmin.x == -rep_neg.argmin.x
     assert rep_pos.argmin.y == -rep_neg.argmin.y
+
+
+# ---------------------------------------------------------------------------
+# lattice kernel against a brute-force reference
+# ---------------------------------------------------------------------------
+
+
+def test_lattice_ratio_recognises_small_periods():
+    """``dy/(a*dx) = l/m`` is recognised to a few ulps for small periods
+    and refused when the period would exceed one row tile; the snapping
+    window picks the largest ratio below ``r``."""
+    exact = lambda r: search._lattice_ratio(1.0, 1.0, r, 1.0 - search._RATIO_TOL)
+    assert exact(1.0) == (1, 1)
+    assert exact(0.5) == (2, 1)
+    assert exact(0.5 * (1.0 - 2.0**-52)) == (2, 1)
+    assert exact(1.0 / 2.5) == (5, 2)
+    assert exact(1.0 / 3.0) == (3, 1)
+    assert exact(5.0) == (1, 5)
+    assert exact(8e6) is None and exact(1e-6 / 32.0) is None
+    assert exact(math.pi) is None
+    assert search._lattice_ratio(2.0, 0.1, 1.0025, 399 / 400) == (1, 5)
+    assert search._lattice_ratio(2.0, 0.1, 1.0025, 799 / 800) is None
+    # A level whose box has shrunk to a point has no lattice.
+    assert search._lattice_ratio(2.0, 0.0, 0.1, 0.5) is None
+
+
+def _record_levels(monkeypatch):
+    """Record the arguments of every kernel call ``scan_gap_min`` makes."""
+    calls = []
+    kernel = search.scan_block
+
+    def spy(*args):
+        out = kernel(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(search, "scan_block", spy)
+    return calls
+
+
+def _brute_gaps(args, p):
+    """The gap at every node ``(x0 + i*dx, y0 + j*dy)`` of one kernel
+    call, evaluated one node at a time on the scalar path."""
+    a, _, _, _, x0, dx, y0, dy, i0, i1, j0, j1 = args
+    return {
+        (i, j): gap(a, "f", x0 + i * dx, y0 + j * dy, p)
+        for i in range(i0, i1)
+        for j in range(j0, j1)
+    }
+
+
+#: (order, box): the full box at the orders whose lattice periods are
+#: (m, l) = (1, 1), (2, 1), (5, 2) and (3, 1); a box whose minimum sits on
+#: its top edge, so refined levels are clipped; the two extreme aspect
+#: ratios, whose lattice would be longer than the grid; and the default
+#: violation window (``None``) at orders 1 to 3.
+_REFERENCE_CASES = [
+    (1.0, FULL_BOX),
+    (2.0, FULL_BOX),
+    (2.5, FULL_BOX),
+    (3.0, FULL_BOX),
+    (2.0, (0.01, 0.04, 1.0, 1.13)),
+    (2.0, (0.0, 1e-6, -8.0, 8.0)),
+    (2.0, (-8.0, 8.0, 0.0, 1e-6)),
+    (1.0, None),
+    (2.0, None),
+    (3.0, None),
+]
+
+
+@pytest.mark.parametrize("a, box", _REFERENCE_CASES)
+def test_kernel_matches_brute_force(monkeypatch, cert_params, a, box):
+    """On every refinement level the kernel's minimum, and the gap at its
+    argmin, equal the directly evaluated node gaps to 1e-12."""
+    calls = _record_levels(monkeypatch)
+    if box is None:
+        cfg = violation_scan_config(cert_params, grid_n=31, refine_depth=2)
+    else:
+        cfg = ScanConfig(box=box, grid_n=31, refine_depth=2)
+    scan_gap_min(a, cert_params, cfg)
+    assert len(calls) == 3
+    for args, (value, bi, bj) in calls:
+        gaps = _brute_gaps(args, cert_params)
+        assert abs(value - min(gaps.values())) <= 1e-12
+        assert abs(value - gaps[bi, bj]) <= 1e-12
+
+
+#: Boxes where the plain step ``(hi - lo)/(n - 1)`` puts the last node one
+#: rounding beyond ``hi`` (on one axis or the other), the clipped top-edge
+#: box, and the violation window.
+_INSIDE_CASES = [
+    (2.0, (-0.25, 1.25, -0.9338064475556429, 1.0453500656034733), 32),
+    (2.5, (-0.9338064475556429, 1.0453500656034733, -0.25, 1.25), 32),
+    (3.0, (-5.035672578387038, -1.2875380992494443, -3.4942260758971404,
+           0.2485942951196667), 43),
+    (2.0, (0.01, 0.04, 1.0, 1.13), 31),
+    (2.0, None, 41),
+]
+
+
+@pytest.mark.parametrize("a, box, n", _INSIDE_CASES)
+def test_refined_scan_nodes_inside_box(monkeypatch, cert_params, a, box, n):
+    """Every node of every level lies in the scanned box, and the y-nodes
+    still reach to within one plain y-step of each level's top edge."""
+    calls = _record_levels(monkeypatch)
+    if box is None:
+        cfg = violation_scan_config(cert_params, grid_n=n, refine_depth=3)
+    else:
+        cfg = ScanConfig(box=box, grid_n=n, refine_depth=3)
+    rep = scan_gap_min(a, cert_params, cfg)
+    x_lo, x_hi, y_lo, y_hi = cfg.box
+    assert x_lo <= rep.argmin.x <= x_hi and y_lo <= rep.argmin.y <= y_hi
+    idx = np.arange(n, dtype=np.float64)
+    for level, (args, _) in enumerate(calls):
+        _, _, _, _, x0, dx, y0, dy, _, _, _, _ = args
+        xs, ys = x0 + idx * dx, y0 + idx * dy
+        assert x_lo <= xs.min() and xs.max() <= x_hi
+        assert y_lo <= ys.min() and ys.max() <= y_hi
+        if level == 0:
+            plain = (y_hi - y_lo) / (n - 1)
+            assert dy <= plain and ys.max() >= y_hi - plain
+
+
+def test_top_edge_box_clips_refined_levels(monkeypatch, cert_params):
+    """The clipped-level cases above do clip: the minimum of this box is
+    on its top edge, so refined boxes end at ``y_hi``."""
+    calls = _record_levels(monkeypatch)
+    box = (0.01, 0.04, 1.0, 1.13)
+    rep = scan_gap_min(2.0, cert_params, ScanConfig(box=box, grid_n=31, refine_depth=2))
+    assert rep.argmin.y > 1.129
+    for args, _ in calls[1:]:
+        _, _, _, _, _, _, y0, dy, _, _, _, _ = args
+        assert y0 + 30 * dy > 1.129
+
+
+@pytest.mark.parametrize(
+    "a, box",
+    [(2.5, FULL_BOX), (2.0, (0.0, 1e-6, -8.0, 8.0)), (1.0, (0.0, 0.1, 0.7, 1.7))],
+)
+def test_kernel_uneven_partition_equality(cert_params, a, box):
+    """Blocks of uneven shape, taller than one row tile, combine to the
+    whole-grid answer on the lattice and on the node path alike."""
+    p = cert_params
+    n = 157
+    x0, y0 = box[0], box[2]
+    dx, dy = (box[1] - box[0]) / (n - 1), (box[3] - box[2]) / (n - 1)
+    args = (a, p.mu, p.sigma, p.alpha, x0, dx, y0, dy)
+    whole = scan_block(*args, 0, n, 0, n)
+    cuts_i, cuts_j = (0, 3, 70, 140, n), (0, 1, 90, n)
+    parts = [
+        scan_block(*args, i0, i1, j0, j1)
+        for i0, i1 in zip(cuts_i, cuts_i[1:])
+        for j0, j1 in zip(cuts_j, cuts_j[1:])
+    ]
+    assert min(parts) == whole
+
+
+def test_kernel_skips_non_finite_gaps(cert_params):
+    """Rows from ``x = 9e307`` on overflow to NaN gaps; a tile holding
+    both kinds still yields the minimum of its finite part."""
+    p = cert_params
+    args = (2.0, p.mu, p.sigma, p.alpha, 0.0, 1e307, 0.0, 0.1)
+    with np.errstate(all="ignore"):
+        whole = scan_block(*args, 0, 30, 0, 10)
+        assert scan_block(*args, 9, 30, 0, 10) == (math.inf, -1, -1)
+        assert whole == scan_block(*args, 0, 9, 0, 10)
+    assert math.isfinite(whole[0]) and whole[1] >= 0
+
+
+def test_violation_window_scan_runs_on_the_lattice(monkeypatch, cert_params):
+    """The default violation window's y-step is snapped onto the lattice
+    of ``a*dx`` at every level (here losing 1/401 of its height)."""
+    calls = _record_levels(monkeypatch)
+    cfg = violation_scan_config(cert_params)
+    scan_gap_min(2, cert_params, cfg)
+    assert len(calls) == cfg.refine_depth + 1
+    for args, _ in calls:
+        a, dx, dy = args[0], args[5], args[7]
+        assert search._lattice_ratio(a, dx, dy, 1.0 - search._RATIO_TOL) == (1, 5)
+
+
+@pytest.mark.parametrize("box", [FULL_BOX, (0.0, 1e-6, -8.0, 8.0)])
+def test_kernel_peak_memory_is_row_tiled(cert_params, box):
+    """One 2001^2 kernel call allocates far less than one n^2 array
+    (31 MB), on the lattice path and on the node path."""
+    p = cert_params
+    n = 2001
+    dx, dy = (box[1] - box[0]) / (n - 1), (box[3] - box[2]) / (n - 1)
+    tracemalloc.start()
+    try:
+        out = scan_block(
+            2.0, p.mu, p.sigma, p.alpha, box[0], dx, box[2], dy, 0, n, 0, n
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out[1] >= 0
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

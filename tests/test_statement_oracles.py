@@ -218,6 +218,16 @@ def test_semigroup_input_validation():
     assert semigroup_member("3/2", ("1/2",), 5) is True
 
 
+@pytest.mark.parametrize("bad", [0.5, True, False, "1/0", "half", "1.5e"])
+def test_semigroup_search_rejects_inexact_rationals(bad):
+    """Target and generators go through ``errors.require_fraction``:
+    floats, bools and strings that are not rationals raise InputError."""
+    with pytest.raises(InputError):
+        semigroup_search(bad, (Fraction(1, 2),), 3)
+    with pytest.raises(InputError):
+        semigroup_search(Fraction(1, 2), (Fraction(1, 4), bad), 3)
+
+
 # ---------------------------------------------------------------------------
 # step-function example
 # ---------------------------------------------------------------------------
