@@ -54,6 +54,7 @@ from .errors import (
 from .intervals import Interval
 from .search import (
     MAX_GRID_N,
+    MAX_REFINE_DEPTH,
     ScanConfig,
     find_violation,
     reproduce_table,
@@ -227,9 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--box", default=None, metavar="X0,X1,Y0,Y1", help="search rectangle"
     )
     grid_help = f"nodes per axis (2 to {MAX_GRID_N})"
+    depth_help = f"extra 10x refinement rounds (0 to {MAX_REFINE_DEPTH})"
     scanopts.add_argument("--grid-n", type=int, default=None, help=grid_help)
     scanopts.add_argument(
-        "--refine-depth", type=int, default=None, help="extra 10x refinement rounds"
+        "--refine-depth", type=int, default=None, help=depth_help
     )
     scanopts.add_argument(
         "--tolerance", type=float, default=None, help="violation threshold on -gap"
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     gridonly = argparse.ArgumentParser(add_help=False)
     gridonly.add_argument("--grid-n", type=int, default=None, help=grid_help)
     gridonly.add_argument(
-        "--refine-depth", type=int, default=None, help="extra 10x refinement rounds"
+        "--refine-depth", type=int, default=None, help=depth_help
     )
 
     coneopts = argparse.ArgumentParser(add_help=False)

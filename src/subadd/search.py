@@ -28,9 +28,11 @@ Pipeline:
    tracking the best probed point.
 
 3. **High-precision confirmation**: the candidate's margin ``-gap`` is
-   recomputed with :class:`subadd.analytic_core.HighPrecision` (128 bits
-   minimum).  A violation is reported only when that margin is strictly
-   positive, so float64 noise can never manufacture a false violation.
+   recomputed by :func:`verify_point` with
+   :class:`subadd.analytic_core.HighPrecision` (128 bits minimum).  A
+   violation is reported only when that margin, rounded to float64, is
+   strictly positive, so float64 noise can never manufacture a false
+   violation.
 
 The default violation box searches ``x`` in ``(0, 0.1]`` and ``y`` within
 ten bump-widths of the ring (``mu - 10 sigma`` to ``mu + 10 sigma``): for
@@ -53,8 +55,9 @@ best_j)`` is the first row-major node attaining the minimum, or
 ``(inf, -1, -1)`` if no node produced a finite value.
 
 - Node coordinates are computed as ``x0 + i*dx`` (multiply, then add)
-  with absolute indices; ``f`` uses the exact expression tree of
-  ``analytic_core.eval_f`` and the gap is ``(a*f(x) + f(y)) - f(s)``.
+  with absolute indices; ``f`` calls ``analytic_core``'s tree with
+  ``numpy`` (``h(0)`` by ``np.exp``) and the gap is
+  ``(a*f(x) + f(y)) - f(s)``.
 - Lattice path.  When ``dy/(a*dx)`` equals ``l/m`` to within ``2**-44``
   relative for coprime ``m + l <= 64`` (derived from ``a``, ``dx`` and
   ``dy`` alone), every ``a*x_i + y_j`` lies on one 1-D lattice and ``s``
@@ -90,6 +93,7 @@ from .analytic_core import (
     OrderLike,
     Params,
     Point,
+    _evaluator,
     _require_params,
     gap,
     order_value,
@@ -123,6 +127,7 @@ np = _load_numpy()
 
 __all__ = [
     "MAX_GRID_N",
+    "MAX_REFINE_DEPTH",
     "ScanConfig",
     "ScanReport",
     "Violation",
@@ -151,6 +156,12 @@ _DEFAULT_TOLERANCE = 1e-9
 #: would take hours.  The toolkit and its tests use at most 2401.
 MAX_GRID_N = 10_001
 
+#: Largest accepted ``refine_depth``.  Level ``k`` scans a box ``10**-k``
+#: the size of the original, so from about level 17 a box of unit scale
+#: is narrower than one ulp of its centre and each further level rescans
+#: one point at ``grid_n**2`` evaluations; ``10.0 ** 309`` overflows.
+MAX_REFINE_DEPTH = 30
+
 #: Rows per tile of a scan's O(n^2) part, and the bound on the lattice
 #: period ``m + l`` (so the lattice is no longer than one tile).
 _BLOCK_ROWS = 64
@@ -175,9 +186,10 @@ class ScanConfig:
     """Grid-scan configuration.
 
     ``box`` is ``(x_lo, x_hi, y_lo, y_hi)`` with finite ordered endpoints;
-    ``2 <= grid_n <= MAX_GRID_N`` nodes per axis; ``refine_depth >= 0``
-    extra shrink rounds; ``tolerance > 0`` is the negativity threshold
-    below which a scan minimum is treated as a violation candidate.
+    ``2 <= grid_n <= MAX_GRID_N`` nodes per axis; ``0 <= refine_depth <=
+    MAX_REFINE_DEPTH`` extra shrink rounds; ``tolerance > 0`` is the
+    negativity threshold below which a scan minimum is treated as a
+    violation candidate.
     """
 
     box: Tuple[float, float, float, float]
@@ -200,7 +212,7 @@ class ScanConfig:
         if not (x_lo < x_hi and y_lo < y_hi):
             raise InputError(f"box endpoints must be ordered, got {box}")
         require_int(self.grid_n, "grid_n", 2, MAX_GRID_N)
-        require_int(self.refine_depth, "refine_depth", 0)
+        require_int(self.refine_depth, "refine_depth", 0, MAX_REFINE_DEPTH)
         tol = self.tolerance
         try:
             tol = float(tol)
@@ -263,15 +275,6 @@ def _require_config(cfg: ScanConfig) -> ScanConfig:
     return cfg
 
 
-def _f_values(t: np.ndarray, mu: float, sigma: float, alpha: float, h0: float) -> np.ndarray:
-    """Vectorised working-function values with eval_f's expression tree."""
-    at = np.fabs(t)
-    g = at + np.log1p(at)
-    z = (at - mu) / sigma
-    h = np.exp(-(z * z))
-    return g + alpha * (h - h0)
-
-
 def _lattice_ratio(
     a: float, dx: float, dy: float, keep: float
 ) -> Optional[Tuple[int, int]]:
@@ -318,13 +321,12 @@ def scan_block(
     """Scan one index block; see the module docstring for the contract."""
     if i1 <= i0 or j1 <= j0:
         return np.inf, -1, -1
-    z0 = (0.0 - mu) / sigma
-    h0 = float(np.exp(-(z0 * z0)))
+    f = _evaluator(np, "f", mu, sigma, alpha)
 
     xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
     ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
-    afx = a * _f_values(xs, mu, sigma, alpha, h0)
-    fy = _f_values(ys, mu, sigma, alpha, h0)
+    afx = a * f(xs)
+    fy = f(ys)
 
     ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
     if ratio is not None:
@@ -334,7 +336,7 @@ def scan_block(
         delta = a * dx / m
         k0 = m * i0 + l * j0
         ks = np.arange(k0, m * (i1 - 1) + l * (j1 - 1) + 1, dtype=np.float64)
-        fs = _f_values((a * x0 + y0) + ks * delta, mu, sigma, alpha, h0)
+        fs = f((a * x0 + y0) + ks * delta)
         strides = (m * fs.itemsize, l * fs.itemsize)
     else:
         ax = a * xs
@@ -351,7 +353,7 @@ def scan_block(
             )
         else:
             np.add(ax[r0:r1, None], ys[None, :], out=gaps)
-            fs_b = _f_values(gaps, mu, sigma, alpha, h0)
+            fs_b = f(gaps)
         np.add(afx[r0:r1, None], fy[None, :], out=gaps)
         np.subtract(gaps, fs_b, out=gaps)
 
@@ -438,7 +440,7 @@ def violation_scan_config(
     (starting at the first positive node ``0.1/grid_n``) and ``y`` within
     ten bump-widths of the ring."""
     p = _require_params(p)
-    x_lo = 0.1 / grid_n
+    x_lo = 0.1 / require_int(grid_n, "grid_n", 2, MAX_GRID_N)
     return ScanConfig(
         box=(x_lo, 0.1, p.mu - 10.0 * p.sigma, p.mu + 10.0 * p.sigma),
         grid_n=grid_n,
@@ -527,12 +529,10 @@ def find_violation(
         if v < best_v:
             best_v, by = v, t_best
 
-    margin = -HighPrecision(prec_bits).gap(av, "f", bx, by, p)
+    margin = verify_point(av, p, bx, by, prec_bits)
     if not margin > 0:
         return None
-    return Violation(
-        order=Order(av), params=p, point=Point(bx, by), margin=float(margin)
-    )
+    return Violation(order=Order(av), params=p, point=Point(bx, by), margin=margin)
 
 
 def verify_point(

@@ -38,6 +38,7 @@ from typing import Optional, Sequence, Tuple
 
 from .analytic_core import (
     Params,
+    _evaluator,
     _require_params,
     eval_f,
     f_prime,
@@ -96,28 +97,17 @@ def _r_and_r2(fn: str, p: Optional[Params]):
         raise InputError(
             f"unknown function handle {fn!r}; expected one of {_ROLLE_HANDLES}"
         )
+
+    def g2(s: float) -> float:
+        return -1.0 / ((1.0 + s) * (1.0 + s))
+
     if fn == "g":
-
-        def r(s: float) -> float:
-            return abs(s) + math.log1p(abs(s))
-
-        def r2(s: float) -> float:
-            return -1.0 / ((1.0 + s) * (1.0 + s))
-
-        return r, r2
+        return _evaluator(math, "g"), g2
     p = _require_params(p)
+    r = _evaluator(math, fn, p.mu, p.sigma, p.alpha)
     if fn == "h":
-        from .analytic_core import eval_h
-
-        return (lambda s: eval_h(s, p)), (lambda s: h_second(s, p))
-
-    def rf(s: float) -> float:
-        return eval_f(s, p)
-
-    def rf2(s: float) -> float:
-        return -1.0 / ((1.0 + s) * (1.0 + s)) + p.alpha * h_second(s, p)
-
-    return rf, rf2
+        return r, (lambda s: h_second(s, p))
+    return r, (lambda s: g2(s) + p.alpha * h_second(s, p))
 
 
 def rolle_probe(fn: str, t: float, p: Optional[Params] = None) -> float:

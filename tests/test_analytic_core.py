@@ -396,3 +396,101 @@ def test_high_precision_validates_like_float_path(cert_params):
         hp.eval_phi(-1.0)
     with pytest.raises(DomainError):
         hp.f_prime(-1.0, cert_params)
+
+
+def _close(fl, hp_value, *terms):
+    """``hp_value`` rounded to float is within 4 ulps of ``fl``, counted at
+    the scale of the terms the formula sums (a difference of nearly equal
+    terms cannot be correct to a few ulps of itself in float64)."""
+    scale = sum(abs(t) for t in terms)
+    return abs(fl - float(hp_value)) <= 4 * math.ulp(scale)
+
+
+def test_every_high_precision_method_matches_float_path():
+    """Each HighPrecision method, rounded to float, equals its float64
+    counterpart to a few ulps at sampled points, at 128 and 200 bits: the
+    two paths feed the same trees the same arguments and parameters.  The
+    128- and 200-bit values differ somewhere for every method, so neither
+    path silently runs in float64."""
+    triples = [
+        Params(1.2, 0.05, 0.05),
+        Params(1.5, 0.05, 0.117783036),
+        Params(2.0, 0.3, 0.4),
+        Params(0.5, 0.4, 0.3),  # h(0) = 0.21, so "h" and "h-h0" differ
+    ]
+    rng = random.Random(61)
+    hp128, hp200 = HighPrecision(128), HighPrecision(200)
+    split = {}  # method -> some point gave different 128- and 200-bit values
+
+    def check(name, fl, args, *terms):
+        v128 = getattr(hp128, name)(*args)
+        v200 = getattr(hp200, name)(*args)
+        assert _close(fl, v128, *terms), (name, args, fl, v128)
+        assert _close(fl, v200, *terms), (name, args, fl, v200)
+        split[name] = split.get(name, False) or v128 != v200
+
+    check("eval_C", eval_C(), (), eval_C())
+    for z in [0.0, 0.25, 0.5, 1 / math.sqrt(2), 0.99] + [rng.uniform(0, 4) for _ in range(20)]:
+        e = math.exp(-z * z)
+        check("eval_phi", eval_phi(z), (z,), (4 * z * z + 2) * e)
+        check("eval_lambda", eval_lambda(z), (z,), 2 * math.log1p(z), math.log1p(2 * z))
+        if z < 1.0:
+            check("eval_psi", eval_psi(z), (z,), 2 * math.log1p(z), math.log1p(-z))
+    for p in triples:
+        mu, sigma, alpha = p.mu, p.sigma, p.alpha
+        ring = [mu + k * sigma / 4 for k in range(-12, 13)]
+        xs = ring + [-t for t in ring] + [rng.uniform(-4, 4) for _ in range(25)]
+        h0 = eval_h(0.0, p)
+        for x in xs:
+            g, h = eval_g(x), eval_h(x, p)
+            check("eval_g", g, (x,), g)
+            check("eval_h", h, (x, p), 1.0)
+            check("eval_f", eval_f(x, p), (x, p), g, alpha * h, alpha * h0)
+            if x != 0.0:
+                check("h_second", h_second(x, p), (x, p), 2 / sigma**2)
+            if x > 0:
+                bump = 2 * alpha * (mu - x) * h / sigma**2
+                check("f_prime", f_prime(x, p), (x, p), 1.0, 1 / (1 + x), bump)
+                check("h_prime", h_prime(x, p), (x, p), 1 / sigma)
+        ws = {
+            "f": lambda t: eval_f(t, p),
+            "g": eval_g,
+            "h": lambda t: eval_h(t, p),
+            "h-h0": lambda t: eval_h(t, p) - h0,
+        }
+        # a bound on |w'|, for the float64 rounding of a*x + y
+        lip = {"f": 2 + alpha / sigma, "g": 2.0, "h": 1 / sigma, "h-h0": 1 / sigma}
+        for _ in range(40):
+            x, y = rng.uniform(-3, 3), rng.uniform(-3, 3)
+            x = x / 50 if rng.random() < 0.5 else x  # the violation window's scale
+            for a in (1.0, 2.0, 2.5, 3.0):
+                s = a * x + y
+                for fn in GAP_FUNCTION_HANDLES:
+                    w = ws[fn]
+                    terms = (a * w(x), w(y), w(s), lip[fn] * (abs(a * x) + abs(s)))
+                    check("gap", gap(a, fn, x, y, p), (a, fn, x, y, p), *terms)
+    assert split == dict.fromkeys(split, True) and len(split) == 11
+
+
+def test_high_precision_f_and_gap_compose_from_g_and_h():
+    """At 200 bits, eval_f and gap equal their definitions composed from
+    eval_g and eval_h to 2**-190: a parameter or h(0) left in float64
+    inside either method is off by about 1e-17 and fails.  The dyadic
+    points make ``a*x + y`` exact in binary64."""
+    hp = HighPrecision(200)
+    tol = mpmath.mpf(2) ** -190
+    for p in (Params(0.5, 0.4, 0.3), Params(1.2, 0.05, 0.05)):
+        with mpmath.workprec(200):
+            h0 = hp.eval_h(0.0, p)
+            w = {
+                "g": hp.eval_g,
+                "h": lambda t: hp.eval_h(t, p),
+                "h-h0": lambda t: hp.eval_h(t, p) - h0,
+                "f": lambda t: hp.eval_g(t) + p.alpha * (hp.eval_h(t, p) - h0),
+            }
+            for x in (-0.75, 0.015625, 0.4375, 1.5):
+                assert abs(hp.eval_f(x, p) - w["f"](x)) <= tol
+                for a, y in ((1.0, 0.5), (2.0, -0.3125), (3.0, 1.125)):
+                    for fn in GAP_FUNCTION_HANDLES:
+                        want = a * w[fn](x) + w[fn](y) - w[fn](a * x + y)
+                        assert abs(hp.gap(a, fn, x, y, p) - want) <= tol * 8, (fn, a, x, y)

@@ -18,7 +18,7 @@ from subadd.analytic_core import Order, Params
 from subadd.certificate import CertificateReport, certify_S2
 from subadd.cli import build_config, build_parser, main
 from subadd.intervals import Interval
-from subadd.search import MAX_GRID_N, ScanConfig, Violation
+from subadd.search import MAX_GRID_N, MAX_REFINE_DEPTH, ScanConfig, Violation
 from subadd.serialize import from_jsonable
 
 
@@ -279,6 +279,24 @@ def test_scan_rejects_grid_n_above_cap(capsys):
     code, _, err = run_cli(capsys, "scan", "--grid-n", str(MAX_GRID_N + 1))
     assert code == 2
     assert str(MAX_GRID_N) in err
+
+
+def test_scan_rejects_refine_depth_above_cap(capsys):
+    for sub in ("scan", "violate", "table"):
+        code, out, err = run_cli(capsys, sub, "--grid-n", "3", "--refine-depth", "400")
+        assert code == 2
+        assert "refine_depth" in err and not out
+    code, _, err = run_cli(capsys, "scan", "--refine-depth", str(MAX_REFINE_DEPTH + 1))
+    assert code == 2
+    assert str(MAX_REFINE_DEPTH) in err
+
+
+@pytest.mark.parametrize("grid_n", ["0", "1"])
+def test_violate_rejects_grid_n_below_two(capsys, grid_n):
+    code, out, err = run_cli(capsys, "violate", "--grid-n", grid_n)
+    assert code == 2
+    assert not out
+    assert err.startswith("error: grid_n") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from subadd.certificate import Verdict, certify_S2
 from subadd.errors import InputError
 from subadd.search import (
     MAX_GRID_N,
+    MAX_REFINE_DEPTH,
     ScanConfig,
     ScanReport,
     TableRow,
@@ -63,6 +64,28 @@ def test_scan_config_rejects_grid_n_above_cap():
             ScanConfig(box=box, grid_n=n)
         with pytest.raises(InputError):
             violation_scan_config(Params(mu=1.2, sigma=0.05, alpha=0.05), grid_n=n)
+
+
+def test_scan_config_rejects_refine_depth_above_cap():
+    box = (0.0, 1.0, 0.0, 1.0)
+    assert 20 <= MAX_REFINE_DEPTH < 308  # 10.0 ** level stays finite
+    cfg = ScanConfig(box=box, grid_n=3, refine_depth=MAX_REFINE_DEPTH)
+    assert cfg.refine_depth == MAX_REFINE_DEPTH
+    assert scan_gap_min(2.0, Params(1.2, 0.05, 0.05), cfg).evaluations == 9 * (
+        MAX_REFINE_DEPTH + 1
+    )
+    for depth in (MAX_REFINE_DEPTH + 1, 400):
+        with pytest.raises(InputError, match="refine_depth"):
+            ScanConfig(box=box, grid_n=3, refine_depth=depth)
+        with pytest.raises(InputError, match="refine_depth"):
+            violation_scan_config(Params(1.2, 0.05, 0.05), refine_depth=depth)
+
+
+@pytest.mark.parametrize("grid_n", [0, 1, -3, "401", 2.5, True])
+def test_violation_scan_config_validates_grid_n_first(cert_params, grid_n):
+    """grid_n is checked before the window divides by it."""
+    with pytest.raises(InputError, match="grid_n"):
+        violation_scan_config(cert_params, grid_n=grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +419,51 @@ def test_violation_soundness(cert_params):
         assert coarse < 0.0
         assert abs(coarse + v.margin) <= 1e-9 * max(1.0, v.margin)
         assert verify_point(a, cert_params, v.point.x, v.point.y) == v.margin
+
+
+def test_search_reaches_layers_through_module_attributes(monkeypatch, cert_params):
+    """find_violation and verify_point look up search.scan_block, search.gap
+    and search.HighPrecision when called, so rebinding those attributes
+    (as the traced benchmark run does) sees every call."""
+    calls = {"scan_block": 0, "HighPrecision": 0, "hp_gap": 0}
+    probes = []  # (x, y) of every search.gap call
+    real_block, real_gap, real_hp = search.scan_block, search.gap, search.HighPrecision
+
+    def block(*args):
+        calls["scan_block"] += 1
+        return real_block(*args)
+
+    def probe(a, fn, x, y, p=None):
+        probes.append((x, y))
+        return real_gap(a, fn, x, y, p)
+
+    class CountingHighPrecision(real_hp):
+        def __init__(self, *args, **kwargs):
+            calls["HighPrecision"] += 1
+            super().__init__(*args, **kwargs)
+
+        def gap(self, *args, **kwargs):
+            calls["hp_gap"] += 1
+            return super().gap(*args, **kwargs)
+
+    monkeypatch.setattr(search, "scan_block", block)
+    monkeypatch.setattr(search, "gap", probe)
+    monkeypatch.setattr(search, "HighPrecision", CountingHighPrecision)
+
+    v = find_violation(2, cert_params)
+    assert v is not None
+    assert calls["scan_block"] == search._DEFAULT_REFINE_DEPTH + 1
+    # the scan's re-evaluation, then the polish, whose x- and y-line
+    # searches each probe several coordinates per sweep
+    assert len(probes) > 1 + 2 * search._GSS_SWEEPS * 4
+    for axis in (0, 1):
+        assert len({pt[axis] for pt in probes}) > 4 * search._GSS_SWEEPS
+    assert calls["HighPrecision"] == calls["hp_gap"] == 1
+
+    calls.update(dict.fromkeys(calls, 0))
+    probes.clear()
+    assert verify_point(2, cert_params, v.point.x, v.point.y) == v.margin
+    assert calls == {"scan_block": 0, "HighPrecision": 1, "hp_gap": 1} and not probes
 
 
 def test_find_violation_none_when_bump_too_small():
