@@ -48,12 +48,13 @@ mathematical function and differ only in evaluation error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import mpmath
 
-from .errors import DomainError, InputError, require_int
+from .errors import DomainError, InputError, RangeError, require_int
 
 __all__ = [
     "Params",
@@ -82,11 +83,14 @@ GAP_FUNCTION_HANDLES = ("f", "g", "h", "h-h0")
 
 
 def _as_float(value: object, what: str) -> float:
-    try:
-        out = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what} must be a real number, got {value!r}") from exc
-    return out
+    """``value`` as a float; anything ``float()`` refuses, and ``bool``,
+    raises :class:`InputError` naming ``what``."""
+    if type(value) is not bool:
+        try:
+            return float(value)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            pass
+    raise InputError(f"{what} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -168,6 +172,17 @@ def _require_finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise InputError(f"{what} must be finite, got {value}")
     return value
+
+
+def _float64_sigma(p: Params, fn: str) -> float:
+    """``p.sigma`` for a float64 derivative, which divides by ``sigma**2``:
+    :class:`RangeError` when that square is not a normal double."""
+    if p.sigma * p.sigma < sys.float_info.min:
+        raise RangeError(
+            f"{fn}: sigma**2 underflows in float64 for sigma={p.sigma!r}; "
+            f"use HighPrecision"
+        )
+    return p.sigma
 
 
 def _require_params(p: Optional[Params]) -> Params:
@@ -398,7 +413,7 @@ def f_prime(t: float, p: Params) -> float:
     use oddness ``f'(-t) = -f'(t)`` if needed.)
     """
     t, p = _require_positive(t, p, "f_prime", "t")
-    return _f_prime(math, t, p.mu, p.sigma, p.alpha)
+    return _f_prime(math, t, p.mu, _float64_sigma(p, "f_prime"), p.alpha)
 
 
 def h_prime(x: float, p: Params) -> float:
@@ -409,14 +424,14 @@ def h_prime(x: float, p: Params) -> float:
     ``x < 0`` (the bump has a kink at 0 whenever ``mu > 0``).
     """
     x, p = _require_positive(x, p, "h_prime", "x")
-    return _h_prime(math, x, p.mu, p.sigma)
+    return _h_prime(math, x, p.mu, _float64_sigma(p, "h_prime"))
 
 
 def h_second(x: float, p: Params) -> float:
     """Second derivative of the bump away from the kink (``x != 0``):
     ``h''(x) = phi(||x| - mu| / sigma) / sigma^2``."""
     x, p = _require_off_kink(x, p)
-    return _h_second(math, x, p.mu, p.sigma)
+    return _h_second(math, x, p.mu, _float64_sigma(p, "h_second"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,19 @@ Subcommands::
     oracles   run the supporting-statement oracle battery (exit 0 iff all pass)
     cone      build the exact cone construction and self-check it
 
-Common flags: ``--mu/--sigma/--alpha`` (defaults 1.2/0.05/0.05), ``--a``
-(default 2.0), ``--format`` {text,json,csv}, ``--precision-bits`` (>= 128),
-and ``--config FILE`` pointing at a ``key = value`` file.  Precedence is
-built-in defaults < config file < explicit flags.
+Every option is one row of ``_OPTIONS``: the flag ``--NAME`` and the key
+``NAME`` of the ``--config FILE`` (a ``key = value`` file, ``_`` allowed
+for ``-``), its reader, and the subcommands that take it.  A value comes
+from the flag, else the config file, else the default; a subcommand
+ignores, and does not parse, the config keys it does not take.  Common
+flags: ``--mu/--sigma/--alpha`` (defaults 1.2/0.05/0.05), ``--a``
+(default 2.0), ``--format`` {text,json,csv} and ``--precision-bits``
+(>= 128).  ``scan`` grids ``[-8, 8]^2`` at 801 nodes and 3 refinements;
+``violate`` and ``table`` take their scan defaults from
+:mod:`subadd.search`.
+
+Each runner returns one record ``(exit_code, json_payload, csv_header,
+csv_rows, text_lines)`` and :func:`run` renders the ``--format`` asked for.
 
 Exit codes: 0 = affirmative/clean result, 1 = negative result or internal
 failure (not certified, violation found, table mismatch, oracle failure),
@@ -31,7 +40,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import statement_oracles
 from .analytic_core import Order, Params
@@ -65,25 +74,26 @@ from .serialize import to_jsonable
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
 
-_SUBCOMMANDS = ("certify", "scan", "violate", "table", "oracles", "cone")
+_SUBCOMMANDS = {
+    "certify": "check the five sufficient conditions rigorously",
+    "scan": "grid-scan the gap minimum",
+    "violate": "search for and confirm a subadditivity violation",
+    "table": "re-derive the reference rows",
+    "oracles": "run the supporting-statement oracles",
+    "cone": "build and self-check the cone map",
+}
 _FORMATS = ("text", "json", "csv")
 
-_DEFAULT_MU = 1.2
-_DEFAULT_SIGMA = 0.05
-_DEFAULT_ALPHA = 0.05
-_DEFAULT_ORDER = 2.0
-_DEFAULT_PRECISION = 128
-
-#: Per-subcommand scan defaults: (box, grid_n, refine_depth, tolerance).
-#: ``box=None`` means "derive the violation window from the parameters".
+_FULL_BOX = (-8.0, 8.0, -8.0, 8.0)
+#: Defaults by keyword; RunConfig's fields and :mod:`subadd.search` give
+#: the rest.  ``table`` rescans the reference window at the reference
+#: tolerance: only its grid is tunable.
+_DEFAULTS = {"mu": 1.2, "sigma": 0.05, "alpha": 0.05, "a": 2.0}
 _SCAN_DEFAULTS = {
-    "scan": ((-8.0, 8.0, -8.0, 8.0), 801, 3, 1e-9),
-    "violate": (None, 401, 2, 1e-9),
-    "table": ((-8.0, 8.0, -8.0, 8.0), 401, 2, 1e-9),
+    "scan": {"box": _FULL_BOX, "grid_n": 801, "refine_depth": 3},
+    "table": {"box": _FULL_BOX},
 }
 
-_DEFAULT_N_BASE = 20
-_DEFAULT_N_RESERVE = 2
 _CONE_PAIRS = 200
 _CONE_SEED = 20260818
 _CONE_EPS = Fraction(1, 2)
@@ -92,20 +102,65 @@ _CONE_EPS = Fraction(1, 2)
 #: reproduced (the stored margins carry ~7 significant digits).
 _TABLE_MATCH_TOL = 1e-6
 
-_CONFIG_KEYS = (
-    "mu",
-    "sigma",
-    "alpha",
-    "a",
-    "box",
-    "grid-n",
-    "refine-depth",
-    "tolerance",
-    "format",
-    "precision-bits",
-    "n-base",
-    "n-reserve",
+
+class _Option(NamedTuple):
+    """One option: the flag ``--name`` and the config-file key ``name``.
+
+    ``read`` is the flag's type and the config file's reader (``None``: a
+    flag only); ``takes`` lists the subcommands that take it; ``kwargs``
+    go to ``add_argument``.
+    """
+
+    name: str
+    read: Optional[type]
+    takes: Tuple[str, ...]
+    kwargs: Dict[str, object]
+
+    @property
+    def dest(self) -> str:
+        return self.kwargs.get("dest", self.name.replace("-", "_"))
+
+
+_ALL = tuple(_SUBCOMMANDS)
+_WINDOW = ("scan", "violate")
+_GRID = ("scan", "violate", "table")
+_OPTIONS = (
+    _Option("mu", float, _ALL, dict(help="ring centre (> 0)")),
+    _Option("sigma", float, _ALL, dict(help="ring width (> 0)")),
+    _Option("alpha", float, _ALL, dict(help="bump weight (> 0)")),
+    _Option("a", float, _ALL, dict(help="subadditivity order (> 0, default 2)")),
+    _Option(
+        "config", None, _ALL, dict(metavar="FILE", help="key = value defaults file")
+    ),
+    _Option(
+        "format", str, _ALL,
+        dict(choices=_FORMATS, dest="output_format", help="output format"),
+    ),
+    _Option(
+        "precision-bits", int, _ALL,
+        dict(help="working precision for confirmations (>= 128)"),
+    ),
+    _Option(
+        "box", str, _WINDOW, dict(metavar="X0,X1,Y0,Y1", help="search rectangle")
+    ),
+    _Option("grid-n", int, _GRID, dict(help=f"nodes per axis (2 to {MAX_GRID_N})")),
+    _Option(
+        "refine-depth", int, _GRID,
+        dict(help=f"extra 10x refinement rounds (0 to {MAX_REFINE_DEPTH})"),
+    ),
+    _Option("tolerance", float, _WINDOW, dict(help="violation threshold on -gap")),
+    _Option(
+        "n-base", int, ("cone",),
+        dict(help=f"number of BASE generators (1 to {MAX_GENERATORS})"),
+    ),
+    _Option(
+        "n-reserve", int, ("cone",),
+        dict(help=f"number of RESERVE generators (1 to {MAX_GENERATORS})"),
+    ),
 )
+#: The config-file keys: every option with a reader.
+_KEYS = {o.name: o for o in _OPTIONS if o.read is not None}
+_NOT_A = {float: "not a number", int: "not an integer"}
 
 
 @dataclass(frozen=True)
@@ -121,9 +176,9 @@ class RunConfig:
     order: Order
     scan: Optional[ScanConfig] = None
     output_format: str = "text"
-    precision_bits: int = _DEFAULT_PRECISION
-    n_base: int = _DEFAULT_N_BASE
-    n_reserve: int = _DEFAULT_N_RESERVE
+    precision_bits: int = 128
+    n_base: int = 20
+    n_reserve: int = 2
 
     def __post_init__(self) -> None:
         if self.subcommand not in _SUBCOMMANDS:
@@ -152,29 +207,14 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _parse_box(text: object, where: str = "box") -> Tuple[float, float, float, float]:
-    parts = [s.strip() for s in str(text).split(",")]
+def _parse_box(text: str) -> Tuple[float, float, float, float]:
+    parts = [s.strip() for s in text.split(",")]
     if len(parts) != 4:
-        raise InputError(f"{where} must be 'x_lo,x_hi,y_lo,y_hi', got {text!r}")
+        raise InputError(f"box must be 'x_lo,x_hi,y_lo,y_hi', got {text!r}")
     try:
-        vals = tuple(float(s) for s in parts)
+        return tuple(float(s) for s in parts)  # ScanConfig checks the values
     except ValueError as exc:
-        raise InputError(f"{where}: entries must be numbers, got {text!r}") from exc
-    return vals  # ScanConfig validates ordering and finiteness
-
-
-def _cfg_float(text: str, key: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise InputError(f"config key {key!r}: not a number: {text!r}") from exc
-
-
-def _cfg_int(text: str, key: str) -> int:
-    try:
-        return int(text, 10)
-    except ValueError as exc:
-        raise InputError(f"config key {key!r}: not an integer: {text!r}") from exc
+        raise InputError(f"box: entries must be numbers, got {text!r}") from exc
 
 
 def _parse_config_file(path: str) -> Dict[str, str]:
@@ -190,167 +230,82 @@ def _parse_config_file(path: str) -> Dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         key = key.strip().replace("_", "-")
-        value = value.strip()
         if not sep or not key:
             raise InputError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise InputError(
-                f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                f"{', '.join(_CONFIG_KEYS)}"
+                f"{path}:{lineno}: unknown key {key!r}; valid keys: {', '.join(_KEYS)}"
             )
-        out[key] = value
+        out[key] = value.strip()
     return out
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mu", type=float, default=None, help="ring centre (> 0)")
-    common.add_argument("--sigma", type=float, default=None, help="ring width (> 0)")
-    common.add_argument("--alpha", type=float, default=None, help="bump weight (> 0)")
-    common.add_argument(
-        "--a", type=float, default=None, help="subadditivity order (> 0, default 2)"
-    )
-    common.add_argument(
-        "--config", default=None, metavar="FILE", help="key = value defaults file"
-    )
-    common.add_argument(
-        "--format", choices=_FORMATS, default=None, help="output format"
-    )
-    common.add_argument(
-        "--precision-bits",
-        type=int,
-        default=None,
-        help="working precision for confirmations (>= 128)",
-    )
-
-    scanopts = argparse.ArgumentParser(add_help=False)
-    scanopts.add_argument(
-        "--box", default=None, metavar="X0,X1,Y0,Y1", help="search rectangle"
-    )
-    grid_help = f"nodes per axis (2 to {MAX_GRID_N})"
-    depth_help = f"extra 10x refinement rounds (0 to {MAX_REFINE_DEPTH})"
-    scanopts.add_argument("--grid-n", type=int, default=None, help=grid_help)
-    scanopts.add_argument(
-        "--refine-depth", type=int, default=None, help=depth_help
-    )
-    scanopts.add_argument(
-        "--tolerance", type=float, default=None, help="violation threshold on -gap"
-    )
-
-    gridonly = argparse.ArgumentParser(add_help=False)
-    gridonly.add_argument("--grid-n", type=int, default=None, help=grid_help)
-    gridonly.add_argument(
-        "--refine-depth", type=int, default=None, help=depth_help
-    )
-
-    coneopts = argparse.ArgumentParser(add_help=False)
-    coneopts.add_argument(
-        "--n-base",
-        type=int,
-        default=None,
-        help=f"number of BASE generators (1 to {MAX_GENERATORS})",
-    )
-    coneopts.add_argument(
-        "--n-reserve",
-        type=int,
-        default=None,
-        help=f"number of RESERVE generators (1 to {MAX_GENERATORS})",
-    )
-
     parser = argparse.ArgumentParser(
         prog="subadd",
         description="Verification toolkit for a-subadditive functions.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser(
-        "certify",
-        parents=[common],
-        help="check the five sufficient conditions rigorously",
-    )
-    sub.add_parser(
-        "scan", parents=[common, scanopts], help="grid-scan the gap minimum"
-    )
-    sub.add_parser(
-        "violate",
-        parents=[common, scanopts],
-        help="search for and confirm a subadditivity violation",
-    )
-    sub.add_parser(
-        "table", parents=[common, gridonly], help="re-derive the reference rows"
-    )
-    sub.add_parser(
-        "oracles", parents=[common], help="run the supporting-statement oracles"
-    )
-    sub.add_parser(
-        "cone", parents=[common, coneopts], help="build and self-check the cone map"
-    )
+    for name, help_text in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        for opt in _OPTIONS:
+            if name in opt.takes:
+                subparser.add_argument("--" + opt.name, type=opt.read, **opt.kwargs)
     return parser
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Resolve flags + config file + defaults into a :class:`RunConfig`."""
+    """Resolve flags + config file + defaults into a :class:`RunConfig`.
+
+    Each value is read when it is needed, in the order below, so that
+    errors come in a fixed order and a subcommand never parses a config
+    value it does not take.
+    """
+    sub = args.subcommand
     filecfg = _parse_config_file(args.config) if args.config else {}
+    defaults = {**_DEFAULTS, **_SCAN_DEFAULTS.get(sub, {})}
 
-    def pick(flag_value, key, parse, default):
-        if flag_value is not None:
-            return flag_value
-        if key in filecfg:
-            return parse(filecfg[key], key)
-        return default
+    def pick(*names: str) -> Dict[str, object]:
+        """``{keyword: value}`` for ``names``: flag > config file > default;
+        a name without any of these is left out."""
+        out = {}
+        for name in names:
+            opt = _KEYS[name]
+            value = None
+            if sub in opt.takes:
+                value = getattr(args, opt.dest)
+                if value is None and name in filecfg:
+                    try:
+                        value = opt.read(filecfg[name])
+                    except ValueError as exc:
+                        raise InputError(
+                            f"config key {name!r}: {_NOT_A[opt.read]}: "
+                            f"{filecfg[name]!r}"
+                        ) from exc
+            if value is None:
+                value = defaults.get(opt.dest)
+            if value is not None:
+                out[opt.dest] = value
+        return out
 
-    params = Params(
-        mu=pick(args.mu, "mu", _cfg_float, _DEFAULT_MU),
-        sigma=pick(args.sigma, "sigma", _cfg_float, _DEFAULT_SIGMA),
-        alpha=pick(args.alpha, "alpha", _cfg_float, _DEFAULT_ALPHA),
-    )
-    order = Order(pick(args.a, "a", _cfg_float, _DEFAULT_ORDER))
-    fmt = pick(args.format, "format", lambda v, k: v, "text")
-    prec = pick(args.precision_bits, "precision-bits", _cfg_int, _DEFAULT_PRECISION)
-
+    params = Params(**pick("mu", "sigma", "alpha"))
+    order = Order(**pick("a"))
+    output = pick("format", "precision-bits")
     scan = None
-    if args.subcommand in _SCAN_DEFAULTS:
-        dbox, dgrid, ddepth, dtol = _SCAN_DEFAULTS[args.subcommand]
-        grid_n = pick(getattr(args, "grid_n", None), "grid-n", _cfg_int, dgrid)
-        depth = pick(
-            getattr(args, "refine_depth", None), "refine-depth", _cfg_int, ddepth
-        )
-        if args.subcommand == "table":
-            # the reference scan window and threshold are part of the
-            # re-derivation recipe; only the grid resolution is tunable
-            tol = dtol
-            box = dbox
+    if sub in _GRID:
+        grid = pick("grid-n", "refine-depth", "tolerance", "box")
+        if isinstance(grid.get("box"), str):
+            grid["box"] = _parse_box(grid["box"])
+        if "box" in grid:
+            scan = ScanConfig(**grid)
         else:
-            tol = pick(getattr(args, "tolerance", None), "tolerance", _cfg_float, dtol)
-            box = pick(getattr(args, "box", None), "box", lambda v, k: v, dbox)
-            if isinstance(box, str):
-                box = _parse_box(box)
-        if box is None:
-            scan = violation_scan_config(
-                params, grid_n=grid_n, refine_depth=depth, tolerance=tol
-            )
-        else:
-            scan = ScanConfig(
-                box=tuple(box), grid_n=grid_n, refine_depth=depth, tolerance=tol
-            )
-
-    return RunConfig(
-        subcommand=args.subcommand,
-        params=params,
-        order=order,
-        scan=scan,
-        output_format=fmt,
-        precision_bits=prec,
-        n_base=pick(
-            getattr(args, "n_base", None), "n-base", _cfg_int, _DEFAULT_N_BASE
-        ),
-        n_reserve=pick(
-            getattr(args, "n_reserve", None), "n-reserve", _cfg_int, _DEFAULT_N_RESERVE
-        ),
-    )
+            scan = violation_scan_config(params, **grid)
+    return RunConfig(sub, params, order, scan, **output, **pick("n-base", "n-reserve"))
 
 
 # ---------------------------------------------------------------------------
-# rendering helpers
+# subcommand runners: each returns (exit_code, json_payload, csv_header,
+# csv_rows, text_lines), and run() renders the format asked for
 # ---------------------------------------------------------------------------
 
 
@@ -364,224 +319,150 @@ def _fmt_params(p: Params) -> str:
     return f"mu={p.mu!r} sigma={p.sigma!r} alpha={p.alpha!r}"
 
 
-def _json_dumps(payload) -> str:
-    return json.dumps(to_jsonable(payload), indent=2)
-
-
-def _csv_dumps(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
-
-
-# ---------------------------------------------------------------------------
-# subcommand runners (each returns (exit_code, output_text))
-# ---------------------------------------------------------------------------
-
-
-def _run_certify(config: RunConfig) -> Tuple[int, str]:
+def _run_certify(config: RunConfig):
     report = certify_S2(config.params)
-    code = 0 if report.verdict is Verdict.CERTIFIED else 1
-    if config.output_format == "json":
-        return code, _json_dumps(report)
-    if config.output_format == "csv":
-        rows = [
-            (
-                c.name,
-                c.lhs.lo,
-                c.lhs.hi,
-                "" if c.rhs is None else c.rhs.lo,
-                "" if c.rhs is None else c.rhs.hi,
-                c.verdict.name,
-            )
-            for c in report.conditions
-        ]
-        return code, _csv_dumps(
-            ("condition", "lhs_lo", "lhs_hi", "rhs_lo", "rhs_hi", "verdict"), rows
+    rows = [
+        (
+            c.name,
+            c.lhs.lo,
+            c.lhs.hi,
+            "" if c.rhs is None else c.rhs.lo,
+            "" if c.rhs is None else c.rhs.hi,
+            c.verdict.name,
         )
-    lines = [f"parameters: {_fmt_params(config.params)}"]
-    for c in report.conditions:
-        lines.append(
+        for c in report.conditions
+    ]
+    lines = [
+        f"parameters: {_fmt_params(config.params)}",
+        *(
             f"condition {c.name}: lhs={_fmt_interval(c.lhs)} "
             f"rhs={_fmt_interval(c.rhs)} -> {c.verdict.name}"
-        )
-    lines.append(f"verdict: {report.verdict.name}")
-    lines.append(f"note: {report.caveat}")
-    return code, "\n".join(lines)
+            for c in report.conditions
+        ),
+        f"verdict: {report.verdict.name}",
+        f"note: {report.caveat}",
+    ]
+    header = ("condition", "lhs_lo", "lhs_hi", "rhs_lo", "rhs_hi", "verdict")
+    code = 0 if report.verdict is Verdict.CERTIFIED else 1
+    return code, report, header, rows, lines
 
 
-def _run_scan(config: RunConfig) -> Tuple[int, str]:
+def _run_scan(config: RunConfig):
     report = scan_gap_min(config.order, config.params, config.scan)
-    candidate = report.min_gap < -config.scan.tolerance
-    code = 1 if candidate else 0
-    if config.output_format == "json":
-        payload = {
-            "config": config.scan,
-            "report": report,
-            "violation_candidate": candidate,
-        }
-        return code, _json_dumps(payload)
-    if config.output_format == "csv":
-        row = (
-            report.order.a,
-            config.params.mu,
-            config.params.sigma,
-            config.params.alpha,
-            report.min_gap,
-            report.argmin.x,
-            report.argmin.y,
-            report.evaluations,
-        )
-        return code, _csv_dumps(
-            ("a", "mu", "sigma", "alpha", "min_gap", "x", "y", "evaluations"), [row]
-        )
-    b = config.scan.box
+    p, cfg = config.params, config.scan
+    candidate = report.min_gap < -cfg.tolerance
+    payload = {"config": cfg, "report": report, "violation_candidate": candidate}
+    header = ("a", "mu", "sigma", "alpha", "min_gap", "x", "y", "evaluations")
+    row = (
+        report.order.a,
+        p.mu,
+        p.sigma,
+        p.alpha,
+        report.min_gap,
+        report.argmin.x,
+        report.argmin.y,
+        report.evaluations,
+    )
+    b = cfg.box
     lines = [
-        f"order a={report.order.a!r}, parameters: {_fmt_params(config.params)}",
+        f"order a={report.order.a!r}, parameters: {_fmt_params(p)}",
         (
             f"scan box [{b[0]!r}, {b[1]!r}] x [{b[2]!r}, {b[3]!r}], "
-            f"grid {config.scan.grid_n}, refine depth {config.scan.refine_depth} "
+            f"grid {cfg.grid_n}, refine depth {cfg.refine_depth} "
             f"({report.evaluations} evaluations)"
         ),
         f"min gap: {report.min_gap!r} at x={report.argmin.x!r} y={report.argmin.y!r}",
-    ]
-    if candidate:
-        lines.append(
-            f"result: VIOLATION CANDIDATE (min gap < -{config.scan.tolerance!r}); "
+        (
+            f"result: VIOLATION CANDIDATE (min gap < -{cfg.tolerance!r}); "
             f"run 'subadd violate' to confirm in high precision"
-        )
-    else:
-        lines.append(
-            f"result: no violation candidate at tolerance {config.scan.tolerance!r}"
-        )
-    return code, "\n".join(lines)
+            if candidate
+            else f"result: no violation candidate at tolerance {cfg.tolerance!r}"
+        ),
+    ]
+    return (1 if candidate else 0), payload, header, [row], lines
 
 
-def _run_violate(config: RunConfig) -> Tuple[int, str]:
-    violation = find_violation(
-        config.order, config.params, config.scan, prec_bits=config.precision_bits
-    )
-    code = 1 if violation is not None else 0
-    if config.output_format == "json":
-        payload = {
-            "params": config.params,
-            "order": config.order,
-            "config": config.scan,
-            "violation": violation,
-        }
-        return code, _json_dumps(payload)
-    if config.output_format == "csv":
-        header = ("a", "mu", "sigma", "alpha", "x", "y", "margin")
-        rows = []
-        if violation is not None:
-            rows.append(
-                (
-                    violation.order.a,
-                    config.params.mu,
-                    config.params.sigma,
-                    config.params.alpha,
-                    violation.point.x,
-                    violation.point.y,
-                    violation.margin,
-                )
-            )
-        return code, _csv_dumps(header, rows)
+def _run_violate(config: RunConfig):
+    p, cfg = config.params, config.scan
+    violation = find_violation(config.order, p, cfg, prec_bits=config.precision_bits)
+    payload = {
+        "params": p, "order": config.order, "config": cfg, "violation": violation
+    }
+    header = ("a", "mu", "sigma", "alpha", "x", "y", "margin")
     if violation is None:
-        return code, (
+        lines = [
             f"no violation found for a={config.order.a!r} with "
-            f"{_fmt_params(config.params)} (scanned box "
-            f"{config.scan.box}, tolerance {config.scan.tolerance!r})"
-        )
-    return code, "\n".join(
-        [
-            f"CONFIRMED violation of {violation.order.a!r}-subadditivity:",
-            f"  parameters: {_fmt_params(config.params)}",
-            f"  point: x={violation.point.x!r} y={violation.point.y!r}",
-            (
-                f"  margin: {violation.margin!r} "
-                f"(high-precision -gap at {config.precision_bits} bits; "
-                f"positive means the inequality fails)"
-            ),
+            f"{_fmt_params(p)} (scanned box "
+            f"{cfg.box}, tolerance {cfg.tolerance!r})"
         ]
-    )
+        return 0, payload, header, [], lines
+    v = violation
+    row = (v.order.a, p.mu, p.sigma, p.alpha, v.point.x, v.point.y, v.margin)
+    lines = [
+        f"CONFIRMED violation of {v.order.a!r}-subadditivity:",
+        f"  parameters: {_fmt_params(p)}",
+        f"  point: x={v.point.x!r} y={v.point.y!r}",
+        (
+            f"  margin: {v.margin!r} "
+            f"(high-precision -gap at {config.precision_bits} bits; "
+            f"positive means the inequality fails)"
+        ),
+    ]
+    return 1, payload, header, [row], lines
 
 
-def _run_table(config: RunConfig) -> Tuple[int, str]:
+def _run_table(config: RunConfig):
     rows = reproduce_table(
         grid_n=config.scan.grid_n,
         refine_depth=config.scan.refine_depth,
         prec_bits=config.precision_bits,
     )
-    verdicts = []
-    for r in rows:
-        margin_match = abs(r.margin - r.expected_margin) <= _TABLE_MATCH_TOL
-        order2_clear = r.scan_min_gap >= -config.scan.tolerance
-        verdicts.append((margin_match, order2_clear))
-    all_ok = all(m and c for m, c in verdicts)
-    code = 0 if all_ok else 1
-    if config.output_format == "json":
-        payload = {
-            "rows": rows,
-            "margin_tolerance": _TABLE_MATCH_TOL,
-            "margin_match": [m for m, _ in verdicts],
-            "order2_clear": [c for _, c in verdicts],
-            "all_reproduced": all_ok,
-        }
-        return code, _json_dumps(payload)
-    if config.output_format == "csv":
-        out_rows = [
-            (
-                r.mu,
-                r.sigma,
-                r.alpha,
-                r.x_star,
-                r.y_star,
-                r.margin,
-                r.expected_margin,
-                m,
-                r.scan_min_gap,
-                c,
-            )
-            for r, (m, c) in zip(rows, verdicts)
-        ]
-        return code, _csv_dumps(
-            (
-                "mu",
-                "sigma",
-                "alpha",
-                "x_star",
-                "y_star",
-                "margin",
-                "expected_margin",
-                "margin_match",
-                "scan_min_gap",
-                "order2_clear",
-            ),
-            out_rows,
-        )
+    match = [abs(r.margin - r.expected_margin) <= _TABLE_MATCH_TOL for r in rows]
+    clear = [r.scan_min_gap >= -config.scan.tolerance for r in rows]
+    all_ok = all(match) and all(clear)
+    payload = {
+        "rows": rows,
+        "margin_tolerance": _TABLE_MATCH_TOL,
+        "margin_match": match,
+        "order2_clear": clear,
+        "all_reproduced": all_ok,
+    }
+    header = (
+        "mu",
+        "sigma",
+        "alpha",
+        "x_star",
+        "y_star",
+        "margin",
+        "expected_margin",
+        "margin_match",
+        "scan_min_gap",
+        "order2_clear",
+    )
+    out_rows = [
+        (r.mu, r.sigma, r.alpha, r.x_star, r.y_star, r.margin, r.expected_margin,
+         m, r.scan_min_gap, c)
+        for r, m, c in zip(rows, match, clear)
+    ]
     lines = [
         "re-derived reference rows (margin = recomputed order-3 margin at the "
-        "stored witness; scan_min_gap = order-2 scan minimum over [-8,8]^2):"
-    ]
-    for r, (m, c) in zip(rows, verdicts):
-        lines.append(
+        "stored witness; scan_min_gap = order-2 scan minimum over [-8,8]^2):",
+        *(
             f"  mu={r.mu!r} sigma={r.sigma!r}: margin={r.margin!r} "
             f"(stored {r.expected_margin!r}, "
             f"{'match' if m else 'MISMATCH'}), "
             f"order-2 scan min={r.scan_min_gap!r} "
             f"({'clear' if c else 'NEGATIVE'})"
-        )
-    lines.append(
+            for r, m, c in zip(rows, match, clear)
+        ),
         "result: all rows reproduced"
         if all_ok
-        else "result: NOT REPRODUCED — see the README's 'Known discrepancies'"
-    )
-    return code, "\n".join(lines)
+        else "result: NOT REPRODUCED — see the README's 'Known discrepancies'",
+    ]
+    return (0 if all_ok else 1), payload, header, out_rows, lines
 
 
-def _run_oracles(config: RunConfig) -> Tuple[int, str]:
+def _run_oracles(config: RunConfig):
     p = config.params
     results: List[Tuple[str, str, str]] = []
 
@@ -639,27 +520,24 @@ def _run_oracles(config: RunConfig) -> Tuple[int, str]:
         )
 
     failed = [name for name, status, _ in results if status == "fail"]
-    code = 0 if not failed else 1
-    if config.output_format == "json":
-        payload = {
-            "params": p,
-            "oracles": [
-                {"oracle": name, "status": status, "detail": detail}
-                for name, status, detail in results
-            ],
-            "all_passed": not failed,
-        }
-        return code, _json_dumps(payload)
-    if config.output_format == "csv":
-        return code, _csv_dumps(("oracle", "status", "detail"), results)
-    lines = [f"parameters: {_fmt_params(p)}"]
-    for name, status, detail in results:
-        lines.append(f"oracle {name}: {status.upper()} ({detail})")
-    lines.append(
+    payload = {
+        "params": p,
+        "oracles": [
+            {"oracle": name, "status": status, "detail": detail}
+            for name, status, detail in results
+        ],
+        "all_passed": not failed,
+    }
+    lines = [
+        f"parameters: {_fmt_params(p)}",
+        *(
+            f"oracle {name}: {status.upper()} ({detail})"
+            for name, status, detail in results
+        ),
         f"result: {len(results) - len(failed)}/{len(results)} passed"
-        + (f", failures: {', '.join(failed)}" if failed else "")
-    )
-    return code, "\n".join(lines)
+        + (f", failures: {', '.join(failed)}" if failed else ""),
+    ]
+    return (1 if failed else 0), payload, ("oracle", "status", "detail"), results, lines
 
 
 def _random_cone_element(cone: Cone, rng: random.Random) -> ConeElement:
@@ -674,7 +552,7 @@ def _random_cone_element(cone: Cone, rng: random.Random) -> ConeElement:
     )
 
 
-def _run_cone(config: RunConfig) -> Tuple[int, str]:
+def _run_cone(config: RunConfig):
     cone = make_generators(config.n_base, config.n_reserve)
     limsup = cone.limsup_sequence(config.n_base)
     liminf = cone.liminf_sequence(10)
@@ -695,7 +573,6 @@ def _run_cone(config: RunConfig) -> Tuple[int, str]:
         and round_trips_exact == _CONE_PAIRS
         and upper_ok
     )
-    code = 0 if all_ok else 1
 
     scale_rows = [
         (
@@ -707,56 +584,46 @@ def _run_cone(config: RunConfig) -> Tuple[int, str]:
         )
         for n, value, image in limsup
     ]
-    if config.output_format == "json":
-        payload = {
-            "n_base": config.n_base,
-            "n_reserve": config.n_reserve,
-            "scales": [
-                {"n": n, "prime": prime, "q": q, "value": value, "image": image}
-                for n, prime, q, value, image in scale_rows
-            ],
-            "liminf": [
-                {"k": k, "value": value, "image": image}
-                for k, value, image in liminf
-            ],
-            "pairs_checked": _CONE_PAIRS,
-            "pairs_valid": pairs_valid,
-            "round_trips_exact": round_trips_exact,
-            "upper_bound_ok": upper_ok,
-            "all_ok": all_ok,
-        }
-        return code, _json_dumps(payload)
-    if config.output_format == "csv":
-        rows = [
-            (n, prime, q, value.lo, value.hi, image.lo, image.hi)
+    payload = {
+        "n_base": config.n_base,
+        "n_reserve": config.n_reserve,
+        "scales": [
+            {"n": n, "prime": prime, "q": q, "value": value, "image": image}
             for n, prime, q, value, image in scale_rows
-        ]
-        return code, _csv_dumps(
-            ("n", "prime", "q", "value_lo", "value_hi", "image_lo", "image_hi"),
-            rows,
-        )
+        ],
+        "liminf": [
+            {"k": k, "value": value, "image": image}
+            for k, value, image in liminf
+        ],
+        "pairs_checked": _CONE_PAIRS,
+        "pairs_valid": pairs_valid,
+        "round_trips_exact": round_trips_exact,
+        "upper_bound_ok": upper_ok,
+        "all_ok": all_ok,
+    }
+    header = ("n", "prime", "q", "value_lo", "value_hi", "image_lo", "image_hi")
+    rows = [
+        (n, prime, q, value.lo, value.hi, image.lo, image.hi)
+        for n, prime, q, value, image in scale_rows
+    ]
+    ks = ", ".join(f"k={k}: <={value.hi!r}" for k, value, _ in liminf[:4])
     lines = [
         f"cone: {config.n_base} BASE + {config.n_reserve} RESERVE generators",
         "scale certificates (integer-exact, image of BASE ray n in "
         "(1 - 2^-n, 1)):",
-    ]
-    for n, prime, q, value, image in scale_rows:
-        lines.append(
+        *(
             f"  n={n}: prime={prime} q={q} value~{_fmt_interval(value)} "
             f"image~{_fmt_interval(image)}"
-        )
-    ks = ", ".join(f"k={k}: <={value.hi!r}" for k, value, _ in liminf[:4])
-    lines.append(f"reserve ray is fixed pointwise; approach-zero values {ks} ...")
-    lines.append(
-        f"subadditivity witnesses: {pairs_valid}/{_CONE_PAIRS} random pairs valid"
-    )
-    lines.append(f"exact round-trips: {round_trips_exact}/{_CONE_PAIRS}")
-    lines.append(
+            for n, prime, q, value, image in scale_rows
+        ),
+        f"reserve ray is fixed pointwise; approach-zero values {ks} ...",
+        f"subadditivity witnesses: {pairs_valid}/{_CONE_PAIRS} random pairs valid",
+        f"exact round-trips: {round_trips_exact}/{_CONE_PAIRS}",
         f"small-element image bound (< 1 + {_CONE_EPS}): "
-        f"{'PASS' if upper_ok else 'FAIL'}"
-    )
-    lines.append(f"result: {'all checks passed' if all_ok else 'CHECKS FAILED'}")
-    return code, "\n".join(lines)
+        f"{'PASS' if upper_ok else 'FAIL'}",
+        f"result: {'all checks passed' if all_ok else 'CHECKS FAILED'}",
+    ]
+    return (0 if all_ok else 1), payload, header, rows, lines
 
 
 _RUNNERS = {
@@ -773,7 +640,16 @@ def run(config: RunConfig) -> Tuple[int, str]:
     """Execute a resolved invocation; returns ``(exit_code, output_text)``."""
     if not isinstance(config, RunConfig):
         raise InputError(f"config must be a RunConfig, got {config!r}")
-    return _RUNNERS[config.subcommand](config)
+    code, payload, header, rows, lines = _RUNNERS[config.subcommand](config)
+    if config.output_format == "json":
+        return code, json.dumps(to_jsonable(payload), indent=2)
+    if config.output_format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return code, buf.getvalue().rstrip("\n")
+    return code, "\n".join(lines)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

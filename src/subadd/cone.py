@@ -145,11 +145,6 @@ class Generator:
             idiv(Interval.point(1.0), isqrt(Interval.point(float(self.prime)))),
         )
 
-    def value_float(self) -> float:
-        return float(self.coef.numerator) / (
-            float(self.coef.denominator) * math.sqrt(self.prime)
-        )
-
 
 def _fraction_interval(fr: Fraction) -> Interval:
     """Tight outward enclosure of an exact rational: ``float(fr)`` is

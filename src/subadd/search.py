@@ -93,6 +93,7 @@ from .analytic_core import (
     OrderLike,
     Params,
     Point,
+    _as_float,
     _evaluator,
     _require_params,
     gap,
@@ -201,10 +202,7 @@ class ScanConfig:
         box = self.box
         if not (isinstance(box, tuple) and len(box) == 4):
             raise InputError(f"box must be a 4-tuple, got {box!r}")
-        try:
-            box = tuple(float(v) for v in box)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"box entries must be real numbers: {self.box!r}") from exc
+        box = tuple(_as_float(v, "box entry") for v in box)
         object.__setattr__(self, "box", box)
         x_lo, x_hi, y_lo, y_hi = box
         if not all(math.isfinite(v) for v in box):
@@ -213,11 +211,7 @@ class ScanConfig:
             raise InputError(f"box endpoints must be ordered, got {box}")
         require_int(self.grid_n, "grid_n", 2, MAX_GRID_N)
         require_int(self.refine_depth, "refine_depth", 0, MAX_REFINE_DEPTH)
-        tol = self.tolerance
-        try:
-            tol = float(tol)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"tolerance must be a real number: {tol!r}") from exc
+        tol = _as_float(self.tolerance, "tolerance")
         object.__setattr__(self, "tolerance", tol)
         if not (math.isfinite(tol) and tol > 0.0):
             raise InputError(f"tolerance must be finite and > 0, got {tol}")
@@ -441,8 +435,14 @@ def violation_scan_config(
     ten bump-widths of the ring."""
     p = _require_params(p)
     x_lo = 0.1 / require_int(grid_n, "grid_n", 2, MAX_GRID_N)
+    y_lo, y_hi = p.mu - 10.0 * p.sigma, p.mu + 10.0 * p.sigma
+    if not y_lo < y_hi:
+        raise InputError(
+            f"sigma={p.sigma!r} is too small for a float64 violation window "
+            f"around mu={p.mu!r}"
+        )
     return ScanConfig(
-        box=(x_lo, 0.1, p.mu - 10.0 * p.sigma, p.mu + 10.0 * p.sigma),
+        box=(x_lo, 0.1, y_lo, y_hi),
         grid_n=grid_n,
         refine_depth=refine_depth,
         tolerance=tolerance,
@@ -546,8 +546,8 @@ def verify_point(
 
 
 def reproduce_table(
-    grid_n: int = 401,
-    refine_depth: int = 2,
+    grid_n: int = _DEFAULT_GRID_N,
+    refine_depth: int = _DEFAULT_REFINE_DEPTH,
     prec_bits: int = 128,
 ) -> Tuple[TableRow, ...]:
     """Re-derive the five stored reference rows.

@@ -39,6 +39,7 @@ from typing import Optional, Sequence, Tuple
 from .analytic_core import (
     Params,
     _evaluator,
+    _require_finite,
     _require_params,
     eval_f,
     f_prime,
@@ -113,9 +114,7 @@ def _r_and_r2(fn: str, p: Optional[Params]):
 def rolle_probe(fn: str, t: float, p: Optional[Params] = None) -> float:
     """The three-point curvature probe
     ``v = 4 (r(0) - 2 r(t/2) + r(t)) / t^2`` for ``t > 0``."""
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise InputError(f"t must be a finite real number, got {t!r}")
-    t = float(t)
+    t = _require_finite(t, "t")
     if t <= 0.0:
         raise DomainError(f"rolle probe requires t > 0, got {t}")
     r, _ = _r_and_r2(fn, p)
@@ -206,9 +205,7 @@ def check_tau_concavity(p: Params, t: float, n: int = 1_001) -> bool:
     statement carries no claim and :class:`PreconditionError` is raised.
     """
     p = _require_params(p)
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise InputError(f"t must be a finite real number, got {t!r}")
-    t = float(t)
+    t = _require_finite(t, "t")
     if not 0.0 < t <= 1.0:
         raise DomainError(f"tau concavity requires t in (0, 1], got {t}")
     require_int(n, "n", 3)

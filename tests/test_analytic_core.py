@@ -35,7 +35,7 @@ from subadd.analytic_core import (
     h_second,
     order_value,
 )
-from subadd.errors import DomainError, InputError
+from subadd.errors import DomainError, InputError, RangeError
 
 TOL = 1e-12
 
@@ -127,6 +127,36 @@ def test_point_and_order_validation():
         Order(a=-2.0)
     assert order_value(2) == 2.0
     assert order_value(Order(a=3.0)) == 3.0
+
+
+def test_real_number_checks_refuse_bool():
+    for build in (
+        lambda: Params(mu=True, sigma=0.05, alpha=0.05),
+        lambda: Params(mu=1.2, sigma=0.05, alpha=False),
+        lambda: Order(True),
+        lambda: order_value(True),
+        lambda: Point(True, 0.0),
+        lambda: Point(0.0, False),
+        lambda: gap(2.0, "g", True, 0.5),
+    ):
+        with pytest.raises(InputError, match="must be a real number"):
+            build()
+
+
+def test_float64_derivatives_refuse_underflowing_sigma():
+    # sigma**2 is 0 in float64 here; HighPrecision still evaluates.
+    p = Params(mu=1.2, sigma=1e-200, alpha=0.05)
+    hp = HighPrecision()
+    for fn, hp_fn in (
+        (f_prime, hp.f_prime),
+        (h_prime, hp.h_prime),
+        (h_second, hp.h_second),
+    ):
+        with pytest.raises(RangeError, match="sigma"):
+            fn(1.0, p)
+        assert mpmath.isfinite(hp_fn(1.0, p))
+    # a sigma whose square is still a normal double is evaluated
+    assert f_prime(1.0, Params(mu=1.2, sigma=1e-150, alpha=0.05)) == 1.5
 
 
 def test_profile_domains():

@@ -16,7 +16,8 @@ import subadd
 
 from subadd.analytic_core import Order, Params
 from subadd.certificate import CertificateReport, certify_S2
-from subadd.cli import build_config, build_parser, main
+from subadd import cli
+from subadd.cli import RunConfig, build_config, build_parser, main
 from subadd.intervals import Interval
 from subadd.search import MAX_GRID_N, MAX_REFINE_DEPTH, ScanConfig, Violation
 from subadd.serialize import from_jsonable
@@ -299,6 +300,35 @@ def test_violate_rejects_grid_n_below_two(capsys, grid_n):
     assert err.startswith("error: grid_n") and err.count("\n") == 1
 
 
+def _cold_cli(*argv):
+    """Run ``python -m subadd.cli`` in a fresh interpreter; returns
+    (exit_code, stdout, stderr)."""
+    src = str(Path(subadd.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "subadd.cli", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "sub, code, message",
+    [
+        ("oracles", 1, "sigma**2 underflows in float64 for sigma=1e-200"),
+        ("violate", 2, "sigma=1e-200 is too small for a float64 violation window"),
+    ],
+)
+def test_tiny_sigma_fails_with_one_error_line(sub, code, message):
+    got, out, err = _cold_cli(sub, "--sigma", "1e-200")
+    assert got == code
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert err.startswith("error: ") and message in err
+
+
 # ---------------------------------------------------------------------------
 # import hygiene
 # ---------------------------------------------------------------------------
@@ -470,3 +500,70 @@ def test_config_bad_number_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "certify", "--config", str(cfg))
     assert code == 2
     assert "not a number" in err
+
+
+#: One valid value per config key, away from every default.
+_KEY_VALUES = {
+    "mu": "1.3",
+    "sigma": "0.06",
+    "alpha": "0.04",
+    "a": "3",
+    "format": "json",
+    "precision-bits": "160",
+    "box": "-0.1,0.1,0.9,1.4",
+    "grid-n": "41",
+    "refine-depth": "1",
+    "tolerance": "1e-6",
+    "n-base": "4",
+    "n-reserve": "3",
+}
+
+
+def _config_from(argv, tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return build_config(build_parser().parse_args([*argv, "--config", str(cfg)]))
+
+
+def test_key_values_cover_every_config_key():
+    assert set(_KEY_VALUES) == set(cli._KEYS) and len(_KEY_VALUES) == 12
+
+
+@pytest.mark.parametrize(
+    "sub, key",
+    [(sub, opt.name) for opt in cli._KEYS.values() for sub in opt.takes],
+)
+def test_flag_and_config_key_give_the_same_config(tmp_path, sub, key):
+    value = _KEY_VALUES[key]
+    by_flag = build_config(build_parser().parse_args([sub, f"--{key}={value}"]))
+    by_file = _config_from([sub], tmp_path, f"{key} = {value}\n")
+    assert isinstance(by_flag, RunConfig)
+    assert by_flag == by_file
+    assert by_flag != build_config(build_parser().parse_args([sub]))
+
+
+@pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
+def test_config_setting_every_key_is_accepted_by_every_subcommand(
+    tmp_path, capsys, sub
+):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in _KEY_VALUES.items()))
+    code, out, err = run_cli(capsys, sub, "--config", str(cfg))
+    assert code in (0, 1) and err == ""
+    json.loads(out)  # format = json applies to every subcommand
+
+
+@pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
+def test_config_keys_a_subcommand_does_not_take_are_not_parsed(tmp_path, sub):
+    ignored = [k for k, opt in cli._KEYS.items() if sub not in opt.takes]
+    text = "".join(f"{k} = not-a-value\n" for k in ignored)
+    assert _config_from([sub], tmp_path, text) == build_config(
+        build_parser().parse_args([sub])
+    )
+
+
+def test_certify_ignores_a_fractional_grid_n(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid-n = 4.5\n")
+    code, out, err = run_cli(capsys, "certify", "--config", str(cfg))
+    assert code == 0 and "verdict: CERTIFIED" in out and err == ""

@@ -81,6 +81,24 @@ def test_scan_config_rejects_refine_depth_above_cap():
             violation_scan_config(Params(1.2, 0.05, 0.05), refine_depth=depth)
 
 
+def test_scan_config_real_number_checks():
+    box = (0.0, 1.0, 0.0, 1.0)
+    for bad in (
+        dict(box=(False, 1.0, 0.0, 1.0)),
+        dict(box=("x", 1.0, 0.0, 1.0)),
+        dict(box=box, tolerance=True),
+        dict(box=box, tolerance="tight"),
+    ):
+        with pytest.raises(InputError, match="must be a real number"):
+            ScanConfig(**bad)
+
+
+def test_violation_window_refuses_sigma_below_float_resolution():
+    # mu +- 10 sigma rounds to mu: the window would be empty.
+    with pytest.raises(InputError, match="sigma=1e-200"):
+        violation_scan_config(Params(mu=1.2, sigma=1e-200, alpha=0.05))
+
+
 @pytest.mark.parametrize("grid_n", [0, 1, -3, "401", 2.5, True])
 def test_violation_scan_config_validates_grid_n_first(cert_params, grid_n):
     """grid_n is checked before the window divides by it."""

@@ -65,6 +65,16 @@ def test_probe_errors():
         rolle_probe("h", 1.0, None)
 
 
+def test_probe_and_tau_take_any_real_but_bool(cert_params):
+    assert rolle_probe("g", Fraction(1, 2)) == rolle_probe("g", 0.5)
+    with pytest.raises(DomainError):
+        rolle_probe("g", Fraction(-1, 2))
+    with pytest.raises(InputError):
+        rolle_probe("g", True)
+    with pytest.raises(InputError):
+        check_tau_concavity(cert_params, True)
+
+
 def test_curvature_identity_examples(cert_params):
     assert check_rolle_identity("h", 1.0, cert_params)
     assert check_rolle_identity("g", 0.5)
