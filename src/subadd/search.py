@@ -452,7 +452,15 @@ def violation_scan_config(
 def _golden_line_min(fun, lo: float, hi: float, iters: int):
     """Golden-section minimisation on ``[lo, hi]``; returns the best
     probed ``(value, t)`` including the endpoints.  Fully deterministic:
-    fixed iteration count, ties shrink toward the left."""
+    ties shrink toward the left, and the loop runs ``iters`` iterations
+    or stops at the first state ``(lo, hi, c, d)`` seen before.
+
+    The state fixes every later probe, so from a repeated state on the
+    loop only revisits points already compared; with strict ``<`` the
+    result is the one ``iters`` iterations give.  Once the bracket is
+    below one ulp the state cycles with period 2 (``c`` and ``d`` swap
+    between two adjacent floats), which is why earlier states, not just
+    the previous one, are checked."""
     best_t = lo
     best_v = fun(lo)
     v_hi = fun(hi)
@@ -463,7 +471,12 @@ def _golden_line_min(fun, lo: float, hi: float, iters: int):
     d = lo + INV_PHI * span
     fc = fun(c)
     fd = fun(d)
+    seen = set()
     for _ in range(iters):
+        state = (lo, hi, c, d)
+        if state in seen:
+            break
+        seen.add(state)
         if fc < best_v:
             best_v, best_t = fc, c
         if fd < best_v:
