@@ -23,9 +23,12 @@ Pipeline:
    1/3).
 
 2. **Line-search polish** (inside :func:`find_violation`): golden-section
-   descent along alternating coordinate lines (5 sweeps, 200 iterations
-   per line, brackets one original grid step wide, clipped to the box),
-   tracking the best probed point.
+   descent along alternating coordinate lines (5 sweeps, brackets one
+   original grid step wide, clipped to the box), tracking the best probed
+   point.  Each line search stops at the first bracket state it has seen
+   before, at most 200 iterations: from there on it would only repeat
+   probes, so the result is the one 200 iterations give.  On the
+   flagship a line takes about 70 probes.
 
 3. **High-precision confirmation**: the candidate's margin ``-gap`` is
    recomputed by :func:`verify_point` with
@@ -34,12 +37,15 @@ Pipeline:
    strictly positive, so float64 noise can never manufacture a false
    violation.
 
-The default violation box searches ``x`` in ``(0, 0.1]`` and ``y`` within
-ten bump-widths of the ring (``mu - 10 sigma`` to ``mu + 10 sigma``): for
-this family, small positive ``x`` with ``a*x + y`` landing just inside the
-ring peak while ``y`` sits in the dip is the violation mechanism, so this
-window is where genuine violations concentrate (the reference witnesses
-follow the same pattern).
+The default violation box searches ``x`` in ``(0, 0.1]`` and ``y`` at
+least ten bump-widths either side of the ring (``mu - 10 sigma`` to ``mu
++ 10 sigma``): for this family, small positive ``x`` with ``a*x + y``
+landing just inside the ring peak while ``y`` sits in the dip is the
+violation mechanism, so this window is where genuine violations
+concentrate (the reference witnesses follow the same pattern).  The
+y-span is widened, by less than 0.1, to an integer multiple ``k`` of the
+x-span, so that ``dy/(a*dx) = k/a`` and the scan runs on the lattice path
+at orders 1, 2 and 3 for ``sigma`` up to about 0.3.
 
 :func:`reproduce_table` re-derives the five stored reference parameter
 rows: it recomputes each row's order-3 margin at the stored witness point
@@ -77,7 +83,8 @@ best_j)`` is the first row-major node attaining the minimum, or
 - Row-major first-occurrence tie-breaking equals the lexicographically
   smallest ``(i, j)`` among minimisers, which makes block-wise reduction
   associative (combine block results by ``(value, i, j)`` tuple-minimum).
-- NaN and infinite gaps (overflow artefacts) never win.
+- NaN and infinite gaps (overflow artefacts) never win, and the overflow
+  that makes them raises no NumPy warning.
 """
 
 from __future__ import annotations
@@ -315,53 +322,56 @@ def scan_block(
     """Scan one index block; see the module docstring for the contract."""
     if i1 <= i0 or j1 <= j0:
         return np.inf, -1, -1
-    f = _evaluator(np, "f", mu, sigma, alpha)
+    # Overflow (tiny sigma, huge nodes) makes inf and NaN gaps, which
+    # never win; it is not worth a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _evaluator(np, "f", mu, sigma, alpha)
 
-    xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
-    ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
-    afx = a * f(xs)
-    fy = f(ys)
+        xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
+        ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
+        afx = a * f(xs)
+        fy = f(ys)
 
-    ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
-    if ratio is not None:
-        # f(a*x_i + y_j) = f(s0 + k*delta) with k = m*i + l*j: evaluate
-        # the lattice once, from the block's first to its last k.
-        m, l = ratio
-        delta = a * dx / m
-        k0 = m * i0 + l * j0
-        ks = np.arange(k0, m * (i1 - 1) + l * (j1 - 1) + 1, dtype=np.float64)
-        fs = f((a * x0 + y0) + ks * delta)
-        strides = (m * fs.itemsize, l * fs.itemsize)
-    else:
-        ax = a * xs
-
-    ni, nj = i1 - i0, j1 - j0
-    buf = np.empty((min(ni, _BLOCK_ROWS), nj))
-    best = (np.inf, -1, -1)
-    for r0 in range(0, ni, _BLOCK_ROWS):
-        r1 = min(ni, r0 + _BLOCK_ROWS)
-        gaps = buf[: r1 - r0]
+        ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
         if ratio is not None:
-            fs_b = np.lib.stride_tricks.as_strided(
-                fs[m * r0 :], shape=gaps.shape, strides=strides, writeable=False
-            )
+            # f(a*x_i + y_j) = f(s0 + k*delta) with k = m*i + l*j: evaluate
+            # the lattice once, from the block's first to its last k.
+            m, l = ratio
+            delta = a * dx / m
+            k0 = m * i0 + l * j0
+            ks = np.arange(k0, m * (i1 - 1) + l * (j1 - 1) + 1, dtype=np.float64)
+            fs = f((a * x0 + y0) + ks * delta)
+            strides = (m * fs.itemsize, l * fs.itemsize)
         else:
-            np.add(ax[r0:r1, None], ys[None, :], out=gaps)
-            fs_b = f(gaps)
-        np.add(afx[r0:r1, None], fy[None, :], out=gaps)
-        np.subtract(gaps, fs_b, out=gaps)
+            ax = a * xs
 
-        # First row-major occurrence of the minimum; NaN and +-inf never
-        # win.  argmin stops at a NaN, so mask only when it returns one.
-        flat = int(np.argmin(gaps))
-        if not math.isfinite(gaps.flat[flat]):
-            np.copyto(gaps, np.inf, where=~np.isfinite(gaps))
+        ni, nj = i1 - i0, j1 - j0
+        buf = np.empty((min(ni, _BLOCK_ROWS), nj))
+        best = (np.inf, -1, -1)
+        for r0 in range(0, ni, _BLOCK_ROWS):
+            r1 = min(ni, r0 + _BLOCK_ROWS)
+            gaps = buf[: r1 - r0]
+            if ratio is not None:
+                fs_b = np.lib.stride_tricks.as_strided(
+                    fs[m * r0 :], shape=gaps.shape, strides=strides, writeable=False
+                )
+            else:
+                np.add(ax[r0:r1, None], ys[None, :], out=gaps)
+                fs_b = f(gaps)
+            np.add(afx[r0:r1, None], fy[None, :], out=gaps)
+            np.subtract(gaps, fs_b, out=gaps)
+
+            # First row-major occurrence of the minimum; NaN and +-inf never
+            # win.  argmin stops at a NaN, so mask only when it returns one.
             flat = int(np.argmin(gaps))
-        value = float(gaps.flat[flat])
-        if value < best[0]:
-            bi, bj = divmod(flat, nj)
-            best = (value, i0 + r0 + bi, j0 + bj)
-    return best
+            if not math.isfinite(gaps.flat[flat]):
+                np.copyto(gaps, np.inf, where=~np.isfinite(gaps))
+                flat = int(np.argmin(gaps))
+            value = float(gaps.flat[flat])
+            if value < best[0]:
+                bi, bj = divmod(flat, nj)
+                best = (value, i0 + r0 + bi, j0 + bj)
+        return best
 
 
 def scan_gap_min(a: OrderLike, p: Params, cfg: ScanConfig) -> ScanReport:
@@ -431,16 +441,30 @@ def violation_scan_config(
     tolerance: float = _DEFAULT_TOLERANCE,
 ) -> ScanConfig:
     """Default violation-hunting window for ``p``: ``x`` in ``(0, 0.1]``
-    (starting at the first positive node ``0.1/grid_n``) and ``y`` within
-    ten bump-widths of the ring."""
+    (starting at the first positive node ``0.1/grid_n``) and ``y`` around
+    the ring, ``k`` times as tall as the x-span for the smallest integer
+    ``k`` that covers ten bump-widths either side of ``mu``
+    (``k = ceil(200*sigma*n/(n-1))``, less than 0.1 taller than
+    ``20*sigma``).
+
+    With ``dy/dx = k`` every unclipped level runs on the lattice path at
+    orders 1, 2 and 3 while ``k + a <= 64`` (``sigma`` up to about 0.3).
+    """
     p = _require_params(p)
-    x_lo = 0.1 / require_int(grid_n, "grid_n", 2, MAX_GRID_N)
-    y_lo, y_hi = p.mu - 10.0 * p.sigma, p.mu + 10.0 * p.sigma
-    if not y_lo < y_hi:
+    n = require_int(grid_n, "grid_n", 2, MAX_GRID_N)
+    x_lo = 0.1 / n
+    ring_lo, ring_hi = p.mu - 10.0 * p.sigma, p.mu + 10.0 * p.sigma
+    if not ring_lo < ring_hi:
         raise InputError(
             f"sigma={p.sigma!r} is too small for a float64 violation window "
             f"around mu={p.mu!r}"
         )
+    k = 200.0 * p.sigma * n / (n - 1)
+    if k < 2.0**53:  # larger floats are integers already, or inf
+        k = math.ceil(k)
+    half = k * (0.1 - x_lo) / 2.0
+    # min/max: rounding must not leave mu +- 10 sigma outside the window
+    y_lo, y_hi = min(p.mu - half, ring_lo), max(p.mu + half, ring_hi)
     return ScanConfig(
         box=(x_lo, 0.1, y_lo, y_hi),
         grid_n=grid_n,

@@ -329,6 +329,21 @@ def test_tiny_sigma_fails_with_one_error_line(sub, code, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_tiny_sigma_scan_writes_nothing_to_stderr():
+    """``h`` overflows inside the scan kernel for such a ``sigma``; the
+    inf and NaN gaps never win, and no NumPy warning reaches stderr."""
+    got, out, err = _cold_cli(
+        "scan", "--sigma", "1e-200", "--grid-n", "51", "--refine-depth", "0"
+    )
+    assert (got, err) == (0, "")
+    assert out.splitlines() == [
+        "order a=2.0, parameters: mu=1.2 sigma=1e-200 alpha=0.05",
+        "scan box [-8.0, 8.0] x [-8.0, 8.0], grid 51, refine depth 0 (2601 evaluations)",
+        "min gap: 0.0 at x=0.0 y=1.2799999999999994",
+        "result: no violation candidate at tolerance 1e-09",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # import hygiene
 # ---------------------------------------------------------------------------
