@@ -305,6 +305,9 @@ def _fit_step(lo: float, hi: float, n: int, step: float) -> float:
     return step
 
 
+# Overflow (tiny sigma, huge nodes) makes the inf and NaN gaps that never
+# win; it is not worth a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def scan_block(
     a: float,
     mu: float,
@@ -322,56 +325,53 @@ def scan_block(
     """Scan one index block; see the module docstring for the contract."""
     if i1 <= i0 or j1 <= j0:
         return np.inf, -1, -1
-    # Overflow (tiny sigma, huge nodes) makes inf and NaN gaps, which
-    # never win; it is not worth a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = _evaluator(np, "f", mu, sigma, alpha)
+    f = _evaluator(np, "f", mu, sigma, alpha)
 
-        xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
-        ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
-        afx = a * f(xs)
-        fy = f(ys)
+    xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
+    ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
+    afx = a * f(xs)
+    fy = f(ys)
 
-        ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
+    ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
+    if ratio is not None:
+        # f(a*x_i + y_j) = f(s0 + k*delta) with k = m*i + l*j: evaluate
+        # the lattice once, from the block's first to its last k.
+        m, l = ratio
+        delta = a * dx / m
+        k0 = m * i0 + l * j0
+        ks = np.arange(k0, m * (i1 - 1) + l * (j1 - 1) + 1, dtype=np.float64)
+        fs = f((a * x0 + y0) + ks * delta)
+        strides = (m * fs.itemsize, l * fs.itemsize)
+    else:
+        ax = a * xs
+
+    ni, nj = i1 - i0, j1 - j0
+    buf = np.empty((min(ni, _BLOCK_ROWS), nj))
+    best = (np.inf, -1, -1)
+    for r0 in range(0, ni, _BLOCK_ROWS):
+        r1 = min(ni, r0 + _BLOCK_ROWS)
+        gaps = buf[: r1 - r0]
         if ratio is not None:
-            # f(a*x_i + y_j) = f(s0 + k*delta) with k = m*i + l*j: evaluate
-            # the lattice once, from the block's first to its last k.
-            m, l = ratio
-            delta = a * dx / m
-            k0 = m * i0 + l * j0
-            ks = np.arange(k0, m * (i1 - 1) + l * (j1 - 1) + 1, dtype=np.float64)
-            fs = f((a * x0 + y0) + ks * delta)
-            strides = (m * fs.itemsize, l * fs.itemsize)
+            fs_b = np.lib.stride_tricks.as_strided(
+                fs[m * r0 :], shape=gaps.shape, strides=strides, writeable=False
+            )
         else:
-            ax = a * xs
+            np.add(ax[r0:r1, None], ys[None, :], out=gaps)
+            fs_b = f(gaps)
+        np.add(afx[r0:r1, None], fy[None, :], out=gaps)
+        np.subtract(gaps, fs_b, out=gaps)
 
-        ni, nj = i1 - i0, j1 - j0
-        buf = np.empty((min(ni, _BLOCK_ROWS), nj))
-        best = (np.inf, -1, -1)
-        for r0 in range(0, ni, _BLOCK_ROWS):
-            r1 = min(ni, r0 + _BLOCK_ROWS)
-            gaps = buf[: r1 - r0]
-            if ratio is not None:
-                fs_b = np.lib.stride_tricks.as_strided(
-                    fs[m * r0 :], shape=gaps.shape, strides=strides, writeable=False
-                )
-            else:
-                np.add(ax[r0:r1, None], ys[None, :], out=gaps)
-                fs_b = f(gaps)
-            np.add(afx[r0:r1, None], fy[None, :], out=gaps)
-            np.subtract(gaps, fs_b, out=gaps)
-
-            # First row-major occurrence of the minimum; NaN and +-inf never
-            # win.  argmin stops at a NaN, so mask only when it returns one.
+        # First row-major occurrence of the minimum; NaN and +-inf never
+        # win.  argmin stops at a NaN, so mask only when it returns one.
+        flat = int(np.argmin(gaps))
+        if not math.isfinite(gaps.flat[flat]):
+            np.copyto(gaps, np.inf, where=~np.isfinite(gaps))
             flat = int(np.argmin(gaps))
-            if not math.isfinite(gaps.flat[flat]):
-                np.copyto(gaps, np.inf, where=~np.isfinite(gaps))
-                flat = int(np.argmin(gaps))
-            value = float(gaps.flat[flat])
-            if value < best[0]:
-                bi, bj = divmod(flat, nj)
-                best = (value, i0 + r0 + bi, j0 + bj)
-        return best
+        value = float(gaps.flat[flat])
+        if value < best[0]:
+            bi, bj = divmod(flat, nj)
+            best = (value, i0 + r0 + bi, j0 + bj)
+    return best
 
 
 def scan_gap_min(a: OrderLike, p: Params, cfg: ScanConfig) -> ScanReport:
