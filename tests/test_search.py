@@ -357,24 +357,27 @@ def test_kernel_skips_non_finite_gaps(cert_params):
     assert math.isfinite(whole[0]) and whole[1] >= 0
 
 
-@pytest.mark.parametrize("sigma", [0.05, 0.03, 0.0731, 0.15])
-@pytest.mark.parametrize("a", [1, 2, 3])
-def test_violation_window_scan_runs_on_the_lattice(monkeypatch, a, sigma):
+def test_violation_window_scan_runs_on_the_lattice(monkeypatch):
     """The default violation window is ``k`` x-spans tall, so every level
-    of its scan runs on the lattice, level 0 with ``dy/(a*dx) = k/a``.
-    With ``alpha = sigma``, as for the flagship, the refined boxes are
-    not clipped or stay on a lattice when they are (a clipped level
-    changes its aspect ratio and may leave the lattice)."""
-    p = Params(mu=1.2, sigma=sigma, alpha=sigma)
+    of its scan runs on the lattice, level 0 with ``dy/(a*dx) = k/a``, at
+    orders 1 to 3.  With ``alpha = sigma``, as for the flagship, the
+    refined boxes are not clipped or stay on a lattice when they are (a
+    clipped level changes its aspect ratio and may leave the lattice)."""
     calls = _record_levels(monkeypatch)
-    cfg = violation_scan_config(p)
-    scan_gap_min(a, p, cfg)
-    assert len(calls) == cfg.refine_depth + 1
-    k = math.ceil(200.0 * sigma * 401 / 400)
-    g = math.gcd(k, a)
-    ratios = [search._lattice_ratio(a, args[5], args[7], 1.0 - search._RATIO_TOL)
-              for args, _ in calls]
-    assert ratios[0] == (a // g, k // g) and None not in ratios
+    for sigma in (0.05, 0.03, 0.0731, 0.15):
+        p = Params(mu=1.2, sigma=sigma, alpha=sigma)
+        cfg = violation_scan_config(p)
+        k = math.ceil(200.0 * sigma * 401 / 400)
+        for a in (1, 2, 3):
+            calls.clear()
+            scan_gap_min(a, p, cfg)
+            assert len(calls) == cfg.refine_depth + 1
+            ratios = [
+                search._lattice_ratio(a, args[5], args[7], 1.0 - search._RATIO_TOL)
+                for args, _ in calls
+            ]
+            g = math.gcd(k, a)
+            assert ratios[0] == (a // g, k // g) and None not in ratios, (sigma, a)
 
 
 @pytest.mark.parametrize("box", [FULL_BOX, (0.0, 1e-6, -8.0, 8.0)])
@@ -413,20 +416,22 @@ def test_full_box_scan_hits_frozen_bracket(cert_params):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("sigma", [0.05, 0.03, 0.0731, 0.15, 0.3, 1e-9, 7.0])
-@pytest.mark.parametrize("n", [401, 41, 2])
-def test_violation_window_shape(n, sigma):
+def test_violation_window_shape():
     """``x`` in ``[0.1/n, 0.1]``; ``y`` centred on ``mu``, covering ``mu
     +- 10 sigma``, less than 0.1 taller than ``20 sigma`` and an integer
-    number ``k = ceil(200*sigma*n/(n-1))`` of x-spans tall."""
-    p = Params(mu=1.2, sigma=sigma, alpha=0.05)
-    x_lo, x_hi, y_lo, y_hi = violation_scan_config(p, grid_n=n).box
-    assert x_lo == 0.1 / n and x_hi == 0.1
-    assert y_lo <= p.mu - 10.0 * sigma and y_hi >= p.mu + 10.0 * sigma
-    assert (y_hi - y_lo) - 20.0 * sigma < 0.1
-    assert abs((y_lo + y_hi) / 2.0 - p.mu) <= 1e-15 * (y_hi - y_lo) + 4e-16
-    k = math.ceil(200.0 * sigma * n / (n - 1))
-    assert abs((y_hi - y_lo) / (x_hi - x_lo) - k) <= 1e-12 * k
+    number ``k = ceil(200*sigma*n/(n-1))`` of x-spans tall.  The last two
+    ``sigma`` make ``k`` exact at ``n`` = 41 and 2, where ``k`` x-spans
+    round to just under ``20 sigma``."""
+    for n in (401, 41, 2):
+        for sigma in (0.05, 0.03, 0.0731, 0.15, 0.3, 1e-9, 7.0, 35 * 40 / 8200, 0.2025):
+            p = Params(mu=1.2, sigma=sigma, alpha=0.05)
+            x_lo, x_hi, y_lo, y_hi = violation_scan_config(p, grid_n=n).box
+            assert x_lo == 0.1 / n and x_hi == 0.1
+            assert y_lo <= p.mu - 10.0 * sigma and y_hi >= p.mu + 10.0 * sigma
+            assert (y_hi - y_lo) - 20.0 * sigma < 0.1
+            assert abs((y_lo + y_hi) / 2.0 - p.mu) <= 1e-15 * (y_hi - y_lo) + 4e-16
+            k = math.ceil(200.0 * sigma * n / (n - 1))
+            assert abs((y_hi - y_lo) / (x_hi - x_lo) - k) <= 1e-12 * k
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])
