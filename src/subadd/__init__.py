@@ -20,176 +20,30 @@ profile plus a scaled ring bump — and provides:
 - ``cone``: an exact rational construction mapping a countable positive
   cone into the subadditive world via per-generator knee maps;
 - ``cli``: a ``subadd`` command exposing all of the above.
+
+Each library module's ``__all__`` is the one list of its public names:
+the package re-exports them, and its ``__all__`` joins them.  ``cli`` and
+``serialize`` are not re-exported.
 """
 
-from .analytic_core import (
-    HighPrecision,
-    Order,
-    Params,
-    Point,
-    RegionFlags,
-    classify_region,
-    eval_C,
-    eval_f,
-    eval_g,
-    eval_h,
-    eval_lambda,
-    eval_phi,
-    eval_psi,
-    f_prime,
-    gap,
-    h_prime,
-    h_second,
-)
-from .certificate import (
-    CAVEAT,
-    CertificateReport,
-    ConditionResult,
-    Verdict,
-    certify_S2,
-    check_region_A,
-    check_region_B,
-    check_region_C,
-)
-from .cone import (
-    Cone,
-    ConeElement,
-    Generator,
-    GeneratorId,
-    GeneratorKind,
-    SubadditivityWitness,
-    WitnessCase,
-    make_generators,
-    q_of,
-)
-from .errors import (
-    ConstructionBugError,
-    DomainError,
-    InputError,
-    PreconditionError,
-    RangeError,
-    SingularityError,
-    ToolkitError,
-)
-from .intervals import (
-    Interval,
-    Tristate,
-    certainly_le,
-    iadd,
-    idiv,
-    iexp,
-    ilog,
-    imul,
-    isq,
-    isqrt,
-    isub,
-)
-from .search import (
-    ScanConfig,
-    ScanReport,
-    TableRow,
-    Violation,
-    find_violation,
-    reproduce_table,
-    scan_gap_min,
-    verify_point,
-    violation_scan_config,
-)
-from .statement_oracles import (
-    RationalityCase,
-    SemigroupStatus,
-    check_monotone_f,
-    check_rolle_identity,
-    check_symmetrization,
-    check_tau_concavity,
-    indicator_case_table,
-    indicator_example_check,
-    rolle_probe,
-    semigroup_member,
-    semigroup_search,
-)
+from .errors import *
+from .intervals import *
+from .analytic_core import *
+from .certificate import *
+from .search import *
+from .statement_oracles import *
+from .cone import *
 
 __version__ = "1.0.0"
 
+# Each ``from .m import *`` above also binds the submodule ``m`` here.
 __all__ = [
     "__version__",
-    # errors
-    "ToolkitError",
-    "InputError",
-    "DomainError",
-    "RangeError",
-    "SingularityError",
-    "PreconditionError",
-    "ConstructionBugError",
-    # intervals
-    "Interval",
-    "Tristate",
-    "iadd",
-    "isub",
-    "imul",
-    "idiv",
-    "iexp",
-    "ilog",
-    "isqrt",
-    "isq",
-    "certainly_le",
-    # analytic core
-    "Params",
-    "Point",
-    "RegionFlags",
-    "Order",
-    "HighPrecision",
-    "eval_g",
-    "eval_h",
-    "eval_f",
-    "eval_phi",
-    "eval_lambda",
-    "eval_psi",
-    "eval_C",
-    "gap",
-    "classify_region",
-    "f_prime",
-    "h_prime",
-    "h_second",
-    # certificate
-    "Verdict",
-    "ConditionResult",
-    "CertificateReport",
-    "CAVEAT",
-    "check_region_A",
-    "check_region_B",
-    "check_region_C",
-    "certify_S2",
-    # search
-    "ScanConfig",
-    "ScanReport",
-    "Violation",
-    "TableRow",
-    "scan_gap_min",
-    "find_violation",
-    "verify_point",
-    "reproduce_table",
-    "violation_scan_config",
-    # statement oracles
-    "RationalityCase",
-    "SemigroupStatus",
-    "rolle_probe",
-    "check_rolle_identity",
-    "check_monotone_f",
-    "check_symmetrization",
-    "check_tau_concavity",
-    "semigroup_search",
-    "semigroup_member",
-    "indicator_case_table",
-    "indicator_example_check",
-    # cone
-    "GeneratorKind",
-    "GeneratorId",
-    "Generator",
-    "ConeElement",
-    "WitnessCase",
-    "SubadditivityWitness",
-    "Cone",
-    "make_generators",
-    "q_of",
+    *errors.__all__,
+    *intervals.__all__,
+    *analytic_core.__all__,
+    *certificate.__all__,
+    *search.__all__,
+    *statement_oracles.__all__,
+    *cone.__all__,
 ]

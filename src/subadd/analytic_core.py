@@ -75,11 +75,16 @@ __all__ = [
     "h_prime",
     "h_second",
     "GAP_FUNCTION_HANDLES",
+    "MIN_PREC_BITS",
 ]
 
 #: Valid ``fn`` handles for :func:`gap`: the full function, the base
 #: profile alone, the raw bump, and the pinned bump ``h - h(0)``.
 GAP_FUNCTION_HANDLES = ("f", "g", "h", "h-h0")
+
+#: Smallest accepted working precision of :class:`HighPrecision`, in bits
+#: of mantissa.
+MIN_PREC_BITS = 128
 
 
 def _as_float(value: object, what: str) -> float:
@@ -306,6 +311,16 @@ def _gap(a, w, x, y):
     return (a * w(x) + w(y)) - w(a * x + y)
 
 
+def _phi_float64(value: float) -> float:
+    """A float64 value of ``phi(z)`` or of ``h'' = phi(z) / sigma**2``,
+    with NaN read as ``+0.0``.
+
+    The trees give NaN exactly when ``z * z`` overflows, as ``inf * 0``.
+    There both values lie far below the smallest subnormal (``phi`` does
+    from ``z`` about 27.5 on), so ``+0.0`` is the correctly rounded one."""
+    return 0.0 if math.isnan(value) else value
+
+
 # ---------------------------------------------------------------------------
 # float64 evaluation
 # ---------------------------------------------------------------------------
@@ -349,7 +364,7 @@ def eval_phi(z: float) -> float:
     Negative on ``[0, 1/sqrt(2))``, zero at ``1/sqrt(2)``, positive
     beyond; ``phi(0) = -2`` is its minimum.
     """
-    return _phi(math, _require_z(z, "phi"))
+    return _phi_float64(_phi(math, _require_z(z, "phi")))
 
 
 def eval_lambda(z: float) -> float:
@@ -431,7 +446,7 @@ def h_second(x: float, p: Params) -> float:
     """Second derivative of the bump away from the kink (``x != 0``):
     ``h''(x) = phi(||x| - mu| / sigma) / sigma^2``."""
     x, p = _require_off_kink(x, p)
-    return _h_second(math, x, p.mu, _float64_sigma(p, "h_second"))
+    return _phi_float64(_h_second(math, x, p.mu, _float64_sigma(p, "h_second")))
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +457,17 @@ def h_second(x: float, p: Params) -> float:
 class HighPrecision:
     """Arbitrary-precision mirror of the float64 evaluators.
 
-    All arithmetic runs at ``prec_bits`` bits of mantissa (128 minimum) via
-    mpmath, through the same expression trees and validation as the
-    float64 functions.  Floating-point inputs are lifted exactly (every
-    binary64 value is exactly representable), so results differ from the
-    float64 path only by that path's rounding error.  Methods return
-    ``mpmath.mpf`` values; convert with ``float(...)`` when a double is
-    wanted.
+    All arithmetic runs at ``prec_bits`` bits of mantissa (at least
+    :data:`MIN_PREC_BITS`, 128) via mpmath, through the same expression
+    trees and validation as the float64 functions.  Floating-point inputs
+    are lifted exactly (every binary64 value is exactly representable), so
+    results differ from the float64 path only by that path's rounding
+    error.  Methods return ``mpmath.mpf`` values; convert with
+    ``float(...)`` when a double is wanted.
     """
 
-    def __init__(self, prec_bits: int = 128) -> None:
-        self.prec_bits = require_int(prec_bits, "prec_bits", 128)
+    def __init__(self, prec_bits: int = MIN_PREC_BITS) -> None:
+        self.prec_bits = require_int(prec_bits, "prec_bits", MIN_PREC_BITS)
 
     def _run(self, tree, *args):
         """``tree(mpmath, *args)`` at ``prec_bits``, each argument lifted to mpf."""

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import statement_oracles
-from .analytic_core import Order, Params
+from .analytic_core import MIN_PREC_BITS, Order, Params
 from .certificate import Verdict, certify_S2
 from .cone import (
     MAX_GENERATORS,
@@ -62,6 +62,7 @@ from .errors import (
 )
 from .intervals import Interval
 from .search import (
+    FULL_BOX,
     MAX_GRID_N,
     MAX_REFINE_DEPTH,
     ScanConfig,
@@ -84,14 +85,13 @@ _SUBCOMMANDS = {
 }
 _FORMATS = ("text", "json", "csv")
 
-_FULL_BOX = (-8.0, 8.0, -8.0, 8.0)
 #: Defaults by keyword; RunConfig's fields and :mod:`subadd.search` give
 #: the rest.  ``table`` rescans the reference window at the reference
 #: tolerance: only its grid is tunable.
 _DEFAULTS = {"mu": 1.2, "sigma": 0.05, "alpha": 0.05, "a": 2.0}
 _SCAN_DEFAULTS = {
-    "scan": {"box": _FULL_BOX, "grid_n": 801, "refine_depth": 3},
-    "table": {"box": _FULL_BOX},
+    "scan": {"box": FULL_BOX, "grid_n": 801, "refine_depth": 3},
+    "table": {"box": FULL_BOX},
 }
 
 _CONE_PAIRS = 200
@@ -138,7 +138,7 @@ _OPTIONS = (
     ),
     _Option(
         "precision-bits", int, _ALL,
-        dict(help="working precision for confirmations (>= 128)"),
+        dict(help=f"working precision for confirmations (>= {MIN_PREC_BITS})"),
     ),
     _Option(
         "box", str, _WINDOW, dict(metavar="X0,X1,Y0,Y1", help="search rectangle")
@@ -176,7 +176,7 @@ class RunConfig:
     order: Order
     scan: Optional[ScanConfig] = None
     output_format: str = "text"
-    precision_bits: int = 128
+    precision_bits: int = MIN_PREC_BITS
     n_base: int = 20
     n_reserve: int = 2
 
@@ -197,7 +197,7 @@ class RunConfig:
                 f"format must be one of {', '.join(_FORMATS)}, "
                 f"got {self.output_format!r}"
             )
-        require_int(self.precision_bits, "precision-bits", 128)
+        require_int(self.precision_bits, "precision-bits", MIN_PREC_BITS)
         require_int(self.n_base, "n-base", 1, MAX_GENERATORS)
         require_int(self.n_reserve, "n-reserve", 1, MAX_GENERATORS)
 

@@ -140,10 +140,7 @@ class Generator:
 
     def value_interval(self) -> Interval:
         """Outward-rounded enclosure of the (irrational) real value."""
-        return imul(
-            _fraction_interval(self.coef),
-            idiv(Interval.point(1.0), isqrt(Interval.point(float(self.prime)))),
-        )
+        return _value_interval(self.coef, self.prime)
 
 
 def _fraction_interval(fr: Fraction) -> Interval:
@@ -154,6 +151,15 @@ def _fraction_interval(fr: Fraction) -> Interval:
     if Fraction(f) == fr:
         return Interval.point(f)
     return Interval(math.nextafter(f, -math.inf), math.nextafter(f, math.inf))
+
+
+def _value_interval(coef: Fraction, prime: int) -> Interval:
+    """Outward-rounded enclosure of ``coef / sqrt(prime)``, as
+    ``coef * (1 / sqrt(prime))``."""
+    return imul(
+        _fraction_interval(coef),
+        idiv(Interval.point(1.0), isqrt(Interval.point(float(prime)))),
+    )
 
 
 @dataclass(frozen=True)
@@ -320,11 +326,7 @@ class Cone:
         total = Interval.point(0.0)
         for gid, c in x.coeffs:
             gen = self._by_id[gid]
-            term = imul(
-                _fraction_interval(c * gen.coef),
-                idiv(Interval.point(1.0), isqrt(Interval.point(float(gen.prime)))),
-            )
-            total = iadd(total, term)
+            total = iadd(total, _value_interval(c * gen.coef, gen.prime))
         return total
 
     # -- the knee map -------------------------------------------------------

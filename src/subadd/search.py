@@ -95,6 +95,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .analytic_core import (
+    MIN_PREC_BITS,
     HighPrecision,
     Order,
     OrderLike,
@@ -136,6 +137,7 @@ np = _load_numpy()
 __all__ = [
     "MAX_GRID_N",
     "MAX_REFINE_DEPTH",
+    "FULL_BOX",
     "ScanConfig",
     "ScanReport",
     "Violation",
@@ -169,6 +171,10 @@ MAX_GRID_N = 10_001
 #: is narrower than one ulp of its centre and each further level rescans
 #: one point at ``grid_n**2`` evaluations; ``10.0 ** 309`` overflows.
 MAX_REFINE_DEPTH = 30
+
+#: The reference window ``[-8, 8]^2`` as a ``box``: :func:`reproduce_table`
+#: scans it, and so does ``subadd scan`` by default.
+FULL_BOX = (-8.0, 8.0, -8.0, 8.0)
 
 #: Rows per tile of a scan's O(n^2) part, and the bound on the lattice
 #: period ``m + l`` (so the lattice is no longer than one tile).
@@ -287,7 +293,8 @@ def _lattice_ratio(
     if not 0.0 < r < math.inf:
         return None
     best = None
-    lo, hi = r * keep, r * (1.0 + _RATIO_TOL)
+    # l <= _BLOCK_ROWS - m anyway; the cap keeps hi * m finite.
+    lo, hi = r * keep, min(r * (1.0 + _RATIO_TOL), _BLOCK_ROWS)
     for m in range(1, _BLOCK_ROWS):
         l = min(math.floor(hi * m), _BLOCK_ROWS - m)
         if l >= 1 and l >= lo * m and (best is None or l * best[0] > best[1] * m):
@@ -522,7 +529,7 @@ def find_violation(
     a: OrderLike,
     p: Params,
     cfg: Optional[ScanConfig] = None,
-    prec_bits: int = 128,
+    prec_bits: int = MIN_PREC_BITS,
 ) -> Optional[Violation]:
     """Search for an order-``a`` subadditivity violation of the working
     function.
@@ -573,7 +580,7 @@ def find_violation(
 
 
 def verify_point(
-    a: OrderLike, p: Params, x: float, y: float, prec_bits: int = 128
+    a: OrderLike, p: Params, x: float, y: float, prec_bits: int = MIN_PREC_BITS
 ) -> float:
     """High-precision violation margin ``-gap`` at one point (positive
     means the inequality fails there), rounded to float64."""
@@ -585,7 +592,7 @@ def verify_point(
 def reproduce_table(
     grid_n: int = _DEFAULT_GRID_N,
     refine_depth: int = _DEFAULT_REFINE_DEPTH,
-    prec_bits: int = 128,
+    prec_bits: int = MIN_PREC_BITS,
 ) -> Tuple[TableRow, ...]:
     """Re-derive the five stored reference rows.
 
@@ -603,7 +610,7 @@ def reproduce_table(
             2.0,
             p,
             ScanConfig(
-                box=(-8.0, 8.0, -8.0, 8.0),
+                box=FULL_BOX,
                 grid_n=grid_n,
                 refine_depth=refine_depth,
                 tolerance=_DEFAULT_TOLERANCE,

@@ -1,54 +1,38 @@
 """Loss-free JSON encoding for the toolkit's result objects.
 
-``to_jsonable`` maps any public dataclass, enum, ``Fraction``, or nested
-container of those to plain dicts/lists/strings/numbers; ``from_jsonable``
-inverts it exactly.  Dataclasses and Fractions are tagged with a
-``"__kind__"`` key; enums are encoded as ``{"__enum__": name, "value":
-member-name}``.  Floats are passed through as-is (JSON round-trips binary64
-exactly via repr); rationals go through exact ``"p/q"`` strings.  Tuples
-are encoded as JSON arrays and decoded back to tuples, matching the
-dataclasses' field types.
+``to_jsonable`` maps any public dataclass or enum (one named in the
+package's ``__all__``), ``Fraction``, or nested container of those to
+plain dicts/lists/strings/numbers; ``from_jsonable`` inverts it exactly.
+Dataclasses and Fractions are tagged with a ``"__kind__"`` key; enums are
+encoded as ``{"__enum__": name, "value": member-name}``.  Floats are
+passed through as-is (JSON round-trips binary64 exactly via repr);
+rationals go through exact ``"p/q"`` strings.  Tuples are encoded as JSON
+arrays and decoded back to tuples, matching the dataclasses' field types.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 from fractions import Fraction
 from typing import Any, Dict, Type
 
-from . import analytic_core, certificate, cone, intervals, search
+import subadd
+
 from .errors import InputError
 
 __all__ = ["to_jsonable", "from_jsonable"]
 
+#: The package's public classes; its dataclasses and enums are encodable.
+_CLASSES = [
+    cls for cls in (getattr(subadd, name) for name in subadd.__all__)
+    if isinstance(cls, type)
+]
 _DATACLASSES: Dict[str, Type] = {
-    cls.__name__: cls
-    for cls in (
-        analytic_core.Params,
-        analytic_core.Point,
-        analytic_core.Order,
-        intervals.Interval,
-        certificate.ConditionResult,
-        certificate.CertificateReport,
-        search.ScanConfig,
-        search.ScanReport,
-        search.Violation,
-        search.TableRow,
-        cone.GeneratorId,
-        cone.Generator,
-        cone.ConeElement,
-        cone.SubadditivityWitness,
-    )
+    cls.__name__: cls for cls in _CLASSES if dataclasses.is_dataclass(cls)
 }
-
 _ENUMS: Dict[str, Type] = {
-    cls.__name__: cls
-    for cls in (
-        intervals.Tristate,
-        certificate.Verdict,
-        cone.GeneratorKind,
-        cone.WitnessCase,
-    )
+    cls.__name__: cls for cls in _CLASSES if issubclass(cls, enum.Enum)
 }
 
 

@@ -159,6 +159,18 @@ def test_float64_derivatives_refuse_underflowing_sigma():
     assert f_prime(1.0, Params(mu=1.2, sigma=1e-150, alpha=0.05)) == 1.5
 
 
+def test_float64_phi_is_zero_where_z_squared_overflows():
+    """``(4 z^2 - 2) exp(-z^2)`` is inf * 0 in float64 once ``z * z``
+    overflows; phi is below the smallest subnormal long before, so the
+    float64 value is +0.0, not NaN.  High precision stays positive."""
+    p = Params(1.2, 1e-100, 0.05)
+    for value in (eval_phi(1e200), h_second(1e250, p), eval_phi(1e154), eval_phi(30.0)):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    hp = HighPrecision()
+    for value in (hp.eval_phi(1e200), hp.h_second(1e250, p)):
+        assert mpmath.isfinite(value) and value > 0
+
+
 def test_profile_domains():
     with pytest.raises(DomainError):
         eval_phi(-0.1)

@@ -344,6 +344,20 @@ def test_tiny_sigma_scan_writes_nothing_to_stderr():
     ]
 
 
+def test_huge_box_scan_runs_without_traceback():
+    """A box ``1e307`` tall makes ``dy/(a*dx)`` near the largest double;
+    the lattice test finds no ratio and the scan reports."""
+    got, out, err = _cold_cli(
+        "scan", "--box=0.004,0.1,-1e307,1e307", "--grid-n", "21", "--refine-depth", "0"
+    )
+    assert (got, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "scan box [0.004, 0.1] x [-1e+307, 1e+307], grid 21, refine depth 0 (441 evaluations)",
+        "min gap: 0.0 at x=0.004 y=-1e+307",
+        "result: no violation candidate at tolerance 1e-09",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # import hygiene
 # ---------------------------------------------------------------------------

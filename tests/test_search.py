@@ -9,6 +9,7 @@ violation.  See the README's "Known discrepancies".
 
 import math
 import random
+import sys
 import tracemalloc
 
 import mpmath
@@ -212,6 +213,9 @@ def test_lattice_ratio_recognises_small_periods():
     assert search._lattice_ratio(2.0, 0.1, 1.0025, 799 / 800) is None
     # A level whose box has shrunk to a point has no lattice.
     assert search._lattice_ratio(2.0, 0.0, 0.1, 0.5) is None
+    # Nor does a ratio near the largest double, where r * m overflows.
+    assert exact(sys.float_info.max) is None and exact(1e307) is None
+    assert search._lattice_ratio(2.0, 1e-3, 1e307, 0.5) is None
 
 
 def _record_levels(monkeypatch):

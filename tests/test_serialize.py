@@ -1,12 +1,16 @@
 """Loss-free JSON round trips for every result object the CLI emits."""
 
+import dataclasses
+import enum
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from subadd.analytic_core import Order, Params, Point
+import subadd
+from subadd import serialize
+from subadd.analytic_core import Order, Params, Point, RegionFlags
 from subadd.certificate import certify_S2
 from subadd.cone import (
     ConeElement,
@@ -26,6 +30,7 @@ from subadd.search import (
     scan_gap_min,
 )
 from subadd.serialize import from_jsonable, to_jsonable
+from subadd.statement_oracles import RationalityCase, SemigroupStatus
 
 
 def round_trip(obj):
@@ -97,6 +102,20 @@ def test_enum_round_trips():
     for member in (Tristate.TRUE, Tristate.FALSE, Tristate.UNKNOWN):
         assert round_trip(member) is member
     assert round_trip(GeneratorKind.BASE) is GeneratorKind.BASE
+    for cls in (RationalityCase, SemigroupStatus):
+        for member in cls:
+            assert round_trip(member) is member
+
+
+def test_registry_is_the_public_dataclasses_and_enums():
+    """Every dataclass and enum the package exports is encodable, and
+    nothing else is registered."""
+    public = [getattr(subadd, name) for name in subadd.__all__]
+    classes = [v for v in public if isinstance(v, type)]
+    assert serialize._DATACLASSES == {
+        c.__name__: c for c in classes if dataclasses.is_dataclass(c)
+    }
+    assert serialize._ENUMS == {c.__name__: c for c in classes if issubclass(c, enum.Enum)}
 
 
 def test_core_dataclasses_round_trip(cert_params):
@@ -104,6 +123,7 @@ def test_core_dataclasses_round_trip(cert_params):
         cert_params,
         Point(x=0.25, y=-1.5),
         Order(a=2.0),
+        RegionFlags(in_A=False, in_B=True, in_C=True),
         Interval(lo=1.0, hi=2.0),
         ScanConfig(box=(-1.0, 1.0, -2.0, 2.0), grid_n=11, refine_depth=1),
     ):
