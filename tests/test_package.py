@@ -69,9 +69,3 @@ def test_former_exports_resolve_to_the_same_objects():
             assert getattr(subadd, name) is getattr(module, name), name
     assert subadd.__version__ == "1.0.0"
 
-
-def test_cli_and_serialize_are_not_re_exported():
-    from subadd import cli, serialize
-
-    for module in (cli, serialize):
-        assert not set(module.__all__) & set(subadd.__all__)
