@@ -28,7 +28,11 @@ Pipeline:
    point.  Each line search stops at the first bracket state it has seen
    before, at most 200 iterations: from there on it would only repeat
    probes, so the result is the one 200 iterations give.  On the
-   flagship a line takes about 70 probes.
+   flagship a line takes about 70 probes.  The order and parameters are
+   validated once per search, and each line's fixed term (``w(y)`` on an
+   x-line, ``a*w(x)`` and ``a*x`` on a y-line) is evaluated once, so a
+   probe checks its point and evaluates ``f`` twice; its value equals
+   :func:`subadd.analytic_core.gap` at that point bit for bit.
 
 3. **High-precision confirmation**: the candidate's margin ``-gap`` is
    recomputed by :func:`verify_point` with
@@ -104,6 +108,8 @@ from .analytic_core import (
     _as_float,
     _evaluator,
     _require_params,
+    _x_line_gap,
+    _y_line_gap,
     gap,
     order_value,
 )
@@ -557,19 +563,16 @@ def find_violation(
     ry = (y_hi - y_lo) / (cfg.grid_n - 1)
     bx, by = report.argmin.x, report.argmin.y
     best_v = report.min_gap
+    w = _evaluator(math, "f", p.mu, p.sigma, p.alpha)
     for _ in range(_GSS_SWEEPS):
         lo = max(x_lo, bx - rx)
         hi = min(x_hi, bx + rx)
-        v, t_best = _golden_line_min(
-            lambda t: gap(av, "f", t, by, p), lo, hi, _GSS_ITERS
-        )
+        v, t_best = _golden_line_min(_x_line_gap(av, w, by), lo, hi, _GSS_ITERS)
         if v < best_v:
             best_v, bx = v, t_best
         lo = max(y_lo, by - ry)
         hi = min(y_hi, by + ry)
-        v, t_best = _golden_line_min(
-            lambda t: gap(av, "f", bx, t, p), lo, hi, _GSS_ITERS
-        )
+        v, t_best = _golden_line_min(_y_line_gap(av, w, bx), lo, hi, _GSS_ITERS)
         if v < best_v:
             best_v, by = v, t_best
 

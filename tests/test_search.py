@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import _frozen
-from subadd import search
-from subadd.analytic_core import HighPrecision, Params, gap
+from subadd import analytic_core, search
+from subadd.analytic_core import HighPrecision, Order, Params, Point, gap
 from subadd.certificate import Verdict, certify_S2
 from subadd.errors import InputError
 from subadd.search import (
@@ -529,7 +529,9 @@ def test_golden_line_min_stops_at_its_fixed_point(cert_params, case):
 def test_search_reaches_layers_through_module_attributes(monkeypatch, cert_params):
     """find_violation and verify_point look up search.scan_block, search.gap
     and search.HighPrecision when called, so rebinding those attributes
-    (as the traced benchmark run does) sees every call."""
+    (as the traced benchmark run does) sees every call.  search.gap runs
+    once per search, the scan's re-evaluation at its argmin: the polish
+    probes its lines through analytic_core's line gaps, validated once."""
     calls = {"scan_block": 0, "HighPrecision": 0, "hp_gap": 0}
     probes = []  # (x, y) of every search.gap call
     real_block, real_gap, real_hp = search.scan_block, search.gap, search.HighPrecision
@@ -558,17 +560,104 @@ def test_search_reaches_layers_through_module_attributes(monkeypatch, cert_param
     v = find_violation(2, cert_params)
     assert v is not None
     assert calls["scan_block"] == search._DEFAULT_REFINE_DEPTH + 1
-    # the scan's re-evaluation, then the polish, whose x- and y-line
-    # searches each probe several coordinates per sweep
-    assert len(probes) > 1 + 2 * search._GSS_SWEEPS * 4
-    for axis in (0, 1):
-        assert len({pt[axis] for pt in probes}) > 4 * search._GSS_SWEEPS
+    assert len(probes) == 1
     assert calls["HighPrecision"] == calls["hp_gap"] == 1
 
     calls.update(dict.fromkeys(calls, 0))
     probes.clear()
     assert verify_point(2, cert_params, v.point.x, v.point.y) == v.margin
     assert calls == {"scan_block": 0, "HighPrecision": 1, "hp_gap": 1} and not probes
+
+
+#: The flagship triple, then the five reference-table rows.
+_ANCHORS = [Params(_frozen.CERT_MU, _frozen.CERT_SIGMA, _frozen.CERT_ALPHA)] + [
+    Params(mu, sigma, _frozen.TABLE_ALPHA) for mu, sigma, *_ in _frozen.TABLE_ROWS
+]
+
+
+def _outcome(call):
+    """``("value", v)`` or ``("raises", type, message)`` of ``call()``."""
+    try:
+        return ("value", call())
+    except Exception as exc:
+        return ("raises", type(exc), str(exc))
+
+
+@pytest.mark.parametrize("anchor", range(len(_ANCHORS)))
+def test_line_probes_equal_gap_bitwise(anchor):
+    """The polish's line probes return gap() bit for bit on both axes of
+    each polish line (about 50 seeded points in its bracket and the
+    bracket's ends) and raise what gap() raises."""
+    p = _ANCHORS[anchor]
+    w = analytic_core._evaluator(math, "f", p.mu, p.sigma, p.alpha)
+    cfg = violation_scan_config(p)
+    x_lo, x_hi, y_lo, y_hi = cfg.box
+    rx = (x_hi - x_lo) / (cfg.grid_n - 1)
+    ry = (y_hi - y_lo) / (cfg.grid_n - 1)
+    rng = random.Random(anchor)
+    big = sys.float_info.max
+    for a in (1.0, 2.0, 2.5, 3.0):
+        argmin = scan_gap_min(a, p, cfg).argmin
+        bx, by = argmin.x, argmin.y
+        on_x = analytic_core._x_line_gap(a, w, by)
+        on_y = analytic_core._y_line_gap(a, w, bx)
+        lines = (
+            (on_x, lambda t: gap(a, "f", t, by, p), max(x_lo, bx - rx), min(x_hi, bx + rx)),
+            (on_y, lambda t: gap(a, "f", bx, t, p), max(y_lo, by - ry), min(y_hi, by + ry)),
+        )
+        for probe, ref, lo, hi in lines:
+            for t in [lo, hi] + [rng.uniform(lo, hi) for _ in range(50)]:
+                assert probe(t) == ref(t), (a, t)
+            for t in (math.inf, -math.inf, math.nan, big):
+                got, want = _outcome(lambda: probe(t)), _outcome(lambda: ref(t))
+                assert got[0] == "raises" or t == big
+                assert repr(got) == repr(want), (a, t)
+        # a non-finite fixed coordinate, and an a*x + y that overflows
+        for x, y in ((bx, math.inf), (math.inf, by), (math.nan, math.inf), (big, big)):
+            for got in (
+                _outcome(lambda: analytic_core._x_line_gap(a, w, y)(x)),
+                _outcome(lambda: analytic_core._y_line_gap(a, w, x)(y)),
+            ):
+                assert got == _outcome(lambda: gap(a, "f", x, y, p)), (a, x, y)
+                assert got[0] == "raises"
+
+
+#: ``(point.x, point.y, margin)`` of ``find_violation(order, anchor)`` at
+#: the default window, or ``None``, keyed by ``(anchor, order)``.
+_PINNED_VIOLATIONS = {
+    (0, 1): (0.05160405219310332, 1.1351598326485222, 0.010877777713906906),
+    (0, 2): (0.02469477412336194, 1.136589879761791, 0.01027141693728068),
+    (0, 3): (0.016221589724470836, 1.137053788790252, 0.010076468355125155),
+    (1, 1): (0.0766697555347837, 1.4176559309268608, 0.06580353939857991),
+    (1, 2): (0.03751558598354282, 1.418906078905579, 0.06446779419610198),
+    (1, 3): (0.024829026403818295, 1.419317932819285, 0.06402070671782485),
+    (2, 1): (0.1, 1.8724261873407795, 0.02493632447847704),
+    (2, 2): (0.048867297036361536, 1.8738793279452517, 0.022681961173862297),
+    (2, 3): (0.031781471478951266, 1.8754019275234868, 0.021945173550544123),
+    (3, 1): (0.09635164990909817, 2.374868603110146, 0.019974623448226567),
+    (3, 2): (0.0447447942215923, 2.379189513853472, 0.018003186445635706),
+    (3, 3): (0.029078120797529694, 2.380591139842311, 0.01738325071361227),
+    (4, 1): (0.0898206919884328, 2.879048928303744, 0.01650861656218979),
+    (4, 2): (0.041605374529206776, 2.8831334293826285, 0.014789464861551187),
+    (4, 3): (0.02701288841541967, 2.884459395358862, 0.014252170819263287),
+    (5, 1): None,
+    (5, 2): None,
+    (5, 3): None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_VIOLATIONS))
+def test_find_violation_pinned_bits(case):
+    """The search's output on the six anchors, bit for bit: a faster scan
+    or polish must not move a single bit of a finding."""
+    anchor, order = case
+    p = _ANCHORS[anchor]
+    pinned = _PINNED_VIOLATIONS[case]
+    want = None
+    if pinned is not None:
+        x, y, margin = pinned
+        want = Violation(order=Order(order), params=p, point=Point(x, y), margin=margin)
+    assert repr(find_violation(order, p)) == repr(want)
 
 
 def test_find_violation_none_when_bump_too_small():

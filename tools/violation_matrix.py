@@ -14,7 +14,8 @@ and 202, which start with the six anchors), so both runs see the same
 inputs.  Each case ``(seed, order, index)`` runs ``find_violation`` at
 the default window and prints one line, ``None`` or the confirmed
 margin and point as ``repr`` floats, so the files differ exactly where a
-finding or one of its bits does.  About a minute per run.
+finding or one of its bits does.  A run takes about 7 s on a 2-core
+Xeon VM.
 """
 
 from __future__ import annotations
