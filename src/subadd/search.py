@@ -340,6 +340,7 @@ def scan_block(
         return np.inf, -1, -1
     f = _evaluator(np, "f", mu, sigma, alpha)
 
+    ni, nj = i1 - i0, j1 - j0
     xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
     ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
     afx = a * f(xs)
@@ -354,20 +355,21 @@ def scan_block(
         k0 = m * i0 + l * j0
         ks = np.arange(k0, m * (i1 - 1) + l * (j1 - 1) + 1, dtype=np.float64)
         fs = f((a * x0 + y0) + ks * delta)
-        strides = (m * fs.itemsize, l * fs.itemsize)
+        # Node (i, j) of the block reads fs[m*(i - i0) + l*(j - j0)].
+        fs_nodes = np.lib.stride_tricks.as_strided(
+            fs, shape=(ni, nj), strides=(m * fs.itemsize, l * fs.itemsize),
+            writeable=False,
+        )
     else:
         ax = a * xs
 
-    ni, nj = i1 - i0, j1 - j0
     buf = np.empty((min(ni, _BLOCK_ROWS), nj))
     best = (np.inf, -1, -1)
     for r0 in range(0, ni, _BLOCK_ROWS):
         r1 = min(ni, r0 + _BLOCK_ROWS)
         gaps = buf[: r1 - r0]
         if ratio is not None:
-            fs_b = np.lib.stride_tricks.as_strided(
-                fs[m * r0 :], shape=gaps.shape, strides=strides, writeable=False
-            )
+            fs_b = fs_nodes[r0:r1]
         else:
             np.add(ax[r0:r1, None], ys[None, :], out=gaps)
             fs_b = f(gaps)
