@@ -15,7 +15,11 @@ Pipeline:
    y-step rounded *down* onto the lattice of ``a*dx``: the largest
    ``dy <= (y1 - y0)/(n - 1)`` with ``dy/(a*dx) = l/m`` for integers
    ``m + l <= 64``, provided the top row of nodes stays within one
-   unsnapped y-step of ``y1``; otherwise the plain step.  Either step is
+   unsnapped y-step of ``y1``; otherwise the plain step.  When the plain
+   ``dy/(a*dx)`` lies below some ``l/m`` by more than the kernel's
+   ``2**-44`` but at most ``2**-30`` relative (as the rounding of a
+   refined box's edges can leave it), the
+   x-step is rounded down instead, to ``m*(dy/l)/a``.  Either step is
    then shrunk by ulps until the last node ``x0 + (n-1)*dx`` (resp.
    ``y0 + (n-1)*dy``) lies inside the box, so every node of every level,
    clipped levels included, lies inside the rectangle.  The full box at
@@ -187,6 +191,11 @@ FULL_BOX = (-8.0, 8.0, -8.0, 8.0)
 _BLOCK_ROWS = 64
 #: Relative slack within which ``dy / (a*dx)`` counts as equal to ``l/m``.
 _RATIO_TOL = 2.0 ** -44
+#: How far below ``l/m``, relative, a level's ``dy / (a*dx)`` may lie for
+#: the scan to round ``dx`` down onto the lattice: well above the rounding
+#: of refined box edges (about 1e-13 at level 2), well below the 2.4e-4
+#: between two ratios with ``m + l <= 64``.
+_SNAP_REACH = 2.0 ** -30
 
 #: Stored reference rows: (mu, sigma, x_star, y_star, stored_margin), all
 #: sharing TABLE_ALPHA.  ``stored_margin`` is the reference value this
@@ -289,10 +298,10 @@ def _require_config(cfg: ScanConfig) -> ScanConfig:
 
 
 def _lattice_ratio(
-    a: float, dx: float, dy: float, keep: float
+    a: float, dx: float, dy: float, keep: float, reach: float = _RATIO_TOL
 ) -> Optional[Tuple[int, int]]:
     """The ``(m, l)`` with ``m + l <= _BLOCK_ROWS`` whose ratio ``l/m`` is
-    the largest in ``[r*keep, r*(1 + _RATIO_TOL)]``, ``r = dy/(a*dx)``
+    the largest in ``[r*keep, r*(1 + reach)]``, ``r = dy/(a*dx)``
     (lowest terms), or ``None`` if no ratio lies there."""
     adx = a * dx
     r = dy / adx if adx > 0.0 else math.nan
@@ -300,7 +309,7 @@ def _lattice_ratio(
         return None
     best = None
     # l <= _BLOCK_ROWS - m anyway; the cap keeps hi * m finite.
-    lo, hi = r * keep, min(r * (1.0 + _RATIO_TOL), _BLOCK_ROWS)
+    lo, hi = r * keep, min(r * (1.0 + reach), _BLOCK_ROWS)
     for m in range(1, _BLOCK_ROWS):
         l = min(math.floor(hi * m), _BLOCK_ROWS - m)
         if l >= 1 and l >= lo * m and (best is None or l * best[0] > best[1] * m):
@@ -418,11 +427,17 @@ def scan_gap_min(a: OrderLike, p: Params, cfg: ScanConfig) -> ScanReport:
         dx = _fit_step(bx0, bx1, n, (bx1 - bx0) / (n - 1))
         dy = (by1 - by0) / (n - 1)
         # Snap dy down onto the lattice of a*dx when that costs less than
-        # one y-step of the box's height.
-        ratio = _lattice_ratio(av, dx, dy, (n - 2) / (n - 1))
+        # one y-step of the box's height.  Rounding the edges c +- w/2 can
+        # leave dy/(a*dx) just below l/m, out of the kernel's reach: then
+        # round dx down onto the lattice instead.
+        ratio = _lattice_ratio(av, dx, dy, (n - 2) / (n - 1), _SNAP_REACH)
         if ratio is not None:
             m, l = ratio
-            dy = min(dy, l * (av * dx / m))
+            step = l * (av * dx / m)
+            if step <= dy:
+                dy = step
+            elif _lattice_ratio(av, dx, dy, 1.0 - _RATIO_TOL) is None:
+                dx = _fit_step(bx0, bx1, n, m * (dy / l) / av)
         dy = _fit_step(by0, by1, n, dy)
         raw, bi, bj = scan_block(
             av, p.mu, p.sigma, p.alpha, bx0, dx, by0, dy, 0, n, 0, n

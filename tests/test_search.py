@@ -366,10 +366,14 @@ def test_violation_window_scan_runs_on_the_lattice(monkeypatch):
     of its scan runs on the lattice, level 0 with ``dy/(a*dx) = k/a``, at
     orders 1 to 3.  With ``alpha = sigma``, as for the flagship, the
     refined boxes are not clipped or stay on a lattice when they are (a
-    clipped level changes its aspect ratio and may leave the lattice)."""
+    clipped level changes its aspect ratio and may leave the lattice).
+    The last triple's level-2 box is not clipped, but the rounding of its
+    edges leaves ``dy/(a*dx)`` about 1e-13 below ``k/a``."""
     calls = _record_levels(monkeypatch)
-    for sigma in (0.05, 0.03, 0.0731, 0.15):
-        p = Params(mu=1.2, sigma=sigma, alpha=sigma)
+    triples = [(1.2, sigma, sigma) for sigma in (0.05, 0.03, 0.0731, 0.15)]
+    triples.append((4.430756707065987, 0.03738979789817797, 0.10535597392288625))
+    for mu, sigma, alpha in triples:
+        p = Params(mu=mu, sigma=sigma, alpha=alpha)
         cfg = violation_scan_config(p)
         k = math.ceil(200.0 * sigma * 401 / 400)
         for a in (1, 2, 3):
