@@ -32,12 +32,12 @@ base profile's gap in the mixed region), and the constant
 ``C = lambda(1/2) = log(9/8)``.
 
 Each formula (``g``, ``h``, ``f``, ``phi``, ``lambda``, ``psi``, ``f'``,
-``h'``, ``h''`` and the gap) is one private expression tree over a
-numeric namespace, and one tree serves all three: ``math`` for the public
-float64 functions, ``numpy`` for the scan kernel in :mod:`subadd.search`,
-and ``mpmath`` for :class:`HighPrecision`.  The public functions and the
-high-precision methods share their validation as well, so they accept and
-reject exactly the same arguments.
+``h'``, ``h''``, ``g''``, ``f''`` and the gap) is one private expression
+tree over a numeric namespace, and one tree serves all three: ``math``
+for the public float64 functions and the polish in :mod:`subadd.search`,
+``numpy`` for its scan kernel, and ``mpmath`` for :class:`HighPrecision`.
+The public functions and the high-precision methods share their
+validation as well, so they accept and reject exactly the same arguments.
 
 :class:`HighPrecision` evaluates in arbitrary-precision arithmetic (128
 bits minimum).  Parameters are binary64 by design: the high-precision path
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NoReturn, Optional, Union
+from typing import Optional, Union
 
 import mpmath
 
@@ -294,6 +294,14 @@ def _h_second(lib, x, mu, sigma):
     return _phi(lib, abs(abs(x) - mu) / sigma) / (sigma * sigma)
 
 
+def _g_second(lib, r):
+    return -1.0 / ((1.0 + r) * (1.0 + r))
+
+
+def _f_second(lib, r, mu, sigma, alpha):
+    return _g_second(lib, r) + alpha * _h_second(lib, r, mu, sigma)
+
+
 def _evaluator(lib, fn: str, mu=None, sigma=None, alpha=None):
     """The unary ``w(t)`` of a handle in :data:`GAP_FUNCTION_HANDLES`;
     ``h(0)`` is computed once, here."""
@@ -307,14 +315,8 @@ def _evaluator(lib, fn: str, mu=None, sigma=None, alpha=None):
     return lambda t: _h(lib, abs(t), mu, sigma) - h0
 
 
-def _combine(awx, wy, ws):
-    """The gap from its three terms ``a*w(x)``, ``w(y)`` and ``w(a*x + y)``,
-    written once so that the full gap and the line probes round alike."""
-    return (awx + wy) - ws
-
-
 def _gap(a, w, x, y):
-    return _combine(a * w(x), w(y), w(a * x + y))
+    return (a * w(x) + w(y)) - w(a * x + y)
 
 
 def _phi_float64(value: float) -> float:
@@ -409,50 +411,8 @@ def gap(a: OrderLike, fn: str, x: float, y: float, p: Optional[Params] = None) -
     """
     av, x, y, q = _require_gap_args(a, fn, x, y, p)
     if not math.isfinite(av * x + y):
-        _refuse_gap_point(av, x, y)
+        raise InputError(f"a*x + y overflowed for a={av}, x={x}, y={y}")
     return _gap(av, _evaluator(math, fn, *q), x, y)
-
-
-def _refuse_gap_point(a: float, x: float, y: float) -> NoReturn:
-    """Raise what :func:`gap` raises at a point whose ``a*x + y`` is not
-    finite: a non-finite ``x``, else a non-finite ``y``, else the
-    overflow."""
-    _require_finite(x, "x")
-    _require_finite(y, "y")
-    raise InputError(f"a*x + y overflowed for a={a}, x={x}, y={y}")
-
-
-# Line probes for the polish in subadd.search.  ``a`` is a validated order
-# and ``w`` a float64 evaluator from ``_evaluator(math, ...)``, so a probe
-# checks only its point.  Its value equals gap() at that point bit for
-# bit, and it raises what gap() raises there.
-
-
-def _x_line_gap(a: float, w, y: float):
-    """``t -> gap`` at ``(t, y)``, with ``w(y)`` computed once."""
-    wy = w(y)
-
-    def probe(t):
-        s = a * t + y
-        if not math.isfinite(s):
-            _refuse_gap_point(a, t, y)
-        return _combine(a * w(t), wy, w(s))
-
-    return probe
-
-
-def _y_line_gap(a: float, w, x: float):
-    """``t -> gap`` at ``(x, t)``, with ``a*w(x)`` and ``a*x`` computed
-    once."""
-    awx, ax = a * w(x), a * x
-
-    def probe(t):
-        s = ax + t
-        if not math.isfinite(s):
-            _refuse_gap_point(a, x, t)
-        return _combine(awx, w(t), w(s))
-
-    return probe
 
 
 def classify_region(x: float, y: float) -> RegionFlags:

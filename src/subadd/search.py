@@ -26,17 +26,31 @@ Pipeline:
    orders 1, 2, 2.5 and 3 needs no snapping (``l/m`` = 1, 1/2, 2/5,
    1/3).
 
-2. **Line-search polish** (inside :func:`find_violation`): golden-section
-   descent along alternating coordinate lines (5 sweeps, brackets one
-   original grid step wide, clipped to the box), tracking the best probed
-   point.  Each line search stops at the first bracket state it has seen
-   before, at most 200 iterations: from there on it would only repeat
-   probes, so the result is the one 200 iterations give.  On the
-   flagship a line takes about 70 probes.  The order and parameters are
-   validated once per search, and each line's fixed term (``w(y)`` on an
-   x-line, ``a*w(x)`` and ``a*x`` on a y-line) is evaluated once, so a
-   probe checks its point and evaluates ``f`` twice; its value equals
-   :func:`subadd.analytic_core.gap` at that point bit for bit.
+2. **Newton polish** (inside :func:`find_violation`): projected Newton
+   descent on the float64 gap ``G(x, y) = a*f(x) + f(y) - f(s)``,
+   ``s = a*x + y``, from the scan's argmin and inside the scan box.  The
+   gradient ``(a*(f'(x) - f'(s)), f'(y) - f'(s))`` and the Hessian
+   ``[[a*f''(x) - a**2*f''(s), -a*f''(s)], [-a*f''(s), f''(y) - f''(s)]]``
+   come from the ``f'`` and ``f''`` trees of
+   :mod:`subadd.analytic_core` (``f'`` is odd, ``f''`` even).
+
+   - A coordinate on a box edge that the gradient pushes outward is
+     held, and the step is the 1-D Newton step in the other coordinate.
+     Steps are clipped to the box.
+   - A step is taken only if it lowers the float64 gap; otherwise it is
+     halved, at most 30 times.
+   - Once the model's gain over the step is below the gap's rounding
+     noise (``2**-48 * |f(s)|`` at the start), float64 gap differences are noise: the
+     step is taken if the model says it descends and the gap stays at
+     most the scan's, and the polish ends.
+   - The polish keeps the scan's point when ``sigma**2`` is 0 (``f'``
+     and ``f''`` divide by it).  It also ends, keeping its point, at the
+     kink (``x``, ``y`` or ``s`` exactly 0), at a non-finite derivative
+     (as when ``sigma**2`` is subnormal), where the Hessian on the free coordinates
+     is not positive definite or none is free, and after 20 steps.
+
+   On the ``atlas-sweep`` pools every polish takes two steps: twelve
+   derivative and two gap evaluations.
 
 3. **High-precision confirmation**: the candidate's margin ``-gap`` is
    recomputed by :func:`verify_point` with
@@ -111,9 +125,10 @@ from .analytic_core import (
     Point,
     _as_float,
     _evaluator,
+    _f_prime,
+    _f_second,
+    _gap,
     _require_params,
-    _x_line_gap,
-    _y_line_gap,
     gap,
     order_value,
 )
@@ -161,10 +176,14 @@ __all__ = [
     "TABLE_ALPHA",
 ]
 
-#: Golden-section constants.
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GSS_ITERS = 200
-_GSS_SWEEPS = 5
+#: Most Newton steps per polish.  On the atlas-sweep pools every polish
+#: takes two: one from the scan's node, then one trusted to the model.
+_NEWTON_STEPS = 20
+#: Most halvings of one Newton step before the polish keeps its point.
+_NEWTON_HALVINGS = 30
+#: Relative float64 rounding of a gap value, taken as ``2**-48`` of
+#: ``|f(a*x + y)|``: a predicted gain below it is noise to the gap.
+_GAP_NOISE = 2.0**-48
 
 #: Defaults for the violation search.
 _DEFAULT_GRID_N = 401
@@ -503,49 +522,68 @@ def violation_scan_config(
     )
 
 
-def _golden_line_min(fun, lo: float, hi: float, iters: int):
-    """Golden-section minimisation on ``[lo, hi]``; returns the best
-    probed ``(value, t)`` including the endpoints.  Fully deterministic:
-    ties shrink toward the left, and the loop runs ``iters`` iterations
-    or stops at the first state ``(lo, hi, c, d)`` seen before.
+def _newton_polish(a: float, p: Params, box, x: float, y: float, v: float):
+    """Projected Newton descent on the float64 gap from ``(x, y)``, where
+    it is ``v``; returns the final point, inside ``box``.  See step 2 of
+    the module docstring."""
+    mu, sigma, alpha = p.mu, p.sigma, p.alpha
+    if sigma * sigma == 0.0:  # f' and f'' divide by it
+        return x, y
+    w = _evaluator(math, "f", mu, sigma, alpha)
+    x_lo, x_hi, y_lo, y_hi = box
+    start, floor = v, _GAP_NOISE * abs(w(a * x + y))
 
-    The state fixes every later probe, so from a repeated state on the
-    loop only revisits points already compared; with strict ``<`` the
-    result is the one ``iters`` iterations give.  Once the bracket is
-    below one ulp the state cycles with period 2 (``c`` and ``d`` swap
-    between two adjacent floats), which is why earlier states, not just
-    the previous one, are checked."""
-    best_t = lo
-    best_v = fun(lo)
-    v_hi = fun(hi)
-    if v_hi < best_v:
-        best_v, best_t = v_hi, hi
-    span = hi - lo
-    c = hi - INV_PHI * span
-    d = lo + INV_PHI * span
-    fc = fun(c)
-    fd = fun(d)
-    seen = set()
-    for _ in range(iters):
-        state = (lo, hi, c, d)
-        if state in seen:
+    def f1(t):  # f' is odd
+        return math.copysign(_f_prime(math, abs(t), mu, sigma, alpha), t)
+
+    def f2(t):  # f'' is even
+        return _f_second(math, abs(t), mu, sigma, alpha)
+
+    def into_box(dx, dy):
+        return min(max(x + dx, x_lo), x_hi), min(max(y + dy, y_lo), y_hi)
+
+    for _ in range(_NEWTON_STEPS):
+        s = a * x + y
+        if x == 0.0 or y == 0.0 or s == 0.0:  # the kink of f
             break
-        seen.add(state)
-        if fc < best_v:
-            best_v, best_t = fc, c
-        if fd < best_v:
-            best_v, best_t = fd, d
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            span = hi - lo
-            c = hi - INV_PHI * span
-            fc = fun(c)
+        f1s, f2s = f1(s), f2(s)
+        gx, gy = a * (f1(x) - f1s), f1(y) - f1s
+        hxx, hxy, hyy = a * f2(x) - a * a * f2s, -a * f2s, f2(y) - f2s
+        if not all(map(math.isfinite, (gx, gy, hxx, hxy, hyy))):
+            break
+        # A coordinate on an edge that the gradient pushes outward stays.
+        free_x = not (x <= x_lo and gx > 0.0 or x >= x_hi and gx < 0.0)
+        free_y = not (y <= y_lo and gy > 0.0 or y >= y_hi and gy < 0.0)
+        det = hxx * hyy - hxy * hxy
+        if free_x and free_y and hxx > 0.0 and det > 0.0:
+            dx, dy = (hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det
+        elif free_x and not free_y and hxx > 0.0:
+            dx, dy = -gx / hxx, 0.0
+        elif free_y and not free_x and hyy > 0.0:
+            dx, dy = 0.0, -gy / hyy
+        else:  # no free coordinate, or the Hessian is not positive definite
+            break
+        if -0.5 * (gx * dx + gy * dy) <= floor:
+            # The model's gain is below the gap's rounding noise: take the
+            # step if the model says it descends, and stop.
+            nx, ny = into_box(dx, dy)
+            ex, ey = nx - x, ny - y
+            gain = -(gx * ex + gy * ey) - 0.5 * (
+                hxx * ex * ex + 2.0 * hxy * ex * ey + hyy * ey * ey
+            )
+            if gain > 0.0 and _gap(a, w, nx, ny) <= start:
+                x, y = nx, ny
+            break
+        for _ in range(_NEWTON_HALVINGS):
+            nx, ny = into_box(dx, dy)
+            nv = _gap(a, w, nx, ny)
+            if nv < v:
+                x, y, v = nx, ny, nv
+                break
+            dx, dy = dx / 2.0, dy / 2.0
         else:
-            lo, c, fc = c, d, fd
-            span = hi - lo
-            d = lo + INV_PHI * span
-            fd = fun(d)
-    return best_v, best_t
+            break
+    return x, y
 
 
 def find_violation(
@@ -558,8 +596,9 @@ def find_violation(
     function.
 
     Scans ``cfg`` (default: :func:`violation_scan_config`), polishes any
-    candidate below ``-cfg.tolerance`` with coordinate-wise golden-section
-    descent, and confirms the final point in high precision.  Returns
+    candidate below ``-cfg.tolerance`` with projected Newton steps on the
+    gap's analytic gradient and Hessian, and confirms the final point in
+    high precision.  Returns
     ``None`` when no candidate emerges or when confirmation fails; a
     returned :class:`Violation` always carries a strictly positive
     high-precision margin.
@@ -575,24 +614,9 @@ def find_violation(
     if not report.min_gap < -cfg.tolerance:
         return None
 
-    x_lo, x_hi, y_lo, y_hi = cfg.box
-    rx = (x_hi - x_lo) / (cfg.grid_n - 1)
-    ry = (y_hi - y_lo) / (cfg.grid_n - 1)
-    bx, by = report.argmin.x, report.argmin.y
-    best_v = report.min_gap
-    w = _evaluator(math, "f", p.mu, p.sigma, p.alpha)
-    for _ in range(_GSS_SWEEPS):
-        lo = max(x_lo, bx - rx)
-        hi = min(x_hi, bx + rx)
-        v, t_best = _golden_line_min(_x_line_gap(av, w, by), lo, hi, _GSS_ITERS)
-        if v < best_v:
-            best_v, bx = v, t_best
-        lo = max(y_lo, by - ry)
-        hi = min(y_hi, by + ry)
-        v, t_best = _golden_line_min(_y_line_gap(av, w, bx), lo, hi, _GSS_ITERS)
-        if v < best_v:
-            best_v, by = v, t_best
-
+    bx, by = _newton_polish(
+        av, p, cfg.box, report.argmin.x, report.argmin.y, report.min_gap
+    )
     margin = verify_point(av, p, bx, by, prec_bits)
     if not margin > 0:
         return None

@@ -39,6 +39,9 @@ from typing import Optional, Sequence, Tuple
 from .analytic_core import (
     Params,
     _evaluator,
+    _f_second,
+    _float64_sigma,
+    _g_second,
     _require_finite,
     _require_params,
     eval_f,
@@ -98,17 +101,19 @@ def _r_and_r2(fn: str, p: Optional[Params]):
         raise InputError(
             f"unknown function handle {fn!r}; expected one of {_ROLLE_HANDLES}"
         )
-
-    def g2(s: float) -> float:
-        return -1.0 / ((1.0 + s) * (1.0 + s))
-
     if fn == "g":
-        return _evaluator(math, "g"), g2
+        return _evaluator(math, "g"), (lambda s: _g_second(math, s))
     p = _require_params(p)
     r = _evaluator(math, fn, p.mu, p.sigma, p.alpha)
     if fn == "h":
         return r, (lambda s: h_second(s, p))
-    return r, (lambda s: g2(s) + p.alpha * h_second(s, p))
+
+    def f2(s: float) -> float:
+        value = _f_second(math, s, p.mu, _float64_sigma(p, "h_second"), p.alpha)
+        # NaN exactly where h''(s) is, which h_second reads as +0.0.
+        return _g_second(math, s) if math.isnan(value) else value
+
+    return r, f2
 
 
 def rolle_probe(fn: str, t: float, p: Optional[Params] = None) -> float:

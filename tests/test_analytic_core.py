@@ -15,6 +15,7 @@ import pytest
 
 import _frozen
 from conftest import ulps_apart
+from subadd import analytic_core
 from subadd.analytic_core import (
     GAP_FUNCTION_HANDLES,
     HighPrecision,
@@ -91,6 +92,19 @@ def test_f_prime_at_one_matches_frozen(cert_params):
 def test_h_second_at_one_matches_frozen(cert_params):
     v = h_second(1.0, cert_params)
     assert abs(v / float(_frozen.as_mpf(_frozen.H_SECOND_AT_1_CERT)) - 1.0) < 1e-12
+
+
+def test_f_second_matches_frozen_in_float64_and_high_precision(cert_params):
+    """The ``f''`` tree at the frozen point ``t = 1``:
+    ``g''(1) + alpha*h''(1) = -1/4 + alpha*h''(1)``, to 1e-12 relative in
+    float64 and to 1e-24 at 128 bits."""
+    p = cert_params
+    with mpmath.workprec(200):
+        want = -mpmath.mpf(1) / 4 + p.alpha * _frozen.as_mpf(_frozen.H_SECOND_AT_1_CERT)
+    fl = analytic_core._f_second(math, 1.0, p.mu, p.sigma, p.alpha)
+    assert abs(fl / float(want) - 1.0) < 1e-12
+    hp = HighPrecision(128)._run(analytic_core._f_second, 1.0, p.mu, p.sigma, p.alpha)
+    assert abs(hp - want) < 1e-24
 
 
 def test_h_prime_bounded_by_closed_form(cert_params):

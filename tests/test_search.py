@@ -1,4 +1,4 @@
-"""Deterministic grid scanning, golden-section refinement, high-precision
+"""Deterministic grid scanning, the Newton polish, high-precision
 confirmation, and the stored-table reproduction.
 
 The last test cross-checks the certificate against the violation finder
@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import _frozen
-from subadd import analytic_core, search
-from subadd.analytic_core import HighPrecision, Order, Params, Point, gap
+from subadd import search
+from subadd.analytic_core import HighPrecision, Order, Params, Point, f_prime, gap
 from subadd.certificate import Verdict, certify_S2
 from subadd.errors import InputError
 from subadd.search import (
@@ -468,74 +468,12 @@ def test_violation_soundness(cert_params):
         assert verify_point(a, cert_params, v.point.x, v.point.y) == v.margin
 
 
-def _golden_fixed_count(fun, lo, hi, iters=200):
-    """The golden-section loop with no early exit: ``iters`` iterations."""
-    best_t, best_v = lo, fun(lo)
-    v_hi = fun(hi)
-    if v_hi < best_v:
-        best_v, best_t = v_hi, hi
-    c = hi - search.INV_PHI * (hi - lo)
-    d = lo + search.INV_PHI * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < best_v:
-            best_v, best_t = fc, c
-        if fd < best_v:
-            best_v, best_t = fd, d
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - search.INV_PHI * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + search.INV_PHI * (hi - lo)
-            fd = fun(d)
-    return best_v, best_t
-
-
-def _golden_lines(cert_params):
-    """(name, function, lo, hi): the flagship's order-2 x- and y-lines
-    through the frozen point hint, one window step either side, and
-    seeded smooth and flat functions."""
-    p = cert_params
-    hx, hy = _frozen.VIOLATION_POINT_HINTS[2]
-    x_lo, x_hi, y_lo, y_hi = violation_scan_config(p).box
-    rx, ry = (x_hi - x_lo) / 400, (y_hi - y_lo) / 400
-    rng = random.Random(8)
-    c1, c2, w = rng.uniform(0.2, 0.8), rng.uniform(-3.0, 3.0), rng.uniform(1.0, 9.0)
-    return [
-        ("flagship-x", lambda t: gap(2, "f", t, hy, p), hx - rx, hx + rx),
-        ("flagship-y", lambda t: gap(2, "f", hx, t, p), hy - ry, hy + ry),
-        ("quadratic", lambda t: (t - c1) ** 2 - 1.0, 0.0, 1.0),
-        ("cosine", lambda t: math.cos(w * t) + 0.1 * t, c2 - 1.0, c2 + 1.0),
-        ("flat", lambda t: 0.25, rng.uniform(-1.0, 0.0), rng.uniform(1.0, 2.0)),
-    ]
-
-
-@pytest.mark.parametrize("case", range(5))
-def test_golden_line_min_stops_at_its_fixed_point(cert_params, case):
-    """Stopping at the first repeated state returns the same ``(value,
-    t)`` as 200 iterations, and on the flagship's lines it does so in at
-    most 80 probes instead of 204."""
-    name, fun, lo, hi = _golden_lines(cert_params)[case]
-    probes = []
-
-    def counted(t):
-        probes.append(t)
-        return fun(t)
-
-    got = search._golden_line_min(counted, lo, hi, search._GSS_ITERS)
-    assert got == _golden_fixed_count(fun, lo, hi)
-    if name.startswith("flagship"):
-        assert len(probes) <= 80
-
-
 def test_search_reaches_layers_through_module_attributes(monkeypatch, cert_params):
     """find_violation and verify_point look up search.scan_block, search.gap
     and search.HighPrecision when called, so rebinding those attributes
     (as the traced benchmark run does) sees every call.  search.gap runs
     once per search, the scan's re-evaluation at its argmin: the polish
-    probes its lines through analytic_core's line gaps, validated once."""
+    evaluates the gap through analytic_core's unvalidated tree."""
     calls = {"scan_block": 0, "HighPrecision": 0, "hp_gap": 0}
     probes = []  # (x, y) of every search.gap call
     real_block, real_gap, real_hp = search.scan_block, search.gap, search.HighPrecision
@@ -579,71 +517,24 @@ _ANCHORS = [Params(_frozen.CERT_MU, _frozen.CERT_SIGMA, _frozen.CERT_ALPHA)] + [
 ]
 
 
-def _outcome(call):
-    """``("value", v)`` or ``("raises", type, message)`` of ``call()``."""
-    try:
-        return ("value", call())
-    except Exception as exc:
-        return ("raises", type(exc), str(exc))
-
-
-@pytest.mark.parametrize("anchor", range(len(_ANCHORS)))
-def test_line_probes_equal_gap_bitwise(anchor):
-    """The polish's line probes return gap() bit for bit on both axes of
-    each polish line (about 50 seeded points in its bracket and the
-    bracket's ends) and raise what gap() raises."""
-    p = _ANCHORS[anchor]
-    w = analytic_core._evaluator(math, "f", p.mu, p.sigma, p.alpha)
-    cfg = violation_scan_config(p)
-    x_lo, x_hi, y_lo, y_hi = cfg.box
-    rx = (x_hi - x_lo) / (cfg.grid_n - 1)
-    ry = (y_hi - y_lo) / (cfg.grid_n - 1)
-    rng = random.Random(anchor)
-    big = sys.float_info.max
-    for a in (1.0, 2.0, 2.5, 3.0):
-        argmin = scan_gap_min(a, p, cfg).argmin
-        bx, by = argmin.x, argmin.y
-        on_x = analytic_core._x_line_gap(a, w, by)
-        on_y = analytic_core._y_line_gap(a, w, bx)
-        lines = (
-            (on_x, lambda t: gap(a, "f", t, by, p), max(x_lo, bx - rx), min(x_hi, bx + rx)),
-            (on_y, lambda t: gap(a, "f", bx, t, p), max(y_lo, by - ry), min(y_hi, by + ry)),
-        )
-        for probe, ref, lo, hi in lines:
-            for t in [lo, hi] + [rng.uniform(lo, hi) for _ in range(50)]:
-                assert probe(t) == ref(t), (a, t)
-            for t in (math.inf, -math.inf, math.nan, big):
-                got, want = _outcome(lambda: probe(t)), _outcome(lambda: ref(t))
-                assert got[0] == "raises" or t == big
-                assert repr(got) == repr(want), (a, t)
-        # a non-finite fixed coordinate, and an a*x + y that overflows
-        for x, y in ((bx, math.inf), (math.inf, by), (math.nan, math.inf), (big, big)):
-            for got in (
-                _outcome(lambda: analytic_core._x_line_gap(a, w, y)(x)),
-                _outcome(lambda: analytic_core._y_line_gap(a, w, x)(y)),
-            ):
-                assert got == _outcome(lambda: gap(a, "f", x, y, p)), (a, x, y)
-                assert got[0] == "raises"
-
-
 #: ``(point.x, point.y, margin)`` of ``find_violation(order, anchor)`` at
 #: the default window, or ``None``, keyed by ``(anchor, order)``.
 _PINNED_VIOLATIONS = {
-    (0, 1): (0.05160405219310332, 1.1351598326485222, 0.010877777713906906),
-    (0, 2): (0.02469477412336194, 1.136589879761791, 0.01027141693728068),
-    (0, 3): (0.016221589724470836, 1.137053788790252, 0.010076468355125155),
-    (1, 1): (0.0766697555347837, 1.4176559309268608, 0.06580353939857991),
-    (1, 2): (0.03751558598354282, 1.418906078905579, 0.06446779419610198),
-    (1, 3): (0.024829026403818295, 1.419317932819285, 0.06402070671782485),
-    (2, 1): (0.1, 1.8724261873407795, 0.02493632447847704),
-    (2, 2): (0.048867297036361536, 1.8738793279452517, 0.022681961173862297),
-    (2, 3): (0.031781471478951266, 1.8754019275234868, 0.021945173550544123),
-    (3, 1): (0.09635164990909817, 2.374868603110146, 0.019974623448226567),
-    (3, 2): (0.0447447942215923, 2.379189513853472, 0.018003186445635706),
-    (3, 3): (0.029078120797529694, 2.380591139842311, 0.01738325071361227),
-    (4, 1): (0.0898206919884328, 2.879048928303744, 0.01650861656218979),
-    (4, 2): (0.041605374529206776, 2.8831334293826285, 0.014789464861551187),
-    (4, 3): (0.02701288841541967, 2.884459395358862, 0.014252170819263287),
+    (0, 1): (0.051602222166900906, 1.1351610201996363, 0.010877777731301972),
+    (0, 2): (0.024693601075866576, 1.1365913836096029, 0.010271416966923502),
+    (0, 3): (0.016221001773830793, 1.1370549176137776, 0.010076468372080299),
+    (1, 1): (0.07666719970349982, 1.4176578942559732, 0.06580353946471455),
+    (1, 2): (0.037517103187944545, 1.4189037781911646, 0.06446779429436142),
+    (1, 3): (0.024829949389695637, 1.4193158418828125, 0.06402070680106853),
+    (2, 1): (0.1, 1.872426187687866, 0.02493632447847704),
+    (2, 2): (0.048869010821579864, 1.8738771376541614, 0.02268196121006157),
+    (2, 3): (0.031782274192660546, 1.8754003989558823, 0.021945173568736893),
+    (3, 1): (0.09635679727569842, 2.374865327536398, 0.019974623524852634),
+    (3, 2): (0.04474431384759178, 2.379190110316581, 0.018003186448421592),
+    (3, 3): (0.029078560650361362, 2.380590327344188, 0.01738325071894511),
+    (4, 1): (0.08981595080704682, 2.8790518877461353, 0.016508616625898382),
+    (4, 2): (0.04160346517730511, 2.8831357730622664, 0.014789464904362233),
+    (4, 3): (0.027013689912617638, 2.884457938513424, 0.014252170836448764),
     (5, 1): None,
     (5, 2): None,
     (5, 3): None,
@@ -653,7 +544,8 @@ _PINNED_VIOLATIONS = {
 @pytest.mark.parametrize("case", sorted(_PINNED_VIOLATIONS))
 def test_find_violation_pinned_bits(case):
     """The search's output on the six anchors, bit for bit: a faster scan
-    or polish must not move a single bit of a finding."""
+    or polish must not move a single bit of a finding, and a change that
+    does move one re-captures these values on purpose."""
     anchor, order = case
     p = _ANCHORS[anchor]
     pinned = _PINNED_VIOLATIONS[case]
@@ -662,6 +554,63 @@ def test_find_violation_pinned_bits(case):
         x, y, margin = pinned
         want = Violation(order=Order(order), params=p, point=Point(x, y), margin=margin)
     assert repr(find_violation(order, p)) == repr(want)
+
+
+@pytest.mark.parametrize("box", [None, FULL_BOX, (-0.1, 0.1, -3.0, 3.0)])
+def test_newton_polish_stays_in_the_box_and_keeps_the_gap(monkeypatch, box):
+    """For the six anchors at orders 1 to 3, the polished point handed to
+    confirmation lies in the scan box, and its float64 gap is at most the
+    scan argmin's.  ``None`` is the default window; ``FULL_BOX`` straddles
+    the kink of ``f`` at 0."""
+    polished = []
+    confirm = search.verify_point
+
+    def spy(a, p, x, y, prec_bits):
+        polished.append((x, y))
+        return confirm(a, p, x, y, prec_bits)
+
+    monkeypatch.setattr(search, "verify_point", spy)
+    for p in _ANCHORS:
+        cfg = violation_scan_config(p) if box is None else ScanConfig(box=box)
+        x_lo, x_hi, y_lo, y_hi = cfg.box
+        for a in (1, 2, 3):
+            polished.clear()
+            report = scan_gap_min(a, p, cfg)
+            find_violation(a, p, cfg)
+            if not report.min_gap < -cfg.tolerance:
+                assert not polished
+                continue
+            (x, y), = polished
+            assert x_lo <= x <= x_hi and y_lo <= y <= y_hi, (p, a)
+            assert gap(a, "f", x, y, p) <= report.min_gap, (p, a)
+
+
+def test_newton_polish_holds_the_window_edge():
+    """Anchor 2's order-1 optimum lies beyond the window's edge x = 0.1:
+    the polish ends on that edge, where the gradient still pushes
+    outward, with a margin at least the earlier golden-section polish's
+    0.02493632447847704."""
+    p = _ANCHORS[2]
+    v = find_violation(1, p)
+    assert v.point.x == violation_scan_config(p).box[1] == 0.1
+    assert f_prime(v.point.x, p) < f_prime(v.point.x + v.point.y, p)
+    assert v.margin >= 0.02493632447847704
+
+
+def test_newton_polish_keeps_its_point_where_derivatives_fail():
+    """At the kink (``x``, ``y`` or ``2x + y`` exactly 0) the polish keeps
+    its start.  With ``sigma**2`` subnormal its derivatives are not
+    finite, and with ``sigma**2 = 0`` they would divide by zero: the
+    search then confirms the scan's node, where ``2x + y = mu`` sits on
+    the bump."""
+    p = Params(1.2, 0.05, 0.05)
+    for x, y in ((0.0, 1.0), (0.5, 0.0), (0.5, -1.0)):
+        v = gap(2, "f", x, y, p)
+        assert search._newton_polish(2.0, p, FULL_BOX, x, y, v) == (x, y)
+    cfg = ScanConfig(box=(0.25, 0.35, 0.95, 1.05), grid_n=2)
+    for sigma in (1e-160, 1e-170):
+        v = find_violation(1, Params(1.2, sigma, 0.5), cfg)
+        assert v.point == Point(0.25, 0.95) and v.margin > 0.39
 
 
 def test_find_violation_none_when_bump_too_small():
