@@ -15,11 +15,10 @@ Pipeline:
    y-step rounded *down* onto the lattice of ``a*dx``: the largest
    ``dy <= (y1 - y0)/(n - 1)`` with ``dy/(a*dx) = l/m`` for integers
    ``m + l <= 64``, provided the top row of nodes stays within one
-   unsnapped y-step of ``y1``; otherwise the plain step.  When the plain
-   ``dy/(a*dx)`` lies below some ``l/m`` by more than the kernel's
-   ``2**-44`` but at most ``2**-30`` relative (as the rounding of a
-   refined box's edges can leave it), the
-   x-step is rounded down instead, to ``m*(dy/l)/a``.  Either step is
+   unsnapped y-step of ``y1``; otherwise the plain step.  Where rounding
+   a refined box's edges leaves ``dy/(a*dx)`` below ``l/m`` by between
+   ``2**-44`` and ``2**-30`` relative, ``dx`` is rounded down onto the
+   lattice instead, to ``m*(dy/l)/a``.  Either step is
    then shrunk by ulps until the last node ``x0 + (n-1)*dx`` (resp.
    ``y0 + (n-1)*dy``) lies inside the box, so every node of every level,
    clipped levels included, lies inside the rectangle.  The full box at
@@ -27,30 +26,20 @@ Pipeline:
    1/3).
 
 2. **Newton polish** (inside :func:`find_violation`): projected Newton
-   descent on the float64 gap ``G(x, y) = a*f(x) + f(y) - f(s)``,
-   ``s = a*x + y``, from the scan's argmin and inside the scan box.  The
-   gradient ``(a*(f'(x) - f'(s)), f'(y) - f'(s))`` and the Hessian
-   ``[[a*f''(x) - a**2*f''(s), -a*f''(s)], [-a*f''(s), f''(y) - f''(s)]]``
-   come from the ``f'`` and ``f''`` trees of
-   :mod:`subadd.analytic_core` (``f'`` is odd, ``f''`` even).
-
-   - A coordinate on a box edge that the gradient pushes outward is
-     held, and the step is the 1-D Newton step in the other coordinate.
-     Steps are clipped to the box.
-   - A step is taken only if it lowers the float64 gap; otherwise it is
-     halved, at most 30 times.
-   - Once the model's gain over the step is below the gap's rounding
-     noise (``2**-48 * |f(s)|`` at the start), float64 gap differences are noise: the
-     step is taken if the model says it descends and the gap stays at
-     most the scan's, and the polish ends.
-   - The polish keeps the scan's point when ``sigma**2`` is 0 (``f'``
-     and ``f''`` divide by it).  It also ends, keeping its point, at the
-     kink (``x``, ``y`` or ``s`` exactly 0), at a non-finite derivative
-     (as when ``sigma**2`` is subnormal), where the Hessian on the free coordinates
-     is not positive definite or none is free, and after 20 steps.
-
-   On the ``atlas-sweep`` pools every polish takes two steps: twelve
-   derivative and two gap evaluations.
+   descent on the float64 gap ``G = a*f(x) + f(y) - f(s)``, ``s = a*x +
+   y``, from the scan's argmin, with ``G_x = a*(f'(x) - f'(s))``,
+   ``G_y = f'(y) - f'(s)``, ``G_xx = a*f''(x) - a**2*f''(s)``, ``G_xy =
+   -a*f''(s)`` and ``G_yy = f''(y) - f''(s)`` from the ``f'`` and ``f''``
+   trees.  Steps are clipped to the box; a coordinate on an edge that the
+   gradient pushes outward is held while the other takes the 1-D step.
+   A step is taken only if it lowers the float64 gap, else halved (at
+   most 30 times); once the model's gain is below the gap's rounding
+   noise (``2**-48 * |f(s)|``), a last step is taken on the model alone
+   if it stays in the box and the gap at most the scan's.  The polish
+   keeps its point at the kink (``x``, ``y`` or ``s`` zero), at a
+   non-finite derivative, at a Hessian that is not positive definite and
+   when ``sigma**2`` is 0.  It takes at most 20 steps; on the
+   ``atlas-sweep`` pools, two.
 
 3. **High-precision confirmation**: the candidate's margin ``-gap`` is
    recomputed by :func:`verify_point` with
@@ -210,10 +199,9 @@ FULL_BOX = (-8.0, 8.0, -8.0, 8.0)
 _BLOCK_ROWS = 64
 #: Relative slack within which ``dy / (a*dx)`` counts as equal to ``l/m``.
 _RATIO_TOL = 2.0 ** -44
-#: How far below ``l/m``, relative, a level's ``dy / (a*dx)`` may lie for
-#: the scan to round ``dx`` down onto the lattice: well above the rounding
-#: of refined box edges (about 1e-13 at level 2), well below the 2.4e-4
-#: between two ratios with ``m + l <= 64``.
+#: How far below ``l/m`` a level's ``dy / (a*dx)`` may lie for ``dx`` to be
+#: rounded onto the lattice: above the rounding of refined box edges (1e-13
+#: at level 2), below the 2.4e-4 between two ratios with ``m + l <= 64``.
 _SNAP_REACH = 2.0 ** -30
 
 #: Stored reference rows: (mu, sigma, x_star, y_star, stored_margin), all
@@ -564,14 +552,10 @@ def _newton_polish(a: float, p: Params, box, x: float, y: float, v: float):
         else:  # no free coordinate, or the Hessian is not positive definite
             break
         if -0.5 * (gx * dx + gy * dy) <= floor:
-            # The model's gain is below the gap's rounding noise: take the
-            # step if the model says it descends, and stop.
+            # The model's gain is below the gap's rounding noise: trust the
+            # model for one last step if the box does not cut it, and stop.
             nx, ny = into_box(dx, dy)
-            ex, ey = nx - x, ny - y
-            gain = -(gx * ex + gy * ey) - 0.5 * (
-                hxx * ex * ex + 2.0 * hxy * ex * ey + hyy * ey * ey
-            )
-            if gain > 0.0 and _gap(a, w, nx, ny) <= start:
+            if (nx, ny) == (x + dx, y + dy) and _gap(a, w, nx, ny) <= start:
                 x, y = nx, ny
             break
         for _ in range(_NEWTON_HALVINGS):

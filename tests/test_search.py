@@ -598,15 +598,20 @@ def test_newton_polish_holds_the_window_edge():
 
 
 def test_newton_polish_keeps_its_point_where_derivatives_fail():
-    """At the kink (``x``, ``y`` or ``2x + y`` exactly 0) the polish keeps
-    its start.  With ``sigma**2`` subnormal its derivatives are not
-    finite, and with ``sigma**2 = 0`` they would divide by zero: the
-    search then confirms the scan's node, where ``2x + y = mu`` sits on
-    the bump."""
+    """At the kink (``x``, ``y`` or ``a*x + y`` exactly 0) the polish
+    keeps its start, from where one-sided derivatives would move it
+    (with ``x`` held on its edge, in the second case).  With ``sigma**2``
+    subnormal its derivatives are not finite, and with ``sigma**2 = 0``
+    they would divide by zero: the search then confirms the scan's node,
+    where ``x + y = mu`` sits on the bump."""
     p = Params(1.2, 0.05, 0.05)
-    for x, y in ((0.0, 1.0), (0.5, 0.0), (0.5, -1.0)):
-        v = gap(2, "f", x, y, p)
-        assert search._newton_polish(2.0, p, FULL_BOX, x, y, v) == (x, y)
+    for a, x, y, box in (
+        (1.0, -1.1, 1.1, FULL_BOX),
+        (2.0, -0.59, 0.0, (-0.59, 8.0, -8.0, 8.0)),
+        (2.0, 0.0, 1.0, FULL_BOX),
+    ):
+        v = gap(a, "f", x, y, p)
+        assert search._newton_polish(a, p, box, x, y, v) == (x, y)
     cfg = ScanConfig(box=(0.25, 0.35, 0.95, 1.05), grid_n=2)
     for sigma in (1e-160, 1e-170):
         v = find_violation(1, Params(1.2, sigma, 0.5), cfg)
