@@ -506,8 +506,7 @@ class HighPrecision:
         return self._run(_psi, _require_z(z, "psi", 1.0))
 
     def eval_C(self):
-        with mpmath.workprec(self.prec_bits):
-            return mpmath.log(mpmath.mpf(9) / 8)
+        return self._run(_lambda, 0.5)
 
     def gap(self, a: OrderLike, fn: str, x: float, y: float, p: Optional[Params] = None):
         av, x, y, q = _require_gap_args(a, fn, x, y, p)

@@ -32,22 +32,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
-from .analytic_core import Params, _require_params
-from .intervals import (
-    Interval,
-    Tristate,
-    certainly_le,
-    iadd,
-    idiv,
-    iexp,
-    ilog,
-    imul,
-    isq,
-    isqrt,
-    isub,
-)
+from .analytic_core import Params, _h, _lambda, _phi, _require_params
+from .intervals import Interval, Tristate, certainly_le, iexp, ilog1p, isqrt
 
 __all__ = [
     "Verdict",
@@ -69,9 +58,10 @@ CAVEAT = (
     "section before relying on them."
 )
 
-_ZERO = Interval.point(0.0)
-_ONE = Interval.point(1.0)
-_TWO = Interval.point(2.0)
+#: The interval namespace of the expression trees in ``analytic_core``, and
+#: the enclosure of ``C = lambda(1/2) = log(9/8)``.
+_I = SimpleNamespace(exp=iexp, log1p=ilog1p)
+_C = _lambda(_I, Interval.point(0.5))
 
 
 class Verdict(enum.Enum):
@@ -112,37 +102,13 @@ class CertificateReport:
     caveat: str = CAVEAT
 
 
-def _ipt(x: float) -> Interval:
-    return Interval.point(x)
-
-
-def _iC() -> Interval:
-    """Enclosure of C = log(9/8); 1.125 is exact in binary64."""
-    return ilog(_ipt(1.125))
-
-
-def _iphi(z: Interval) -> Interval:
-    """Enclosure of the even profile ``phi(z) = (4 z^2 - 2) exp(-z^2)``
-    over an interval that may contain negative values (evenness reduces to
-    ``|z|``)."""
-    if z.lo >= 0.0:
-        az = z
-    elif z.hi <= 0.0:
-        az = isub(_ZERO, z)
-    else:
-        az = Interval(0.0, max(-z.lo, z.hi))
-    zz = isq(az)
-    return imul(isub(imul(Interval.point(4.0), zz), _TWO), iexp(isub(_ZERO, zz)))
-
-
 def check_region_A(p: Params) -> ConditionResult:
     """Outer-region condition ``A_alpha``:
     ``alpha <= C / (1 + 2 exp(-(mu/sigma)^2))``."""
     p = _require_params(p)
-    q = idiv(_ipt(p.mu), _ipt(p.sigma))
-    damp = iexp(isub(_ZERO, isq(q)))
-    bound = idiv(_iC(), iadd(_ONE, imul(_TWO, damp)))
-    lhs = _ipt(p.alpha)
+    h0 = _h(_I, 0.0, Interval.point(p.mu), Interval.point(p.sigma))
+    bound = _C / (1.0 + 2.0 * h0)
+    lhs = Interval.point(p.alpha)
     return ConditionResult("A_alpha", lhs, bound, certainly_le(lhs, bound))
 
 
@@ -156,20 +122,15 @@ def check_region_B(p: Params) -> Tuple[ConditionResult, ConditionResult]:
     and verdict ``UNKNOWN``.
     """
     p = _require_params(p)
-    mu = _ipt(p.mu)
-    sigma = _ipt(p.sigma)
+    mu, sigma = Interval.point(p.mu), Interval.point(p.sigma)
 
-    lhs1 = iadd(_ONE, imul(sigma, isqrt(Interval.point(1.5))))
+    lhs1 = 1.0 + sigma * isqrt(Interval.point(1.5))
     cond1 = ConditionResult("B_mu", lhs1, mu, certainly_le(lhs1, mu))
 
-    z = idiv(isub(mu, _ONE), sigma)
-    phi = _iphi(z)
-    lhs2 = _ipt(p.alpha)
+    phi = _phi(_I, (mu - 1.0) / sigma)
+    lhs2 = Interval.point(p.alpha)
     if phi.lo > 0.0:
-        bound = idiv(
-            imul(Interval.point(17.0), isq(sigma)),
-            imul(Interval.point(54.0), phi),
-        )
+        bound = 17.0 * (sigma * sigma) / (54.0 * phi)
         cond2 = ConditionResult("B_alpha", lhs2, bound, certainly_le(lhs2, bound))
     else:
         cond2 = ConditionResult("B_alpha", lhs2, None, Tristate.UNKNOWN)
@@ -180,13 +141,13 @@ def check_region_C(p: Params) -> Tuple[ConditionResult, ConditionResult]:
     """Mixed-region conditions ``C_mu`` (``1/2 <= mu``) and ``C_alpha``
     (``alpha <= sigma sqrt(e/2)``)."""
     p = _require_params(p)
-    mu = _ipt(p.mu)
+    mu = Interval.point(p.mu)
 
     lhs1 = Interval.point(0.5)
     cond1 = ConditionResult("C_mu", lhs1, mu, certainly_le(lhs1, mu))
 
-    bound = imul(_ipt(p.sigma), isqrt(idiv(iexp(_ONE), _TWO)))
-    lhs2 = _ipt(p.alpha)
+    bound = Interval.point(p.sigma) * isqrt(iexp(Interval.point(1.0)) / 2.0)
+    lhs2 = Interval.point(p.alpha)
     cond2 = ConditionResult("C_alpha", lhs2, bound, certainly_le(lhs2, bound))
     return cond1, cond2
 

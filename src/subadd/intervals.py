@@ -38,6 +38,7 @@ __all__ = [
     "idiv",
     "iexp",
     "ilog",
+    "ilog1p",
     "isqrt",
     "isq",
     "certainly_le",
@@ -60,13 +61,17 @@ class Tristate(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
+def _lift(value: object) -> "Interval":
+    return value if isinstance(value, Interval) else Interval.point(value)
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed interval ``[lo, hi]`` with finite binary64 endpoints.
 
     Degenerate intervals (``lo == hi``) represent exactly known values.
-    Construction validates finiteness and ordering; the arithmetic
-    functions in this module are the intended way to derive new intervals.
+    Construction validates finiteness and ordering; the functions and
+    operators of this module are the intended way to derive new intervals.
     """
 
     lo: float
@@ -103,6 +108,33 @@ class Interval:
 
     def __repr__(self) -> str:  # compact, unambiguous
         return f"Interval({self.lo!r}, {self.hi!r})"
+
+    def __add__(self, other: object) -> "Interval":
+        return iadd(self, _lift(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object) -> "Interval":
+        return isub(self, _lift(other))
+
+    def __rsub__(self, other: object) -> "Interval":
+        return isub(_lift(other), self)
+
+    def __mul__(self, other: object) -> "Interval":
+        if other is self:
+            return isq(self)
+        return imul(self, _lift(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: object) -> "Interval":
+        return idiv(self, _lift(other))
+
+    def __rtruediv__(self, other: object) -> "Interval":
+        return idiv(_lift(other), self)
+
+    def __neg__(self) -> "Interval":
+        return Interval(-self.hi, -self.lo)
 
 
 def _down(x: float, steps: int) -> float:
@@ -169,6 +201,13 @@ def ilog(x: Interval) -> Interval:
     if x.lo <= 0.0:
         raise DomainError(f"log requires a strictly positive interval, got {x}")
     return _mk(_down(math.log(x.lo), _MAP_STEPS), _up(math.log(x.hi), _MAP_STEPS))
+
+
+def ilog1p(x: Interval) -> Interval:
+    """Interval ``log(1 + x)``; requires ``x.lo > -1``."""
+    if x.lo <= -1.0:
+        raise DomainError(f"log1p requires an interval above -1, got {x}")
+    return _mk(_down(math.log1p(x.lo), _MAP_STEPS), _up(math.log1p(x.hi), _MAP_STEPS))
 
 
 def isqrt(x: Interval) -> Interval:
