@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, InputError, RangeError, SingularityError
@@ -61,6 +62,18 @@ class Tristate(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
+def _endpoint(value: object) -> float:
+    """``value`` if a float, or an ``int`` (not ``bool``) converted exactly."""
+    # int == float and int <= float compare exactly.
+    if isinstance(value, float) or (
+        type(value) is int and abs(value) <= sys.float_info.max and float(value) == value
+    ):
+        return float(value)
+    # repr() refuses ints of more than 4300 digits.
+    got = f"an int of {value.bit_length()} bits" if type(value) is int else repr(value)
+    raise InputError(f"interval endpoints must be floats or ints equal to one, got {got}")
+
+
 def _lift(value: object) -> "Interval":
     return value if isinstance(value, Interval) else Interval.point(value)
 
@@ -79,17 +92,10 @@ class Interval:
 
     def __post_init__(self) -> None:
         lo, hi = self.lo, self.hi
-        if not (isinstance(lo, float) and isinstance(hi, float)):
-            # Permit ints for caller convenience, normalising to float.
-            if isinstance(lo, int) and isinstance(hi, int):
-                object.__setattr__(self, "lo", float(lo))
-                object.__setattr__(self, "hi", float(hi))
-                lo, hi = self.lo, self.hi
-            else:
-                raise InputError(
-                    f"interval endpoints must be real numbers, got "
-                    f"({lo!r}, {hi!r})"
-                )
+        if type(lo) is not float or type(hi) is not float:
+            lo, hi = _endpoint(lo), _endpoint(hi)
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise RangeError(f"interval endpoints must be finite, got [{lo}, {hi}]")
         if lo > hi:
@@ -97,8 +103,8 @@ class Interval:
 
     @classmethod
     def point(cls, x: float) -> "Interval":
-        """Degenerate interval containing exactly the float ``x``."""
-        return cls(float(x), float(x))
+        """Degenerate interval containing exactly the endpoint ``x``."""
+        return cls(x, x)
 
     def width(self) -> float:
         return self.hi - self.lo

@@ -10,6 +10,7 @@ import pytest
 
 import _frozen
 from subadd.errors import DomainError, InputError, RangeError, SingularityError
+from subadd.serialize import from_jsonable
 from subadd.intervals import (
     Interval,
     Tristate,
@@ -18,6 +19,7 @@ from subadd.intervals import (
     idiv,
     iexp,
     ilog,
+    ilog1p,
     imul,
     isq,
     isqrt,
@@ -38,9 +40,17 @@ def test_point_and_accessors():
 
 
 def test_int_endpoints_normalise_to_float():
-    iv = Interval(1, 2)
-    assert isinstance(iv.lo, float) and isinstance(iv.hi, float)
-    assert iv.lo == 1.0 and iv.hi == 2.0
+    big = 2**53 * 3  # an int above 2**53 that a float holds exactly
+    for args, lo, hi in (
+        ((1, 2), 1.0, 2.0),
+        ((1, 2.5), 1.0, 2.5),
+        ((-3.0, 4), -3.0, 4.0),
+        ((big, big), float(big), float(big)),
+    ):
+        iv = Interval(*args)
+        assert type(iv.lo) is float and type(iv.hi) is float
+        assert iv.lo == lo and iv.hi == hi
+    assert Interval.point(7) == Interval(7.0, 7.0)
 
 
 def test_reversed_endpoints_rejected():
@@ -56,8 +66,26 @@ def test_nonfinite_endpoints_rejected():
 
 
 def test_non_numeric_endpoints_rejected():
+    # Endpoints are floats, or ints a float equals: nothing is rounded or
+    # coerced on the way in, directly, through point(), or as an operand.
+    for args in (
+        ("0", 1.0),
+        (True, 2),
+        (0.0, False),
+        (2**53 + 1, 2**53 + 1),
+        (Fraction(1, 3), 1.0),
+        (10**400, 10**401),
+        (10**5000, 10**5000),
+    ):
+        with pytest.raises(InputError):
+            Interval(*args)
+    for value in (Fraction(1, 3), "0.5", True, 2**53 + 1):
+        with pytest.raises(InputError):
+            Interval.point(value)
+        with pytest.raises(InputError):
+            Interval(1.0, 2.0) + value
     with pytest.raises(InputError):
-        Interval("0", 1.0)
+        from_jsonable({"__kind__": "Interval", "lo": True, "hi": 2})
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +155,9 @@ def test_log_domain():
         ilog(Interval(0.0, 1.0))
     with pytest.raises(DomainError):
         ilog(Interval(-2.0, -1.0))
+    for bad in (Interval(-1.0, 0.5), Interval(-3.0, -2.0), Interval.point(-1.0)):
+        with pytest.raises(DomainError):
+            ilog1p(bad)
 
 
 def test_sqrt_contains_and_domain():
