@@ -2,6 +2,7 @@
 the three-valued comparison."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -225,10 +226,20 @@ def _rand_interval(rng, lo=-20.0, hi=20.0):
     return Interval(a, b)
 
 
+def _ends(v):
+    """The endpoints of an interval, or a float alone, as Fractions."""
+    if isinstance(v, Interval):
+        return Fraction(v.lo), Fraction(v.hi)
+    return (Fraction(v),)
+
+
 def test_containment_fuzz_arithmetic():
-    """70k random +, -, *, / cases: the exact rational result of every
-    endpoint/sample combination stays inside the returned interval."""
+    """70k random +, -, *, / cases, and 4,375 of each operator form
+    (``x op y``, ``x op c`` and ``c op x`` with a float ``c``, ``-x`` and
+    ``x * x``): the exact rational result of every endpoint/sample
+    combination stays inside the returned interval."""
     rng = random.Random(20260818)
+    ops_rng = random.Random(20260821)
     for k in range(17_500):
         x = _rand_interval(rng)
         y = _rand_interval(rng)
@@ -250,10 +261,31 @@ def test_containment_fuzz_arithmetic():
             out = idiv(x, y)
             assert Fraction(out.lo) <= fx / fy <= Fraction(out.hi)
 
+        if k % 4:
+            continue
+        c = ops_rng.uniform(-20.0, 20.0)
+        fc = Fraction(c)
+        cases = [(-x, -fx), (x * x, fx * fx)]
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for (left, fl), (right, fr) in (
+                ((x, fx), (y, fy)),
+                ((x, fx), (c, fc)),
+                ((c, fc), (x, fx)),
+            ):
+                ends = _ends(right)
+                if op is operator.truediv and min(ends) <= 0 <= max(ends):
+                    continue
+                cases.append((op(left, right), op(fl, fr)))
+        for out, exact in cases:
+            assert Fraction(out.lo) <= exact <= Fraction(out.hi)
+        assert x * x == isq(x)
+
 
 def test_containment_fuzz_elementary():
-    """30k random exp/log/sqrt/square cases against a 120-bit oracle."""
+    """37.5k random exp/log/log1p/sqrt/square cases against a 120-bit
+    oracle."""
     rng = random.Random(20260819)
+    rng2 = random.Random(20260822)
     with mpmath.workprec(120):
         for k in range(7_500):
             x = _rand_interval(rng, -40.0, 40.0)
@@ -274,11 +306,21 @@ def test_containment_fuzz_elementary():
             out = isqrt(pos)
             assert out.lo <= mpmath.sqrt(mpmath.mpf(tp)) <= out.hi
 
+            # log1p on (-1, 40], half of the cases reaching to within
+            # 2**-30 of -1, where log1p falls steeply.
+            lo = -1.0 + 2.0 ** -rng2.uniform(1.0, 30.0) if k % 2 else -0.5
+            above = _rand_interval(rng2, lo, 40.0)
+            ta = min(max(rng2.uniform(above.lo, above.hi), above.lo), above.hi)
+            out = ilog1p(above)
+            assert out.lo <= mpmath.log1p(mpmath.mpf(ta)) <= out.hi
+
 
 def test_widening_never_narrows():
-    """Output width is at least the exact image width for every operation."""
+    """Output width is at least the exact image width for every operation,
+    in function form, and in operator form for every other case."""
     rng = random.Random(20260820)
-    for _ in range(4000):
+    ops_rng = random.Random(20260823)
+    for k in range(4000):
         x = _rand_interval(rng, -10.0, 10.0)
         y = _rand_interval(rng, -10.0, 10.0)
 
@@ -300,3 +342,23 @@ def test_widening_never_narrows():
         out = isqrt(pos)
         assert out.hi >= math.sqrt(pos.hi) - 2 * math.ulp(out.hi)
         assert out.lo <= math.sqrt(pos.lo)
+
+        if k % 2:
+            continue
+        # Operator forms: + - * / (away from a zero divisor) are monotone
+        # in each operand, so endpoint results span the exact image.
+        c = ops_rng.uniform(-10.0, 10.0)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for left, right in ((x, y), (x, c), (c, x)):
+                lefts, rights = _ends(left), _ends(right)
+                if op is operator.truediv and min(rights) <= 0 <= max(rights):
+                    continue
+                out = op(left, right)
+                cands = [op(a, b) for a in lefts for b in rights]
+                assert Fraction(out.lo) <= min(cands) and Fraction(out.hi) >= max(cands)
+        out = -x
+        assert (out.lo, out.hi) == (-x.hi, -x.lo)
+        out = x * x
+        squares = [t * t for t in _ends(x)]
+        low = 0 if x.lo <= 0.0 <= x.hi else min(squares)
+        assert Fraction(out.lo) <= low and Fraction(out.hi) >= max(squares)
