@@ -10,11 +10,14 @@ faithful to their published statements.
 
 import math
 import random
+import sys
 
+import mpmath
 import pytest
 
 import _frozen
 from subadd.analytic_core import Params, classify_region
+from subadd.errors import RangeError
 from subadd.certificate import (
     CAVEAT,
     CertificateReport,
@@ -190,6 +193,99 @@ def test_alpha_monotonicity():
             v_hi = next(c.verdict for c in rep_hi.conditions if c.name == name)
             v_lo = next(c.verdict for c in rep_lo.conditions if c.name == name)
             assert rank[v_lo] >= rank[v_hi]
+
+
+# ---------------------------------------------------------------------------
+# an independent 200-bit reference for the four bounds
+# ---------------------------------------------------------------------------
+
+
+def _reference_bounds(mu, sigma):
+    """``({condition name: bound}, phi((mu - 1)/sigma))`` at 200 bits,
+    written out here rather than run through the package's expression
+    trees.  The ``B_mu`` entry is its left-hand side, and the ``B_alpha``
+    bound is ``None`` where ``phi <= 0``."""
+    with mpmath.workprec(200):
+        mu, sigma = mpmath.mpf(mu), mpmath.mpf(sigma)
+        z = (mu - 1) / sigma
+        phi = (4 * z**2 - 2) * mpmath.exp(-(z**2))
+        return {
+            "A_alpha": mpmath.log(mpmath.mpf(9) / 8)
+            / (1 + 2 * mpmath.exp(-((mu / sigma) ** 2))),
+            "B_mu": 1 + sigma * mpmath.sqrt(mpmath.mpf(3) / 2),
+            "B_alpha": 17 * sigma**2 / (54 * phi) if phi > 0 else None,
+            "C_alpha": sigma * mpmath.sqrt(mpmath.e / 2),
+        }, phi
+
+
+def _reference_cases():
+    """300 seeded ``(mu, sigma, alpha)``: 120 in the atlas-sweep ranges,
+    30 with ``mu/sigma`` in [0.3, 5] (``h(0)`` far from 0), 50 with
+    ``z = (mu-1)/sigma`` near ``1/sqrt(2)`` (where ``phi`` changes sign),
+    50 with ``z`` in [26, 26.8] (``phi`` near 1e-300, just
+    short of the overflow band) and 50 with ``mu/sigma`` in [26.5, 28]
+    (``h(0)`` subnormal or zero).  Of every four, one alpha is uniform in
+    [0.005, 0.15] and three sit a relative 1e-11 to 1e-3 above or below
+    the A, B or C alpha bound (uniform too where that bound is undefined
+    or beyond 1e300)."""
+    rng = random.Random(20261018)
+    out = []
+    for k in range(300):
+        sigma = rng.uniform(0.03, 0.15)
+        if k < 120:
+            mu = rng.uniform(1.0, 5.0)
+        elif k < 150:
+            mu = sigma * rng.uniform(0.3, 5.0)
+        elif k < 200:
+            mu = 1.0 + sigma * (math.sqrt(0.5) + rng.uniform(-1e-3, 1e-3))
+        elif k < 250:
+            mu = 1.0 + sigma * rng.uniform(26.0, 26.8)
+        else:
+            mu = sigma * rng.uniform(26.5, 28.0)
+        bounds, _ = _reference_bounds(mu, sigma)
+        near = (None, "A_alpha", "B_alpha", "C_alpha")[k % 4]
+        if near is None or not bounds[near] or bounds[near] > 1e300:
+            alpha = rng.uniform(0.005, 0.15)
+        else:
+            step = rng.choice((-1, 1)) * 10 ** rng.uniform(-11, -3)
+            alpha = float(bounds[near] * (1 + step))
+        out.append(Params(mu=mu, sigma=sigma, alpha=alpha))
+    return out
+
+
+def test_bounds_contain_independent_reference():
+    """Every ``A_alpha``, ``B_alpha`` and ``C_alpha`` right-hand side and
+    the ``B_mu`` left-hand side contains its 200-bit reference value, and
+    each alpha condition's verdict is the reference comparison wherever
+    ``alpha`` is farther than 1e-12 (relative) from the bound.
+
+    A triple in the overflow band near ``z = 27`` raises
+    :class:`RangeError`; its reference ``B_alpha`` bound is then beyond
+    what a double holds, up to the enclosure's width."""
+    decided = 0
+    for p in _reference_cases():
+        bounds, phi = _reference_bounds(p.mu, p.sigma)
+        try:
+            report = certify_S2(p)
+        except RangeError:
+            assert bounds["B_alpha"] > 0.5 * sys.float_info.max, p
+            continue
+        by_name = {c.name: c for c in report.conditions}
+        assert by_name["B_mu"].lhs.lo <= bounds["B_mu"] <= by_name["B_mu"].lhs.hi, p
+        for name in ("A_alpha", "B_alpha", "C_alpha"):
+            cond, bound = by_name[name], bounds[name]
+            if cond.rhs is None:
+                # The enclosure of phi reaches 0 only where phi nearly does.
+                assert name == "B_alpha" and phi < 1e-12, p
+                assert cond.verdict is Tristate.UNKNOWN
+                continue
+            assert bound is not None, p
+            assert cond.rhs.lo <= bound <= cond.rhs.hi, (p, name)
+            if abs(p.alpha - bound) > 1e-12 * bound:
+                expected = Tristate.TRUE if p.alpha <= bound else Tristate.FALSE
+                assert cond.verdict is expected, (p, name)
+                decided += 1
+    assert decided > 800
 
 
 # ---------------------------------------------------------------------------
