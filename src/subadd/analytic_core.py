@@ -33,9 +33,16 @@ base profile's gap in the mixed region), and the constant
 
 Each formula (``g``, ``h``, ``f``, ``phi``, ``lambda``, ``psi``, ``f'``,
 ``h'``, ``h''``, ``g''``, ``f''`` and the gap) is one private expression
-tree over a numeric namespace, and one tree serves all three: ``math``
+tree over a numeric namespace, and one tree serves all four: ``math``
 for the public float64 functions and the polish in :mod:`subadd.search`,
-``numpy`` for its scan kernel, and ``mpmath`` for :class:`HighPrecision`.
+``numpy`` for its scan kernel, ``mpmath`` for :class:`HighPrecision`,
+and :mod:`subadd.intervals` (``exp=iexp``, ``log1p=ilog1p``, with
+:class:`~subadd.intervals.Interval` operands) for the certificate in
+:mod:`subadd.certificate`, which evaluates ``h(0)``, ``phi`` and ``C``
+with them.  A namespace needs only ``exp`` and ``log1p``, and its
+numbers ``+ - * /`` and ``abs``.  ``Interval`` has no ``abs`` yet, so it
+runs every tree but ``h''``, ``f''`` and the gap.
+
 The public functions and the high-precision methods share their
 validation as well, so they accept and reject exactly the same arguments.
 
@@ -245,9 +252,10 @@ def _require_gap_args(a: OrderLike, fn: str, x: float, y: float, p: Optional[Par
 # ---------------------------------------------------------------------------
 # Each formula is written once, without validation, over the numeric
 # namespace ``lib``: ``math`` for float64 scalars, ``numpy`` for the scan
-# kernel's arrays, and ``mpmath`` for HighPrecision, whose arguments and
-# parameters are mpf at the working precision.  The even profiles take
-# ``r = |t|``.
+# kernel's arrays, ``mpmath`` for HighPrecision, whose arguments and
+# parameters are mpf at the working precision, and an interval namespace
+# for the certificate, whose parameters are Intervals.  The even profiles
+# take ``r = |t|``.
 
 
 def _g(lib, r):

@@ -5,11 +5,15 @@ parameters ``(mu, sigma, alpha)`` — one for the outer region A, two for the
 small region B, two for the mixed region C — entirely in outward-rounded
 interval arithmetic, so a ``TRUE`` verdict is a machine-checked proof that
 the stated inequality holds for the exact binary64 parameter values.
+``h(0)``, ``phi`` and ``C`` come from the expression trees of
+:mod:`subadd.analytic_core`, run on :class:`~subadd.intervals.Interval`
+operands with ``exp=iexp`` and ``log1p=ilog1p``; ``C`` is enclosed once,
+at import.
 
 The five conditions (each of the form ``lhs <= rhs``):
 
-- ``A_alpha``:  ``alpha <= C / (1 + 2 exp(-(mu/sigma)^2))`` with
-  ``C = log(9/8)``;
+- ``A_alpha``:  ``alpha <= C / (1 + 2 h(0))``, that is
+  ``C / (1 + 2 exp(-(mu/sigma)^2))``, with ``C = lambda(1/2) = log(9/8)``;
 - ``B_mu``:     ``1 + sigma sqrt(3/2) <= mu``;
 - ``B_alpha``:  ``alpha <= 17 sigma^2 / (54 phi((mu-1)/sigma))``, evaluated
   only when the interval enclosure of ``phi`` is certainly positive
@@ -104,7 +108,7 @@ class CertificateReport:
 
 def check_region_A(p: Params) -> ConditionResult:
     """Outer-region condition ``A_alpha``:
-    ``alpha <= C / (1 + 2 exp(-(mu/sigma)^2))``."""
+    ``alpha <= C / (1 + 2 h(0))``, with ``h(0) = exp(-(mu/sigma)^2)``."""
     p = _require_params(p)
     h0 = _h(_I, 0.0, Interval.point(p.mu), Interval.point(p.sigma))
     bound = _C / (1.0 + 2.0 * h0)

@@ -4,16 +4,26 @@ Python has no portable access to the FPU rounding mode, so every operation
 here computes endpoints in round-to-nearest and then *widens outward* by a
 fixed number of ``math.nextafter`` steps: two steps per endpoint for the
 exactly-rounded arithmetic operations (``+ - * /``), four per endpoint for
-the elementary maps (``exp``, ``log``, ``sqrt``, squaring), whose libm
-implementations may be off by an ulp.  The guarantee maintained throughout
-is *containment*: if each input interval contains the exact real operand,
-the output interval contains the exact real result.  Widths are therefore a
-few ulps larger than optimal — a deliberate trade of tightness for a
-soundness argument that does not depend on libm being correctly rounded.
+the elementary maps (``exp``, ``log``, ``log1p``, ``sqrt``, squaring),
+whose libm implementations may be off by an ulp.  The guarantee maintained
+throughout is *containment*: if each input interval contains the exact
+real operand, the output interval contains the exact real result.  Widths
+are therefore a few ulps larger than optimal — a deliberate trade of
+tightness for a soundness argument that does not depend on libm being
+correctly rounded.
 
-Monotonicity is used for the elementary maps (all four are monotone on the
+Monotonicity is used for the elementary maps (all five are monotone on the
 relevant pieces; squaring is split at zero), so endpoint evaluation plus
 widening is sufficient.
+
+:class:`Interval` also takes the operators ``+ - * /``, with their
+reflected forms, so the expression trees of :mod:`subadd.analytic_core`
+run on intervals unchanged.  Each operator calls the function of the same
+operation here (``x * x`` on one object calls :func:`isq`); unary ``-`` is
+exact.  An operand that is not an :class:`Interval` is lifted through
+:meth:`Interval.point`, so it must be an exact endpoint: a ``float``, or
+an ``int`` (not ``bool``) that converts to ``float`` without rounding.
+Anything else raises :class:`InputError` instead of being rounded.
 
 Comparisons are three-valued: :func:`certainly_le` answers ``TRUE`` only
 when the intervals prove the inequality, ``FALSE`` only when they refute
@@ -83,8 +93,9 @@ class Interval:
     """A closed interval ``[lo, hi]`` with finite binary64 endpoints.
 
     Degenerate intervals (``lo == hi``) represent exactly known values.
-    Construction validates finiteness and ordering; the functions and
-    operators of this module are the intended way to derive new intervals.
+    Construction validates the endpoints (see the module docstring), their
+    finiteness and their order; the functions and operators of this module
+    are the intended way to derive new intervals.
     """
 
     lo: float
