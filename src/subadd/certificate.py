@@ -7,8 +7,8 @@ interval arithmetic, so a ``TRUE`` verdict is a machine-checked proof that
 the stated inequality holds for the exact binary64 parameter values.
 ``h(0)``, ``phi`` and ``C`` come from the expression trees of
 :mod:`subadd.analytic_core`, run on :class:`~subadd.intervals.Interval`
-operands with ``exp=iexp`` and ``log1p=ilog1p``; ``C`` is enclosed once,
-at import.
+operands with ``exp=iexp`` and ``log1p=ilog1p``; the constants are
+enclosed once, at import.
 
 The five conditions (each of the form ``lhs <= rhs``):
 
@@ -63,9 +63,12 @@ CAVEAT = (
 )
 
 #: The interval namespace of the expression trees in ``analytic_core``, and
-#: the enclosure of ``C = lambda(1/2) = log(9/8)``.
+#: the enclosures of the constants ``C = lambda(1/2) = log(9/8)``,
+#: ``sqrt(3/2)`` and ``sqrt(e/2)``.
 _I = SimpleNamespace(exp=iexp, log1p=ilog1p)
 _C = _lambda(_I, Interval.point(0.5))
+_SQRT_3_2 = isqrt(Interval.point(1.5))
+_SQRT_E_2 = isqrt(iexp(Interval.point(1.0)) / 2.0)
 
 
 class Verdict(enum.Enum):
@@ -128,7 +131,7 @@ def check_region_B(p: Params) -> Tuple[ConditionResult, ConditionResult]:
     p = _require_params(p)
     mu, sigma = Interval.point(p.mu), Interval.point(p.sigma)
 
-    lhs1 = 1.0 + sigma * isqrt(Interval.point(1.5))
+    lhs1 = 1.0 + sigma * _SQRT_3_2
     cond1 = ConditionResult("B_mu", lhs1, mu, certainly_le(lhs1, mu))
 
     phi = _phi(_I, (mu - 1.0) / sigma)
@@ -150,7 +153,7 @@ def check_region_C(p: Params) -> Tuple[ConditionResult, ConditionResult]:
     lhs1 = Interval.point(0.5)
     cond1 = ConditionResult("C_mu", lhs1, mu, certainly_le(lhs1, mu))
 
-    bound = Interval.point(p.sigma) * isqrt(iexp(Interval.point(1.0)) / 2.0)
+    bound = Interval.point(p.sigma) * _SQRT_E_2
     lhs2 = Interval.point(p.alpha)
     cond2 = ConditionResult("C_alpha", lhs2, bound, certainly_le(lhs2, bound))
     return cond1, cond2

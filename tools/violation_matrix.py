@@ -20,7 +20,8 @@ the six anchors), so both runs see the same inputs.
 - Each case ``(seed, certify, index)``, over the pools of seeds 101 to
   505, runs ``certify_S2`` as an ``atlas-sweep`` operation does and
   prints the overall verdict and the five condition verdicts, or the
-  type of the error it raised (``RangeError`` in the overflow band).
+  type of the toolkit error it raised (``RangeError`` in the overflow
+  band).
 
 A run takes about 6 s on a 2-core Xeon VM, 0.2 s of it in the certificates.
 
@@ -48,14 +49,14 @@ CERTIFY = "certify"
 def record(src: str) -> int:
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
     import workloads
-    from subadd import certificate, search
+    from subadd import certificate, errors, search
 
     frozen = workloads.load_frozen()
     for seed in CERT_SEEDS:
         for index, p in enumerate(workloads.triple_pool(seed, frozen, workloads.ATLAS_POOL)):
             try:
                 report = certificate.certify_S2(p)
-            except Exception as exc:
+            except errors.ToolkitError as exc:
                 found = type(exc).__name__
             else:
                 found = " ".join(
