@@ -81,7 +81,9 @@ def _endpoint(value: object) -> float:
         return float(value)
     # repr() refuses ints of more than 4300 digits.
     got = f"an int of {value.bit_length()} bits" if type(value) is int else repr(value)
-    raise InputError(f"interval endpoints must be floats or ints equal to one, got {got}")
+    raise InputError(
+        f"interval endpoints must be floats or ints equal to one, got {got}"
+    )
 
 
 def _lift(value: object) -> "Interval":

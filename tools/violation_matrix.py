@@ -53,7 +53,8 @@ def record(src: str) -> int:
 
     frozen = workloads.load_frozen()
     for seed in CERT_SEEDS:
-        for index, p in enumerate(workloads.triple_pool(seed, frozen, workloads.ATLAS_POOL)):
+        pool = workloads.triple_pool(seed, frozen, workloads.ATLAS_POOL)
+        for index, p in enumerate(pool):
             try:
                 report = certificate.certify_S2(p)
             except errors.ToolkitError as exc:
@@ -74,7 +75,7 @@ def record(src: str) -> int:
     return 0
 
 
-def read(path: str) -> dict:
+def read(path: str) -> tuple:
     """``{case: None or (margin, x, y)}`` of one record's searches and
     ``{case: line}`` of its certificates."""
     cases, certs = {}, {}
@@ -82,8 +83,10 @@ def read(path: str) -> dict:
         case, found = line.split(" → ")
         if f", {CERTIFY}, " in case:
             certs[case] = found
+        elif found == "None":
+            cases[case] = None
         else:
-            cases[case] = None if found == "None" else tuple(map(float, found.split(", ")))
+            cases[case] = tuple(map(float, found.split(", ")))
     return cases, certs
 
 
