@@ -50,6 +50,10 @@ validation as well, so they accept and reject exactly the same arguments.
 bits minimum).  Parameters are binary64 by design: the high-precision path
 lifts the *exact* double values, so both paths evaluate the same
 mathematical function and differ only in evaluation error.
+
+This module imports neither numpy nor mpmath: :mod:`subadd.search` loads
+numpy on its first scan, and :class:`HighPrecision` loads mpmath on its
+first evaluation.
 """
 
 from __future__ import annotations
@@ -58,8 +62,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Union
-
-import mpmath
 
 from .errors import DomainError, InputError, RangeError, require_int
 
@@ -479,7 +481,8 @@ class HighPrecision:
     are lifted exactly (every binary64 value is exactly representable), so
     results differ from the float64 path only by that path's rounding
     error.  Methods return ``mpmath.mpf`` values; convert with
-    ``float(...)`` when a double is wanted.
+    ``float(...)`` when a double is wanted.  mpmath is imported by the
+    first evaluation, not by this module or the constructor.
     """
 
     def __init__(self, prec_bits: int = MIN_PREC_BITS) -> None:
@@ -487,6 +490,8 @@ class HighPrecision:
 
     def _run(self, tree, *args):
         """``tree(mpmath, *args)`` at ``prec_bits``, each argument lifted to mpf."""
+        import mpmath
+
         with mpmath.workprec(self.prec_bits):
             return tree(mpmath, *map(mpmath.mpf, args))
 
@@ -500,9 +505,9 @@ class HighPrecision:
     def eval_f(self, x: float, p: Params):
         p = _require_params(p)
         x = _require_finite(x, "x")
-        with mpmath.workprec(self.prec_bits):
-            mpf = mpmath.mpf
-            return _evaluator(mpmath, "f", mpf(p.mu), mpf(p.sigma), mpf(p.alpha))(mpf(x))
+        return self._run(
+            lambda lib, x, *q: _evaluator(lib, "f", *q)(x), x, p.mu, p.sigma, p.alpha
+        )
 
     def eval_phi(self, z: float):
         return self._run(_phi, _require_z(z, "phi"))
@@ -518,9 +523,9 @@ class HighPrecision:
 
     def gap(self, a: OrderLike, fn: str, x: float, y: float, p: Optional[Params] = None):
         av, x, y, q = _require_gap_args(a, fn, x, y, p)
-        with mpmath.workprec(self.prec_bits):
-            mpf = mpmath.mpf
-            return _gap(mpf(av), _evaluator(mpmath, fn, *map(mpf, q)), mpf(x), mpf(y))
+        return self._run(
+            lambda lib, a, x, y, *q: _gap(a, _evaluator(lib, fn, *q), x, y), av, x, y, *q
+        )
 
     def f_prime(self, t: float, p: Params):
         t, p = _require_positive(t, p, "f_prime", "t")

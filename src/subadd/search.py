@@ -100,6 +100,7 @@ best_j)`` is the first row-major node attaining the minimum, or
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -124,16 +125,19 @@ from .analytic_core import (
 from .errors import InputError, RangeError, require_int
 
 
+@functools.cache
 def _load_numpy():
     """Import numpy with a single OpenBLAS thread unless the caller set
-    ``OPENBLAS_NUM_THREADS``.
+    ``OPENBLAS_NUM_THREADS``; runs on the first :func:`scan_block` call.
 
-    The toolkit makes no BLAS call, yet OpenBLAS starts a worker pool when
-    it loads, and an idle worker spins before it sleeps: about 70 ms of
-    wall time and CPU added to every cold ``subadd`` command, varying with
-    what else the host runs (2-core Xeon VM).  OpenBLAS reads the variable
-    once, at load, so it is set for this import only.  Without effect if
-    numpy was imported first.
+    Only the scan kernel uses numpy, so importing the package does not
+    load it, and commands that never scan (``certify``, ``oracles``,
+    ``cone``) start without it.  The toolkit makes no BLAS call, yet
+    OpenBLAS starts a worker pool when it loads, and an idle worker spins
+    before it sleeps: about 70 ms of wall time and CPU added to every cold
+    command that scans, varying with what else the host runs (2-core Xeon
+    VM).  OpenBLAS reads the variable once, at load, so it is set for
+    this import only.  Without effect if numpy was imported first.
     """
     pin = "OPENBLAS_NUM_THREADS" not in os.environ
     if pin:
@@ -145,8 +149,6 @@ def _load_numpy():
             del os.environ["OPENBLAS_NUM_THREADS"]
     return numpy
 
-
-np = _load_numpy()
 
 __all__ = [
     "MAX_GRID_N",
@@ -334,9 +336,6 @@ def _fit_step(lo: float, hi: float, n: int, step: float) -> float:
     return step
 
 
-# Overflow (tiny sigma, huge nodes) makes the inf and NaN gaps that never
-# win; it is not worth a warning.
-@np.errstate(over="ignore", invalid="ignore")
 def scan_block(
     a: float,
     mu: float,
@@ -352,57 +351,61 @@ def scan_block(
     j1: int,
 ):
     """Scan one index block; see the module docstring for the contract."""
+    np = _load_numpy()
     if i1 <= i0 or j1 <= j0:
         return np.inf, -1, -1
-    f = _evaluator(np, "f", mu, sigma, alpha)
+    # Overflow (tiny sigma, huge nodes) makes the inf and NaN gaps that
+    # never win; it is not worth a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _evaluator(np, "f", mu, sigma, alpha)
 
-    ni, nj = i1 - i0, j1 - j0
-    xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
-    ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
-    afx = a * f(xs)
-    fy = f(ys)
+        ni, nj = i1 - i0, j1 - j0
+        xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
+        ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
+        afx = a * f(xs)
+        fy = f(ys)
 
-    ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
-    if ratio is not None:
-        # f(a*x_i + y_j) = f(s0 + k*delta) with k = m*i + l*j: evaluate
-        # the lattice once, from the block's first to its last k.
-        m, l = ratio
-        delta = a * dx / m
-        k0 = m * i0 + l * j0
-        ks = np.arange(k0, m * (i1 - 1) + l * (j1 - 1) + 1, dtype=np.float64)
-        fs = f((a * x0 + y0) + ks * delta)
-        # Node (i, j) of the block reads fs[m*(i - i0) + l*(j - j0)].
-        fs_nodes = np.lib.stride_tricks.as_strided(
-            fs, shape=(ni, nj), strides=(m * fs.itemsize, l * fs.itemsize),
-            writeable=False,
-        )
-    else:
-        ax = a * xs
-
-    buf = np.empty((min(ni, _BLOCK_ROWS), nj))
-    best = (np.inf, -1, -1)
-    for r0 in range(0, ni, _BLOCK_ROWS):
-        r1 = min(ni, r0 + _BLOCK_ROWS)
-        gaps = buf[: r1 - r0]
+        ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
         if ratio is not None:
-            fs_b = fs_nodes[r0:r1]
+            # f(a*x_i + y_j) = f(s0 + k*delta) with k = m*i + l*j: evaluate
+            # the lattice once, from the block's first to its last k.
+            m, l = ratio
+            delta = a * dx / m
+            k0 = m * i0 + l * j0
+            ks = np.arange(k0, m * (i1 - 1) + l * (j1 - 1) + 1, dtype=np.float64)
+            fs = f((a * x0 + y0) + ks * delta)
+            # Node (i, j) of the block reads fs[m*(i - i0) + l*(j - j0)].
+            fs_nodes = np.lib.stride_tricks.as_strided(
+                fs, shape=(ni, nj), strides=(m * fs.itemsize, l * fs.itemsize),
+                writeable=False,
+            )
         else:
-            np.add(ax[r0:r1, None], ys[None, :], out=gaps)
-            fs_b = f(gaps)
-        np.add(afx[r0:r1, None], fy[None, :], out=gaps)
-        np.subtract(gaps, fs_b, out=gaps)
+            ax = a * xs
 
-        # First row-major occurrence of the minimum; NaN and +-inf never
-        # win.  argmin stops at a NaN, so mask only when it returns one.
-        flat = int(np.argmin(gaps))
-        if not math.isfinite(gaps.flat[flat]):
-            np.copyto(gaps, np.inf, where=~np.isfinite(gaps))
+        buf = np.empty((min(ni, _BLOCK_ROWS), nj))
+        best = (np.inf, -1, -1)
+        for r0 in range(0, ni, _BLOCK_ROWS):
+            r1 = min(ni, r0 + _BLOCK_ROWS)
+            gaps = buf[: r1 - r0]
+            if ratio is not None:
+                fs_b = fs_nodes[r0:r1]
+            else:
+                np.add(ax[r0:r1, None], ys[None, :], out=gaps)
+                fs_b = f(gaps)
+            np.add(afx[r0:r1, None], fy[None, :], out=gaps)
+            np.subtract(gaps, fs_b, out=gaps)
+
+            # First row-major occurrence of the minimum; NaN and +-inf never
+            # win.  argmin stops at a NaN, so mask only when it returns one.
             flat = int(np.argmin(gaps))
-        value = float(gaps.flat[flat])
-        if value < best[0]:
-            bi, bj = divmod(flat, nj)
-            best = (value, i0 + r0 + bi, j0 + bj)
-    return best
+            if not math.isfinite(gaps.flat[flat]):
+                np.copyto(gaps, np.inf, where=~np.isfinite(gaps))
+                flat = int(np.argmin(gaps))
+            value = float(gaps.flat[flat])
+            if value < best[0]:
+                bi, bj = divmod(flat, nj)
+                best = (value, i0 + r0 + bi, j0 + bj)
+        return best
 
 
 def scan_gap_min(a: OrderLike, p: Params, cfg: ScanConfig) -> ScanReport:

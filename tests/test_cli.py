@@ -300,15 +300,21 @@ def test_violate_rejects_grid_n_below_two(capsys, grid_n):
     assert err.startswith("error: grid_n") and err.count("\n") == 1
 
 
-def _cold_cli(*argv):
-    """Run ``python -m subadd.cli`` in a fresh interpreter; returns
-    (exit_code, stdout, stderr)."""
+def _subadd_env():
+    """This environment, with this checkout's ``subadd`` on the path of a
+    child interpreter."""
     src = str(Path(subadd.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _cold_cli(*argv):
+    """Run ``python -m subadd.cli`` in a fresh interpreter; returns
+    (exit_code, stdout, stderr)."""
     proc = subprocess.run(
         [sys.executable, "-m", "subadd.cli", *argv],
-        env=env, capture_output=True, text=True,
+        env=_subadd_env(), capture_output=True, text=True,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -363,9 +369,9 @@ def test_huge_box_scan_runs_without_traceback():
 # ---------------------------------------------------------------------------
 
 
-#: Everything importing the CLI may load beyond the standard library: the
-#: two runtime dependencies (mpmath uses gmpy2 when it is installed) and
-#: the package's own modules.
+#: Everything the CLI may load beyond the standard library: the two
+#: runtime dependencies (mpmath uses gmpy2 when it is installed) and the
+#: package's own modules.
 _CLI_THIRD_PARTY = {"numpy", "mpmath", "gmpy2"}
 _CLI_PACKAGE_MODULES = {
     "subadd",
@@ -379,54 +385,86 @@ _CLI_PACKAGE_MODULES = {
     "subadd.serialize",
     "subadd.statement_oracles",
 }
+#: Per case, the third-party modules it may load and those it must.
+#: Importing the package or the CLI, and the subcommands that neither scan
+#: nor evaluate in high precision, load none; ``scan`` loads numpy for its
+#: kernel, and ``violate`` and ``table`` confirm in mpmath as well.
+_CLI_IMPORT_CASES = {
+    "import subadd": (set(), set()),
+    "import subadd.cli": (set(), set()),
+    "certify": (set(), set()),
+    "oracles": (set(), set()),
+    "cone": (set(), set()),
+    "scan": ({"numpy"}, {"numpy"}),
+    "violate": (_CLI_THIRD_PARTY, {"numpy", "mpmath"}),
+    "table": (_CLI_THIRD_PARTY, {"numpy", "mpmath"}),
+}
 
 
-def test_cli_import_loads_only_runtime_dependencies():
-    src = str(Path(subadd.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = (
-        "import json, sys; before = set(sys.modules); import subadd.cli; "
-        "print(json.dumps(sorted(set(sys.modules) - before)))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    loaded = set(json.loads(out.stdout))
-    package = {m for m in loaded if m == "subadd" or m.startswith("subadd.")}
-    assert package <= _CLI_PACKAGE_MODULES
-    outside = {m.split(".")[0] for m in loaded - package} - set(sys.stdlib_module_names)
-    assert outside <= _CLI_THIRD_PARTY
-
-
-def _threads_after_cli_import(blas_threads):
-    """(OS thread count, OPENBLAS_NUM_THREADS) seen by a fresh interpreter
-    right after ``import subadd.cli``; the variable is unset when
-    ``blas_threads`` is None."""
-    src = str(Path(subadd.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+def _fresh_interpreter(probe, blas_threads=None):
+    """stdout of ``probe`` run by a fresh interpreter that imports this
+    checkout's ``subadd``; ``OPENBLAS_NUM_THREADS`` is ``blas_threads``, or
+    unset when None."""
+    env = _subadd_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    probe = (
-        "import json, os; import subadd.cli; "
-        "print(json.dumps([len(os.listdir('/proc/self/task')), "
-        "os.environ.get('OPENBLAS_NUM_THREADS')]))"
-    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    return tuple(json.loads(out.stdout))
+    return out.stdout
+
+
+def _modules_loaded_by(case):
+    """Modules a fresh interpreter loads for ``case``: an import statement,
+    or a subcommand run at its defaults through ``cli.main``."""
+    if not case.startswith("import "):
+        case = (
+            "from subadd.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main([{case!r}]) in (0, 1)"
+        )
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{case}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    return set(json.loads(_fresh_interpreter(probe)))
+
+
+def test_cli_import_loads_only_runtime_dependencies():
+    for case, (allowed, required) in _CLI_IMPORT_CASES.items():
+        loaded = _modules_loaded_by(case)
+        package = {m for m in loaded if m == "subadd" or m.startswith("subadd.")}
+        assert package <= _CLI_PACKAGE_MODULES
+        outside = {m.split(".")[0] for m in loaded - package} - set(sys.stdlib_module_names)
+        assert outside <= _CLI_THIRD_PARTY
+        assert required <= outside <= allowed, case
+
+
+def _threads_after_first_scan(blas_threads):
+    """(numpy loaded, OS thread count, OPENBLAS_NUM_THREADS) seen by a
+    fresh interpreter after ``import subadd.cli`` and one tiny scan; the
+    variable is unset when ``blas_threads`` is None."""
+    probe = (
+        "import json, os, sys; import subadd.cli; "
+        "from subadd import FULL_BOX, Params, ScanConfig, scan_gap_min; "
+        "scan_gap_min(2.0, Params(1.2, 0.05, 0.05), "
+        "ScanConfig(FULL_BOX, grid_n=3, refine_depth=0)); "
+        "print(json.dumps(['numpy' in sys.modules, len(os.listdir('/proc/self/task')), "
+        "os.environ.get('OPENBLAS_NUM_THREADS')]))"
+    )
+    return tuple(json.loads(_fresh_interpreter(probe, blas_threads)))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 def test_cli_import_starts_no_blas_threads():
-    # The toolkit makes no BLAS call: loading numpy through it leaves the
-    # process single-threaded and does not leak the setting into the
+    # The toolkit makes no BLAS call: the first scan loads numpy, leaves
+    # the process single-threaded and does not leak the setting into the
     # environment; a count the caller set is kept.
-    assert _threads_after_cli_import(None) == (1, None)
-    assert _threads_after_cli_import("2")[1] == "2"
+    assert _threads_after_first_scan(None) == (True, 1, None)
+    assert _threads_after_first_scan("2")[2] == "2"
 
 
 # ---------------------------------------------------------------------------
