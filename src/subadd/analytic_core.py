@@ -104,6 +104,16 @@ def _as_float(value: object, what: str) -> float:
             return float(value)  # type: ignore[arg-type]
         except (TypeError, ValueError):
             pass
+        except OverflowError as exc:
+            # repr() refuses ints of more than 4300 digits.
+            got = (
+                f"an int of {value.bit_length()} bits"
+                if isinstance(value, int)
+                else f"a {type(value).__name__} out of range"
+            )
+            raise InputError(
+                f"{what} must be a real number within the float range, got {got}"
+            ) from exc
     raise InputError(f"{what} must be a real number, got {value!r}")
 
 

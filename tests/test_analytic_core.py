@@ -157,6 +157,21 @@ def test_real_number_checks_refuse_bool():
             build()
 
 
+def test_real_number_checks_refuse_ints_beyond_float_range():
+    # float() overflows on these; repr() refuses the second (over 4300
+    # digits), so the message gives the bit length.
+    for big, bits in ((10**400, 1329), (10**5000, 16610)):
+        for build in (
+            lambda: Params(big, 1.0, 1.0),
+            lambda: eval_g(big),
+            lambda: Order(big),
+            lambda: HighPrecision().eval_g(big),
+        ):
+            message = f"must be a real number.*an int of {bits} bits"
+            with pytest.raises(InputError, match=message):
+                build()
+
+
 def test_float64_derivatives_refuse_underflowing_sigma():
     # sigma**2 is 0 in float64 here; HighPrecision still evaluates.
     p = Params(mu=1.2, sigma=1e-200, alpha=0.05)
