@@ -63,7 +63,15 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import DomainError, InputError, RangeError, require_int
+from .errors import (
+    DomainError,
+    InputError,
+    RangeError,
+    require_finite,
+    require_instance,
+    require_int,
+    require_positive,
+)
 
 __all__ = [
     "Params",
@@ -96,27 +104,6 @@ GAP_FUNCTION_HANDLES = ("f", "g", "h", "h-h0")
 MIN_PREC_BITS = 128
 
 
-def _as_float(value: object, what: str) -> float:
-    """``value`` as a float; anything ``float()`` refuses, and ``bool``,
-    raises :class:`InputError` naming ``what``."""
-    if type(value) is not bool:
-        try:
-            return float(value)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            pass
-        except OverflowError as exc:
-            # repr() refuses ints of more than 4300 digits.
-            got = (
-                f"an int of {value.bit_length()} bits"
-                if isinstance(value, int)
-                else f"a {type(value).__name__} out of range"
-            )
-            raise InputError(
-                f"{what} must be a real number within the float range, got {got}"
-            ) from exc
-    raise InputError(f"{what} must be a real number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Params:
     """Parameters ``(mu, sigma, alpha)`` of the family; all strictly
@@ -133,10 +120,7 @@ class Params:
 
     def __post_init__(self) -> None:
         for name in ("mu", "sigma", "alpha"):
-            val = _as_float(getattr(self, name), name)
-            object.__setattr__(self, name, val)
-            if not math.isfinite(val) or val <= 0.0:
-                raise InputError(f"{name} must be finite and > 0, got {val}")
+            object.__setattr__(self, name, require_positive(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -148,10 +132,7 @@ class Point:
 
     def __post_init__(self) -> None:
         for name in ("x", "y"):
-            val = _as_float(getattr(self, name), name)
-            object.__setattr__(self, name, val)
-            if not math.isfinite(val):
-                raise InputError(f"{name} must be finite, got {val}")
+            object.__setattr__(self, name, require_finite(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -175,10 +156,7 @@ class Order:
     a: float
 
     def __post_init__(self) -> None:
-        val = _as_float(self.a, "a")
-        object.__setattr__(self, "a", val)
-        if not math.isfinite(val) or val <= 0.0:
-            raise InputError(f"order a must be finite and > 0, got {val}")
+        object.__setattr__(self, "a", require_positive(self.a, "order a"))
 
 
 OrderLike = Union[Order, float, int]
@@ -188,14 +166,7 @@ def order_value(a: OrderLike) -> float:
     """Normalise an order given as :class:`Order` or a bare number."""
     if isinstance(a, Order):
         return a.a
-    return Order(_as_float(a, "a")).a
-
-
-def _require_finite(value: float, what: str) -> float:
-    value = _as_float(value, what)
-    if not math.isfinite(value):
-        raise InputError(f"{what} must be finite, got {value}")
-    return value
+    return Order(a).a
 
 
 def _float64_sigma(p: Params, fn: str) -> float:
@@ -209,15 +180,9 @@ def _float64_sigma(p: Params, fn: str) -> float:
     return p.sigma
 
 
-def _require_params(p: Optional[Params]) -> Params:
-    if not isinstance(p, Params):
-        raise InputError(f"params must be a Params instance, got {p!r}")
-    return p
-
-
 def _require_z(z: float, fn: str, below: float = math.inf) -> float:
     """The argument of phi and lambda (``z >= 0``) or of psi (``0 <= z < 1``)."""
-    z = _require_finite(z, "z")
+    z = require_finite(z, "z")
     if not 0.0 <= z < below:
         rule = "z >= 0" if below == math.inf else "0 <= z < 1"
         raise DomainError(f"{fn} requires {rule}, got {z}")
@@ -226,8 +191,8 @@ def _require_z(z: float, fn: str, below: float = math.inf) -> float:
 
 def _require_positive(t: float, p: Optional[Params], fn: str, what: str):
     """``(t, p)`` for f_prime and h_prime, defined on ``t > 0``."""
-    p = _require_params(p)
-    t = _require_finite(t, what)
+    p = require_instance(p, Params, "params")
+    t = require_finite(t, what)
     if t <= 0.0:
         raise DomainError(f"{fn} requires {what} > 0, got {t}")
     return t, p
@@ -235,8 +200,8 @@ def _require_positive(t: float, p: Optional[Params], fn: str, what: str):
 
 def _require_off_kink(x: float, p: Optional[Params]):
     """``(x, p)`` for h_second, defined for ``x != 0``."""
-    p = _require_params(p)
-    x = _require_finite(x, "x")
+    p = require_instance(p, Params, "params")
+    x = require_finite(x, "x")
     if x == 0.0:
         raise DomainError("h_second is undefined at the kink x = 0")
     return x, p
@@ -246,8 +211,8 @@ def _require_gap_args(a: OrderLike, fn: str, x: float, y: float, p: Optional[Par
     """``(a, x, y, q)`` for a gap; ``q`` is ``(mu, sigma, alpha)``, or
     empty for the handle ``"g"``, which ignores ``p``."""
     av = order_value(a)
-    x = _require_finite(x, "x")
-    y = _require_finite(y, "y")
+    x = require_finite(x, "x")
+    y = require_finite(y, "y")
     if fn not in GAP_FUNCTION_HANDLES:
         raise InputError(
             f"unknown function handle {fn!r}; expected one of "
@@ -255,7 +220,7 @@ def _require_gap_args(a: OrderLike, fn: str, x: float, y: float, p: Optional[Par
         )
     if fn == "g":
         return av, x, y, ()
-    p = _require_params(p)
+    p = require_instance(p, Params, "params")
     return av, x, y, (p.mu, p.sigma, p.alpha)
 
 
@@ -360,7 +325,7 @@ def eval_g(x: float) -> float:
     Even, ``g(0) = 0``, strictly increasing in ``|x|``, and 1-subadditive
     (its order-1 gap is nonnegative everywhere).
     """
-    return _g(math, abs(_require_finite(x, "x")))
+    return _g(math, abs(require_finite(x, "x")))
 
 
 def eval_h(x: float, p: Params) -> float:
@@ -371,8 +336,8 @@ def eval_h(x: float, p: Params) -> float:
     origin falls below the smallest positive double and flushes to zero;
     for all parameter scales used in practice it is a normal number.
     """
-    p = _require_params(p)
-    return _h(math, abs(_require_finite(x, "x")), p.mu, p.sigma)
+    p = require_instance(p, Params, "params")
+    return _h(math, abs(require_finite(x, "x")), p.mu, p.sigma)
 
 
 def eval_f(x: float, p: Params) -> float:
@@ -380,8 +345,8 @@ def eval_f(x: float, p: Params) -> float:
 
     Even, continuous, ``f(0) = 0``.
     """
-    p = _require_params(p)
-    r = abs(_require_finite(x, "x"))
+    p = require_instance(p, Params, "params")
+    r = abs(require_finite(x, "x"))
     return _f(math, r, p.mu, p.sigma, p.alpha, _h(math, 0.0, p.mu, p.sigma))
 
 
@@ -442,8 +407,8 @@ def classify_region(x: float, y: float) -> RegionFlags:
     ``2|x| + |y| >= 1``.  All inequalities non-strict; the union covers
     the plane.
     """
-    ax = abs(_require_finite(x, "x"))
-    ay = abs(_require_finite(y, "y"))
+    ax = abs(require_finite(x, "x"))
+    ay = abs(require_finite(y, "y"))
     s = 2.0 * ax + ay
     return RegionFlags(in_A=ax >= 0.5, in_B=s <= 1.0, in_C=(ax <= 0.5 and s >= 1.0))
 
@@ -506,15 +471,15 @@ class HighPrecision:
             return tree(mpmath, *map(mpmath.mpf, args))
 
     def eval_g(self, x: float):
-        return self._run(_g, abs(_require_finite(x, "x")))
+        return self._run(_g, abs(require_finite(x, "x")))
 
     def eval_h(self, x: float, p: Params):
-        p = _require_params(p)
-        return self._run(_h, abs(_require_finite(x, "x")), p.mu, p.sigma)
+        p = require_instance(p, Params, "params")
+        return self._run(_h, abs(require_finite(x, "x")), p.mu, p.sigma)
 
     def eval_f(self, x: float, p: Params):
-        p = _require_params(p)
-        x = _require_finite(x, "x")
+        p = require_instance(p, Params, "params")
+        x = require_finite(x, "x")
         return self._run(
             lambda lib, x, *q: _evaluator(lib, "f", *q)(x), x, p.mu, p.sigma, p.alpha
         )

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional, Tuple
 
-from .analytic_core import Params, _h, _lambda, _phi, _require_params
+from .analytic_core import Params, _h, _lambda, _phi
+from .errors import require_instance
 from .intervals import Interval, Tristate, certainly_le, iexp, ilog1p, isqrt
 
 __all__ = [
@@ -112,7 +113,7 @@ class CertificateReport:
 def check_region_A(p: Params) -> ConditionResult:
     """Outer-region condition ``A_alpha``:
     ``alpha <= C / (1 + 2 h(0))``, with ``h(0) = exp(-(mu/sigma)^2)``."""
-    p = _require_params(p)
+    p = require_instance(p, Params, "params")
     h0 = _h(_I, 0.0, Interval.point(p.mu), Interval.point(p.sigma))
     bound = _C / (1.0 + 2.0 * h0)
     lhs = Interval.point(p.alpha)
@@ -128,7 +129,7 @@ def check_region_B(p: Params) -> Tuple[ConditionResult, ConditionResult]:
     is not, the bound is meaningless and the result carries ``rhs=None``
     and verdict ``UNKNOWN``.
     """
-    p = _require_params(p)
+    p = require_instance(p, Params, "params")
     mu, sigma = Interval.point(p.mu), Interval.point(p.sigma)
 
     lhs1 = 1.0 + sigma * _SQRT_3_2
@@ -147,7 +148,7 @@ def check_region_B(p: Params) -> Tuple[ConditionResult, ConditionResult]:
 def check_region_C(p: Params) -> Tuple[ConditionResult, ConditionResult]:
     """Mixed-region conditions ``C_mu`` (``1/2 <= mu``) and ``C_alpha``
     (``alpha <= sigma sqrt(e/2)``)."""
-    p = _require_params(p)
+    p = require_instance(p, Params, "params")
     mu = Interval.point(p.mu)
 
     lhs1 = Interval.point(0.5)
@@ -166,7 +167,6 @@ def certify_S2(p: Params) -> CertificateReport:
     proven, ``NOT_CERTIFIED`` iff at least one is refuted, ``UNKNOWN``
     otherwise.  The report always carries the standing caveat.
     """
-    p = _require_params(p)
     a = check_region_A(p)
     b1, b2 = check_region_B(p)
     c1, c2 = check_region_C(p)

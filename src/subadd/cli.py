@@ -58,6 +58,7 @@ from .errors import (
     InputError,
     PreconditionError,
     ToolkitError,
+    require_instance,
     require_int,
 )
 from .intervals import Interval
@@ -186,12 +187,10 @@ class RunConfig:
                 f"unknown subcommand {self.subcommand!r}; "
                 f"expected one of {', '.join(_SUBCOMMANDS)}"
             )
-        if not isinstance(self.params, Params):
-            raise InputError(f"params must be a Params instance, got {self.params!r}")
-        if not isinstance(self.order, Order):
-            raise InputError(f"order must be an Order instance, got {self.order!r}")
-        if self.scan is not None and not isinstance(self.scan, ScanConfig):
-            raise InputError(f"scan must be a ScanConfig or None, got {self.scan!r}")
+        require_instance(self.params, Params, "params")
+        require_instance(self.order, Order, "order")
+        if self.scan is not None:
+            require_instance(self.scan, ScanConfig, "scan")
         if self.output_format not in _FORMATS:
             raise InputError(
                 f"format must be one of {', '.join(_FORMATS)}, "
@@ -638,8 +637,7 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> Tuple[int, str]:
     """Execute a resolved invocation; returns ``(exit_code, output_text)``."""
-    if not isinstance(config, RunConfig):
-        raise InputError(f"config must be a RunConfig, got {config!r}")
+    require_instance(config, RunConfig, "config")
     code, payload, header, rows, lines = _RUNNERS[config.subcommand](config)
     if config.output_format == "json":
         return code, json.dumps(to_jsonable(payload), indent=2)

@@ -56,7 +56,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ConstructionBugError, InputError, require_fraction, require_int
+from .errors import (
+    ConstructionBugError,
+    InputError,
+    require_fraction,
+    require_instance,
+    require_int,
+)
 from .intervals import Interval, iadd, idiv, imul, isqrt
 
 __all__ = [
@@ -116,17 +122,11 @@ class GeneratorId:
     index: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, GeneratorKind):
-            raise InputError(f"kind must be a GeneratorKind, got {self.kind!r}")
+        require_instance(self.kind, GeneratorKind, "kind")
         require_int(self.index, "index", 1)
 
     def sort_key(self) -> Tuple[int, int]:
         return (0 if self.kind is GeneratorKind.BASE else 1, self.index)
-
-    def __lt__(self, other: "GeneratorId") -> bool:
-        if not isinstance(other, GeneratorId):
-            return NotImplemented
-        return self.sort_key() < other.sort_key()
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,7 @@ class ConeElement:
             raise InputError("a cone element must have at least one generator")
         seen: Dict[GeneratorId, Fraction] = {}
         for gid, c in items:
-            if not isinstance(gid, GeneratorId):
-                raise InputError(f"coefficient key must be a GeneratorId, got {gid!r}")
+            require_instance(gid, GeneratorId, "coefficient key")
             if gid in seen:
                 raise InputError(f"duplicate generator {gid} in element")
             coeff = require_fraction(c, f"coefficient of {gid}")
@@ -283,8 +282,7 @@ class Cone:
         self._by_id: Dict[GeneratorId, Generator] = {}
         primes = set()
         for gen in generators:
-            if not isinstance(gen, Generator):
-                raise InputError(f"expected Generator, got {gen!r}")
+            require_instance(gen, Generator, "generator")
             if gen.gid in self._by_id:
                 raise InputError(f"duplicate generator {gen.gid}")
             if gen.prime in primes:
@@ -344,8 +342,7 @@ class Cone:
         return s - (q - 1)
 
     def _check_element(self, x: ConeElement, what: str) -> ConeElement:
-        if not isinstance(x, ConeElement):
-            raise InputError(f"{what} must be a ConeElement, got {x!r}")
+        require_instance(x, ConeElement, what)
         for gid, _ in x.coeffs:
             if gid not in self._by_id:
                 raise InputError(f"{what} uses unknown generator {gid}")
@@ -476,7 +473,7 @@ class Cone:
         require_int(samples, "samples", 1)
         try:
             eps_frac = Fraction(eps)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"eps must be a rational number, got {eps!r}") from exc
         if not 0 < eps_frac < 1:
             raise InputError(f"eps must lie in (0, 1), got {eps}")

@@ -5,13 +5,18 @@ Every error raised deliberately by this package derives from
 subclasses separate *caller* mistakes (bad argument values, malformed
 configuration) from *mathematical* failure modes (leaving a function's
 domain, numeric overflow, division by an interval straddling zero) and from
-*internal* defects detected by self-checks.  :func:`require_int` and
-:func:`require_fraction` are the integer and exact-rational argument
-checks every module shares.
+*internal* defects detected by self-checks.
+
+It also holds, once, each argument rule the modules share:
+:func:`require_int`, :func:`require_fraction`, :func:`require_real`,
+:func:`require_finite`, :func:`require_positive` and
+:func:`require_instance`.  Each returns the checked value or raises
+:class:`InputError` naming the argument; the package exports the first two.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -93,3 +98,49 @@ def require_fraction(value: object, what: str) -> Fraction:
         f"{what} must be an exact rational (Fraction, int, or 'p/q' "
         f"string), got {value!r}"
     )
+
+
+def require_real(value: object, what: str) -> float:
+    """``value`` as a float; anything ``float()`` refuses, and ``bool``,
+    raises :class:`InputError` naming ``what``."""
+    if type(value) is not bool:
+        try:
+            return float(value)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            pass
+        except OverflowError as exc:
+            # repr() refuses ints of more than 4300 digits.
+            got = (
+                f"an int of {value.bit_length()} bits"
+                if isinstance(value, int)
+                else f"a {type(value).__name__} out of range"
+            )
+            raise InputError(
+                f"{what} must be a real number within the float range, got {got}"
+            ) from exc
+    raise InputError(f"{what} must be a real number, got {value!r}")
+
+
+def require_finite(value: object, what: str, got: object = None) -> float:
+    """``value`` as a finite float; a given ``got`` stands for it in the message."""
+    value = require_real(value, what)
+    if not math.isfinite(value):
+        raise InputError(f"{what} must be finite, got {value if got is None else got}")
+    return value
+
+
+def require_positive(value: object, what: str) -> float:
+    """``value`` as a finite float ``> 0`` (see :func:`require_real`)."""
+    value = require_real(value, what)
+    if not (math.isfinite(value) and value > 0.0):
+        raise InputError(f"{what} must be finite and > 0, got {value}")
+    return value
+
+
+def require_instance(value: object, cls: type, what: str):
+    """``value`` if an instance of ``cls``, else :class:`InputError` naming ``what``."""
+    if not isinstance(value, cls):
+        name = cls.__name__
+        article = "an" if name[0] in "AEIOU" else "a"
+        raise InputError(f"{what} must be {article} {name} instance, got {value!r}")
+    return value

@@ -113,16 +113,21 @@ from .analytic_core import (
     OrderLike,
     Params,
     Point,
-    _as_float,
     _evaluator,
     _f_prime,
     _f_second,
     _gap,
-    _require_params,
     gap,
     order_value,
 )
-from .errors import InputError, RangeError, require_int
+from .errors import (
+    InputError,
+    RangeError,
+    require_finite,
+    require_instance,
+    require_int,
+    require_positive,
+)
 
 
 @functools.cache
@@ -239,19 +244,15 @@ class ScanConfig:
         box = self.box
         if not (isinstance(box, tuple) and len(box) == 4):
             raise InputError(f"box must be a 4-tuple, got {box!r}")
-        box = tuple(_as_float(v, "box entry") for v in box)
+        box = tuple(require_finite(v, "box endpoints", box) for v in box)
         object.__setattr__(self, "box", box)
         x_lo, x_hi, y_lo, y_hi = box
-        if not all(math.isfinite(v) for v in box):
-            raise InputError(f"box endpoints must be finite, got {box}")
         if not (x_lo < x_hi and y_lo < y_hi):
             raise InputError(f"box endpoints must be ordered, got {box}")
         require_int(self.grid_n, "grid_n", 2, MAX_GRID_N)
         require_int(self.refine_depth, "refine_depth", 0, MAX_REFINE_DEPTH)
-        tol = _as_float(self.tolerance, "tolerance")
+        tol = require_positive(self.tolerance, "tolerance")
         object.__setattr__(self, "tolerance", tol)
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise InputError(f"tolerance must be finite and > 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -298,12 +299,6 @@ class TableRow:
     margin: float
     scan_min_gap: float
     expected_margin: float
-
-
-def _require_config(cfg: ScanConfig) -> ScanConfig:
-    if not isinstance(cfg, ScanConfig):
-        raise InputError(f"config must be a ScanConfig instance, got {cfg!r}")
-    return cfg
 
 
 def _lattice_ratio(
@@ -415,8 +410,8 @@ def scan_gap_min(a: OrderLike, p: Params, cfg: ScanConfig) -> ScanReport:
     tie-breaking rules.
     """
     av = order_value(a)
-    p = _require_params(p)
-    cfg = _require_config(cfg)
+    p = require_instance(p, Params, "params")
+    cfg = require_instance(cfg, ScanConfig, "config")
     x_lo, x_hi, y_lo, y_hi = cfg.box
     n = cfg.grid_n
 
@@ -490,7 +485,7 @@ def violation_scan_config(
     With ``dy/dx = k`` every unclipped level runs on the lattice path at
     orders 1, 2 and 3 while ``k + a <= 64`` (``sigma`` up to about 0.3).
     """
-    p = _require_params(p)
+    p = require_instance(p, Params, "params")
     n = require_int(grid_n, "grid_n", 2, MAX_GRID_N)
     x_lo = 0.1 / n
     ring_lo, ring_hi = p.mu - 10.0 * p.sigma, p.mu + 10.0 * p.sigma
@@ -591,12 +586,8 @@ def find_violation(
     high-precision margin.
     """
     av = order_value(a)
-    p = _require_params(p)
     if cfg is None:
         cfg = violation_scan_config(p)
-    else:
-        cfg = _require_config(cfg)
-
     report = scan_gap_min(av, p, cfg)
     if not report.min_gap < -cfg.tolerance:
         return None
@@ -615,9 +606,7 @@ def verify_point(
 ) -> float:
     """High-precision violation margin ``-gap`` at one point (positive
     means the inequality fails there), rounded to float64."""
-    av = order_value(a)
-    p = _require_params(p)
-    return float(-HighPrecision(prec_bits).gap(av, "f", x, y, p))
+    return float(-HighPrecision(prec_bits).gap(a, "f", x, y, p))
 
 
 def reproduce_table(

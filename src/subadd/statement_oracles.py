@@ -39,11 +39,10 @@ from typing import Optional, Sequence, Tuple
 from .analytic_core import (
     Params,
     _evaluator,
-    _f_second,
     _float64_sigma,
     _g_second,
-    _require_finite,
-    _require_params,
+    _h_second,
+    _phi_float64,
     eval_f,
     f_prime,
     gap,
@@ -54,7 +53,9 @@ from .errors import (
     DomainError,
     InputError,
     PreconditionError,
+    require_finite,
     require_fraction,
+    require_instance,
     require_int,
 )
 from .intervals import Tristate
@@ -103,23 +104,19 @@ def _r_and_r2(fn: str, p: Optional[Params]):
         )
     if fn == "g":
         return _evaluator(math, "g"), (lambda s: _g_second(math, s))
-    p = _require_params(p)
+    p = require_instance(p, Params, "params")
     r = _evaluator(math, fn, p.mu, p.sigma, p.alpha)
     if fn == "h":
         return r, (lambda s: h_second(s, p))
-
-    def f2(s: float) -> float:
-        value = _f_second(math, s, p.mu, _float64_sigma(p, "h_second"), p.alpha)
-        # NaN exactly where h''(s) is, which h_second reads as +0.0.
-        return _g_second(math, s) if math.isnan(value) else value
-
-    return r, f2
+    return r, lambda s: _g_second(math, s) + p.alpha * _phi_float64(
+        _h_second(math, s, p.mu, _float64_sigma(p, "h_second"))
+    )
 
 
 def rolle_probe(fn: str, t: float, p: Optional[Params] = None) -> float:
     """The three-point curvature probe
     ``v = 4 (r(0) - 2 r(t/2) + r(t)) / t^2`` for ``t > 0``."""
-    t = _require_finite(t, "t")
+    t = require_finite(t, "t")
     if t <= 0.0:
         raise DomainError(f"rolle probe requires t > 0, got {t}")
     r, _ = _r_and_r2(fn, p)
@@ -136,6 +133,7 @@ def check_rolle_identity(
     ``xi``; sampling ``n`` half-offset interior nodes brackets the range.
     """
     v = rolle_probe(fn, t, p)
+    require_int(n, "n", 1)
     _, r2 = _r_and_r2(fn, p)
     lo = math.inf
     hi = -math.inf
@@ -159,7 +157,8 @@ def check_monotone_f(p: Params, n: int = 10_000) -> bool:
     Precondition ``mu >= 1`` (the statement's hypothesis); other parameter
     combinations raise :class:`PreconditionError` rather than answering.
     """
-    p = _require_params(p)
+    p = require_instance(p, Params, "params")
+    require_int(n, "n", 1)
     if p.mu < 1.0:
         raise PreconditionError(
             f"monotonicity is claimed for mu >= 1 only, got mu={p.mu}"
@@ -182,7 +181,7 @@ def check_symmetrization(p: Params, n: int = 2_000) -> bool:
 
     Precondition ``mu >= 1`` (the statement's hypothesis).
     """
-    p = _require_params(p)
+    p = require_instance(p, Params, "params")
     require_int(n, "n", 1)
     if p.mu < 1.0:
         raise PreconditionError(
@@ -209,8 +208,8 @@ def check_tau_concavity(p: Params, t: float, n: int = 1_001) -> bool:
     certificate conditions hold (``TRUE``); otherwise the concavity
     statement carries no claim and :class:`PreconditionError` is raised.
     """
-    p = _require_params(p)
-    t = _require_finite(t, "t")
+    p = require_instance(p, Params, "params")
+    t = require_finite(t, "t")
     if not 0.0 < t <= 1.0:
         raise DomainError(f"tau concavity requires t in (0, 1], got {t}")
     require_int(n, "n", 3)
@@ -258,6 +257,7 @@ def semigroup_search(
     if tgt <= 0:
         raise InputError(f"target must be > 0, got {tgt}")
     require_int(max_terms, "max_terms", 1)
+    require_int(budget, "budget", 1)
     gens = [require_fraction(g, f"generators[{i}]") for i, g in enumerate(generators)]
     if not gens:
         raise InputError("generators must be nonempty")

@@ -453,7 +453,10 @@ def test_upper_bound_check(cone):
 
 
 def test_upper_bound_check_validation(cone):
-    for bad_eps in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2), "x"):
+    for bad_eps in (
+        Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2), "x",
+        math.inf, -math.inf,
+    ):
         with pytest.raises(InputError):
             cone.upper_bound_check(bad_eps, 10)
     with pytest.raises(InputError):

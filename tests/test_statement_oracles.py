@@ -63,6 +63,9 @@ def test_probe_errors():
         rolle_probe("f", 1.0, None)  # parameterised handles need params
     with pytest.raises(InputError):
         rolle_probe("h", 1.0, None)
+    for bad_n in (0, 2.5, True):
+        with pytest.raises(InputError):
+            check_rolle_identity("g", 0.5, None, bad_n)
 
 
 def test_probe_and_tau_take_any_real_but_bool(cert_params):
@@ -112,6 +115,13 @@ def test_monotone_examples(cert_params):
 def test_monotone_refuses_small_mu():
     with pytest.raises(PreconditionError):
         check_monotone_f(Params(mu=0.9, sigma=0.1, alpha=0.1))
+
+
+def test_monotone_validates_sample_count(cert_params):
+    # n = 0 would check no point and answer True.
+    for bad_n in (0, -1, 2.5, True):
+        with pytest.raises(InputError):
+            check_monotone_f(cert_params, bad_n)
 
 
 def test_symmetrization_holds(cert_params):
@@ -224,6 +234,9 @@ def test_semigroup_input_validation():
         semigroup_member(Fraction(1, 2), (), 3)
     with pytest.raises(InputError):
         semigroup_member(Fraction(1, 2), (Fraction(1, 2),), 0)
+    for bad_budget in (0, "x", 2.5, None):
+        with pytest.raises(InputError):
+            semigroup_search(Fraction(1, 2), (Fraction(1, 2),), 3, bad_budget)
     # Exact strings are accepted.
     assert semigroup_member("3/2", ("1/2",), 5) is True
 

@@ -97,6 +97,8 @@ def cases():
     yield ["certify", "--mu", "-1"]
     yield ["certify", "--sigma", "0", "--alpha", "nan"]
     yield ["certify", "--a", "0"]
+    yield ["certify", "--a", "inf"]
+    yield ["certify", "--mu", "1e999"]
     yield ["certify", "--mu", "1.5", "--alpha", "0.117783036"]
     yield ["violate", "--precision-bits", "64"]
     yield ["violate", "--a", "3"]
@@ -109,6 +111,8 @@ def cases():
     yield ["scan", "--box=1,0,0,1"]
     yield ["scan", "--box=a,b,c,d"]
     yield ["scan", "--tolerance", "-1"]
+    yield ["scan", "--tolerance", "nan"]
+    yield ["scan", "--box=0,1,nan,1"]
     yield ["scan", "--box=2,3,2,3", "--grid-n", "101", "--refine-depth", "0"]
     yield ["oracles", "--mu", "0.9", "--format", "json"]
     for sub in ("scan", "violate", "table"):
