@@ -93,6 +93,7 @@ __all__ = [
     "h_second",
     "GAP_FUNCTION_HANDLES",
     "MIN_PREC_BITS",
+    "MAX_PREC_BITS",
 ]
 
 #: Valid ``fn`` handles for :func:`gap`: the full function, the base
@@ -102,6 +103,10 @@ GAP_FUNCTION_HANDLES = ("f", "g", "h", "h-h0")
 #: Smallest accepted working precision of :class:`HighPrecision`, in bits
 #: of mantissa.
 MIN_PREC_BITS = 128
+#: Largest accepted working precision.  A :func:`~subadd.search.verify_point`
+#: at the cap takes about 2.5 s, and one at four times it about 30 s (2-core
+#: Xeon VM); from ``10**400`` bits on, mpmath fails with ``OverflowError``.
+MAX_PREC_BITS = 65_536
 
 
 @dataclass(frozen=True)
@@ -450,18 +455,21 @@ def h_second(x: float, p: Params) -> float:
 class HighPrecision:
     """Arbitrary-precision mirror of the float64 evaluators.
 
-    All arithmetic runs at ``prec_bits`` bits of mantissa (at least
-    :data:`MIN_PREC_BITS`, 128) via mpmath, through the same expression
-    trees and validation as the float64 functions.  Floating-point inputs
-    are lifted exactly (every binary64 value is exactly representable), so
-    results differ from the float64 path only by that path's rounding
-    error.  Methods return ``mpmath.mpf`` values; convert with
-    ``float(...)`` when a double is wanted.  mpmath is imported by the
-    first evaluation, not by this module or the constructor.
+    All arithmetic runs at ``prec_bits`` bits of mantissa (from
+    :data:`MIN_PREC_BITS`, 128, to :data:`MAX_PREC_BITS`, 65,536) via
+    mpmath, through the same expression trees and validation as the
+    float64 functions.  Floating-point inputs are lifted exactly (every
+    binary64 value is exactly representable), so results differ from the
+    float64 path only by that path's rounding error.  Methods return
+    ``mpmath.mpf`` values; convert with ``float(...)`` when a double is
+    wanted.  mpmath is imported by the first evaluation, not by this module
+    or the constructor.
     """
 
     def __init__(self, prec_bits: int = MIN_PREC_BITS) -> None:
-        self.prec_bits = require_int(prec_bits, "prec_bits", MIN_PREC_BITS)
+        self.prec_bits = require_int(
+            prec_bits, "prec_bits", MIN_PREC_BITS, MAX_PREC_BITS
+        )
 
     def _run(self, tree, *args):
         """``tree(mpmath, *args)`` at ``prec_bits``, each argument lifted to mpf."""

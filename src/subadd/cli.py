@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import statement_oracles
-from .analytic_core import MIN_PREC_BITS, Order, Params
+from .analytic_core import MAX_PREC_BITS, MIN_PREC_BITS, Order, Params
 from .certificate import Verdict, certify_S2
 from .cone import (
     MAX_GENERATORS,
@@ -139,7 +139,10 @@ _OPTIONS = (
     ),
     _Option(
         "precision-bits", int, _ALL,
-        dict(help=f"working precision for confirmations (>= {MIN_PREC_BITS})"),
+        dict(
+            help="working precision for confirmations "
+            f"({MIN_PREC_BITS} to {MAX_PREC_BITS})"
+        ),
     ),
     _Option(
         "box", str, _WINDOW, dict(metavar="X0,X1,Y0,Y1", help="search rectangle")
@@ -196,7 +199,7 @@ class RunConfig:
                 f"format must be one of {', '.join(_FORMATS)}, "
                 f"got {self.output_format!r}"
             )
-        require_int(self.precision_bits, "precision-bits", MIN_PREC_BITS)
+        require_int(self.precision_bits, "precision-bits", MIN_PREC_BITS, MAX_PREC_BITS)
         require_int(self.n_base, "n-base", 1, MAX_GENERATORS)
         require_int(self.n_reserve, "n-reserve", 1, MAX_GENERATORS)
 

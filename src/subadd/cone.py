@@ -62,6 +62,7 @@ from .errors import (
     require_fraction,
     require_instance,
     require_int,
+    require_sequence,
 )
 from .intervals import Interval, iadd, idiv, imul, isqrt
 
@@ -277,6 +278,7 @@ class Cone:
     """
 
     def __init__(self, generators: Sequence[Generator]) -> None:
+        generators = require_sequence(generators, "generators")
         if not generators:
             raise InputError("a cone needs at least one generator")
         self._by_id: Dict[GeneratorId, Generator] = {}

@@ -9,9 +9,10 @@ domain, numeric overflow, division by an interval straddling zero) and from
 
 It also holds, once, each argument rule the modules share:
 :func:`require_int`, :func:`require_fraction`, :func:`require_real`,
-:func:`require_finite`, :func:`require_positive` and
-:func:`require_instance`.  Each returns the checked value or raises
-:class:`InputError` naming the argument; the package exports the first two.
+:func:`require_finite`, :func:`require_positive`,
+:func:`require_instance` and :func:`require_sequence`.  Each returns the
+checked value or raises :class:`InputError` naming the argument; the
+package exports the first two.
 """
 
 from __future__ import annotations
@@ -135,6 +136,16 @@ def require_positive(value: object, what: str) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise InputError(f"{what} must be finite and > 0, got {value}")
     return value
+
+
+def require_sequence(value: object, what: str) -> tuple:
+    """The items of ``value`` as a tuple; a value that is not iterable
+    raises :class:`InputError` naming ``what``."""
+    try:
+        items = iter(value)  # type: ignore[call-overload]
+    except TypeError:
+        raise InputError(f"{what} must be a sequence, got {value!r}") from None
+    return tuple(items)
 
 
 def require_instance(value: object, cls: type, what: str):

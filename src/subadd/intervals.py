@@ -72,7 +72,7 @@ class Tristate(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
-def _endpoint(value: object) -> float:
+def _endpoint(value: object, what: str = "interval endpoints") -> float:
     """``value`` if a float, or an ``int`` (not ``bool``) converted exactly."""
     # int == float and int <= float compare exactly.
     if isinstance(value, float) or (
@@ -81,9 +81,7 @@ def _endpoint(value: object) -> float:
         return float(value)
     # repr() refuses ints of more than 4300 digits.
     got = f"an int of {value.bit_length()} bits" if type(value) is int else repr(value)
-    raise InputError(
-        f"interval endpoints must be floats or ints equal to one, got {got}"
-    )
+    raise InputError(f"{what} must be floats or ints equal to one, got {got}")
 
 
 def _lift(value: object) -> "Interval":
@@ -123,7 +121,9 @@ class Interval:
         return self.hi - self.lo
 
     def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
+        """Whether the exact point ``x`` lies in the interval; ``x`` obeys
+        the endpoint rule of the module docstring."""
+        return self.lo <= _endpoint(x, "contained points") <= self.hi
 
     def __repr__(self) -> str:  # compact, unambiguous
         return f"Interval({self.lo!r}, {self.hi!r})"

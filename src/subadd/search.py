@@ -86,6 +86,16 @@ best_j)`` is the first row-major node attaining the minimum, or
 - Node path.  Otherwise (a lattice longer than one row tile, as for the
   box ``(0, 1e-6, -8, 8)``), ``s = a*x_i + y_j`` and ``f(s)`` are computed
   per node, one row tile at a time.
+- Outer sums.  ``a*f(x_i) + f(y_j)``, and on the node path ``a*x_i +
+  y_j``, are formed as the matrix product of ``L = [u, 1]`` (n x 2) and
+  ``R = [1; v]`` (2 x n), built once per call.  Each entry is ``u_i*1 +
+  1*v_j``: both products are exact and the sum is rounded once, so it
+  equals ``u_i + v_j`` bit for bit however BLAS orders or splits the
+  product, and whatever its thread count.  The one exception, ``-0 +
+  -0`` giving ``+0``, cannot change a result: ``f`` never returns
+  ``-0``, nodes are never ``-0``, and the minimum and argmin treat
+  ``+-0`` as equal.  The product runs in SIMD, numpy's broadcast add
+  does not.
 - The ``n^2`` part is tiled in row blocks of 64 rows into one reused
   buffer, so peak memory is O(64*n), not O(n^2), on both paths.
 - Results are bit-reproducible, and any block partition of the index
@@ -137,12 +147,14 @@ def _load_numpy():
 
     Only the scan kernel uses numpy, so importing the package does not
     load it, and commands that never scan (``certify``, ``oracles``,
-    ``cone``) start without it.  The toolkit makes no BLAS call, yet
-    OpenBLAS starts a worker pool when it loads, and an idle worker spins
-    before it sleeps: about 70 ms of wall time and CPU added to every cold
-    command that scans, varying with what else the host runs (2-core Xeon
-    VM).  OpenBLAS reads the variable once, at load, so it is set for
-    this import only.  Without effect if numpy was imported first.
+    ``cone``) start without it.  The toolkit's one BLAS call is the
+    kernel's outer sum, a rank-2 matrix product whose result does not
+    depend on the thread count.  OpenBLAS starts a worker pool when it
+    loads, and an idle worker spins before it sleeps: about 70 ms of wall
+    time and CPU added to every cold command that scans, varying with what
+    else the host runs (2-core Xeon VM); one thread also keeps the product
+    on one core.  OpenBLAS reads the variable once, at load, so it is set
+    for this import only.  Without effect if numpy was imported first.
     """
     pin = "OPENBLAS_NUM_THREADS" not in os.environ
     if pin:
@@ -331,6 +343,17 @@ def _fit_step(lo: float, hi: float, n: int, step: float) -> float:
     return step
 
 
+def _outer_sum(np, u, v):
+    """``L = [u, 1]`` and ``R = [1; v]``, so that ``L[r0:r1] @ R`` is the
+    outer sum ``u[r0:r1, None] + v[None, :]`` (see "Outer sums" in the
+    module docstring)."""
+    lhs = np.ones((u.size, 2))
+    lhs[:, 0] = u
+    rhs = np.ones((2, v.size))
+    rhs[1] = v
+    return lhs, rhs
+
+
 def scan_block(
     a: float,
     mu: float,
@@ -357,8 +380,7 @@ def scan_block(
         ni, nj = i1 - i0, j1 - j0
         xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
         ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
-        afx = a * f(xs)
-        fy = f(ys)
+        f_lhs, f_rhs = _outer_sum(np, a * f(xs), f(ys))
 
         ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
         if ratio is not None:
@@ -375,7 +397,7 @@ def scan_block(
                 writeable=False,
             )
         else:
-            ax = a * xs
+            s_lhs, s_rhs = _outer_sum(np, a * xs, ys)
 
         buf = np.empty((min(ni, _BLOCK_ROWS), nj))
         best = (np.inf, -1, -1)
@@ -385,9 +407,9 @@ def scan_block(
             if ratio is not None:
                 fs_b = fs_nodes[r0:r1]
             else:
-                np.add(ax[r0:r1, None], ys[None, :], out=gaps)
+                np.matmul(s_lhs[r0:r1], s_rhs, out=gaps)
                 fs_b = f(gaps)
-            np.add(afx[r0:r1, None], fy[None, :], out=gaps)
+            np.matmul(f_lhs[r0:r1], f_rhs, out=gaps)
             np.subtract(gaps, fs_b, out=gaps)
 
             # First row-major occurrence of the minimum; NaN and +-inf never

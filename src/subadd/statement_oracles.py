@@ -57,6 +57,7 @@ from .errors import (
     require_fraction,
     require_instance,
     require_int,
+    require_sequence,
 )
 from .intervals import Tristate
 
@@ -258,7 +259,10 @@ def semigroup_search(
         raise InputError(f"target must be > 0, got {tgt}")
     require_int(max_terms, "max_terms", 1)
     require_int(budget, "budget", 1)
-    gens = [require_fraction(g, f"generators[{i}]") for i, g in enumerate(generators)]
+    gens = [
+        require_fraction(g, f"generators[{i}]")
+        for i, g in enumerate(require_sequence(generators, "generators"))
+    ]
     if not gens:
         raise InputError("generators must be nonempty")
     if any(g <= 0 for g in gens):

@@ -407,6 +407,12 @@ def test_high_precision_requires_128_bits():
         HighPrecision(127)
     with pytest.raises(InputError):
         HighPrecision("lots")
+    # The cap: mpmath overflows from 10**400 bits, and a 2**62-bit
+    # evaluation does not finish in 20 s.
+    assert HighPrecision(analytic_core.MAX_PREC_BITS).prec_bits == 65_536
+    for bits in (analytic_core.MAX_PREC_BITS + 1, 2**62, 10**400):
+        with pytest.raises(InputError, match="prec_bits must be <= 65536"):
+            HighPrecision(bits)
 
 
 def test_high_precision_frozen_values(cert_params):

@@ -460,11 +460,25 @@ def _threads_after_first_scan(blas_threads):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 def test_cli_import_starts_no_blas_threads():
-    # The toolkit makes no BLAS call: the first scan loads numpy, leaves
-    # the process single-threaded and does not leak the setting into the
-    # environment; a count the caller set is kept.
+    # The first scan loads numpy with one BLAS thread for the kernel's
+    # outer sums, leaves the process single-threaded and does not leak the
+    # setting into the environment; a count the caller set is kept.
     assert _threads_after_first_scan(None) == (True, 1, None)
     assert _threads_after_first_scan("2")[2] == "2"
+
+
+def test_full_box_scan_does_not_depend_on_blas_threads():
+    # The kernel's outer sums are matrix products; each entry is one
+    # rounded sum however the product is split over threads.  OpenBLAS
+    # splits the 10001-column tiles over two threads, not the 2401-column.
+    probe = (
+        "from subadd import FULL_BOX, Params, ScanConfig, scan_gap_min; "
+        "p = Params(1.2, 0.05, 0.05); "
+        "print(repr(scan_gap_min(2.0, p, ScanConfig(FULL_BOX, grid_n=2401)))); "
+        "print(repr(scan_gap_min(2.0, p, ScanConfig(FULL_BOX, 10001, refine_depth=0))))"
+    )
+    one, two = (_fresh_interpreter(probe, threads) for threads in ("1", "2"))
+    assert one == two and one.count("ScanReport(") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +512,11 @@ def test_low_precision_exits_two(capsys):
     code, _, err = run_cli(capsys, "violate", "--precision-bits", "64")
     assert code == 2
     assert "precision-bits" in err
+    code, _, err = run_cli(capsys, "violate", "--precision-bits", "65537")
+    assert code == 2
+    assert "precision-bits must be <= 65536" in err
+    code, out, _ = run_cli(capsys, "violate", "--help")
+    assert code == 0 and "(128 to 65536)" in " ".join(out.split())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Hostile scalars at every public entry point.
 
-Each scalar parameter of each public function, constructor and entry
-method gets ``inf``, ``-inf``, ``nan``, ``True``, ``"x"``, ``None`` and
-``10**400``, the others keeping valid values.  The call must return a
-result or raise a :class:`~subadd.errors.ToolkitError`; any other
+Each parameter of each public function, constructor and entry method,
+sequences included, gets ``inf``, ``-inf``, ``nan``, ``True``, ``"x"``,
+``None`` and ``10**400``, the others keeping valid values.  The call must
+return a result or raise a :class:`~subadd.errors.ToolkitError`; any other
 exception is a leak.  ``10**400`` is skipped for counts with no upper
 bound, where it is a legitimately huge request.
 """
@@ -33,23 +33,25 @@ HUGE = 10**400
 P = Params(mu=1.2, sigma=0.05, alpha=0.05)
 CFG = ScanConfig(box=(-0.1, 0.1, 0.9, 1.4), grid_n=21, refine_depth=0)
 CONE = make_generators(3, 1)
+GENERATORS = tuple(map(CONE.generator, CONE.generator_ids()))
 X = ConeElement({GeneratorId(GeneratorKind.BASE, 1): Fraction(1, 2)})
 Y = ConeElement({GeneratorId(GeneratorKind.RESERVE, 1): Fraction(1, 3)})
 HP = HighPrecision()
 HALF = Fraction(1, 2)
 
-#: name: (callable, valid values of the scalar parameters under attack,
-#: the counts among them with no upper bound).  Parameters left out are
-#: sequences, or, for the two exported checks, the rule's own statement.
+#: name: (callable, valid values of the parameters under attack, the counts
+#: among them with no upper bound).  The parameters left out are the two
+#: exported checks' ``what``, the rule's own statement.
 ENTRIES = {
     "require_int": (partial(subadd.require_int, what="n"), dict(value=1), ()),
     "require_fraction": (partial(subadd.require_fraction, what="q"), dict(value=1), ()),
     "Interval": (Interval, dict(lo=0.0, hi=1.0), ()),
     "Interval.point": (Interval.point, dict(x=0.5), ()),
+    "Interval.contains": (Interval(0.0, 1.0).contains, dict(x=0.5), ()),
     "Params": (Params, dict(mu=1.2, sigma=0.05, alpha=0.05), ()),
     "Point": (subadd.Point, dict(x=0.0, y=1.0), ()),
     "Order": (subadd.Order, dict(a=2.0), ()),
-    "HighPrecision": (HighPrecision, dict(prec_bits=128), ("prec_bits",)),
+    "HighPrecision": (HighPrecision, dict(prec_bits=128), ()),
     "eval_g": (subadd.eval_g, dict(x=0.5), ()),
     "eval_h": (subadd.eval_h, dict(x=0.5, p=P), ()),
     "eval_f": (subadd.eval_f, dict(x=0.5, p=P), ()),
@@ -77,23 +79,19 @@ ENTRIES = {
     "check_region_C": (subadd.check_region_C, dict(p=P), ()),
     "certify_S2": (subadd.certify_S2, dict(p=P), ()),
     "ScanConfig": (
-        partial(ScanConfig, box=(-0.1, 0.1, 0.9, 1.4)),
-        dict(grid_n=21, refine_depth=0, tolerance=1e-9),
+        ScanConfig,
+        dict(box=(-0.1, 0.1, 0.9, 1.4), grid_n=21, refine_depth=0, tolerance=1e-9),
         (),
     ),
     "scan_gap_min": (subadd.scan_gap_min, dict(a=2.0, p=P, cfg=CFG), ()),
     "find_violation": (
-        subadd.find_violation, dict(a=2.0, p=P, cfg=CFG, prec_bits=128), ("prec_bits",)
+        subadd.find_violation, dict(a=2.0, p=P, cfg=CFG, prec_bits=128), ()
     ),
     "verify_point": (
-        subadd.verify_point,
-        dict(a=2.0, p=P, x=0.01, y=1.1, prec_bits=128),
-        ("prec_bits",),
+        subadd.verify_point, dict(a=2.0, p=P, x=0.01, y=1.1, prec_bits=128), ()
     ),
     "reproduce_table": (
-        subadd.reproduce_table,
-        dict(grid_n=21, refine_depth=0, prec_bits=128),
-        ("prec_bits",),
+        subadd.reproduce_table, dict(grid_n=21, refine_depth=0, prec_bits=128), ()
     ),
     "violation_scan_config": (
         subadd.violation_scan_config,
@@ -110,18 +108,18 @@ ENTRIES = {
         subadd.check_tau_concavity, dict(p=P, t=0.5, n=11), ("n",)
     ),
     "semigroup_search": (
-        partial(subadd.semigroup_search, generators=(HALF,)),
-        dict(target=HALF, max_terms=3, budget=1000),
+        subadd.semigroup_search,
+        dict(target=HALF, generators=(HALF,), max_terms=3, budget=1000),
         (),
     ),
     "semigroup_member": (
-        partial(subadd.semigroup_member, generators=(HALF,)),
-        dict(target=HALF, max_terms=3),
-        (),
+        subadd.semigroup_member, dict(target=HALF, generators=(HALF,), max_terms=3), ()
     ),
     "indicator_case_table": (subadd.indicator_case_table, dict(a=2), ()),
     "indicator_example_check": (subadd.indicator_example_check, dict(a=2), ()),
     "GeneratorId": (GeneratorId, dict(kind=GeneratorKind.BASE, index=1), ()),
+    "ConeElement": (ConeElement, dict(coeffs=X.coeffs), ()),
+    "Cone": (subadd.Cone, dict(generators=GENERATORS), ()),
     "make_generators": (subadd.make_generators, dict(n_base=3, n_reserve=1), ()),
     "q_of": (subadd.q_of, dict(n=3), ()),
     "Cone.generator": (CONE.generator, dict(gid=X.support()[0]), ()),
@@ -159,8 +157,6 @@ EXCLUDED = {
          "Violation", "TableRow", "Generator", "SubadditivityWitness"),
         "result records store what they are given and check nothing",
     ),
-    "ConeElement": "its one parameter is a sequence of pairs",
-    "Cone": "its one parameter is a sequence of generators",
 }
 
 

@@ -407,6 +407,97 @@ def test_kernel_peak_memory_is_row_tiled(cert_params, box):
     assert peak < 32 * 2**20
 
 
+def _broadcast_add_scan_block(a, mu, sigma, alpha, x0, dx, y0, dy, i0, i1, j0, j1):
+    """Reference kernel: the nodes, lattice, row tiles and tie-break of
+    ``scan_block``, with both outer sums taken by numpy's broadcast
+    ``np.add``.  Returns ``(value, i, j)`` and whether any gap of the
+    block was NaN or infinite."""
+    if i1 <= i0 or j1 <= j0:
+        return (math.inf, -1, -1), False
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = search._evaluator(np, "f", mu, sigma, alpha)
+        ni, nj = i1 - i0, j1 - j0
+        xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
+        ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
+        afx, fy = a * f(xs), f(ys)
+        ratio = search._lattice_ratio(a, dx, dy, 1.0 - search._RATIO_TOL)
+        if ratio is not None:
+            m, l = ratio
+            ks = np.arange(m * i0 + l * j0, m * (i1 - 1) + l * (j1 - 1) + 1.0)
+            fs = f((a * x0 + y0) + ks * (a * dx / m))
+            node_k = m * np.arange(ni)[:, None] + l * np.arange(nj)[None, :]
+        best, non_finite = (math.inf, -1, -1), False
+        for r0 in range(0, ni, search._BLOCK_ROWS):
+            r1 = min(ni, r0 + search._BLOCK_ROWS)
+            if ratio is not None:
+                fs_b = fs[node_k[r0:r1]]
+            else:
+                fs_b = f(np.add(a * xs[r0:r1, None], ys[None, :]))
+            gaps = np.add(afx[r0:r1, None], fy[None, :]) - fs_b
+            finite = np.isfinite(gaps)
+            non_finite |= not finite.all()
+            gaps[~finite] = np.inf
+            flat = int(np.argmin(gaps))
+            value = float(gaps.flat[flat])
+            if value < best[0]:
+                bi, bj = divmod(flat, nj)
+                best = (value, i0 + r0 + bi, j0 + bj)
+    return best, non_finite
+
+
+def _random_kernel_block(rng):
+    """Arguments of one seeded ``scan_block`` call: a lattice ratio or a
+    random one; row counts around the 64-row tile, single rows and
+    columns; now and then a tiny ``sigma`` or nodes near the float
+    range, where gaps overflow to inf and NaN."""
+    a = rng.choice([1.0, 2.0, 2.5, 3.0, rng.uniform(0.2, 4.0)])
+    mu = rng.uniform(0.3, 10.0)
+    if rng.random() < 0.15:
+        sigma = 10.0 ** -rng.uniform(150.0, 300.0)
+    else:
+        sigma = mu * rng.uniform(0.01, 0.5)
+    alpha = sigma * rng.uniform(0.03, 3.0)
+    scale = 1e307 if rng.random() < 0.15 else 1.0
+    dx = 2.0 ** -rng.randint(2, 8) * scale
+    # A node on x = 0 in some blocks, where the gap is exactly zero.
+    if rng.random() < 0.5:
+        x0 = -rng.randint(0, 60) * dx
+    else:
+        x0 = rng.uniform(-8.0, 8.0) * scale
+    if rng.random() < 0.5:
+        m = rng.randint(1, 10)
+        dy = a * dx * rng.randint(1, 64 - m) / m
+    else:
+        dy = rng.uniform(0.001, 0.3) * scale
+    y0 = rng.uniform(-8.0, 8.0) * scale
+    ni = rng.choice([1, 2, 63, 64, 65, 129, rng.randint(1, 140)])
+    nj = rng.choice([1, 2, 3, rng.randint(1, 300)])
+    i0, j0 = rng.randint(0, 100), rng.randint(0, 100)
+    return (a, mu, sigma, alpha, x0, dx, y0, dy, i0, i0 + ni, j0, j0 + nj)
+
+
+def test_kernel_outer_sum_is_the_broadcast_add():
+    """``scan_block`` forms its outer sums as a rank-2 matrix product; on
+    seeded random blocks, both paths, 1-row tail tiles, single rows and
+    columns and overflowing gaps, it returns the reference's ``(value,
+    i, j)`` exactly, the sign of ``value`` included."""
+    rng = random.Random(20261018)
+    seen = {"lattice": 0, "node": 0, "non-finite": 0, "none finite": 0, "zero": 0}
+    for _ in range(400):
+        args = _random_kernel_block(rng)
+        got = scan_block(*args)
+        want, non_finite = _broadcast_add_scan_block(*args)
+        assert got == want, args
+        assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0]), args
+        a, dx, dy = args[0], args[5], args[7]
+        lattice = search._lattice_ratio(a, dx, dy, 1.0 - search._RATIO_TOL)
+        seen["lattice" if lattice else "node"] += 1
+        seen["non-finite"] += non_finite
+        seen["none finite"] += want[1] < 0
+        seen["zero"] += want[0] == 0.0
+    assert min(seen.values()) >= 10, seen
+
+
 # ---------------------------------------------------------------------------
 # frozen scan minima
 # ---------------------------------------------------------------------------
