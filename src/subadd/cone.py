@@ -180,7 +180,7 @@ class ConeElement:
             items = list(raw.items())
         else:
             try:
-                items = [(gid, c) for gid, c in raw]
+                items = [(gid, c) for gid, c in require_sequence(raw, "coeffs")]
             except (TypeError, ValueError) as exc:
                 raise InputError(
                     f"coeffs must be a mapping or iterable of (GeneratorId, "

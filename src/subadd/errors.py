@@ -144,7 +144,9 @@ def require_sequence(value: object, what: str) -> tuple:
     try:
         items = iter(value)  # type: ignore[call-overload]
     except TypeError:
-        raise InputError(f"{what} must be a sequence, got {value!r}") from None
+        # repr() refuses ints of more than 4300 digits.
+        got = f"an int of {value.bit_length()} bits" if type(value) is int else repr(value)
+        raise InputError(f"{what} must be a sequence, got {got}") from None
     return tuple(items)
 
 

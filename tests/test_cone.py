@@ -177,6 +177,15 @@ def test_cone_rejects_duplicate_ids():
         Cone([g1, g2])
 
 
+def test_cone_refuses_generators_that_are_not_a_sequence():
+    # repr() refuses ints of more than 4300 digits, so the message gives
+    # the bit length.
+    for bad, got in ((math.inf, "inf"), (10**5000, "an int of 16610 bits")):
+        for build in (lambda: Cone(bad), lambda: ConeElement(bad)):
+            with pytest.raises(InputError, match=f"must be a sequence, got {got}"):
+                build()
+
+
 def test_generator_value_intervals(cone):
     # base ray n has value 1/(2^n sqrt(p_n)); reserve ray k has 1/sqrt(p_k)
     with mpmath.workprec(120):

@@ -237,6 +237,9 @@ def test_semigroup_input_validation():
     for bad_budget in (0, "x", 2.5, None):
         with pytest.raises(InputError):
             semigroup_search(Fraction(1, 2), (Fraction(1, 2),), 3, bad_budget)
+    for bad, got in ((math.inf, "inf"), (10**5000, "an int of 16610 bits")):
+        with pytest.raises(InputError, match=f"must be a sequence, got {got}"):
+            semigroup_search(Fraction(1, 2), bad, 3)
     # Exact strings are accepted.
     assert semigroup_member("3/2", ("1/2",), 5) is True
 

@@ -4,28 +4,38 @@ write ``BENCH_kernel.json``.
 
 Usage::
 
-    python3 tools/kernel_bench.py LABEL=SRC_DIR [LABEL=SRC_DIR ...]
-    python3 tools/kernel_bench.py before=../old/src after=src --rounds 5
+    python3 tools/kernel_bench.py LABEL=SRC_DIR [LABEL=SRC_DIR ...] [--out PATH]
+    OPENBLAS_NUM_THREADS=1 python3 tools/kernel_bench.py before=../old/src \
+        after=src --out BENCH_kernel_blas1.json
 
-Each round starts one fresh interpreter per ``SRC_DIR``, with ``SRC_DIR``
-first on ``PYTHONPATH``, taking the checkouts in turn and reversing their
-order every other round.  The interpreter scans each case once untimed,
-then ``--repeats`` times timed with ``time.perf_counter``, so numpy's
-import and first-call set-up are not counted.  The cases, all at order 2
-on the flagship triple ``(1.2, 0.05, 0.05)``:
+Each of ``ROUNDS`` rounds starts one fresh interpreter per ``SRC_DIR``,
+with ``SRC_DIR`` first on ``PYTHONPATH``, taking the checkouts in turn and
+reversing their order every other round.  The interpreter imports numpy
+before the toolkit, as a library caller may, so OpenBLAS runs with the
+thread count that ``OPENBLAS_NUM_THREADS`` gives it, or its default when
+the variable is unset, not with the toolkit's single-thread pin.  It scans
+each case once untimed, then ``REPEATS`` times timed with
+``time.perf_counter`` and ``time.process_time``, so numpy's import and
+first-call set-up are not counted.  The cases, all at order 2 on the
+flagship triple ``(1.2, 0.05, 0.05)``:
 
 - ``fullbox-801``, ``fullbox-1601``, ``fullbox-2401``: the box
   ``[-8, 8]^2`` at refine depth 3, the ``fullbox-scan`` configuration;
 - ``window-401``: the default violation window at ``grid_n`` 401 and its
-  default depth 2, the scan inside ``find_violation``.
+  default depth 2, the scan inside ``find_violation``;
+- ``fullbox-10001``: the full box at ``grid_n`` 10001 and depth 0, one
+  level whose 64-row tiles are wide enough for OpenBLAS to split the
+  outer-sum product over threads.  It runs last, so that BLAS workers
+  still spinning after it cannot show in another case's CPU time.
 
 Per label and case the record holds the median and quartiles of the
-``rounds * repeats`` times in ms and the kernel evaluations per second at
-the median (``(depth + 1) * grid_n**2`` per scan).  It also holds the host
-(``lscpu``), the Python and numpy versions, ``OPENBLAS_NUM_THREADS`` as
-the children saw it, and whether every label returned the same
-``ScanReport`` for each case.  A run with two labels and the defaults
-takes about 15 s on a 2-core Xeon VM.
+``ROUNDS * REPEATS`` times in ms, the kernel evaluations per second at
+the median (``(depth + 1) * grid_n**2`` per scan), and the process CPU
+time over wall time of the timed scans (above 1 when BLAS threads work
+alongside the main one).  It also holds the host (``lscpu``), the Python
+and numpy versions, ``OPENBLAS_NUM_THREADS`` as the children saw it, and
+whether every label returned the same ``ScanReport`` for each case.  A run
+with two labels takes about 35 s on a 2-core Xeon VM.
 """
 
 from __future__ import annotations
@@ -40,6 +50,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ROUNDS = 10
+REPEATS = 5
 
 #: name: (grid_n, refine_depth, box); ``None`` is the default violation window.
 CASES = {
@@ -47,10 +59,12 @@ CASES = {
     "fullbox-1601": (1601, 3, (-8.0, 8.0, -8.0, 8.0)),
     "fullbox-2401": (2401, 3, (-8.0, 8.0, -8.0, 8.0)),
     "window-401": (401, 2, None),
+    "fullbox-10001": (10001, 0, (-8.0, 8.0, -8.0, 8.0)),
 }
 
 #: Run by each fresh interpreter: ``{"numpy": version, "cases": {name:
-#: {"seconds": [...], "evaluations": n, "report": repr}}}`` on stdout.
+#: {"seconds": [...], "cpu_seconds": [...], "evaluations": n, "report":
+#: repr}}}`` on stdout.
 CHILD = """
 import json, sys, time
 import numpy
@@ -64,13 +78,15 @@ for name, (n, depth, box) in cases.items():
     else:
         cfg = ScanConfig(box=tuple(box), grid_n=n, refine_depth=depth)
     report = scan_gap_min(2.0, p, cfg)
-    seconds = []
+    seconds, cpu_seconds = [], []
     for _ in range(repeats):
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         scan_gap_min(2.0, p, cfg)
         seconds.append(time.perf_counter() - t0)
+        cpu_seconds.append(time.process_time() - c0)
     out[name] = dict(
-        seconds=seconds, evaluations=report.evaluations, report=repr(report)
+        seconds=seconds, cpu_seconds=cpu_seconds,
+        evaluations=report.evaluations, report=repr(report),
     )
 print(json.dumps({"numpy": numpy.__version__, "cases": out}))
 """
@@ -92,25 +108,26 @@ def host() -> dict:
     return info
 
 
-def run_child(src: str, repeats: int) -> dict:
+def run_child(src: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(src).resolve())] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(CASES), str(repeats)],
+        [sys.executable, "-c", CHILD, json.dumps(CASES), str(REPEATS)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def summary(seconds: list, evaluations: int) -> dict:
+def summary(seconds: list, cpu_seconds: list, evaluations: int) -> dict:
     q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
     return {
         "median_ms": round(median * 1e3, 3),
         "q1_ms": round(q1 * 1e3, 3),
         "q3_ms": round(q3 * 1e3, 3),
         "evals_per_s": round(evaluations / median),
+        "cpu_per_wall": round(sum(cpu_seconds) / sum(seconds), 3),
         "evaluations": evaluations,
         "samples": len(seconds),
     }
@@ -119,8 +136,6 @@ def summary(seconds: list, evaluations: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("sources", nargs="+", metavar="LABEL=SRC_DIR")
-    ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
     args = ap.parse_args(argv)
     sources = dict(s.split("=", 1) for s in args.sources)
@@ -128,17 +143,19 @@ def main(argv=None) -> int:
         ap.error("give each SRC_DIR once, as LABEL=SRC_DIR with distinct labels")
 
     seconds = {label: {name: [] for name in CASES} for label in sources}
+    cpu_seconds = {label: {name: [] for name in CASES} for label in sources}
     counts, reports, numpy_versions = {}, {name: set() for name in CASES}, set()
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         order = list(sources) if r % 2 == 0 else list(reversed(sources))
         for label in order:
-            child = run_child(sources[label], args.repeats)
+            child = run_child(sources[label])
             numpy_versions.add(child["numpy"])
             for name, case in child["cases"].items():
                 seconds[label][name] += case["seconds"]
+                cpu_seconds[label][name] += case["cpu_seconds"]
                 counts[name] = case["evaluations"]
                 reports[name].add(case["report"])
-        print(f"round {r + 1} of {args.rounds} done", file=sys.stderr)
+        print(f"round {r + 1} of {ROUNDS} done", file=sys.stderr)
 
     record = {
         "tool": "tools/kernel_bench.py",
@@ -146,15 +163,18 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": sorted(numpy_versions),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "rounds": args.rounds,
-        "repeats": args.repeats,
+        "rounds": ROUNDS,
+        "repeats": REPEATS,
         "cases": {
             name: {"grid_n": n, "refine_depth": depth, "box": box or "violation window"}
             for name, (n, depth, box) in CASES.items()
         },
         "same_reports": all(len(r) == 1 for r in reports.values()),
         "results": {
-            label: {name: summary(s, counts[name]) for name, s in cases.items()}
+            label: {
+                name: summary(s, cpu_seconds[label][name], counts[name])
+                for name, s in cases.items()
+            }
             for label, cases in seconds.items()
         },
     }
@@ -164,7 +184,8 @@ def main(argv=None) -> int:
             print(
                 f"{label:>13} {name:>13}: {s['median_ms']:9.3f} ms "
                 f"[{s['q1_ms']:.3f}, {s['q3_ms']:.3f}] "
-                f"{s['evals_per_s'] / 1e6:7.1f}M evals/s"
+                f"{s['evals_per_s'] / 1e6:7.1f}M evals/s, "
+                f"CPU/wall {s['cpu_per_wall']:.2f}"
             )
     print(f"same reports: {record['same_reports']}; wrote {args.out}")
     return 0
