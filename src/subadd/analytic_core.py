@@ -67,6 +67,7 @@ from .errors import (
     DomainError,
     InputError,
     RangeError,
+    describe,
     require_finite,
     require_instance,
     require_int,
@@ -220,7 +221,7 @@ def _require_gap_args(a: OrderLike, fn: str, x: float, y: float, p: Optional[Par
     y = require_finite(y, "y")
     if fn not in GAP_FUNCTION_HANDLES:
         raise InputError(
-            f"unknown function handle {fn!r}; expected one of "
+            f"unknown function handle {describe(fn)}; expected one of "
             f"{GAP_FUNCTION_HANDLES}"
         )
     if fn == "g":

@@ -59,6 +59,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .errors import (
     ConstructionBugError,
     InputError,
+    describe,
     require_fraction,
     require_instance,
     require_int,
@@ -184,7 +185,7 @@ class ConeElement:
             except (TypeError, ValueError) as exc:
                 raise InputError(
                     f"coeffs must be a mapping or iterable of (GeneratorId, "
-                    f"Fraction) pairs, got {raw!r}"
+                    f"Fraction) pairs, got {describe(raw)}"
                 ) from exc
         if not items:
             raise InputError("a cone element must have at least one generator")
@@ -192,10 +193,11 @@ class ConeElement:
         for gid, c in items:
             require_instance(gid, GeneratorId, "coefficient key")
             if gid in seen:
-                raise InputError(f"duplicate generator {gid} in element")
-            coeff = require_fraction(c, f"coefficient of {gid}")
+                raise InputError(f"duplicate generator {describe(gid, str)} in element")
+            what = f"coefficient of {describe(gid, str)}"
+            coeff = require_fraction(c, what)
             if coeff <= 0:
-                raise InputError(f"coefficient of {gid} must be > 0, got {coeff}")
+                raise InputError(f"{what} must be > 0, got {describe(coeff, str)}")
             seen[gid] = coeff
         ordered = tuple(sorted(seen.items(), key=lambda kv: kv[0].sort_key()))
         object.__setattr__(self, "coeffs", ordered)
@@ -304,7 +306,7 @@ class Cone:
     def generator(self, gid: GeneratorId) -> Generator:
         gen = self._by_id.get(gid)
         if gen is None:
-            raise InputError(f"unknown generator {gid}")
+            raise InputError(f"unknown generator {describe(gid, str)}")
         return gen
 
     def generator_ids(self) -> Tuple[GeneratorId, ...]:
@@ -347,7 +349,7 @@ class Cone:
         require_instance(x, ConeElement, what)
         for gid, _ in x.coeffs:
             if gid not in self._by_id:
-                raise InputError(f"{what} uses unknown generator {gid}")
+                raise InputError(f"{what} uses unknown generator {describe(gid, str)}")
         return x
 
     def apply_f(self, x: ConeElement) -> ConeElement:
@@ -424,7 +426,9 @@ class Cone:
         the two real values."""
         require_int(N, "N", 1)
         if N > self.n_base:
-            raise InputError(f"N={N} exceeds the {self.n_base} BASE generators")
+            raise InputError(
+                f"N={describe(N)} exceeds the {self.n_base} BASE generators"
+            )
         rows = []
         one = Fraction(1)
         for n in range(1, N + 1):
@@ -476,9 +480,11 @@ class Cone:
         try:
             eps_frac = Fraction(eps)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"eps must be a rational number, got {eps!r}") from exc
+            raise InputError(
+                f"eps must be a rational number, got {describe(eps)}"
+            ) from exc
         if not 0 < eps_frac < 1:
-            raise InputError(f"eps must lie in (0, 1), got {eps}")
+            raise InputError(f"eps must lie in (0, 1), got {describe(eps, str)}")
         base_ids = [
             gid for gid in self.generator_ids() if gid.kind is GeneratorKind.BASE
         ]

@@ -12,7 +12,8 @@ It also holds, once, each argument rule the modules share:
 :func:`require_finite`, :func:`require_positive`,
 :func:`require_instance` and :func:`require_sequence`.  Each returns the
 checked value or raises :class:`InputError` naming the argument; the
-package exports the first two.
+package exports the first two.  Messages print a caller's value through
+:func:`describe`, which also prints ints too long for ``repr()``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,18 @@ class ConstructionBugError(ToolkitError):
     not in the caller's input."""
 
 
+def describe(value: object, show=repr) -> str:
+    """``show(value)`` for an error message.  ``repr()`` and ``str()``
+    refuse ints of more than 4,300 digits, and values that hold one: such an
+    int prints as "an int of N bits", any other such value by its type."""
+    try:
+        return show(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
+
+
 def require_int(
     value: object, what: str, lo: Optional[int] = None, hi: Optional[int] = None
 ) -> int:
@@ -72,11 +85,11 @@ def require_int(
     inclusive bounds ``[lo, hi]`` (``None`` leaves a side open); raise
     :class:`InputError` naming ``what`` otherwise."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{what} must be an int, got {value!r}")
+        raise InputError(f"{what} must be an int, got {describe(value)}")
     if lo is not None and value < lo:
-        raise InputError(f"{what} must be >= {lo}, got {value}")
+        raise InputError(f"{what} must be >= {lo}, got {describe(value)}")
     if hi is not None and value > hi:
-        raise InputError(f"{what} must be <= {hi}, got {value}")
+        raise InputError(f"{what} must be <= {hi}, got {describe(value)}")
     return value
 
 
@@ -97,7 +110,7 @@ def require_fraction(value: object, what: str) -> Fraction:
             raise InputError(f"{what} is not a valid rational: {value!r}") from exc
     raise InputError(
         f"{what} must be an exact rational (Fraction, int, or 'p/q' "
-        f"string), got {value!r}"
+        f"string), got {describe(value)}"
     )
 
 
@@ -119,14 +132,15 @@ def require_real(value: object, what: str) -> float:
             raise InputError(
                 f"{what} must be a real number within the float range, got {got}"
             ) from exc
-    raise InputError(f"{what} must be a real number, got {value!r}")
+    raise InputError(f"{what} must be a real number, got {describe(value)}")
 
 
 def require_finite(value: object, what: str, got: object = None) -> float:
     """``value`` as a finite float; a given ``got`` stands for it in the message."""
     value = require_real(value, what)
     if not math.isfinite(value):
-        raise InputError(f"{what} must be finite, got {value if got is None else got}")
+        got = value if got is None else got
+        raise InputError(f"{what} must be finite, got {describe(got, str)}")
     return value
 
 
@@ -144,9 +158,7 @@ def require_sequence(value: object, what: str) -> tuple:
     try:
         items = iter(value)  # type: ignore[call-overload]
     except TypeError:
-        # repr() refuses ints of more than 4300 digits.
-        got = f"an int of {value.bit_length()} bits" if type(value) is int else repr(value)
-        raise InputError(f"{what} must be a sequence, got {got}") from None
+        raise InputError(f"{what} must be a sequence, got {describe(value)}") from None
     return tuple(items)
 
 
@@ -155,5 +167,7 @@ def require_instance(value: object, cls: type, what: str):
     if not isinstance(value, cls):
         name = cls.__name__
         article = "an" if name[0] in "AEIOU" else "a"
-        raise InputError(f"{what} must be {article} {name} instance, got {value!r}")
+        raise InputError(
+            f"{what} must be {article} {name} instance, got {describe(value)}"
+        )
     return value

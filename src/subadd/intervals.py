@@ -38,7 +38,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError, RangeError, SingularityError
+from .errors import DomainError, InputError, RangeError, SingularityError, describe
 
 __all__ = [
     "Interval",
@@ -79,9 +79,9 @@ def _endpoint(value: object, what: str = "interval endpoints") -> float:
         type(value) is int and abs(value) <= sys.float_info.max and float(value) == value
     ):
         return float(value)
-    # repr() refuses ints of more than 4300 digits.
-    got = f"an int of {value.bit_length()} bits" if type(value) is int else repr(value)
-    raise InputError(f"{what} must be floats or ints equal to one, got {got}")
+    raise InputError(
+        f"{what} must be floats or ints equal to one, got {describe(value)}"
+    )
 
 
 def _lift(value: object) -> "Interval":

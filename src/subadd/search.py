@@ -65,11 +65,12 @@ recomputed margins do **not** match the stored reference margins — see the
 README's "Known discrepancies".
 
 Kernel contract.  ``scan_block(a, mu, sigma, alpha, x0, dx, y0, dy, i0,
-i1, j0, j1)`` evaluates the order-``a`` gap of the working function at
+i1, j0, j1)`` minimises the order-``a`` gap of the working function over
 every node ``(x0 + i*dx, y0 + j*dy)`` for ``i in [i0, i1)``, ``j in [j0,
-j1)`` and returns ``(min_gap, best_i, best_j)``, where ``(best_i,
-best_j)`` is the first row-major node attaining the minimum, or
-``(inf, -1, -1)`` if no node produced a finite value.
+j1)``, each node either evaluated or excluded by an exact lower bound
+(see "Bounded loop"), and returns ``(min_gap, best_i, best_j)``, where
+``(best_i, best_j)`` is the first row-major node attaining the minimum,
+or ``(inf, -1, -1)`` if no node produced a finite value.
 
 - Node coordinates are computed as ``x0 + i*dx`` (multiply, then add)
   with absolute indices; ``f`` calls ``analytic_core``'s tree with
@@ -97,13 +98,30 @@ best_j)`` is the first row-major node attaining the minimum, or
   ``+-0`` as equal.  The product runs in SIMD, numpy's broadcast add
   does not.
 - The ``n^2`` part is tiled in row blocks of 64 rows into one reused
-  buffer, so peak memory is O(64*n), not O(n^2), on both paths.
+  buffer, so peak memory is O(64*n), not O(n^2), on both paths; the
+  bounded loop below skips whole 64 x 64 blocks of it.
+- Bounded loop.  On the lattice path with at least ``_BOUND_MIN_COLS``
+  (512) columns, each 64-row tile x 64-column block gets the float64
+  bound ``lb = (min u + min v) - max fs``, over its rows, its columns and
+  its lattice range ``[m*r0 + l*c0, m*(r1 - 1) + l*(c1 - 1)]``.  Every
+  gap of the block is ``fl(fl(u_i + v_j) - fs_k)`` (see "Outer sums"),
+  and rounding to nearest is monotone, so one monotone add and one
+  monotone subtract give ``gap >= lb``: no node of a block with ``lb >
+  best`` can equal or beat the running minimum ``best``.  Tiles are
+  visited in ascending order of their smallest bound; each evaluates
+  only the contiguous column span of its blocks with ``not lb > best``
+  (so a NaN bound never prunes) and is skipped if it has none.  Narrower
+  scans, such as the 401-wide violation window, prune almost nothing and
+  keep the plain row-order loop, as does the node path.
 - Results are bit-reproducible, and any block partition of the index
   rectangle gives bit-identical values: the path depends only on ``a``,
   ``dx`` and ``dy``, and lattice indices are absolute.
 - Row-major first-occurrence tie-breaking equals the lexicographically
   smallest ``(i, j)`` among minimisers, which makes block-wise reduction
   associative (combine block results by ``(value, i, j)`` tuple-minimum).
+  The kernel combines its own tiles that way, so the bounded loop's tile
+  order and skipped blocks leave ``(value, i, j)`` bit for bit as a
+  scan of every node gives it.
 - NaN and infinite gaps (overflow artefacts) never win, and the overflow
   that makes them raises no NumPy warning.
 """
@@ -117,6 +135,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .analytic_core import (
+    MAX_PREC_BITS,
     MIN_PREC_BITS,
     HighPrecision,
     Order,
@@ -133,6 +152,7 @@ from .analytic_core import (
 from .errors import (
     InputError,
     RangeError,
+    describe,
     require_finite,
     require_instance,
     require_int,
@@ -222,6 +242,13 @@ _RATIO_TOL = 2.0 ** -44
 #: rounded onto the lattice: above the rounding of refined box edges (1e-13
 #: at level 2), below the 2.4e-4 between two ratios with ``m + l <= 64``.
 _SNAP_REACH = 2.0 ** -30
+#: Fewest columns for which a lattice-path scan bounds its blocks and skips
+#: those that cannot hold the minimum.  The bounds cost 60 to 170 us a
+#: level at 801 to 2401 columns (2-core Xeon VM).  Chosen with
+#: ``tools/kernel_bench.py``'s ``window-401`` and ``fullbox-801`` cases:
+#: the violation window prunes almost nothing and would run 8% slower
+#: bounded, the full box at 513 columns breaks even and at 801 gains 20%.
+_BOUND_MIN_COLS = 512
 
 #: Stored reference rows: (mu, sigma, x_star, y_star, stored_margin), all
 #: sharing TABLE_ALPHA.  ``stored_margin`` is the reference value this
@@ -255,7 +282,7 @@ class ScanConfig:
     def __post_init__(self) -> None:
         box = self.box
         if not (isinstance(box, tuple) and len(box) == 4):
-            raise InputError(f"box must be a 4-tuple, got {box!r}")
+            raise InputError(f"box must be a 4-tuple, got {describe(box)}")
         box = tuple(require_finite(v, "box endpoints", box) for v in box)
         object.__setattr__(self, "box", box)
         x_lo, x_hi, y_lo, y_hi = box
@@ -272,8 +299,10 @@ class ScanReport:
     """Result of :func:`scan_gap_min`.
 
     ``min_gap`` is the gap re-evaluated at ``argmin`` on the interpreted
-    float64 path; ``evaluations`` counts kernel gap evaluations, which is
-    exactly ``(refine_depth + 1) * grid_n**2``.
+    float64 path; ``evaluations`` counts the grid nodes the kernel
+    covered, each either evaluated or excluded by its block's bound (see
+    "Bounded loop" in the module docstring), which is exactly
+    ``(refine_depth + 1) * grid_n**2``.
     """
 
     order: Order
@@ -354,6 +383,27 @@ def _outer_sum(np, u, v):
     return lhs, rhs
 
 
+def _block_bounds(np, u, v, fs, m, l):
+    """``lb[t, b] = (min u + min v) - max fs`` over row tile ``t``'s rows,
+    column block ``b``'s columns and their lattice range ``[m*r0 + l*c0,
+    m*(r1 - 1) + l*(c1 - 1)]``: a lower bound on every gap of the block
+    (see "Bounded loop" in the module docstring)."""
+    rows = np.arange(0, u.size, _BLOCK_ROWS)
+    cols = np.arange(0, v.size, _BLOCK_ROWS)
+    last_row = np.minimum(rows + _BLOCK_ROWS, u.size) - 1
+    last_col = np.minimum(cols + _BLOCK_ROWS, v.size) - 1
+    lo = m * rows[:, None] + l * cols[None, :]
+    hi = m * last_row[:, None] + l * last_col[None, :] + 1
+    # reduceat over [lo0, hi0, lo1, hi1, ...] gives max fs[lo:hi] at the even
+    # places.  Only the last hi is len(fs), an index reduceat refuses; the
+    # last index reduces to the end of fs anyway, so that hi is dropped.
+    idx = np.stack((lo, hi), axis=-1).ravel()[:-1]
+    top = np.maximum.reduceat(fs, idx)[::2].reshape(lo.shape)
+    low_u = np.minimum.reduceat(u, rows)
+    low_v = np.minimum.reduceat(v, cols)
+    return (low_u[:, None] + low_v[None, :]) - top
+
+
 def scan_block(
     a: float,
     mu: float,
@@ -380,8 +430,11 @@ def scan_block(
         ni, nj = i1 - i0, j1 - j0
         xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
         ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
-        f_lhs, f_rhs = _outer_sum(np, a * f(xs), f(ys))
+        afx, fy = a * f(xs), f(ys)
+        f_lhs, f_rhs = _outer_sum(np, afx, fy)
 
+        tiles = range(0, ni, _BLOCK_ROWS)
+        bounds = None
         ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
         if ratio is not None:
             # f(a*x_i + y_j) = f(s0 + k*delta) with k = m*i + l*j: evaluate
@@ -396,20 +449,38 @@ def scan_block(
                 fs, shape=(ni, nj), strides=(m * fs.itemsize, l * fs.itemsize),
                 writeable=False,
             )
+            if nj >= _BOUND_MIN_COLS:
+                bounds = _block_bounds(np, afx, fy, fs, m, l)
+                # Tiles with the lowest bound first: an early low minimum
+                # lets later tiles skip more blocks.  The order sets only how
+                # much is skipped, so NaN keys may sort anywhere.  Python's
+                # sort: a first np.argsort call maps about 0.25 MB of code.
+                lows = bounds.min(axis=1).tolist()
+                tiles = sorted(tiles, key=lambda r0: lows[r0 // _BLOCK_ROWS])
         else:
             s_lhs, s_rhs = _outer_sum(np, a * xs, ys)
 
-        buf = np.empty((min(ni, _BLOCK_ROWS), nj))
+        buf = np.empty(min(ni, _BLOCK_ROWS) * nj)
         best = (np.inf, -1, -1)
-        for r0 in range(0, ni, _BLOCK_ROWS):
+        for r0 in tiles:
             r1 = min(ni, r0 + _BLOCK_ROWS)
-            gaps = buf[: r1 - r0]
+            c0, c1 = 0, nj
+            if bounds is not None:
+                # Only blocks whose bound is not above the running minimum
+                # can hold a node that equals or beats it; a NaN bound keeps
+                # its block.
+                keep = np.flatnonzero(~(bounds[r0 // _BLOCK_ROWS] > best[0]))
+                if keep.size == 0:
+                    continue
+                first, last = int(keep[0]), int(keep[-1])
+                c0, c1 = first * _BLOCK_ROWS, min(nj, (last + 1) * _BLOCK_ROWS)
+            gaps = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
             if ratio is not None:
-                fs_b = fs_nodes[r0:r1]
+                fs_b = fs_nodes[r0:r1, c0:c1]
             else:
                 np.matmul(s_lhs[r0:r1], s_rhs, out=gaps)
                 fs_b = f(gaps)
-            np.matmul(f_lhs[r0:r1], f_rhs, out=gaps)
+            np.matmul(f_lhs[r0:r1], f_rhs[:, c0:c1], out=gaps)
             np.subtract(gaps, fs_b, out=gaps)
 
             # First row-major occurrence of the minimum; NaN and +-inf never
@@ -418,10 +489,8 @@ def scan_block(
             if not math.isfinite(gaps.flat[flat]):
                 np.copyto(gaps, np.inf, where=~np.isfinite(gaps))
                 flat = int(np.argmin(gaps))
-            value = float(gaps.flat[flat])
-            if value < best[0]:
-                bi, bj = divmod(flat, nj)
-                best = (value, i0 + r0 + bi, j0 + bj)
+            bi, bj = divmod(flat, c1 - c0)
+            best = min(best, (float(gaps.flat[flat]), i0 + r0 + bi, j0 + c0 + bj))
         return best
 
 
@@ -608,6 +677,7 @@ def find_violation(
     high-precision margin.
     """
     av = order_value(a)
+    require_int(prec_bits, "prec_bits", MIN_PREC_BITS, MAX_PREC_BITS)
     if cfg is None:
         cfg = violation_scan_config(p)
     report = scan_gap_min(av, p, cfg)

@@ -53,6 +53,7 @@ from .errors import (
     DomainError,
     InputError,
     PreconditionError,
+    describe,
     require_finite,
     require_fraction,
     require_instance,
@@ -101,7 +102,7 @@ def _r_and_r2(fn: str, p: Optional[Params]):
     """Resolve a Rolle handle to ``(r, r'')`` float64 evaluators."""
     if fn not in _ROLLE_HANDLES:
         raise InputError(
-            f"unknown function handle {fn!r}; expected one of {_ROLLE_HANDLES}"
+            f"unknown function handle {describe(fn)}; expected one of {_ROLLE_HANDLES}"
         )
     if fn == "g":
         return _evaluator(math, "g"), (lambda s: _g_second(math, s))
@@ -256,7 +257,7 @@ def semigroup_search(
     """
     tgt = require_fraction(target, "target")
     if tgt <= 0:
-        raise InputError(f"target must be > 0, got {tgt}")
+        raise InputError(f"target must be > 0, got {describe(tgt, str)}")
     require_int(max_terms, "max_terms", 1)
     require_int(budget, "budget", 1)
     gens = [
@@ -266,7 +267,7 @@ def semigroup_search(
     if not gens:
         raise InputError("generators must be nonempty")
     if any(g <= 0 for g in gens):
-        raise InputError(f"generators must be > 0, got {gens}")
+        raise InputError(f"generators must be > 0, got {describe(gens, str)}")
 
     denom = tgt.denominator
     for g in gens:

@@ -26,9 +26,11 @@ from subadd import (
     ToolkitError,
     make_generators,
 )
+from subadd.errors import describe
 
 HOSTILE = (math.inf, -math.inf, math.nan, True, "x", None)
-HUGE = 10**400
+#: Huge ints; ``repr()`` refuses the second, of more than 4,300 digits.
+HUGE = (10**400, 10**5000)
 
 P = Params(mu=1.2, sigma=0.05, alpha=0.05)
 CFG = ScanConfig(box=(-0.1, 0.1, 0.9, 1.4), grid_n=21, refine_depth=0)
@@ -173,12 +175,12 @@ def test_hostile_scalars_raise_toolkit_errors_only(name):
     call(**valid)  # the valid call itself must work
     leaks = []
     for param in valid:
-        values = HOSTILE if param in uncapped else HOSTILE + (HUGE,)
+        values = HOSTILE if param in uncapped else HOSTILE + HUGE
         for value in values:
             try:
                 call(**{**valid, param: value})
             except ToolkitError:
                 pass
             except Exception as exc:  # any other type is a leak
-                leaks.append(f"{param}={value!r:.20}: {type(exc).__name__}: {exc}")
+                leaks.append(f"{param}={describe(value):.20}: {type(exc).__name__}: {exc}")
     assert not leaks, "\n".join(leaks)

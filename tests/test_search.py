@@ -410,10 +410,11 @@ def test_kernel_peak_memory_is_row_tiled(cert_params, box):
 def _broadcast_add_scan_block(a, mu, sigma, alpha, x0, dx, y0, dy, i0, i1, j0, j1):
     """Reference kernel: the nodes, lattice, row tiles and tie-break of
     ``scan_block``, with both outer sums taken by numpy's broadcast
-    ``np.add``.  Returns ``(value, i, j)`` and whether any gap of the
-    block was NaN or infinite."""
+    ``np.add``, scanning every node in row order.  Returns ``(value, i,
+    j)``, whether any gap of the block was NaN or infinite, and how many
+    row tiles hold a node of the minimum value."""
     if i1 <= i0 or j1 <= j0:
-        return (math.inf, -1, -1), False
+        return (math.inf, -1, -1), False, 0
     with np.errstate(over="ignore", invalid="ignore"):
         f = search._evaluator(np, "f", mu, sigma, alpha)
         ni, nj = i1 - i0, j1 - j0
@@ -426,7 +427,7 @@ def _broadcast_add_scan_block(a, mu, sigma, alpha, x0, dx, y0, dy, i0, i1, j0, j
             ks = np.arange(m * i0 + l * j0, m * (i1 - 1) + l * (j1 - 1) + 1.0)
             fs = f((a * x0 + y0) + ks * (a * dx / m))
             node_k = m * np.arange(ni)[:, None] + l * np.arange(nj)[None, :]
-        best, non_finite = (math.inf, -1, -1), False
+        best, non_finite, tile_minima = (math.inf, -1, -1), False, []
         for r0 in range(0, ni, search._BLOCK_ROWS):
             r1 = min(ni, r0 + search._BLOCK_ROWS)
             if ratio is not None:
@@ -439,10 +440,11 @@ def _broadcast_add_scan_block(a, mu, sigma, alpha, x0, dx, y0, dy, i0, i1, j0, j
             gaps[~finite] = np.inf
             flat = int(np.argmin(gaps))
             value = float(gaps.flat[flat])
+            tile_minima.append(value)
             if value < best[0]:
                 bi, bj = divmod(flat, nj)
                 best = (value, i0 + r0 + bi, j0 + bj)
-    return best, non_finite
+    return best, non_finite, tile_minima.count(best[0]) if best[1] >= 0 else 0
 
 
 def _random_kernel_block(rng):
@@ -464,38 +466,97 @@ def _random_kernel_block(rng):
         x0 = -rng.randint(0, 60) * dx
     else:
         x0 = rng.uniform(-8.0, 8.0) * scale
+    # Some blocks span several row tiles and are wide enough to be bounded;
+    # their lattices are short, as in the scans that prune.
+    wide = rng.random() < 0.25
     if rng.random() < 0.5:
         m = rng.randint(1, 10)
-        dy = a * dx * rng.randint(1, 64 - m) / m
+        dy = a * dx * rng.randint(1, 4 if wide else 64 - m) / m
     else:
         dy = rng.uniform(0.001, 0.3) * scale
-    y0 = rng.uniform(-8.0, 8.0) * scale
-    ni = rng.choice([1, 2, 63, 64, 65, 129, rng.randint(1, 140)])
-    nj = rng.choice([1, 2, 3, rng.randint(1, 300)])
+    # A node on y = 0 in some blocks: at order 1 the gap is zero there too,
+    # in every row tile.
+    if rng.random() < 0.25:
+        y0 = -rng.randint(0, 60) * dy
+    else:
+        y0 = rng.uniform(-8.0, 8.0) * scale
+    if wide:
+        ni, nj = rng.randint(65, 400), rng.randint(search._BOUND_MIN_COLS, 1200)
+    else:
+        ni = rng.choice([1, 2, 63, 64, 65, 129, rng.randint(1, 140)])
+        nj = rng.choice([1, 2, 3, rng.randint(1, 300)])
     i0, j0 = rng.randint(0, 100), rng.randint(0, 100)
     return (a, mu, sigma, alpha, x0, dx, y0, dy, i0, i0 + ni, j0, j0 + nj)
 
 
-def test_kernel_outer_sum_is_the_broadcast_add():
-    """``scan_block`` forms its outer sums as a rank-2 matrix product; on
-    seeded random blocks, both paths, 1-row tail tiles, single rows and
-    columns and overflowing gaps, it returns the reference's ``(value,
-    i, j)`` exactly, the sign of ``value`` included."""
+def test_kernel_outer_sum_is_the_broadcast_add(monkeypatch):
+    """``scan_block`` forms its outer sums as a rank-2 matrix product and
+    skips the blocks its bounds rule out; on seeded random blocks, both
+    paths, 1-row tail tiles, single rows and columns, overflowing gaps,
+    skipped tiles and blocks, and minima tied across row tiles, it returns
+    the reference's ``(value, i, j)`` exactly, the sign of ``value``
+    included."""
+    computed = []  # entries of each kernel outer-sum product
+    np_matmul = np.matmul
+
+    def matmul(lhs, rhs, out):
+        computed.append(out.size)
+        return np_matmul(lhs, rhs, out=out)
+
     rng = random.Random(20261018)
-    seen = {"lattice": 0, "node": 0, "non-finite": 0, "none finite": 0, "zero": 0}
-    for _ in range(400):
+    seen = dict.fromkeys(
+        ("lattice", "node", "non-finite", "none finite", "zero", "skipped",
+         "tied across tiles"),
+        0,
+    )
+    for _ in range(500):
         args = _random_kernel_block(rng)
-        got = scan_block(*args)
-        want, non_finite = _broadcast_add_scan_block(*args)
+        computed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", matmul)
+            got = scan_block(*args)
+        want, non_finite, tiles_at_min = _broadcast_add_scan_block(*args)
         assert got == want, args
         assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0]), args
+        assert tuple(map(type, got)) == (float, int, int), args
         a, dx, dy = args[0], args[5], args[7]
         lattice = search._lattice_ratio(a, dx, dy, 1.0 - search._RATIO_TOL)
         seen["lattice" if lattice else "node"] += 1
         seen["non-finite"] += non_finite
         seen["none finite"] += want[1] < 0
         seen["zero"] += want[0] == 0.0
+        # The lattice path forms one product per tile it evaluates.
+        nodes = (args[9] - args[8]) * (args[11] - args[10])
+        seen["skipped"] += bool(lattice) and sum(computed) < nodes
+        seen["tied across tiles"] += tiles_at_min > 1
     assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("nan_row", [None, 1])
+def test_bounded_loop_keeps_blocks_whose_bound_is_not_above_the_minimum(
+    monkeypatch, nan_row
+):
+    """A synthetic ``f`` with exact gaps ``f(x_i) + f(y_j) - f(x_i + y_j)``
+    in {0, 1} on a 192 x 512 lattice block.  Row 0 holds the first
+    minimiser, where each block's bound is exactly the minimum 0, or NaN
+    when row ``nan_row`` is NaN; row 128's tile, whose loose bound of -1
+    sends it first, holds the minimum too, and the middle tile's bound of
+    1 skips it.  The kernel must still return row 0."""
+    y0 = 10_000.0
+
+    def f(t):
+        out = np.where(t < y0, 1.0, 0.0)
+        out[(t == 0.0) | (t == 128.0)] = 0.0
+        if nan_row is not None:
+            out[t == nan_row] = math.nan
+        out[t == y0 + 641.0] = 1.0  # f(x_i + y_j) at i + j = 641
+        return out
+
+    monkeypatch.setattr(search, "_evaluator", lambda lib, fn, *params: f)
+    args = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, y0, 1.0, 0, 192, 0, search._BOUND_MIN_COLS)
+    want, _, tiles_at_min = _broadcast_add_scan_block(*args)
+    assert want == (0.0, 0, 0) and tiles_at_min == 2
+    assert scan_block(*args) == want
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +775,14 @@ def test_find_violation_none_when_bump_too_small():
     # hunt window: the base profile's positive gap dominates.
     p = Params(mu=1.2, sigma=0.05, alpha=0.001)
     assert find_violation(2, p) is None
+
+
+@pytest.mark.parametrize("prec_bits", ["x", 10**400, 127])
+def test_find_violation_checks_prec_bits_before_it_scans(prec_bits):
+    """A bad precision is refused even when the scan finds no candidate,
+    so it never reaches confirmation."""
+    with pytest.raises(InputError, match="prec_bits"):
+        find_violation(2.0, Params(1.2, 0.05, 0.001), prec_bits=prec_bits)
 
 
 def test_verify_point_frozen_values(cert_params):

@@ -30,7 +30,8 @@ flagship triple ``(1.2, 0.05, 0.05)``:
 
 Per label and case the record holds the median and quartiles of the
 ``ROUNDS * REPEATS`` times in ms, the kernel evaluations per second at
-the median (``(depth + 1) * grid_n**2`` per scan), and the process CPU
+the median (``(depth + 1) * grid_n**2`` grid nodes covered per scan, each
+evaluated or excluded by its block's bound), and the process CPU
 time over wall time of the timed scans (above 1 when BLAS threads work
 alongside the main one).  It also holds the host (``lscpu``), the Python
 and numpy versions, ``OPENBLAS_NUM_THREADS`` as the children saw it, and
