@@ -15,11 +15,14 @@ Pipeline:
    y-step rounded *down* onto the lattice of ``a*dx``: the largest
    ``dy <= (y1 - y0)/(n - 1)`` with ``dy/(a*dx) = l/m`` for integers
    ``m + l <= 64``, provided the top row of nodes stays within one
-   unsnapped y-step of ``y1``; otherwise the plain step.  Where rounding
-   a refined box's edges leaves ``dy/(a*dx)`` below ``l/m`` by between
-   ``2**-44`` and ``2**-30`` relative, ``dx`` is rounded down onto the
-   lattice instead, to ``m*(dy/l)/a``.  Either step is
-   then shrunk by ulps until the last node ``x0 + (n-1)*dx`` (resp.
+   unsnapped y-step of ``y1``; otherwise the plain step.  The snap keeps
+   the period 64 although the kernel accepts lattices up to 128 (see
+   "Lattice path"), so that no node moves: a level with a longer period
+   keeps its plain step and the kernel finds its lattice as it is.
+   Where rounding a refined box's edges leaves ``dy/(a*dx)`` below
+   ``l/m`` by between ``2**-44`` and ``2**-30`` relative, ``dx`` is
+   rounded down onto the lattice instead, to ``m*(dy/l)/a``.  Either step
+   is then shrunk by ulps until the last node ``x0 + (n-1)*dx`` (resp.
    ``y0 + (n-1)*dy``) lies inside the box, so every node of every level,
    clipped levels included, lies inside the rectangle.  The full box at
    orders 1, 2, 2.5 and 3 needs no snapping (``l/m`` = 1, 1/2, 2/5,
@@ -77,16 +80,17 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
   ``numpy`` (``h(0)`` by ``np.exp``) and the gap is
   ``(a*f(x) + f(y)) - f(s)``.
 - Lattice path.  When ``dy/(a*dx)`` equals ``l/m`` to within ``2**-44``
-  relative for coprime ``m + l <= 64`` (derived from ``a``, ``dx`` and
-  ``dy`` alone), every ``a*x_i + y_j`` lies on one 1-D lattice and ``s``
-  is taken as ``(a*x0 + y0) + k*delta`` with ``delta = a*dx/m`` and the
-  absolute lattice index ``k = m*i + l*j``.  ``f`` is evaluated once per
-  lattice point of the block, about ``(m + l)*n`` calls, and each node
-  reads its value through a strided view.  ``s`` differs from the
-  directly computed ``a*x_i + y_j`` by a few roundings.
-- Node path.  Otherwise (a lattice longer than one row tile, as for the
-  box ``(0, 1e-6, -8, 8)``), ``s = a*x_i + y_j`` and ``f(s)`` are computed
-  per node, one row tile at a time.
+  relative for coprime ``m + l <= 128``, two row tiles (derived from
+  ``a``, ``dx`` and ``dy`` alone, by a Stern–Brocot walk), every
+  ``a*x_i + y_j`` lies on one 1-D lattice and ``s`` is taken as ``(a*x0
+  + y0) + k*delta`` with ``delta = a*dx/m`` and the absolute lattice
+  index ``k = m*i + l*j``.  ``f`` is evaluated once per lattice point of
+  the block, about ``(m + l)*n`` calls, and each node reads its value
+  through a strided view.  ``s`` differs from the directly computed
+  ``a*x_i + y_j`` by a few roundings.
+- Node path.  Otherwise (no period ``m + l <= 128``, as for the box
+  ``(0, 1e-6, -8, 8)``), ``s = a*x_i + y_j`` and ``f(s)`` are computed per
+  node, one row tile at a time.
 - Outer sums.  ``a*f(x_i) + f(y_j)``, and on the node path ``a*x_i +
   y_j``, are formed as the matrix product of ``L = [u, 1]`` (n x 2) and
   ``R = [1; v]`` (2 x n), built once per call.  Each entry is ``u_i*1 +
@@ -98,8 +102,9 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
   ``+-0`` as equal.  The product runs in SIMD, numpy's broadcast add
   does not.
 - The ``n^2`` part is tiled in row blocks of 64 rows into one reused
-  buffer, so peak memory is O(64*n), not O(n^2), on both paths; the
-  bounded loop below skips whole 64 x 64 blocks of it.
+  buffer, and the lattice path's ``f`` values number at most ``128*n``,
+  so peak memory is O(n), not O(n^2), on both paths; the bounded loop
+  below skips whole 64 x 64 blocks of it.
 - Bounded loop.  On the lattice path with at least ``_BOUND_MIN_COLS``
   (512) columns, each 64-row tile x 64-column block gets the float64
   bound ``lb = (min u + min v) - max fs``, over its rows, its columns and
@@ -233,9 +238,16 @@ MAX_REFINE_DEPTH = 30
 #: scans it, and so does ``subadd scan`` by default.
 FULL_BOX = (-8.0, 8.0, -8.0, 8.0)
 
-#: Rows per tile of a scan's O(n^2) part, and the bound on the lattice
-#: period ``m + l`` (so the lattice is no longer than one tile).
+#: Rows per tile of a scan's O(n^2) part, and columns per block of the
+#: bounded loop.
 _BLOCK_ROWS = 64
+#: Longest lattice period ``m + l`` the kernel runs on.  Its lattice holds
+#: at most ``_LATTICE_PERIOD * n`` points, still O(n); a level clipped at
+#: ``grid_n`` 1601 needs 83.
+_LATTICE_PERIOD = 2 * _BLOCK_ROWS
+#: Longest period the node placement snaps a level's ``dy`` onto.  It
+#: stays 64 while the kernel takes longer lattices, so no node moves.
+_SNAP_PERIOD = 64
 #: Relative slack within which ``dy / (a*dx)`` counts as equal to ``l/m``.
 _RATIO_TOL = 2.0 ** -44
 #: How far below ``l/m`` a level's ``dy / (a*dx)`` may lie for ``dx`` to be
@@ -343,23 +355,50 @@ class TableRow:
 
 
 def _lattice_ratio(
-    a: float, dx: float, dy: float, keep: float, reach: float = _RATIO_TOL
+    a: float,
+    dx: float,
+    dy: float,
+    keep: float,
+    reach: float = _RATIO_TOL,
+    period: int = _SNAP_PERIOD,
 ) -> Optional[Tuple[int, int]]:
-    """The ``(m, l)`` with ``m + l <= _BLOCK_ROWS`` whose ratio ``l/m`` is
-    the largest in ``[r*keep, r*(1 + reach)]``, ``r = dy/(a*dx)``
-    (lowest terms), or ``None`` if no ratio lies there."""
+    """The ``(m, l)`` with ``m + l <= period`` whose ratio ``l/m`` is the
+    largest in ``[r*keep, r*(1 + reach)]``, ``r = dy/(a*dx)`` (lowest
+    terms), or ``None`` if no ratio lies there.
+
+    The largest ``l/m <= hi = r*(1 + reach)`` is the best lower rational
+    approximation of ``hi`` with ``m + l <= period``.  It is found by a
+    Stern–Brocot descent towards ``hi``'s exact value, which keeps two
+    neighbours ``l/m <= hi < u/v`` and takes each run of steps in one
+    direction as one batch.  Every ratio strictly between two neighbours
+    has ``m + l`` at least the sum of theirs, so the descent stops when the
+    next mediant's sum is above ``period``, with ``l/m`` the answer.  The
+    comparison with ``hi`` is exact; a loop over ``m`` taking ``l =
+    floor(hi*m)`` in float64 would also accept an ``l/m`` that ``hi*m``
+    rounds up to.
+    """
     adx = a * dx
     r = dy / adx if adx > 0.0 else math.nan
     if not 0.0 < r < math.inf:
         return None
-    best = None
-    # l <= _BLOCK_ROWS - m anyway; the cap keeps hi * m finite.
-    lo, hi = r * keep, min(r * (1.0 + reach), _BLOCK_ROWS)
-    for m in range(1, _BLOCK_ROWS):
-        l = min(math.floor(hi * m), _BLOCK_ROWS - m)
-        if l >= 1 and l >= lo * m and (best is None or l * best[0] > best[1] * m):
-            best = (m, l)
-    return best
+    # l/m < period anyway; the cap keeps hi finite.
+    lo, hi = r * keep, min(r * (1.0 + reach), period)
+    p, q = hi.as_integer_ratio()
+    l, m, u, v = 0, 1, 1, 0
+    while True:
+        # Step l/m towards u/v while the mediant stays <= p/q ...
+        k = min((p * m - q * l) // (q * u - p * v), (period - l - m) // (u + v))
+        l, m = l + k * u, m + k * v
+        # ... then u/v towards l/m while it stays > p/q.
+        j = (period - u - v) // (l + m)
+        if p * m > q * l:
+            j = min(j, (q * u - p * v - 1) // (p * m - q * l))
+        if j == 0:
+            break
+        u, v = u + j * l, v + j * m
+    if l == 0 or l < lo * m:
+        return None
+    return m, l
 
 
 def _fit_step(lo: float, hi: float, n: int, step: float) -> float:
@@ -435,7 +474,7 @@ def scan_block(
 
         tiles = range(0, ni, _BLOCK_ROWS)
         bounds = None
-        ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
+        ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL, period=_LATTICE_PERIOD)
         if ratio is not None:
             # f(a*x_i + y_j) = f(s0 + k*delta) with k = m*i + l*j: evaluate
             # the lattice once, from the block's first to its last k.
@@ -525,7 +564,9 @@ def scan_gap_min(a: OrderLike, p: Params, cfg: ScanConfig) -> ScanReport:
         # Snap dy down onto the lattice of a*dx when that costs less than
         # one y-step of the box's height.  Rounding the edges c +- w/2 can
         # leave dy/(a*dx) just below l/m, out of the kernel's reach: then
-        # round dx down onto the lattice instead.
+        # round dx down onto the lattice instead.  Both checks keep the
+        # snap's period; the second answers for the kernel's too, since no
+        # other ratio with m + l <= 128 lies within 2**-30 of l/m.
         ratio = _lattice_ratio(av, dx, dy, (n - 2) / (n - 1), _SNAP_REACH)
         if ratio is not None:
             m, l = ratio

@@ -7,10 +7,13 @@ proves non-2-subadditive, the flagship among them, must yield a confirmed
 violation.  See the README's "Known discrepancies".
 """
 
+import json
 import math
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -218,6 +221,99 @@ def test_lattice_ratio_recognises_small_periods():
     assert search._lattice_ratio(2.0, 1e-3, 1e307, 0.5) is None
 
 
+def _loop_lattice_ratio(a, dx, dy, keep, reach=search._RATIO_TOL, period=64):
+    """Reference: the former ``_lattice_ratio``, which tried every ``m``
+    below ``period`` with ``l = floor(hi*m)`` in float64."""
+    adx = a * dx
+    r = dy / adx if adx > 0.0 else math.nan
+    if not 0.0 < r < math.inf:
+        return None
+    best = None
+    lo, hi = r * keep, min(r * (1.0 + reach), period)
+    for m in range(1, period):
+        l = min(math.floor(hi * m), period - m)
+        if l >= 1 and l >= lo * m and (best is None or l * best[0] > best[1] * m):
+            best = (m, l)
+    return best
+
+
+_PERIODS = [search._SNAP_PERIOD, search._LATTICE_PERIOD]
+
+
+def _seeded_ratio_cases(count):
+    """``(r, keep, reach)``: half log-uniform ratios, half within a few
+    ulps of some ``l/m`` with ``m + l`` up to 140; ``keep`` is the
+    kernel's or the snap's at ``grid_n`` 1601 or 801, ``reach`` the
+    kernel's or the snap's."""
+    rng = random.Random(20261019)
+    keeps = [1.0 - search._RATIO_TOL, 1599 / 1600, 799 / 800]
+    reaches = [search._RATIO_TOL, search._SNAP_REACH]
+    cases = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            r = math.exp(rng.uniform(-7.0, 7.0))
+        else:
+            m = rng.randint(1, 139)
+            l = rng.randint(1, 140 - m)
+            r = l / m * (1.0 + rng.randint(-8, 8) * 2.0**-52)
+        cases.append((r, rng.choice(keeps), rng.choice(reaches)))
+    return cases
+
+
+@pytest.mark.parametrize("period", _PERIODS)
+def test_lattice_ratio_walk_equals_the_loop_on_seeded_ratios(period):
+    """The Stern–Brocot walk returns the loop's ``(m, l)`` at the snap's
+    and the kernel's period."""
+    for r, keep, reach in _seeded_ratio_cases(100_000):
+        want = _loop_lattice_ratio(1.0, 1.0, r, keep, reach, period)
+        assert search._lattice_ratio(1.0, 1.0, r, keep, reach, period) == want, (
+            r.hex(), keep, reach,
+        )
+
+
+@pytest.mark.parametrize("period", _PERIODS)
+def test_lattice_ratio_walk_equals_the_loop_on_recorded_ratios(period):
+    """Every ratio the ``fullbox-scan`` pools (seeds 1 to 20) and the
+    ``tools/violation_matrix.py`` cases meet, as recorded by
+    ``tools/lattice_ratios.py``, gets the loop's ``(m, l)``."""
+    path = Path(__file__).with_name("lattice_ratios.json")
+    record = json.loads(path.read_text())
+    assert sum(map(len, record.values())) > 1000
+    for key, ratios in record.items():
+        keep, reach = map(float.fromhex, key.split())
+        for r in map(float.fromhex, ratios):
+            want = _loop_lattice_ratio(1.0, 1.0, r, keep, reach, period)
+            assert search._lattice_ratio(1.0, 1.0, r, keep, reach, period) == want
+
+
+@pytest.mark.parametrize("period", _PERIODS)
+@pytest.mark.parametrize(
+    "r", [0.0, 5e-324, 1e-300, 1e308, sys.float_info.max, math.inf, math.nan]
+)
+def test_lattice_ratio_refuses_extreme_ratios(period, r):
+    """Zero, subnormal, huge, infinite and NaN ratios have no lattice and
+    raise nothing, whatever ``keep`` and ``reach``."""
+    for keep, reach in [(1.0 - search._RATIO_TOL, search._RATIO_TOL), (0.5, 1.0)]:
+        assert search._lattice_ratio(1.0, 1.0, r, keep, reach, period) is None
+
+
+def test_lattice_ratio_compares_exactly():
+    """The walk compares ``l/m`` with ``hi``'s exact value.  The double
+    nearest 1/3 lies below it, so with no reach 1/3 is refused; the loop
+    took it, since ``hi*3`` rounds up to 1."""
+    third = 1.0 / 3.0
+    assert _loop_lattice_ratio(1.0, 1.0, third, 0.99, 0.0) == (3, 1)
+    assert search._lattice_ratio(1.0, 1.0, third, 0.99, 0.0) is None
+    got = search._lattice_ratio(1.0, 1.0, third, 0.9, 0.0)
+    assert got is not None and Fraction(got[1], got[0]) < Fraction(third)
+    # Where hi is exactly a short ratio, the walk lands on it.
+    assert search._lattice_ratio(1.0, 1.0, 19 / 64, 0.99, 0.0, 128) == (64, 19)
+    for r in (0.5, 0.75, 3.0, 19 / 64, 1 / 128):
+        for period in _PERIODS:
+            want = _loop_lattice_ratio(1.0, 1.0, r, 0.99, 0.0, period)
+            assert search._lattice_ratio(1.0, 1.0, r, 0.99, 0.0, period) == want
+
+
 def _record_levels(monkeypatch):
     """Record the arguments of every kernel call ``scan_gap_min`` makes."""
     calls = []
@@ -407,6 +503,37 @@ def test_kernel_peak_memory_is_row_tiled(cert_params, box):
     assert peak < 32 * 2**20
 
 
+def test_clipped_level_runs_on_a_longer_lattice(monkeypatch):
+    """At ``grid_n`` 1601 the anchor ``(5.0, 0.15, TABLE_ALPHA)``'s level-1
+    box is clipped at ``y = -8``, with ``dy/(a*dx) = 19/64``, a period of
+    83.  Every level, that one included, evaluates ``f`` at no more than
+    about ``(_LATTICE_PERIOD + 2)*n`` points, where the node path would
+    take ``n**2``.  The report is the one the node path gave, bit for
+    bit."""
+    n = 1601
+    counts = []
+    evaluator = search._evaluator
+
+    def counting(lib, fn, *params):
+        f = evaluator(lib, fn, *params)
+        counts.append(0)
+
+        def counted(t):
+            counts[-1] += np.size(t)
+            return f(t)
+
+        return counted
+
+    monkeypatch.setattr(search, "_evaluator", counting)
+    p = Params(5.0, 0.15, search.TABLE_ALPHA)
+    rep = scan_gap_min(2.0, p, ScanConfig(box=FULL_BOX, grid_n=n, refine_depth=3))
+    assert len(counts) == 4
+    assert max(counts) <= (search._LATTICE_PERIOD + 2) * n, counts
+    assert counts[1] > (search._SNAP_PERIOD + 2) * n, counts
+    got = (rep.min_gap.hex(), rep.argmin.x.hex(), rep.argmin.y.hex(), rep.evaluations)
+    assert got == ("0x0.0p+0", "0x0.0p+0", "-0x1.f666666666666p+2", 4 * n * n)
+
+
 def _broadcast_add_scan_block(a, mu, sigma, alpha, x0, dx, y0, dy, i0, i1, j0, j1):
     """Reference kernel: the nodes, lattice, row tiles and tie-break of
     ``scan_block``, with both outer sums taken by numpy's broadcast
@@ -421,7 +548,9 @@ def _broadcast_add_scan_block(a, mu, sigma, alpha, x0, dx, y0, dy, i0, i1, j0, j
         xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
         ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
         afx, fy = a * f(xs), f(ys)
-        ratio = search._lattice_ratio(a, dx, dy, 1.0 - search._RATIO_TOL)
+        ratio = search._lattice_ratio(
+            a, dx, dy, 1.0 - search._RATIO_TOL, period=search._LATTICE_PERIOD
+        )
         if ratio is not None:
             m, l = ratio
             ks = np.arange(m * i0 + l * j0, m * (i1 - 1) + l * (j1 - 1) + 1.0)
@@ -451,7 +580,10 @@ def _random_kernel_block(rng):
     """Arguments of one seeded ``scan_block`` call: a lattice ratio or a
     random one; row counts around the 64-row tile, single rows and
     columns; now and then a tiny ``sigma`` or nodes near the float
-    range, where gaps overflow to inf and NaN."""
+    range, where gaps overflow to inf and NaN.  A share of the lattice
+    ratios have periods ``m + l`` of 65 to 128, which the kernel runs on
+    its longer lattices, and some have periods above 128, which take the
+    node path."""
     a = rng.choice([1.0, 2.0, 2.5, 3.0, rng.uniform(0.2, 4.0)])
     mu = rng.uniform(0.3, 10.0)
     if rng.random() < 0.15:
@@ -467,11 +599,18 @@ def _random_kernel_block(rng):
     else:
         x0 = rng.uniform(-8.0, 8.0) * scale
     # Some blocks span several row tiles and are wide enough to be bounded;
-    # their lattices are short, as in the scans that prune.
+    # most of their lattices are short, as in the scans that prune.
     wide = rng.random() < 0.25
-    if rng.random() < 0.5:
+    kind = rng.random()
+    if kind < 0.5:
         m = rng.randint(1, 10)
         dy = a * dx * rng.randint(1, 4 if wide else 64 - m) / m
+    elif kind < 0.75:
+        period = rng.randint(65, 128) if rng.random() < 0.7 else rng.randint(129, 200)
+        m = rng.randint(1, period - 1)
+        while math.gcd(m, period) != 1:
+            m = rng.randint(1, period - 1)
+        dy = a * dx * (period - m) / m
     else:
         dy = rng.uniform(0.001, 0.3) * scale
     # A node on y = 0 in some blocks: at order 1 the gap is zero there too,
@@ -505,8 +644,8 @@ def test_kernel_outer_sum_is_the_broadcast_add(monkeypatch):
 
     rng = random.Random(20261018)
     seen = dict.fromkeys(
-        ("lattice", "node", "non-finite", "none finite", "zero", "skipped",
-         "tied across tiles"),
+        ("lattice", "node", "period 65 to 128", "period above 128",
+         "non-finite", "none finite", "zero", "skipped", "tied across tiles"),
         0,
     )
     for _ in range(500):
@@ -520,8 +659,12 @@ def test_kernel_outer_sum_is_the_broadcast_add(monkeypatch):
         assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0]), args
         assert tuple(map(type, got)) == (float, int, int), args
         a, dx, dy = args[0], args[5], args[7]
-        lattice = search._lattice_ratio(a, dx, dy, 1.0 - search._RATIO_TOL)
+        tol = 1.0 - search._RATIO_TOL
+        lattice = search._lattice_ratio(a, dx, dy, tol, period=search._LATTICE_PERIOD)
         seen["lattice" if lattice else "node"] += 1
+        seen["period 65 to 128"] += bool(lattice) and sum(lattice) > 64
+        longer = search._lattice_ratio(a, dx, dy, tol, period=256)
+        seen["period above 128"] += not lattice and bool(longer)
         seen["non-finite"] += non_finite
         seen["none finite"] += want[1] < 0
         seen["zero"] += want[0] == 0.0

@@ -23,6 +23,10 @@ flagship triple ``(1.2, 0.05, 0.05)``:
   ``[-8, 8]^2`` at refine depth 3, the ``fullbox-scan`` configuration;
 - ``window-401``: the default violation window at ``grid_n`` 401 and its
   default depth 2, the scan inside ``find_violation``;
+- ``clipped-1601``: one level at ``grid_n`` 1601 over ``[-0.8, 0.8] x
+  [-8, -7.05]``, the refined full-box level clipped at ``y = -8`` that the
+  anchor ``(5.0, 0.15, TABLE_ALPHA)`` meets: ``dy/(a*dx) = 19/64``, a
+  lattice period of 83;
 - ``fullbox-10001``: the full box at ``grid_n`` 10001 and depth 0, one
   level whose 64-row tiles are wide enough for OpenBLAS to split the
   outer-sum product over threads.  It runs last, so that BLAS workers
@@ -60,6 +64,7 @@ CASES = {
     "fullbox-1601": (1601, 3, (-8.0, 8.0, -8.0, 8.0)),
     "fullbox-2401": (2401, 3, (-8.0, 8.0, -8.0, 8.0)),
     "window-401": (401, 2, None),
+    "clipped-1601": (1601, 0, (-0.8, 0.8, -8.0, -7.05)),
     "fullbox-10001": (10001, 0, (-8.0, 8.0, -8.0, 8.0)),
 }
 
