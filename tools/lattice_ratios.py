@@ -30,12 +30,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
-
-import violation_matrix  # noqa: E402
-import workloads  # noqa: E402
-from subadd import search  # noqa: E402
-
 FULLBOX_SEEDS = range(1, 21)
 
 
@@ -43,6 +37,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(ROOT / "tests" / "lattice_ratios.json"))
     args = ap.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
+    import violation_matrix
+    import workloads
+    from subadd import search
 
     seen = {}
     lattice_ratio = search._lattice_ratio
