@@ -14,11 +14,14 @@ Every option is one row of ``_OPTIONS``: the flag ``--NAME`` and the key
 ``NAME`` of the ``--config FILE`` (a ``key = value`` file, ``_`` allowed
 for ``-``), its reader, and the subcommands that take it.  A value comes
 from the flag, else the config file, else the default; a subcommand
-ignores, and does not parse, the config keys it does not take.  Common
-flags: ``--mu/--sigma/--alpha`` (defaults 1.2/0.05/0.05), ``--a``
-(default 2.0), ``--format`` {text,json,csv} and ``--precision-bits``
-(>= 128).  ``scan`` grids ``[-8, 8]^2`` at 801 nodes and 3 refinements;
-``violate`` and ``table`` take their scan defaults from
+ignores, and does not parse, the config keys it does not take.  A
+subcommand takes only the options its runner reads, and its ``--help``
+lists them: ``--config FILE`` and ``--format`` {text,json,csv} go to all
+six; ``--mu/--sigma/--alpha`` (defaults 1.2/0.05/0.05) to all but
+``table`` and ``cone``; ``--a`` (default 2.0) to ``scan`` and ``violate``,
+as ``certify`` checks order 2 only; ``--precision-bits`` (>= 128) to
+``violate`` and ``table``.  ``scan`` grids ``[-8, 8]^2`` at 801 nodes and
+3 refinements; ``violate`` and ``table`` take their scan defaults from
 :mod:`subadd.search`.
 
 Each runner returns one record ``(exit_code, json_payload, csv_header,
@@ -35,6 +38,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -123,13 +127,15 @@ class _Option(NamedTuple):
 
 
 _ALL = tuple(_SUBCOMMANDS)
+_PARAMS = ("certify", "scan", "violate", "oracles")
 _WINDOW = ("scan", "violate")
 _GRID = ("scan", "violate", "table")
+_CONFIRM = ("violate", "table")
 _OPTIONS = (
-    _Option("mu", float, _ALL, dict(help="ring centre (> 0)")),
-    _Option("sigma", float, _ALL, dict(help="ring width (> 0)")),
-    _Option("alpha", float, _ALL, dict(help="bump weight (> 0)")),
-    _Option("a", float, _ALL, dict(help="subadditivity order (> 0, default 2)")),
+    _Option("mu", float, _PARAMS, dict(help="ring centre (> 0)")),
+    _Option("sigma", float, _PARAMS, dict(help="ring width (> 0)")),
+    _Option("alpha", float, _PARAMS, dict(help="bump weight (> 0)")),
+    _Option("a", float, _WINDOW, dict(help="subadditivity order (> 0, default 2)")),
     _Option(
         "config", None, _ALL, dict(metavar="FILE", help="key = value defaults file")
     ),
@@ -138,7 +144,7 @@ _OPTIONS = (
         dict(choices=_FORMATS, dest="output_format", help="output format"),
     ),
     _Option(
-        "precision-bits", int, _ALL,
+        "precision-bits", int, _CONFIRM,
         dict(
             help="working precision for confirmations "
             f"({MIN_PREC_BITS} to {MAX_PREC_BITS})"
@@ -249,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, help_text in _SUBCOMMANDS.items():
-        subparser = sub.add_parser(name, help=help_text)
+        # No prefixes: where a subcommand does not take --a, it must
+        # refuse it, not read it as --alpha.
+        subparser = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for opt in _OPTIONS:
             if name in opt.takes:
                 subparser.add_argument("--" + opt.name, type=opt.read, **opt.kwargs)
@@ -669,7 +677,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if output:
-        print(output)
+        try:
+            print(output, flush=True)
+        except BrokenPipeError:
+            # The reader has gone.  Point stdout at devnull so that the
+            # interpreter's flush at exit cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return code
 
 

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -335,6 +336,21 @@ def test_tiny_sigma_fails_with_one_error_line(sub, code, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_closed_stdout_exits_without_a_traceback():
+    """The reader has gone before the command writes, as in ``subadd table
+    | head -0``: the child takes over 100 ms to import, and its stdout pipe
+    is closed at once."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "subadd.cli", "certify"], env=_subadd_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert "Traceback" not in err
+    assert (code, err) == (1, "")
+
+
 def test_tiny_sigma_scan_writes_nothing_to_stderr():
     """``h`` overflows inside the scan kernel for such a ``sigma``; the
     inf and NaN gaps never win, and no NumPy warning reaches stderr."""
@@ -615,17 +631,102 @@ def test_key_values_cover_every_config_key():
     assert set(_KEY_VALUES) == set(cli._KEYS) and len(_KEY_VALUES) == 12
 
 
-@pytest.mark.parametrize(
-    "sub, key",
-    [(sub, opt.name) for opt in cli._KEYS.values() for sub in opt.takes],
-)
-def test_flag_and_config_key_give_the_same_config(tmp_path, sub, key):
+#: The options each subcommand takes: those its runner reads.
+_TAKES = {
+    "certify": "mu sigma alpha config format",
+    "scan": "mu sigma alpha a config format box grid-n refine-depth tolerance",
+    "violate": "mu sigma alpha a config format precision-bits box grid-n "
+    "refine-depth tolerance",
+    "table": "config format precision-bits grid-n refine-depth",
+    "oracles": "mu sigma alpha config format",
+    "cone": "config format n-base n-reserve",
+}
+
+
+@pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
+def test_help_lists_only_the_options_the_subcommand_reads(capsys, sub):
+    code, out, _ = run_cli(capsys, sub, "--help")
+    assert code == 0
+    assert set(re.findall(r"--([a-z][a-z-]*)", out)) - {"help"} == set(
+        _TAKES[sub].split()
+    )
+
+
+@pytest.mark.parametrize("sub, key", [(sub, key) for sub in _TAKES for key in _KEY_VALUES])
+def test_flag_and_config_key_give_the_same_config(tmp_path, capsys, sub, key):
+    """Where a subcommand takes an option, its flag and its config key set
+    the same value; elsewhere argparse refuses the flag."""
     value = _KEY_VALUES[key]
+    if key not in _TAKES[sub].split():
+        code, out, err = run_cli(capsys, sub, f"--{key}={value}")
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: --{key}={value}" in err
+        return
     by_flag = build_config(build_parser().parse_args([sub, f"--{key}={value}"]))
     by_file = _config_from([sub], tmp_path, f"{key} = {value}\n")
     assert isinstance(by_flag, RunConfig)
     assert by_flag == by_file
     assert by_flag != build_config(build_parser().parse_args([sub]))
+
+
+class _Reached(Exception):
+    """Raised by a spy in place of the computation it stands for."""
+
+
+def _library_calls(monkeypatch):
+    """Replace the library functions ``cli`` calls with spies; returns a
+    function that runs one invocation up to its first computation and gives
+    the calls it made, each ``(name, args, kwargs)``.
+    ``violation_scan_config`` only builds a box and runs through."""
+    calls = []
+
+    def spy(name, through=None):
+        def call(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            if through is None:
+                raise _Reached
+            return through(*args, **kwargs)
+
+        return call
+
+    for name in (
+        "certify_S2", "scan_gap_min", "find_violation", "reproduce_table",
+        "make_generators",
+    ):
+        monkeypatch.setattr(cli, name, spy(name))
+    monkeypatch.setattr(
+        cli, "violation_scan_config",
+        spy("violation_scan_config", cli.violation_scan_config),
+    )
+    for name in (
+        "check_rolle_identity", "check_monotone_f", "check_symmetrization",
+        "check_tau_concavity", "semigroup_member", "indicator_example_check",
+    ):
+        monkeypatch.setattr(cli.statement_oracles, name, spy(name))
+
+    def calls_of(*argv):
+        calls.clear()
+        with pytest.raises(_Reached):
+            cli.run(build_config(build_parser().parse_args(list(argv))))
+        return list(calls)
+
+    return calls_of
+
+
+@pytest.mark.parametrize(
+    "sub, key",
+    [
+        (sub, opt.name)
+        for opt in cli._KEYS.values()
+        for sub in opt.takes
+        if opt.name != "format"
+    ],
+)
+def test_every_option_a_subcommand_takes_reaches_the_library(monkeypatch, sub, key):
+    """A value away from the default changes what the runner passes to the
+    library, so no subcommand takes an option it ignores."""
+    calls_of = _library_calls(monkeypatch)
+    assert calls_of(sub, f"--{key}={_KEY_VALUES[key]}") != calls_of(sub)
 
 
 @pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))

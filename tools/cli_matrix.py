@@ -13,7 +13,8 @@ Each invocation runs ``python -m subadd.cli`` in a fresh interpreter with
 config files below, so that the paths in messages are the same on every
 run.  The matrix covers every subcommand in every format, config files
 (valid, unknown key, malformed line, missing file, bad values, keys a
-subcommand does not take), input errors and each ``--help``.
+subcommand does not take), input errors, flags a subcommand does not take
+and each ``--help``.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def cases():
     yield ["certify", "--mu", "x"]
     yield ["certify", "--mu", "-1"]
     yield ["certify", "--sigma", "0", "--alpha", "nan"]
-    yield ["certify", "--a", "0"]
-    yield ["certify", "--a", "inf"]
+    yield ["scan", *QUICK["scan"], "--a", "0"]
+    yield ["scan", *QUICK["scan"], "--a", "inf"]
     yield ["certify", "--mu", "1e999"]
     yield ["certify", "--mu", "1.5", "--alpha", "0.117783036"]
     yield ["violate", "--precision-bits", "64"]
@@ -121,6 +122,12 @@ def cases():
         yield [sub, "--grid-n", "1"]
     yield ["cone", "--n-base", "0"]
     yield ["cone", "--n-reserve", "100000000"]
+    # flags a subcommand does not take
+    yield ["certify", "--a", "3"]
+    yield ["cone", "--mu", "9"]
+    yield ["table", "--alpha", "0.1"]
+    yield ["oracles", "--precision-bits", "160"]
+    yield ["scan", "--precision-bits", "160"]
 
 
 def main() -> int:
