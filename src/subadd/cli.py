@@ -248,12 +248,26 @@ def _parse_config_file(path: str) -> Dict[str, str]:
     return out
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser refuses the arguments it does not take
+    itself, so that the error shows its usage, with the options it does
+    take; argparse would hand them back to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subadd",
         description="Verification toolkit for a-subadditive functions.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(
+        dest="subcommand", required=True, parser_class=_SubcommandParser
+    )
     for name, help_text in _SUBCOMMANDS.items():
         # No prefixes: where a subcommand does not take --a, it must
         # refuse it, not read it as --alpha.

@@ -106,18 +106,57 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
   so peak memory is O(n), not O(n^2), on both paths; the bounded loop
   below skips whole 64 x 64 blocks of it.
 - Bounded loop.  On the lattice path with at least ``_BOUND_MIN_COLS``
-  (512) columns, each 64-row tile x 64-column block gets the float64
-  bound ``lb = (min u + min v) - max fs``, over its rows, its columns and
-  its lattice range ``[m*r0 + l*c0, m*(r1 - 1) + l*(c1 - 1)]``.  Every
-  gap of the block is ``fl(fl(u_i + v_j) - fs_k)`` (see "Outer sums"),
-  and rounding to nearest is monotone, so one monotone add and one
-  monotone subtract give ``gap >= lb``: no node of a block with ``lb >
-  best`` can equal or beat the running minimum ``best``.  Tiles are
-  visited in ascending order of their smallest bound; each evaluates
-  only the contiguous column span of its blocks with ``not lb > best``
-  (so a NaN bound never prunes) and is skipped if it has none.  Narrower
-  scans, such as the 401-wide violation window, prune almost nothing and
-  keep the plain row-order loop, as does the node path.
+  (512) columns, each 64-row tile x 64-column block gets a float64 lower
+  bound ``lb`` on its gaps ``fl(fl(u_i + v_j) - fs_k)`` (see "Outer
+  sums"), ``u = a*f(x)``, ``v = f(y)``.  For the block's rows ``[r0,
+  r1)``, columns ``[c0, c1)``, lattice range ``[kA, kB]`` and any slope
+  ``c``, since ``k - kA = m*(i - r0) + l*(j - c0)``::
+
+      u_i + v_j - fs_k = (u_i - c*m*(i - r0)) + (v_j - c*l*(j - c0))
+                         - (fs_k - c*(k - kA))
+
+  exactly.  The kernel takes ``c = (fs[kB] - fs[kA])/(kB - kA)`` and
+  bounds each bracket from linear envelopes computed once per level in
+  O(n): per chunk of ``u``, ``v`` (64 points: a tile's rows, a block's
+  columns) and ``fs`` (``size = 64*max(1, (m + l)//4)`` points: about a
+  quarter of a block's lattice range, and at least 64), its end-to-end
+  slope ``d`` and ``low``, the minimum of ``w_p - d*p`` over its offsets
+  ``p`` (for ``fs``, ``high``, the maximum).  On a chunk, for any slope
+  ``s``, ``w_p - s*p >= low + min(0, (d - s)*span)`` and ``fs_p - s*p <=
+  high + max(0, (d - s)*span)``.  The first two brackets take ``s =
+  c*m`` and ``s = c*l`` on the tile's and the block's chunk; the third
+  takes ``s = c`` on each chunk of ``fs`` that meets ``[kA, kB]``,
+  shifted by ``c`` times the chunk's offset from ``kA``, and the largest
+  of these, one chunk offset at a time (at most 7) over all blocks.
+  Near a minimum ``G_x`` and ``G_y`` both vanish, so the bound misses the
+  block's minimum by O(h*|grad G| + h**2*|f''|), where the range bound
+  ``(min u + min v) - max fs`` missed it by O(h*|f'|).
+
+  Margin.  Each operation is an add or subtract, a product with an
+  integer or a power of two, or a min/max; the slopes ``d`` and ``c`` are
+  divided once, and the identity holds for whatever floats they are.  So
+  each rounding errs by at most ``2**-53`` of its result (an add or
+  subtract below the normal range, or such a product, is exact), and
+  every result, and every rounding error carried through a product with a
+  count of lattice steps, is at most ``5*W + 2*L``, with ``W`` the largest
+  ``|u|`` of the tile plus the largest ``|v|`` of the block plus the
+  largest ``|fs|`` of its chunks, and ``L = |c|*(kB - kA + 2*size)``.
+  The bound takes 22 roundings and the gap two more, together less than
+  ``2**-46*(W + L)``; ``lb`` subtracts ``2**-37*(W + L)``, 512 times that.
+  If any intermediate overflows, so does ``8*(W + L)``, and ``lb`` is
+  ``-inf`` or NaN.  So ``gap >= lb``: no node of a block with ``lb >
+  best`` can equal or beat the running minimum ``best``.
+
+  Loop.  The block of lowest bound is evaluated first, alone, so that
+  the first tile already has a finite ``best`` to skip blocks against.
+  Tiles are then visited in ascending order of their smallest bound;
+  each evaluates only the contiguous column span of its blocks with
+  ``not lb > best`` (so a NaN bound, which any NaN input of the block
+  gives, never prunes) and is skipped if it has none.  On the seed-3
+  ``fullbox-scan`` pool a refined level at 2401 computes 0.6 to 4.4% of
+  its nodes.  Narrower scans, such as the 401-wide violation window, gain
+  less than the bounds cost and keep the plain row-order loop, as does
+  the node path.
 - Results are bit-reproducible, and any block partition of the index
   rectangle gives bit-identical values: the path depends only on ``a``,
   ``dx`` and ``dy``, and lattice indices are absolute.
@@ -255,12 +294,18 @@ _RATIO_TOL = 2.0 ** -44
 #: at level 2), below the 2.4e-4 between two ratios with ``m + l <= 64``.
 _SNAP_REACH = 2.0 ** -30
 #: Fewest columns for which a lattice-path scan bounds its blocks and skips
-#: those that cannot hold the minimum.  The bounds cost 60 to 170 us a
-#: level at 801 to 2401 columns (2-core Xeon VM).  Chosen with
-#: ``tools/kernel_bench.py``'s ``window-401`` and ``fullbox-801`` cases:
-#: the violation window prunes almost nothing and would run 8% slower
-#: bounded, the full box at 513 columns breaks even and at 801 gains 20%.
+#: those that cannot hold the minimum.  The bounds cost 0.12 to 0.21 ms a
+#: level at 801 to 2401 columns, and 0.5 ms on the 1601-column level of
+#: period 83 (2-core Xeon VM).  Chosen with ``tools/kernel_bench.py``
+#: (``BENCH_kernel_slope.json``): bounded, the ``window-401`` case computes
+#: 28% of its nodes yet runs 34% slower (2.18 against 1.62 ms), while
+#: ``fullbox-801`` runs 37% faster (2.88 against 4.54 ms).  Timed on the
+#: seed-3 pool at depth 3, the full box at 401 columns loses too (2.58
+#: against 2.03 ms a scan) and at 513 gains (2.66 against 3.22 ms).
 _BOUND_MIN_COLS = 512
+#: The block bounds subtract ``_BOUND_SLACK * 8*(W + L)``, 512 times their
+#: rounding error (see "Margin" in the module docstring).
+_BOUND_SLACK = 2.0 ** -40
 
 #: Stored reference rows: (mu, sigma, x_star, y_star, stored_margin), all
 #: sharing TABLE_ALPHA.  ``stored_margin`` is the reference value this
@@ -422,25 +467,52 @@ def _outer_sum(np, u, v):
     return lhs, rhs
 
 
+def _envelopes(np, w, size, extreme):
+    """Linear envelopes of ``w`` over its chunks of ``size`` points: per
+    chunk starting at ``p0``, the end-to-end slope ``d``, the ``extreme``
+    (``np.minimum`` or ``np.maximum``) of ``w[p0 + q] - d*q`` over its
+    offsets ``q``, ``max |w|`` and its last offset."""
+    starts = np.arange(0, w.size, size)
+    span = np.minimum(starts + size, w.size) - 1 - starts
+    d = (w[starts + span] - w[starts]) / np.maximum(span, 1)
+    # One temporary: d*q, then w - d*q, then |w|.
+    t = np.repeat(d, size).reshape(-1, size)
+    t = np.multiply(t, np.arange(float(size)), out=t).ravel()[: w.size]
+    t = np.subtract(w, t, out=t)
+    ext = extreme.reduceat(t, starts)
+    return d, ext, np.maximum.reduceat(np.abs(w, out=t), starts), span
+
+
 def _block_bounds(np, u, v, fs, m, l):
-    """``lb[t, b] = (min u + min v) - max fs`` over row tile ``t``'s rows,
-    column block ``b``'s columns and their lattice range ``[m*r0 + l*c0,
-    m*(r1 - 1) + l*(c1 - 1)]``: a lower bound on every gap of the block
-    (see "Bounded loop" in the module docstring)."""
-    rows = np.arange(0, u.size, _BLOCK_ROWS)
-    cols = np.arange(0, v.size, _BLOCK_ROWS)
-    last_row = np.minimum(rows + _BLOCK_ROWS, u.size) - 1
-    last_col = np.minimum(cols + _BLOCK_ROWS, v.size) - 1
-    lo = m * rows[:, None] + l * cols[None, :]
-    hi = m * last_row[:, None] + l * last_col[None, :] + 1
-    # reduceat over [lo0, hi0, lo1, hi1, ...] gives max fs[lo:hi] at the even
-    # places.  Only the last hi is len(fs), an index reduceat refuses; the
-    # last index reduces to the end of fs anyway, so that hi is dropped.
-    idx = np.stack((lo, hi), axis=-1).ravel()[:-1]
-    top = np.maximum.reduceat(fs, idx)[::2].reshape(lo.shape)
-    low_u = np.minimum.reduceat(u, rows)
-    low_v = np.minimum.reduceat(v, cols)
-    return (low_u[:, None] + low_v[None, :]) - top
+    """``lb[t, b]``, a lower bound on every gap of row tile ``t`` x column
+    block ``b``, from the split of the gap into three brackets about the
+    slope ``c`` of ``fs`` over the block (see "Bounded loop" in the module
+    docstring); NaN where an input of the block is NaN."""
+    du, low_u, top_u, span_u = _envelopes(np, u, _BLOCK_ROWS, np.minimum)
+    dv, low_v, top_v, span_v = _envelopes(np, v, _BLOCK_ROWS, np.minimum)
+    # Chunks of fs span about a quarter of a block's lattice range.
+    size = _BLOCK_ROWS * max(1, (m + l) // 4)
+    df, high_f, top_f, span_f = _envelopes(np, fs, size, np.maximum)
+    span_u, span_v = span_u[:, None], span_v[None, :]
+    k_a = _BLOCK_ROWS * (m * np.arange(du.size)[:, None] + l * np.arange(dv.size))
+    k_b = k_a + m * span_u + l * span_v
+    c = (fs[k_b] - fs[k_a]) / np.maximum(k_b - k_a, 1)
+    lower = (low_u[:, None] + np.minimum(0.0, (du[:, None] - c * m) * span_u)) + (
+        low_v + np.minimum(0.0, (dv - c * l) * span_v)
+    )
+    # The fs bracket: the least bound over the chunks that meet [k_a, k_b],
+    # one offset from each block's first chunk at a time; past a block's
+    # last chunk, that chunk again.
+    q_a, q_b = k_a // size, k_b // size
+    lattice, top = np.inf, 0.0
+    for s in range(int((q_b - q_a).max()) + 1):
+        q = np.minimum(q_a + s, q_b)
+        chunk = np.minimum(0.0, (c - df[q]) * span_f[q]) - high_f[q]
+        lattice = np.minimum(lattice, chunk + c * (size * q - k_a))
+        top = np.maximum(top, top_f[q])
+    # The margin 2**-37*(W + L); 8*(W + L) overflows if any term above did.
+    scale = (top_u[:, None] + top_v) + top + np.abs(c) * (k_b - k_a + 2 * size)
+    return (lower + lattice) - _BOUND_SLACK * (8.0 * scale)
 
 
 def scan_block(
@@ -500,19 +572,11 @@ def scan_block(
             s_lhs, s_rhs = _outer_sum(np, a * xs, ys)
 
         buf = np.empty(min(ni, _BLOCK_ROWS) * nj)
-        best = (np.inf, -1, -1)
-        for r0 in tiles:
+
+        def span_min(r0, c0, c1):
+            """``(value, i, j)`` over rows ``[r0, r0 + 64)`` of the block
+            and columns ``[c0, c1)``."""
             r1 = min(ni, r0 + _BLOCK_ROWS)
-            c0, c1 = 0, nj
-            if bounds is not None:
-                # Only blocks whose bound is not above the running minimum
-                # can hold a node that equals or beats it; a NaN bound keeps
-                # its block.
-                keep = np.flatnonzero(~(bounds[r0 // _BLOCK_ROWS] > best[0]))
-                if keep.size == 0:
-                    continue
-                first, last = int(keep[0]), int(keep[-1])
-                c0, c1 = first * _BLOCK_ROWS, min(nj, (last + 1) * _BLOCK_ROWS)
             gaps = buf[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
             if ratio is not None:
                 fs_b = fs_nodes[r0:r1, c0:c1]
@@ -529,7 +593,28 @@ def scan_block(
                 np.copyto(gaps, np.inf, where=~np.isfinite(gaps))
                 flat = int(np.argmin(gaps))
             bi, bj = divmod(flat, c1 - c0)
-            best = min(best, (float(gaps.flat[flat]), i0 + r0 + bi, j0 + c0 + bj))
+            return float(gaps.flat[flat]), i0 + r0 + bi, j0 + c0 + bj
+
+        best = (np.inf, -1, -1)
+        if bounds is None:
+            for r0 in tiles:
+                best = min(best, span_min(r0, 0, nj))
+            return best
+        # The block of lowest bound first, alone: the first tile then
+        # already skips blocks, where with no finite minimum it would keep
+        # them all.
+        first = int(np.argmin(bounds[tiles[0] // _BLOCK_ROWS])) * _BLOCK_ROWS
+        best = min(best, span_min(tiles[0], first, min(nj, first + _BLOCK_ROWS)))
+        for r0 in tiles:
+            t = r0 // _BLOCK_ROWS
+            # Only blocks whose bound is not above the running minimum can
+            # hold a node that equals or beats it; a NaN bound keeps its
+            # block (and makes its tile's lowest bound NaN).
+            if lows[t] > best[0]:
+                continue
+            keep = np.flatnonzero(~(bounds[t] > best[0]))
+            c0, c1 = int(keep[0]) * _BLOCK_ROWS, (int(keep[-1]) + 1) * _BLOCK_ROWS
+            best = min(best, span_min(r0, c0, min(nj, c1)))
         return best
 
 

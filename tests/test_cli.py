@@ -652,6 +652,24 @@ def test_help_lists_only_the_options_the_subcommand_reads(capsys, sub):
     )
 
 
+@pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
+def test_refused_flag_shows_the_subcommand_usage(capsys, sub):
+    """A flag the subcommand does not take is refused with exit 2 under
+    the subcommand's own usage line, which lists the options it takes; a
+    flag before the subcommand still gets the top-level usage."""
+    refused = next(key for key in _KEY_VALUES if key not in _TAKES[sub].split())
+    code, out, err = run_cli(capsys, sub, f"--{refused}", _KEY_VALUES[refused])
+    assert (code, out) == (2, "")
+    usage, _, message = err.partition(f"subadd {sub}: error: ")
+    assert usage.startswith(f"usage: subadd {sub} [-h]")
+    assert set(re.findall(r"--([a-z][a-z-]*)", usage)) == set(_TAKES[sub].split())
+    assert message == f"unrecognized arguments: --{refused} {_KEY_VALUES[refused]}\n"
+
+    code, out, err = run_cli(capsys, f"--{refused}", _KEY_VALUES[refused], sub)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: subadd [-h] {certify,")
+
+
 @pytest.mark.parametrize("sub, key", [(sub, key) for sub in _TAKES for key in _KEY_VALUES])
 def test_flag_and_config_key_give_the_same_config(tmp_path, capsys, sub, key):
     """Where a subcommand takes an option, its flag and its config key set

@@ -681,10 +681,11 @@ def test_bounded_loop_keeps_blocks_whose_bound_is_not_above_the_minimum(
 ):
     """A synthetic ``f`` with exact gaps ``f(x_i) + f(y_j) - f(x_i + y_j)``
     in {0, 1} on a 192 x 512 lattice block.  Row 0 holds the first
-    minimiser, where each block's bound is exactly the minimum 0, or NaN
-    when row ``nan_row`` is NaN; row 128's tile, whose loose bound of -1
-    sends it first, holds the minimum too, and the middle tile's bound of
-    1 skips it.  The kernel must still return row 0."""
+    minimiser, where each block's bound is the minimum 0 less the bound's
+    margin, or NaN when row ``nan_row`` is NaN; row 128's tile, whose
+    loose bound of -1 on its last block sends it first, holds the minimum
+    too, and the middle tile's bound of 1 skips it.  The kernel must still
+    return row 0."""
     y0 = 10_000.0
 
     def f(t):
@@ -700,6 +701,156 @@ def test_bounded_loop_keeps_blocks_whose_bound_is_not_above_the_minimum(
     want, _, tiles_at_min = _broadcast_add_scan_block(*args)
     assert want == (0.0, 0, 0) and tiles_at_min == 2
     assert scan_block(*args) == want
+
+
+def _range_bounds(np, u, v, fs, m, l):
+    """The plain range bound ``(min u + min v) - max fs`` of every tile x
+    block, which equals the block's minimum where it is attained."""
+    size = search._BLOCK_ROWS
+    out = np.empty((-(-u.size // size), -(-v.size // size)))
+    for t, r0 in enumerate(range(0, u.size, size)):
+        for b, c0 in enumerate(range(0, v.size, size)):
+            r1, c1 = min(u.size, r0 + size), min(v.size, c0 + size)
+            top = fs[m * r0 + l * c0 : m * (r1 - 1) + l * (c1 - 1) + 1].max()
+            out[t, b] = (u[r0:r1].min() + v[c0:c1].min()) - top
+    return out
+
+
+@pytest.mark.parametrize("nan_row", [None, 1])
+def test_bounded_loop_keeps_blocks_whose_bound_equals_the_minimum(monkeypatch, nan_row):
+    """The synthetic ``f`` of the test above, with the block bounds
+    replaced by the plain range bound: each block of row 0's tile then has
+    a bound of exactly the minimum 0 (or NaN), row 128's tile a bound of
+    -1, which sends it and its seed block first, and the middle tile a
+    bound of 1.  The loop must keep the blocks whose bound equals the
+    running minimum, and return row 0."""
+    y0 = 10_000.0
+
+    def f(t):
+        out = np.where(t < y0, 1.0, 0.0)
+        out[(t == 0.0) | (t == 128.0)] = 0.0
+        if nan_row is not None:
+            out[t == nan_row] = math.nan
+        out[t == y0 + 641.0] = 1.0
+        return out
+
+    monkeypatch.setattr(search, "_evaluator", lambda lib, fn, *params: f)
+    monkeypatch.setattr(search, "_block_bounds", _range_bounds)
+    args = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, y0, 1.0, 0, 192, 0, search._BOUND_MIN_COLS)
+    u = f(np.arange(192.0))
+    v = f(y0 + np.arange(float(search._BOUND_MIN_COLS)))
+    fs = f(y0 + np.arange(191.0 + search._BOUND_MIN_COLS))
+    lows = _range_bounds(np, u, v, fs, 1, 1).min(axis=1)
+    assert lows[1:].tolist() == [1.0, -1.0]
+    assert math.isnan(lows[0]) if nan_row else lows[0] == 0.0
+    assert scan_block(*args) == (0.0, 0, 0)
+
+
+def _random_bound_inputs(rng):
+    """``(u, v, fs, m, l)`` of one block, as ``scan_block`` builds them
+    from a random lattice of period ``m + l`` in 2 to 128: from the smooth
+    working function or a step function, over 1 to 200 rows and 1 to 300
+    columns, so that edge tiles and blocks are partial; now and then with
+    NaN or +-inf entries, scaled to near the float range or into the
+    subnormals, or with every ``v`` the same.  The last item says whether
+    the inputs are the working function's, unscaled."""
+    period = rng.choice([2, 3, 4, 5, rng.randint(6, 64), rng.randint(65, 128)])
+    m = rng.randint(1, period - 1)
+    while math.gcd(m, period) != 1:
+        m = rng.randint(1, period - 1)
+    l = period - m
+    ni, nj = rng.randint(1, 200), rng.randint(1, 300)
+    a = rng.choice([1.0, 2.0, 3.0, rng.uniform(0.2, 4.0)])
+    dx = rng.uniform(1e-5, 0.05)
+    x0, y0 = rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)
+    xs = x0 + np.arange(ni) * dx
+    ys = y0 + np.arange(nj) * (a * dx * l / m)
+    ss = (a * x0 + y0) + np.arange(m * (ni - 1) + l * (nj - 1) + 1) * (a * dx / m)
+    smooth = rng.random() < 0.7
+    if smooth:
+        mu = rng.uniform(0.3, 5.0)
+        sigma = mu * rng.uniform(0.01, 0.5)
+        f = search._evaluator(np, "f", mu, sigma, sigma * rng.uniform(0.03, 3.0))
+    else:
+        steps = rng.uniform(0.5, 50.0)
+        f = lambda t: np.floor(steps * t) % 3.0  # noqa: E731
+    u, v, fs = a * f(xs), f(ys), f(ss)
+    if rng.random() < 0.1:
+        v[:] = v[0]
+    scale = rng.random()
+    if scale < 0.1:
+        u, v, fs = u * 1e306, v * 1e306, fs * 1e306
+    elif scale < 0.2:
+        u, v, fs = u * 2.0**-1070, v * 2.0**-1070, fs * 2.0**-1070
+    for w in (u, v, fs):
+        if rng.random() < 0.1:
+            w[rng.randrange(w.size)] = rng.choice([math.nan, math.inf, -math.inf])
+    return u, v, fs, m, l, smooth and scale >= 0.2
+
+
+def test_block_bounds_are_below_every_gap_of_their_block():
+    """On seeded random blocks (see ``_random_bound_inputs``), no gap
+    ``fl(fl(u_i + v_j) - fs_k)`` of a tile x block lies below the block's
+    bound, and a block with a NaN input has a NaN bound, which the loop
+    never prunes.  On more than 80% of the blocks of the unscaled working
+    function with more than one row and column (91% here), the bound is
+    above the plain range bound."""
+    rng = random.Random(20261019)
+    seen = dict.fromkeys(
+        ("NaN bound", "infinite input", "edge tile", "edge block",
+         "period 65 to 128", "huge", "subnormal", "tighter"),
+        0,
+    )
+    smooth_blocks = 0
+    for _ in range(400):
+        u, v, fs, m, l, smooth = _random_bound_inputs(rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lb = search._block_bounds(np, u, v, fs, m, l)
+            k = m * np.arange(u.size)[:, None] + l * np.arange(v.size)
+            gaps = (u[:, None] + v[None, :]) - fs[k]
+            plain = _range_bounds(np, u, v, fs, m, l)
+        assert lb.shape == plain.shape
+        big = np.abs(np.concatenate((u, v, fs)))
+        seen["period 65 to 128"] += m + l > 64
+        seen["huge"] += bool(np.nanmax(big) > 1e300)
+        seen["subnormal"] += bool(0.0 < np.nanmax(big) < 2.0**-1022)
+        size = search._BLOCK_ROWS
+        for t, r0 in enumerate(range(0, u.size, size)):
+            for b, c0 in enumerate(range(0, v.size, size)):
+                r1, c1 = min(u.size, r0 + size), min(v.size, c0 + size)
+                block = gaps[r0:r1, c0:c1]
+                lattice = fs[m * r0 + l * c0 : m * (r1 - 1) + l * (c1 - 1) + 1]
+                inputs = np.concatenate((u[r0:r1], v[c0:c1], lattice))
+                assert not (block < lb[t, b]).any(), (m, l, t, b)
+                if np.isnan(inputs).any():
+                    assert math.isnan(lb[t, b])
+                seen["NaN bound"] += math.isnan(lb[t, b])
+                seen["infinite input"] += bool(np.isinf(inputs).any())
+                seen["edge tile"] += r1 - r0 < size
+                seen["edge block"] += c1 - c0 < size
+                if smooth and r1 - r0 > 1 and c1 - c0 > 1 and np.isfinite(inputs).all():
+                    smooth_blocks += 1
+                    seen["tighter"] += bool(lb[t, b] > plain[t, b])
+    assert min(seen.values()) >= 10, seen
+    assert seen["tighter"] > 0.8 * smooth_blocks, (seen, smooth_blocks)
+
+
+def test_kernel_replays_recorded_calls_bit_for_bit():
+    """A seeded sample of the ``scan_block`` calls that
+    ``tools/scan_block_replay.py`` recorded from the ``fullbox-scan`` pools
+    (seeds 1 to 20), the ``atlas-sweep`` pools and the
+    ``tools/violation_matrix.py`` cases: every call on the node path,
+    every bounded call on a lattice of period above 3, and draws of the
+    others.  Each returns its recorded ``(value, i, j)``, compared as
+    ``float.hex``, so the sign of a zero counts."""
+    calls = json.loads(Path(__file__).with_name("scan_block_replay.json").read_text())
+    bounded = 0
+    for call in calls:
+        args = tuple(float.fromhex(a) if isinstance(a, str) else a for a in call["args"])
+        value, i, j = scan_block(*args)
+        assert [value.hex(), i, j] == call["result"], call
+        bounded += args[11] - args[10] >= search._BOUND_MIN_COLS
+    assert len(calls) > 250 and bounded > 150, (len(calls), bounded)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,9 @@ flagship triple ``(1.2, 0.05, 0.05)``:
   [-8, -7.05]``, the refined full-box level clipped at ``y = -8`` that the
   anchor ``(5.0, 0.15, TABLE_ALPHA)`` meets: ``dy/(a*dx) = 19/64``, a
   lattice period of 83;
+- ``deep-2401``: level 3 of ``fullbox-2401`` alone, the box ``0.016``
+  wide around the level-2 argmin, where block bounds of the range
+  ``(min u + min v) - max fs`` still computed 74% of the nodes;
 - ``fullbox-10001``: the full box at ``grid_n`` 10001 and depth 0, one
   level whose 64-row tiles are wide enough for OpenBLAS to split the
   outer-sum product over threads.  It runs last, so that BLAS workers
@@ -35,12 +38,15 @@ flagship triple ``(1.2, 0.05, 0.05)``:
 Per label and case the record holds the median and quartiles of the
 ``ROUNDS * REPEATS`` times in ms, the kernel evaluations per second at
 the median (``(depth + 1) * grid_n**2`` grid nodes covered per scan, each
-evaluated or excluded by its block's bound), and the process CPU
-time over wall time of the timed scans (above 1 when BLAS threads work
-alongside the main one).  It also holds the host (``lscpu``), the Python
+evaluated or excluded by its block's bound), the share of those nodes
+the kernel computed (the entries of its outer-sum products, counted by a
+spy on ``numpy.matmul`` in one more scan; every case runs on the lattice
+path, one product per evaluated span), and the process CPU time over
+wall time of the timed scans (above 1 when BLAS threads work alongside
+the main one).  It also holds the host (``lscpu``), the Python
 and numpy versions, ``OPENBLAS_NUM_THREADS`` as the children saw it, and
 whether every label returned the same ``ScanReport`` for each case.  A run
-with two labels takes about 35 s on a 2-core Xeon VM.
+with four labels takes about 40 s on a 2-core Xeon VM.
 """
 
 from __future__ import annotations
@@ -65,18 +71,28 @@ CASES = {
     "fullbox-2401": (2401, 3, (-8.0, 8.0, -8.0, 8.0)),
     "window-401": (401, 2, None),
     "clipped-1601": (1601, 0, (-0.8, 0.8, -8.0, -7.05)),
+    "deep-2401": (
+        2401, 0, (-0.032666666666666504, -0.016666666666666503,
+                  -1.1445999999999996, -1.1285999999999996),
+    ),
     "fullbox-10001": (10001, 0, (-8.0, 8.0, -8.0, 8.0)),
 }
 
 #: Run by each fresh interpreter: ``{"numpy": version, "cases": {name:
-#: {"seconds": [...], "cpu_seconds": [...], "evaluations": n, "report":
-#: repr}}}`` on stdout.
+#: {"seconds": [...], "cpu_seconds": [...], "evaluations": n, "computed":
+#: n, "report": repr}}}`` on stdout.
 CHILD = """
 import json, sys, time
 import numpy
 from subadd import Params, ScanConfig, scan_gap_min, violation_scan_config
 cases, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
 p = Params(mu=1.2, sigma=0.05, alpha=0.05)
+matmul, computed = numpy.matmul, [0]
+
+def counting(lhs, rhs, out):
+    computed[0] += out.size
+    return matmul(lhs, rhs, out=out)
+
 out = {}
 for name, (n, depth, box) in cases.items():
     if box is None:
@@ -90,9 +106,14 @@ for name, (n, depth, box) in cases.items():
         scan_gap_min(2.0, p, cfg)
         seconds.append(time.perf_counter() - t0)
         cpu_seconds.append(time.process_time() - c0)
+    computed[0], numpy.matmul = 0, counting
+    try:
+        scan_gap_min(2.0, p, cfg)
+    finally:
+        numpy.matmul = matmul
     out[name] = dict(
-        seconds=seconds, cpu_seconds=cpu_seconds,
-        evaluations=report.evaluations, report=repr(report),
+        seconds=seconds, cpu_seconds=cpu_seconds, evaluations=report.evaluations,
+        computed=computed[0], report=repr(report),
     )
 print(json.dumps({"numpy": numpy.__version__, "cases": out}))
 """
@@ -126,13 +147,14 @@ def run_child(src: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def summary(seconds: list, cpu_seconds: list, evaluations: int) -> dict:
+def summary(seconds: list, cpu_seconds: list, evaluations: int, computed: int) -> dict:
     q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
     return {
         "median_ms": round(median * 1e3, 3),
         "q1_ms": round(q1 * 1e3, 3),
         "q3_ms": round(q3 * 1e3, 3),
         "evals_per_s": round(evaluations / median),
+        "computed_share": round(computed / evaluations, 4),
         "cpu_per_wall": round(sum(cpu_seconds) / sum(seconds), 3),
         "evaluations": evaluations,
         "samples": len(seconds),
@@ -151,6 +173,7 @@ def main(argv=None) -> int:
     seconds = {label: {name: [] for name in CASES} for label in sources}
     cpu_seconds = {label: {name: [] for name in CASES} for label in sources}
     counts, reports, numpy_versions = {}, {name: set() for name in CASES}, set()
+    computed = {label: {} for label in sources}
     for r in range(ROUNDS):
         order = list(sources) if r % 2 == 0 else list(reversed(sources))
         for label in order:
@@ -160,6 +183,7 @@ def main(argv=None) -> int:
                 seconds[label][name] += case["seconds"]
                 cpu_seconds[label][name] += case["cpu_seconds"]
                 counts[name] = case["evaluations"]
+                computed[label][name] = case["computed"]
                 reports[name].add(case["report"])
         print(f"round {r + 1} of {ROUNDS} done", file=sys.stderr)
 
@@ -178,7 +202,9 @@ def main(argv=None) -> int:
         "same_reports": all(len(r) == 1 for r in reports.values()),
         "results": {
             label: {
-                name: summary(s, cpu_seconds[label][name], counts[name])
+                name: summary(
+                    s, cpu_seconds[label][name], counts[name], computed[label][name]
+                )
                 for name, s in cases.items()
             }
             for label, cases in seconds.items()
@@ -191,6 +217,7 @@ def main(argv=None) -> int:
                 f"{label:>13} {name:>13}: {s['median_ms']:9.3f} ms "
                 f"[{s['q1_ms']:.3f}, {s['q3_ms']:.3f}] "
                 f"{s['evals_per_s'] / 1e6:7.1f}M evals/s, "
+                f"{s['computed_share']:6.1%} computed, "
                 f"CPU/wall {s['cpu_per_wall']:.2f}"
             )
     print(f"same reports: {record['same_reports']}; wrote {args.out}")
