@@ -108,44 +108,56 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
 - Bounded loop.  On the lattice path with at least ``_BOUND_MIN_COLS``
   (512) columns, each 64-row tile x 64-column block gets a float64 lower
   bound ``lb`` on its gaps ``fl(fl(u_i + v_j) - fs_k)`` (see "Outer
-  sums"), ``u = a*f(x)``, ``v = f(y)``.  For the block's rows ``[r0,
-  r1)``, columns ``[c0, c1)``, lattice range ``[kA, kB]`` and any slope
-  ``c``, since ``k - kA = m*(i - r0) + l*(j - c0)``::
+  sums"), ``u = a*f(x)``, ``v = f(y)``.  Block ``(t, b)``, rows ``[r0,
+  r1)`` and columns ``[c0, c1)``, starts its lattice range at ``kA =
+  64*(m*t + l*b)``.  The range of every block with that start lies in
+  the window ``[kA, kB]``, ``kB = min(kA + 63*(m + l), nk - 1)`` for
+  ``nk`` lattice points: a whole block's range is its window, and an
+  edge block's is shorter, which keeps its bound sound and may lower it.
+  For any slope ``c``, since ``k - kA = m*(i - r0) + l*(j - c0)``::
 
       u_i + v_j - fs_k = (u_i - c*m*(i - r0)) + (v_j - c*l*(j - c0))
-                         - (fs_k - c*(k - kA))
+                         + (-fs_k + c*(k - kA))
 
-  exactly.  The kernel takes ``c = (fs[kB] - fs[kA])/(kB - kA)`` and
-  bounds each bracket from linear envelopes computed once per level in
-  O(n): per chunk of ``u``, ``v`` (64 points: a tile's rows, a block's
-  columns) and ``fs`` (``size = 64*max(1, (m + l)//4)`` points: about a
-  quarter of a block's lattice range, and at least 64), its end-to-end
-  slope ``d`` and ``low``, the minimum of ``w_p - d*p`` over its offsets
-  ``p`` (for ``fs``, ``high``, the maximum).  On a chunk, for any slope
-  ``s``, ``w_p - s*p >= low + min(0, (d - s)*span)`` and ``fs_p - s*p <=
-  high + max(0, (d - s)*span)``.  The first two brackets take ``s =
-  c*m`` and ``s = c*l`` on the tile's and the block's chunk; the third
-  takes ``s = c`` on each chunk of ``fs`` that meets ``[kA, kB]``,
-  shifted by ``c`` times the chunk's offset from ``kA``, and the largest
-  of these, one chunk offset at a time (at most 7) over all blocks.
+  exactly.  The kernel takes the window's ``c = (fs[kB] - fs[kA])/(kB -
+  kA)`` and bounds each bracket from linear envelopes, computed in one
+  pass over ``w = [u, v, -fs]``: per chunk of ``w`` (64 points of ``u``,
+  a tile's rows; 64 of ``v``, a block's columns; ``size = 64*max(1, (m +
+  l)//4)`` of ``-fs``, about a quarter of a window and at least 64), its
+  end-to-end slope ``d`` and ``low``, the minimum of ``w_p - d*p`` over
+  its offsets ``p``.  On a chunk, for any slope ``s``, ``w_p - s*p >= low
+  + min(0, (d - s)*span)``.  The first two brackets take ``s = c*m`` and
+  ``s = c*l`` on the tile's and the block's chunk; the third takes ``s =
+  -c`` on each chunk of ``-fs`` that meets the window, shifted by ``c``
+  times the chunk's offset from ``kA``, and the least of these.  So ``c``
+  and the third bracket are computed once per window, not per block (112
+  windows for 1,444 blocks at 2401 columns and order 2), and each block
+  gathers its tile's, its block's and its window's values.  The index
+  arrays of that gather depend only on the shape ``(ni, nj, m, l)``; the
+  last ``_LAYOUT_SHAPES`` (4) shapes' arrays stay cached, read-only, so
+  that the levels of a scan share them (0.5 MB for the four shapes of
+  the ``fullbox-scan`` pools, 0.4 MB of it the level of period 83).
   Near a minimum ``G_x`` and ``G_y`` both vanish, so the bound misses the
   block's minimum by O(h*|grad G| + h**2*|f''|), where the range bound
   ``(min u + min v) - max fs`` missed it by O(h*|f'|).
 
   Margin.  Each operation is an add or subtract, a product with an
   integer or a power of two, or a min/max; the slopes ``d`` and ``c`` are
-  divided once, and the identity holds for whatever floats they are.  So
-  each rounding errs by at most ``2**-53`` of its result (an add or
-  subtract below the normal range, or such a product, is exact), and
-  every result, and every rounding error carried through a product with a
-  count of lattice steps, is at most ``5*W + 2*L``, with ``W`` the largest
-  ``|u|`` of the tile plus the largest ``|v|`` of the block plus the
-  largest ``|fs|`` of its chunks, and ``L = |c|*(kB - kA + 2*size)``.
-  The bound takes 22 roundings and the gap two more, together less than
-  ``2**-46*(W + L)``; ``lb`` subtracts ``2**-37*(W + L)``, 512 times that.
-  If any intermediate overflows, so does ``8*(W + L)``, and ``lb`` is
-  ``-inf`` or NaN.  So ``gap >= lb``: no node of a block with ``lb >
-  best`` can equal or beat the running minimum ``best``.
+  divided once (``c`` as ``-c``, the slope of ``-fs``), and the identity
+  holds for whatever floats they are.  So each rounding errs by at most
+  ``2**-53`` of its result (an add or subtract below the normal range, or
+  such a product, is exact), and every result, and every rounding error
+  carried through a product with a count of lattice steps, is at most
+  ``5*W + 2*L``, with ``W`` the largest ``|u|`` of the tile plus the
+  largest ``|v|`` of the block plus the largest ``|fs|`` of the window's
+  chunks, and ``L = |c|*(kB - kA + 2*size)``: the window holds the
+  block's lattice range and its chunks start less than ``size`` before
+  ``kA``, so no count exceeds ``kB - kA + size``.  The bound takes 22
+  roundings and the gap two more, together less than ``2**-46*(W + L)``;
+  ``lb`` subtracts ``2**-37*(W + L)``, 512 times that.  If any
+  intermediate overflows, so does ``8*(W + L)``, and ``lb`` is ``-inf``
+  or NaN.  So ``gap >= lb``: no node of a block with ``lb > best`` can
+  equal or beat the running minimum ``best``.
 
   Loop.  The block of lowest bound is evaluated first, alone, so that
   the first tile already has a finite ``best`` to skip blocks against.
@@ -155,7 +167,7 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
   gives, never prunes) and is skipped if it has none.  On the seed-3
   ``fullbox-scan`` pool a refined level at 2401 computes 0.6 to 4.4% of
   its nodes.  Narrower scans, such as the 401-wide violation window, gain
-  less than the bounds cost and keep the plain row-order loop, as does
+  about what the bounds cost and keep the plain row-order loop, as does
   the node path.
 - Results are bit-reproducible, and any block partition of the index
   rectangle gives bit-identical values: the path depends only on ``a``,
@@ -294,18 +306,28 @@ _RATIO_TOL = 2.0 ** -44
 #: at level 2), below the 2.4e-4 between two ratios with ``m + l <= 64``.
 _SNAP_REACH = 2.0 ** -30
 #: Fewest columns for which a lattice-path scan bounds its blocks and skips
-#: those that cannot hold the minimum.  The bounds cost 0.12 to 0.21 ms a
-#: level at 801 to 2401 columns, and 0.5 ms on the 1601-column level of
-#: period 83 (2-core Xeon VM).  Chosen with ``tools/kernel_bench.py``
-#: (``BENCH_kernel_slope.json``): bounded, the ``window-401`` case computes
-#: 28% of its nodes yet runs 34% slower (2.18 against 1.62 ms), while
-#: ``fullbox-801`` runs 37% faster (2.88 against 4.54 ms).  Timed on the
-#: seed-3 pool at depth 3, the full box at 401 columns loses too (2.58
-#: against 2.03 ms a scan) and at 513 gains (2.66 against 3.22 ms).
+#: those that cannot hold the minimum.  The bounds cost 0.07 to 0.15 ms a
+#: level at 801 to 2401 columns, and about 0.5 ms on the 1601-column level
+#: of period 83 (one BLAS thread, 2-core Xeon VM).  At 401 columns they
+#: about break even.  With ``tools/kernel_bench.py``
+#: (``BENCH_kernel_layout*.json``), bounded, the ``window-401`` case
+#: computes 28% of its nodes and takes 1.17 against 1.44 ms on one BLAS
+#: thread, but 1.32 against 1.19 ms on two.  Timed in one process on the
+#: seed-3 pool at depth 3, the full box at 401 columns takes 1.62 against
+#: 1.73 ms a scan bounded, and at 513 columns 2.11 against 2.86 ms.  So
+#: 512 keeps the violation window, the scan ``atlas-sweep`` runs, on the
+#: plain loop at no measurable cost, and bounds every ``fullbox-scan``
+#: grid.
 _BOUND_MIN_COLS = 512
 #: The block bounds subtract ``_BOUND_SLACK * 8*(W + L)``, 512 times their
 #: rounding error (see "Margin" in the module docstring).
 _BOUND_SLACK = 2.0 ** -40
+#: Grid shapes ``(rows, columns, m, l)`` whose block-bound layout stays
+#: cached: a scan's levels at one ``grid_n`` share one or two.  Four hold
+#: every shape the ``fullbox-scan`` pools meet (801, 1601 and 2401 at
+#: period 3, and 1601 at period 83), 0.5 MB in all.  A layout takes at
+#: most 5.9 MB (``MAX_GRID_N``, period 128), so the cache at most 24 MB.
+_LAYOUT_SHAPES = 4
 
 #: Stored reference rows: (mu, sigma, x_star, y_star, stored_margin), all
 #: sharing TABLE_ALPHA.  ``stored_margin`` is the reference value this
@@ -467,52 +489,121 @@ def _outer_sum(np, u, v):
     return lhs, rhs
 
 
-def _envelopes(np, w, size, extreme):
-    """Linear envelopes of ``w`` over its chunks of ``size`` points: per
-    chunk starting at ``p0``, the end-to-end slope ``d``, the ``extreme``
-    (``np.minimum`` or ``np.maximum``) of ``w[p0 + q] - d*q`` over its
-    offsets ``q``, ``max |w|`` and its last offset."""
-    starts = np.arange(0, w.size, size)
-    span = np.minimum(starts + size, w.size) - 1 - starts
-    d = (w[starts + span] - w[starts]) / np.maximum(span, 1)
-    # One temporary: d*q, then w - d*q, then |w|.
-    t = np.repeat(d, size).reshape(-1, size)
-    t = np.multiply(t, np.arange(float(size)), out=t).ravel()[: w.size]
-    t = np.subtract(w, t, out=t)
-    ext = extreme.reduceat(t, starts)
-    return d, ext, np.maximum.reduceat(np.abs(w, out=t), starts), span
+@functools.lru_cache(maxsize=_LAYOUT_SHAPES)
+def _bound_layout(ni: int, nj: int, m: int, l: int):
+    """The index arrays of :func:`_block_bounds` for ``ni`` rows, ``nj``
+    columns and the lattice ``(m, l)``.  They depend on nothing else, so
+    every level of a scan at one ``grid_n`` shares them (see "Bounded
+    loop" in the module docstring).  All are read-only.  The largest, the
+    offset of each entry of ``w`` in its chunk, is uint16, since a chunk
+    holds at most 2048 entries."""
+    np = _load_numpy()
+    nk = m * (ni - 1) + l * (nj - 1) + 1
+    size = _BLOCK_ROWS * max(1, (m + l) // 4)
+    tiles, blocks = -(-ni // _BLOCK_ROWS), -(-nj // _BLOCK_ROWS)
+    # Chunks of w = [u, v, -fs]: one per tile, one per block, then chunks
+    # of fs of size points, about a quarter of a block's lattice range.
+    fs0 = ni + nj
+    starts = np.concatenate((
+        np.arange(0, ni, _BLOCK_ROWS),
+        np.arange(ni, fs0, _BLOCK_ROWS),
+        np.arange(fs0, fs0 + nk, size),
+    ))
+    counts = np.diff(starts, append=fs0 + nk)
+    span = counts - 1
+    # Block (t, b) starts at lattice index 64*(m*t + l*b); blocks of one
+    # start k_a share the window [k_a, k_b], which holds their ranges.
+    k_a, inv = np.unique(
+        _BLOCK_ROWS * (m * np.arange(tiles)[:, None] + l * np.arange(blocks)),
+        return_inverse=True,
+    )
+    k_b = np.minimum(k_a + (_BLOCK_ROWS - 1) * (m + l), nk - 1)
+    # The chunks of fs that meet each window, one row per chunk offset from
+    # the window's first; past its last chunk, that one again.
+    q_a, q_b = k_a // size, k_b // size
+    q = np.minimum(q_a + np.arange(int((q_b - q_a).max()) + 1)[:, None], q_b)
+    chunks = tiles + blocks + q
+    arrays = (
+        starts,
+        counts,
+        # Each entry's offset in its chunk.
+        (np.arange(fs0 + nk) - np.repeat(starts, counts)).astype(np.uint16),
+        # The chunks' and the windows' last entries, then their first.
+        np.concatenate((starts + span, fs0 + k_b, starts, fs0 + k_a)),
+        np.maximum(np.concatenate((span, k_b - k_a)), 1).astype(np.float64),
+        span.astype(np.float64),
+        inv.reshape(tiles, blocks),
+        chunks,
+        span[chunks].astype(np.float64),
+        # Each window's k_a less its chunks' first indices, and its width
+        # plus two chunks (the margin's L over |c|).
+        (k_a - size * q).astype(np.float64),
+        (k_b - k_a + 2 * size).astype(np.float64),
+    )
+    # Cached: no caller may change them, through a view either.
+    for a in arrays:
+        a.flags.writeable = False
+    return (tiles,) + arrays
 
 
 def _block_bounds(np, u, v, fs, m, l):
     """``lb[t, b]``, a lower bound on every gap of row tile ``t`` x column
     block ``b``, from the split of the gap into three brackets about the
-    slope ``c`` of ``fs`` over the block (see "Bounded loop" in the module
-    docstring); NaN where an input of the block is NaN."""
-    du, low_u, top_u, span_u = _envelopes(np, u, _BLOCK_ROWS, np.minimum)
-    dv, low_v, top_v, span_v = _envelopes(np, v, _BLOCK_ROWS, np.minimum)
-    # Chunks of fs span about a quarter of a block's lattice range.
-    size = _BLOCK_ROWS * max(1, (m + l) // 4)
-    df, high_f, top_f, span_f = _envelopes(np, fs, size, np.maximum)
-    span_u, span_v = span_u[:, None], span_v[None, :]
-    k_a = _BLOCK_ROWS * (m * np.arange(du.size)[:, None] + l * np.arange(dv.size))
-    k_b = k_a + m * span_u + l * span_v
-    c = (fs[k_b] - fs[k_a]) / np.maximum(k_b - k_a, 1)
-    lower = (low_u[:, None] + np.minimum(0.0, (du[:, None] - c * m) * span_u)) + (
-        low_v + np.minimum(0.0, (dv - c * l) * span_v)
-    )
-    # The fs bracket: the least bound over the chunks that meet [k_a, k_b],
-    # one offset from each block's first chunk at a time; past a block's
-    # last chunk, that chunk again.
-    q_a, q_b = k_a // size, k_b // size
-    lattice, top = np.inf, 0.0
-    for s in range(int((q_b - q_a).max()) + 1):
-        q = np.minimum(q_a + s, q_b)
-        chunk = np.minimum(0.0, (c - df[q]) * span_f[q]) - high_f[q]
-        lattice = np.minimum(lattice, chunk + c * (size * q - k_a))
-        top = np.maximum(top, top_f[q])
+    slope ``c`` of ``fs`` over the block's window (see "Bounded loop" in
+    the module docstring); NaN where an input of the block is NaN."""
+    layout = _bound_layout(u.size, v.size, m, l)
+    tiles, starts, counts, offset, edges, divisor, span = layout[:7]
+    inv, chunks, chunk_span, shift, width = layout[7:]
+    n, rows, cols = starts.size, slice(0, tiles), slice(tiles, tiles + inv.shape[1])
+    # One envelope pass over w = [u, v, -fs].  Rows of env: each chunk's
+    # slope d and then each window's slope e of -fs (e = -c); each chunk's
+    # low, the least w_p - d*p; and its largest |w|.
+    w = np.empty(offset.size)
+    w[: u.size], w[u.size : -fs.size] = u, v
+    np.negative(fs, out=w[-fs.size :])
+    at = w[edges]
+    env = np.empty((3, divisor.size))
+    np.divide(np.subtract(at[: divisor.size], at[divisor.size :]), divisor, out=env[0])
+    d, e = env[0, :n], env[0, n:]
+    t = np.repeat(d, counts)
+    t = np.subtract(w, np.multiply(t, offset, out=t), out=t)
+    np.minimum.reduceat(t, starts, out=env[1, :n])
+    np.maximum.reduceat(np.abs(w, out=t), starts, out=env[2, :n])
+    low, top = env[1, :n], env[2, :n]
+    # Per window: the fs bracket, the least bound over its chunks of -fs at
+    # slope e, each shifted by c times its offset from k_a; the largest
+    # |fs| of its chunks; the margin's L; and e*m and e*l, for the u and v
+    # brackets' slopes c*m = -e*m and c*l = -e*l.
+    d_f, low_f, top_f = env.take(chunks, axis=1)
+    fs_bracket = np.multiply(d_f - e, chunk_span, out=d_f)
+    fs_bracket = np.minimum(0.0, fs_bracket, out=fs_bracket)
+    fs_bracket += low_f
+    fs_bracket += e * shift
+    per_window = np.empty((5, e.size))
+    fs_bracket.min(axis=0, out=per_window[0])
+    top_f.max(axis=0, out=per_window[1])
+    np.multiply(np.abs(e), width, out=per_window[2])
+    np.multiply(e, m, out=per_window[3])
+    np.multiply(e, l, out=per_window[4])
+    # Per block: its tile's and its block's u and v brackets, and its
+    # window's values.
+    fs_bracket, top_f, reach, em, el = per_window.take(inv, axis=1)
+    lb = np.multiply(d[rows, None] + em, span[rows, None], out=em)
+    lb = np.minimum(0.0, lb, out=lb)
+    lb += low[rows, None]
+    v_bracket = np.multiply(d[cols] + el, span[cols], out=el)
+    v_bracket = np.minimum(0.0, v_bracket, out=v_bracket)
+    v_bracket += low[cols]
+    lb += v_bracket
+    lb += fs_bracket
     # The margin 2**-37*(W + L); 8*(W + L) overflows if any term above did.
-    scale = (top_u[:, None] + top_v) + top + np.abs(c) * (k_b - k_a + 2 * size)
-    return (lower + lattice) - _BOUND_SLACK * (8.0 * scale)
+    scale = top[rows, None] + top[cols]
+    scale += top_f
+    scale += reach
+    scale *= 8.0
+    scale *= _BOUND_SLACK
+    lb -= scale
+    return lb
 
 
 def scan_block(

@@ -835,6 +835,72 @@ def test_block_bounds_are_below_every_gap_of_their_block():
     assert seen["tighter"] > 0.8 * smooth_blocks, (seen, smooth_blocks)
 
 
+@pytest.mark.parametrize("m, l", [(2, 1), (3, 4), (19, 64), (37, 64), (1, 127)])
+def test_block_bounds_reach_the_last_lattice_point_of_every_block(m, l):
+    """``u = v = 0`` and ``fs`` 0 but for a 1 at the last lattice point of
+    one block, the node of its last row and column, where its minimum gap
+    -1 lies: for each block in turn, its bound must be at most -1."""
+    ni, nj = 300, 700
+    u, v = np.zeros(ni), np.zeros(nj)
+    rows = np.minimum(np.arange(0, ni, 64) + 63, ni - 1)
+    cols = np.minimum(np.arange(0, nj, 64) + 63, nj - 1)
+    for t, r in enumerate(rows):
+        for b, c in enumerate(cols):
+            fs = np.zeros(m * (ni - 1) + l * (nj - 1) + 1)
+            fs[m * r + l * c] = 1.0
+            assert search._block_bounds(np, u, v, fs, m, l)[t, b] <= -1.0, (t, b)
+
+
+def test_block_bounds_are_the_same_with_a_cold_and_a_warm_layout_cache():
+    """``_block_bounds`` returns the same array, bit for bit (NaN
+    included), whether its shape's layout is built for the call or taken
+    from the cache, also after other shapes have used the cache."""
+    rng = random.Random(20261020)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inputs = [_random_bound_inputs(rng)[:5] for _ in range(60)]
+        cold = []
+        for u, v, fs, m, l in inputs:
+            search._bound_layout.cache_clear()
+            cold.append(search._block_bounds(np, u, v, fs, m, l))
+            warm = search._block_bounds(np, u, v, fs, m, l)
+            assert search._bound_layout.cache_info().hits == 1
+            assert warm.tobytes() == cold[-1].tobytes()
+        # Again, each shape's layout cached among up to seven others.
+        for (u, v, fs, m, l), want in zip(inputs, cold):
+            got = search._block_bounds(np, u, v, fs, m, l)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_layout_cache_holds_at_most_its_cap():
+    """Scans of more grid shapes than ``_LAYOUT_SHAPES`` leave at most that
+    many layouts cached, and every call of a cached shape is a hit."""
+    cap = search._LAYOUT_SHAPES
+    assert search._bound_layout.cache_info().maxsize == cap
+    search._bound_layout.cache_clear()
+    dx = 16.0 / 800
+    for k in range(cap + 4):
+        # Order 2 with dy = dx: the lattice (2, 1), bounded from 512 columns.
+        args = (2.0, 1.2, 0.05, 0.05, -8.0, dx, -8.0, dx, 0, 64 + k, 0, 512 + k)
+        assert scan_block(*args) == scan_block(*args)
+        info = search._bound_layout.cache_info()
+        assert info.currsize == min(k + 1, cap) and info.misses == k + 1, info
+        assert info.hits == k + 1, info
+
+
+def test_cached_layouts_are_read_only():
+    """No array of a cached layout can be written, so that no caller can
+    change the bounds of a later scan through one."""
+    search._bound_layout.cache_clear()
+    layout = search._bound_layout(130, 600, 3, 5)
+    arrays = [a for a in layout if isinstance(a, np.ndarray)]
+    assert len(arrays) == len(layout) - 1
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+    assert search._bound_layout(130, 600, 3, 5) is layout
+
+
 def test_kernel_replays_recorded_calls_bit_for_bit():
     """A seeded sample of the ``scan_block`` calls that
     ``tools/scan_block_replay.py`` recorded from the ``fullbox-scan`` pools

@@ -101,6 +101,11 @@ def cases():
     yield ["scan", *QUICK["scan"], "--a", "inf"]
     yield ["certify", "--mu", "1e999"]
     yield ["certify", "--mu", "1.5", "--alpha", "0.117783036"]
+    # (mu - 1)/sigma = 27: the B_alpha bound overflows float64, and certify
+    # exits 1 with a RangeError (the overflow band, ROADMAP item 1).
+    band = ["certify", "--mu", "2.35", "--sigma", "0.05", "--alpha", "0.01"]
+    yield band
+    yield [*band, "--format", "json"]
     yield ["violate", "--precision-bits", "64"]
     yield ["violate", "--a", "3"]
     yield ["violate", "--alpha", "0.001", "--format", "csv"]
