@@ -1,4 +1,4 @@
-"""Exact order-isomorphism of a countable positive cone via knee maps.
+"""Exact subadditive bijection of a countable positive cone via knee maps.
 
 Construction.  Take countably many *generators*, each an explicit positive
 irrational:
@@ -32,7 +32,11 @@ square).  The map acts on the *ray* of each BASE generator — elements
 ``q_n`` then 1, ``K_n(0) = 0``) and *fixes everything else* pointwise:
 multi-generator elements and RESERVE rays map to themselves.
 :meth:`Cone.apply_f` implements this; :meth:`Cone.apply_f_inv` inverts it
-exactly, so the map is an order bijection of the cone.
+exactly, so the map is a bijection of the cone.  It is not monotone: it
+stretches each BASE ray and fixes the elements beside it, so ``x = p_1``
+(about 0.35355) lies below ``y = p_1 + r_1/1000`` (about 0.35413, ``r_1``
+the value of RESERVE generator 1), yet ``f(x) = q_1 p_1`` (about 0.70711)
+lies above ``f(y) = y``.
 
 Why it matters.  ``K_n`` is concave with ``K_n(0) = 0``, hence subadditive
 on its ray, and ``K_n(r) >= r``; together these certify real-number

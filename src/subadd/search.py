@@ -71,7 +71,7 @@ Kernel contract.  ``scan_block(a, mu, sigma, alpha, x0, dx, y0, dy, i0,
 i1, j0, j1)`` minimises the order-``a`` gap of the working function over
 every node ``(x0 + i*dx, y0 + j*dy)`` for ``i in [i0, i1)``, ``j in [j0,
 j1)``, each node either evaluated or excluded by an exact lower bound
-(see "Bounded loop"), and returns ``(min_gap, best_i, best_j)``, where
+(see "Block bounds"), and returns ``(min_gap, best_i, best_j)``, where
 ``(best_i, best_j)`` is the first row-major node attaining the minimum,
 or ``(inf, -1, -1)`` if no node produced a finite value.
 
@@ -103,9 +103,9 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
   does not.
 - The ``n^2`` part is tiled in row blocks of 64 rows into one reused
   buffer, and the lattice path's ``f`` values number at most ``128*n``,
-  so peak memory is O(n), not O(n^2), on both paths; the bounded loop
-  below skips whole 64 x 64 blocks of it.
-- Bounded loop.  On the lattice path with at least ``_BOUND_MIN_COLS``
+  so peak memory is O(n), not O(n^2), on both paths; the block bounds
+  below let the loop skip whole 64 x 64 blocks of it.
+- Block bounds.  On the lattice path with at least ``_BOUND_MIN_COLS``
   (512) columns, each 64-row tile x 64-column block gets a float64 lower
   bound ``lb`` on its gaps ``fl(fl(u_i + v_j) - fs_k)`` (see "Outer
   sums"), ``u = a*f(x)``, ``v = f(y)``.  Block ``(t, b)``, rows ``[r0,
@@ -158,26 +158,26 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
   intermediate overflows, so does ``8*(W + L)``, and ``lb`` is ``-inf``
   or NaN.  So ``gap >= lb``: no node of a block with ``lb > best`` can
   equal or beat the running minimum ``best``.
-
-  Loop.  The block of lowest bound is evaluated first, alone, so that
-  the first tile already has a finite ``best`` to skip blocks against.
-  Tiles are then visited in ascending order of their smallest bound;
-  each evaluates only the contiguous column span of its blocks with
-  ``not lb > best`` (so a NaN bound, which any NaN input of the block
-  gives, never prunes) and is skipped if it has none.  On the seed-3
-  ``fullbox-scan`` pool a refined level at 2401 computes 0.6 to 4.4% of
-  its nodes.  Narrower scans, such as the 401-wide violation window, gain
-  about what the bounds cost and keep the plain row-order loop, as does
-  the node path.
+- Loop.  One loop visits the row tiles in row order.  Without bounds (the
+  node path, and lattices narrower than ``_BOUND_MIN_COLS``) each tile
+  evaluates every column.  With bounds, the block of lowest bound is
+  evaluated first, alone, and folded into ``best``, so that the first
+  tile already has a finite ``best`` to skip blocks against; then a tile
+  whose smallest bound is above ``best`` is skipped, and any other
+  evaluates only the contiguous column span of its blocks with ``not lb
+  > best`` (so a NaN bound, which any NaN input of the block gives, never
+  prunes).  On the seed-3 ``fullbox-scan`` pool a refined level at 2401
+  computes 0.6 to 4.4% of its nodes.  On the 401-column violation window
+  the bounds cost more than they skip (see ``_BOUND_MIN_COLS``).
 - Results are bit-reproducible, and any block partition of the index
   rectangle gives bit-identical values: the path depends only on ``a``,
   ``dx`` and ``dy``, and lattice indices are absolute.
 - Row-major first-occurrence tie-breaking equals the lexicographically
   smallest ``(i, j)`` among minimisers, which makes block-wise reduction
   associative (combine block results by ``(value, i, j)`` tuple-minimum).
-  The kernel combines its own tiles that way, so the bounded loop's tile
-  order and skipped blocks leave ``(value, i, j)`` bit for bit as a
-  scan of every node gives it.
+  The kernel combines its own tiles that way, so the seed block and the
+  skipped blocks leave ``(value, i, j)`` bit for bit as a scan of every
+  node gives it.
 - NaN and infinite gaps (overflow artefacts) never win, and the overflow
   that makes them raises no NumPy warning.
 """
@@ -290,7 +290,7 @@ MAX_REFINE_DEPTH = 30
 FULL_BOX = (-8.0, 8.0, -8.0, 8.0)
 
 #: Rows per tile of a scan's O(n^2) part, and columns per block of the
-#: bounded loop.
+#: block bounds.
 _BLOCK_ROWS = 64
 #: Longest lattice period ``m + l`` the kernel runs on.  Its lattice holds
 #: at most ``_LATTICE_PERIOD * n`` points, still O(n); a level clipped at
@@ -306,18 +306,15 @@ _RATIO_TOL = 2.0 ** -44
 #: at level 2), below the 2.4e-4 between two ratios with ``m + l <= 64``.
 _SNAP_REACH = 2.0 ** -30
 #: Fewest columns for which a lattice-path scan bounds its blocks and skips
-#: those that cannot hold the minimum.  The bounds cost 0.07 to 0.15 ms a
-#: level at 801 to 2401 columns, and about 0.5 ms on the 1601-column level
-#: of period 83 (one BLAS thread, 2-core Xeon VM).  At 401 columns they
-#: about break even.  With ``tools/kernel_bench.py``
-#: (``BENCH_kernel_layout*.json``), bounded, the ``window-401`` case
-#: computes 28% of its nodes and takes 1.17 against 1.44 ms on one BLAS
-#: thread, but 1.32 against 1.19 ms on two.  Timed in one process on the
-#: seed-3 pool at depth 3, the full box at 401 columns takes 1.62 against
-#: 1.73 ms a scan bounded, and at 513 columns 2.11 against 2.86 ms.  So
-#: 512 keeps the violation window, the scan ``atlas-sweep`` runs, on the
-#: plain loop at no measurable cost, and bounds every ``fullbox-scan``
-#: grid.
+#: those that cannot hold the minimum.  It keeps the 401-column violation
+#: window, the scan of ``atlas-sweep``, unbounded: under the benchmark
+#: worker's two OpenBLAS threads, bounding it (a threshold of 0) cost
+#: ``atlas-sweep`` 14% of its ``ops_per_s`` (587.4 against 505.4) and 1.6
+#: MB of peak RSS (38.4 against 40.0 MB), medians of 5 alternating pairs,
+#: seed 101, 2-core Xeon VM.  The window's lattices have 44 shapes ``(m,
+#: l)`` over that pool, so the layouts rarely stay cached: 382 of its 958
+#: window levels miss the ``_LAYOUT_SHAPES`` cache.  Every ``fullbox-scan``
+#: grid, at 801 columns and up, is bounded.
 _BOUND_MIN_COLS = 512
 #: The block bounds subtract ``_BOUND_SLACK * 8*(W + L)``, 512 times their
 #: rounding error (see "Margin" in the module docstring).
@@ -380,7 +377,7 @@ class ScanReport:
     ``min_gap`` is the gap re-evaluated at ``argmin`` on the interpreted
     float64 path; ``evaluations`` counts the grid nodes the kernel
     covered, each either evaluated or excluded by its block's bound (see
-    "Bounded loop" in the module docstring), which is exactly
+    "Block bounds" in the module docstring), which is exactly
     ``(refine_depth + 1) * grid_n**2``.
     """
 
@@ -493,8 +490,8 @@ def _outer_sum(np, u, v):
 def _bound_layout(ni: int, nj: int, m: int, l: int):
     """The index arrays of :func:`_block_bounds` for ``ni`` rows, ``nj``
     columns and the lattice ``(m, l)``.  They depend on nothing else, so
-    every level of a scan at one ``grid_n`` shares them (see "Bounded
-    loop" in the module docstring).  All are read-only.  The largest, the
+    every level of a scan at one ``grid_n`` shares them (see "Block
+    bounds" in the module docstring).  All are read-only.  The largest, the
     offset of each entry of ``w`` in its chunk, is uint16, since a chunk
     holds at most 2048 entries."""
     np = _load_numpy()
@@ -549,7 +546,7 @@ def _bound_layout(ni: int, nj: int, m: int, l: int):
 def _block_bounds(np, u, v, fs, m, l):
     """``lb[t, b]``, a lower bound on every gap of row tile ``t`` x column
     block ``b``, from the split of the gap into three brackets about the
-    slope ``c`` of ``fs`` over the block's window (see "Bounded loop" in
+    slope ``c`` of ``fs`` over the block's window (see "Block bounds" in
     the module docstring); NaN where an input of the block is NaN."""
     layout = _bound_layout(u.size, v.size, m, l)
     tiles, starts, counts, offset, edges, divisor, span = layout[:7]
@@ -635,7 +632,6 @@ def scan_block(
         afx, fy = a * f(xs), f(ys)
         f_lhs, f_rhs = _outer_sum(np, afx, fy)
 
-        tiles = range(0, ni, _BLOCK_ROWS)
         bounds = None
         ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL, period=_LATTICE_PERIOD)
         if ratio is not None:
@@ -653,12 +649,6 @@ def scan_block(
             )
             if nj >= _BOUND_MIN_COLS:
                 bounds = _block_bounds(np, afx, fy, fs, m, l)
-                # Tiles with the lowest bound first: an early low minimum
-                # lets later tiles skip more blocks.  The order sets only how
-                # much is skipped, so NaN keys may sort anywhere.  Python's
-                # sort: a first np.argsort call maps about 0.25 MB of code.
-                lows = bounds.min(axis=1).tolist()
-                tiles = sorted(tiles, key=lambda r0: lows[r0 // _BLOCK_ROWS])
         else:
             s_lhs, s_rhs = _outer_sum(np, a * xs, ys)
 
@@ -687,24 +677,24 @@ def scan_block(
             return float(gaps.flat[flat]), i0 + r0 + bi, j0 + c0 + bj
 
         best = (np.inf, -1, -1)
-        if bounds is None:
-            for r0 in tiles:
-                best = min(best, span_min(r0, 0, nj))
-            return best
-        # The block of lowest bound first, alone: the first tile then
-        # already skips blocks, where with no finite minimum it would keep
-        # them all.
-        first = int(np.argmin(bounds[tiles[0] // _BLOCK_ROWS])) * _BLOCK_ROWS
-        best = min(best, span_min(tiles[0], first, min(nj, first + _BLOCK_ROWS)))
-        for r0 in tiles:
-            t = r0 // _BLOCK_ROWS
-            # Only blocks whose bound is not above the running minimum can
-            # hold a node that equals or beats it; a NaN bound keeps its
-            # block (and makes its tile's lowest bound NaN).
-            if lows[t] > best[0]:
-                continue
-            keep = np.flatnonzero(~(bounds[t] > best[0]))
-            c0, c1 = int(keep[0]) * _BLOCK_ROWS, (int(keep[-1]) + 1) * _BLOCK_ROWS
+        if bounds is not None:
+            # The block of lowest bound first, alone: the first tile then
+            # already skips blocks, where with no finite minimum it would keep
+            # them all.
+            t, b = divmod(int(np.argmin(bounds)), bounds.shape[1])
+            c0 = b * _BLOCK_ROWS
+            best = min(best, span_min(t * _BLOCK_ROWS, c0, min(nj, c0 + _BLOCK_ROWS)))
+            lows = bounds.min(axis=1).tolist()
+        for t, r0 in enumerate(range(0, ni, _BLOCK_ROWS)):
+            c0, c1 = 0, nj
+            if bounds is not None:
+                # Only blocks whose bound is not above the running minimum can
+                # hold a node that equals or beats it; a NaN bound keeps its
+                # block (and makes its tile's lowest bound NaN).
+                if lows[t] > best[0]:
+                    continue
+                keep = np.flatnonzero(~(bounds[t] > best[0]))
+                c0, c1 = int(keep[0]) * _BLOCK_ROWS, (int(keep[-1]) + 1) * _BLOCK_ROWS
             best = min(best, span_min(r0, c0, min(nj, c1)))
         return best
 

@@ -25,7 +25,7 @@ from subadd.cone import (
     q_of,
 )
 from subadd.errors import ConstructionBugError, InputError
-from subadd.intervals import Interval
+from subadd.intervals import Interval, Tristate, certainly_le
 
 BASE = GeneratorKind.BASE
 RESERVE = GeneratorKind.RESERVE
@@ -320,6 +320,22 @@ def test_map_expands_on_base_rays(cone):
         s = cone.apply_f(x).to_dict()[B(n)]
         assert s >= r
         assert s >= min(2 * r, r + 1)  # q >= 2 makes both branches expand
+
+
+def test_map_is_not_monotone():
+    """The map is a subadditive bijection, not an order-isomorphism: ``x =
+    p_1`` is certainly below ``y = p_1 + r_1/1000``, yet ``f(x) = q_1 p_1``
+    is certainly above ``f(y) = y``."""
+    cone = make_generators(3, 2)
+    x = ConeElement(coeffs=((B(1), Fraction(1)),))
+    y = ConeElement(coeffs=((B(1), Fraction(1)), (R(1), Fraction(1, 1000))))
+    fx, fy = cone.apply_f(x), cone.apply_f(y)
+    assert fy == y
+    value = cone.element_value_interval
+    assert certainly_le(value(x), value(y)) is Tristate.TRUE
+    assert certainly_le(value(fx), value(fy)) is Tristate.FALSE
+    for z, about in [(x, 0.35355), (y, 0.35413), (fx, 0.70711)]:
+        assert value(z).lo == pytest.approx(about, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def test_lattice_ratio_walk_equals_the_loop_on_seeded_ratios(period):
 def test_lattice_ratio_walk_equals_the_loop_on_recorded_ratios(period):
     """Every ratio the ``fullbox-scan`` pools (seeds 1 to 20) and the
     ``tools/violation_matrix.py`` cases meet, as recorded by
-    ``tools/lattice_ratios.py``, gets the loop's ``(m, l)``."""
+    ``tools/scan_block_replay.py``, gets the loop's ``(m, l)``."""
     path = Path(__file__).with_name("lattice_ratios.json")
     record = json.loads(path.read_text())
     assert sum(map(len, record.values())) > 1000
@@ -682,10 +682,11 @@ def test_bounded_loop_keeps_blocks_whose_bound_is_not_above_the_minimum(
     """A synthetic ``f`` with exact gaps ``f(x_i) + f(y_j) - f(x_i + y_j)``
     in {0, 1} on a 192 x 512 lattice block.  Row 0 holds the first
     minimiser, where each block's bound is the minimum 0 less the bound's
-    margin, or NaN when row ``nan_row`` is NaN; row 128's tile, whose
-    loose bound of -1 on its last block sends it first, holds the minimum
-    too, and the middle tile's bound of 1 skips it.  The kernel must still
-    return row 0."""
+    margin, or NaN when row ``nan_row`` is NaN; row 128's tile holds the
+    minimum too, and the loose bound of -1 on its last block makes that
+    block the seed evaluated first (unless a NaN bound comes first, as
+    ``np.argmin`` returns the first NaN); the middle tile's bound of 1
+    skips it.  The kernel must still return row 0."""
     y0 = 10_000.0
 
     def f(t):
@@ -721,9 +722,10 @@ def test_bounded_loop_keeps_blocks_whose_bound_equals_the_minimum(monkeypatch, n
     """The synthetic ``f`` of the test above, with the block bounds
     replaced by the plain range bound: each block of row 0's tile then has
     a bound of exactly the minimum 0 (or NaN), row 128's tile a bound of
-    -1, which sends it and its seed block first, and the middle tile a
-    bound of 1.  The loop must keep the blocks whose bound equals the
-    running minimum, and return row 0."""
+    -1, which makes one of its blocks the seed evaluated first (unless a
+    NaN bound comes first), and the middle tile a bound of 1.  The loop
+    must keep the blocks whose bound equals the running minimum, and
+    return row 0."""
     y0 = 10_000.0
 
     def f(t):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record :func:`subadd.search.scan_block` calls with their results, and
 replay a record against a checkout to show that the kernel still returns
-them bit for bit.
+them bit for bit; write the test suite's kernel fixtures from a record.
 
 Usage::
 
@@ -9,10 +9,10 @@ Usage::
     python3 tools/scan_block_replay.py replay OUT.json src
     python3 tools/scan_block_replay.py sample OUT.json tests/scan_block_replay.json
 
-``record`` imports the toolkit from ``SRC_DIR``, puts a spy on the module
-attribute ``search.scan_block`` (which ``scan_gap_min`` looks up at call
-time) and runs three sources, with the triples of this checkout's
-``perfbench/workloads.py``:
+``record`` imports the toolkit from ``SRC_DIR``, puts spies on the module
+attributes ``search.scan_block`` and ``search._lattice_ratio`` (which
+``scan_gap_min`` and the kernel look up at call time) and runs three
+sources, with the triples of this checkout's ``perfbench/workloads.py``:
 
 - ``fullbox``: ``scan_gap_min`` at order 2 over the ``fullbox-scan`` pools
   of seeds 1 to 20, at ``grid_n`` 801, 1601 and 2401 and refine depth 3;
@@ -21,26 +21,32 @@ time) and runs three sources, with the triples of this checkout's
 - ``violation-matrix``: ``find_violation`` over the
   ``tools/violation_matrix.py`` cases, the same pools at orders 1 to 3.
 
-Each distinct call is kept once, with the source that met it first: its
-12 arguments (floats as ``float.hex``) and its result as
-``[float.hex(value), i, j]``, so the sign of a zero counts.  A record of
-the three sources holds 6,258 calls and takes about 10 s on a 2-core
-Xeon VM.
+Each distinct kernel call is kept once, under ``"calls"``, with the
+source that met it first: its 12 arguments (floats as ``float.hex``) and
+its result as ``[float.hex(value), i, j]``, so the sign of a zero counts.
+Each ``_lattice_ratio`` call's ``r = dy/(a*dx)`` is kept under
+``"lattice_ratios"`` with its ``keep`` and ``reach``, so a test can call
+the function again with ``a = dx = 1`` and ``dy = r`` at any period: the
+record maps ``"keep reach"`` (as ``float.hex``) to the sorted
+``float.hex`` of the distinct ratios.  A record of the three sources holds
+6,258 calls and 1,821 ratios and takes about 10 s on a 2-core Xeon VM.
 
 ``replay`` calls ``scan_block`` from ``SRC_DIR`` with every recorded
 argument tuple and prints the number of calls, the number whose result
 differs, and the first few differences; it exits 1 if any differs.
 
-``sample`` writes a fixture for the test suite: every call on the node
-path, every bounded call (at least ``_BOUND_MIN_COLS`` = 512 columns) on
-a lattice of period above 3, and seeded draws of the others,
-``FULLBOX_DRAWS`` from the ``fullbox`` source and ``OTHER_DRAWS`` from
-the other two.
+``sample`` writes the test suite's two fixtures.  To ``OUT.json`` go every
+call on the node path, every bounded call (at least ``_BOUND_MIN_COLS`` =
+512 columns) on a lattice of period above 3, and seeded draws of the
+others, ``FULLBOX_DRAWS`` from the ``fullbox`` source and ``OTHER_DRAWS``
+from the other two.  Beside it, to ``lattice_ratios.json``, go the
+record's ratios.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -77,8 +83,8 @@ def _import(src: str):
 
 def record(src: str, out: str) -> int:
     search, workloads, violation_matrix = _import(src)
-    calls, source = {}, [None]
-    kernel = search.scan_block
+    calls, source, ratios = {}, [None], {}
+    kernel, lattice_ratio = search.scan_block, search._lattice_ratio
 
     def spy(*args):
         result = kernel(*args)
@@ -88,7 +94,12 @@ def record(src: str, out: str) -> int:
                           "result": result_key(result)}
         return result
 
-    search.scan_block = spy
+    def ratio_spy(a, dx, dy, keep, reach=search._RATIO_TOL, **kwargs):
+        adx = a * dx
+        ratios.setdefault((keep, reach), set()).add(dy / adx if adx > 0.0 else math.nan)
+        return lattice_ratio(a, dx, dy, keep, reach, **kwargs)
+
+    search.scan_block, search._lattice_ratio = spy, ratio_spy
     frozen = workloads.load_frozen()
     source[0] = "fullbox"
     for seed in FULLBOX_SEEDS:
@@ -108,17 +119,24 @@ def record(src: str, out: str) -> int:
             for p in pool:
                 search.find_violation(order, p)
 
-    Path(out).write_text(json.dumps(list(calls.values())) + "\n")
+    lattice_ratios = {
+        f"{keep.hex()} {reach.hex()}": sorted(r.hex() for r in rs)
+        for (keep, reach), rs in sorted(ratios.items())
+    }
+    Path(out).write_text(json.dumps(
+        {"calls": list(calls.values()), "lattice_ratios": lattice_ratios}
+    ) + "\n")
     counts = {}
     for call in calls.values():
         counts[call["source"]] = counts.get(call["source"], 0) + 1
-    print(f"{len(calls)} calls {counts}; wrote {out}")
+    n_ratios = sum(map(len, lattice_ratios.values()))
+    print(f"{len(calls)} calls {counts}, {n_ratios} ratios; wrote {out}")
     return 0
 
 
 def replay(path: str, src: str) -> int:
     search, _, _ = _import(src)
-    calls = json.loads(Path(path).read_text())
+    calls = json.loads(Path(path).read_text())["calls"]
     differ = []
     for call in calls:
         got = result_key(search.scan_block(*decode(call["args"])))
@@ -134,8 +152,8 @@ def sample(path: str, out: str) -> int:
     sys.path[:0] = [str(ROOT / "src")]
     from subadd import search
 
-    calls = json.loads(Path(path).read_text())
-    chosen, fullbox, rest = [], [], []
+    record = json.loads(Path(path).read_text())
+    calls, chosen, fullbox, rest = record["calls"], [], [], []
     for call in calls:
         a, _, _, _, _, dx, _, dy, _, _, j0, j1 = decode(call["args"])
         ratio = search._lattice_ratio(
@@ -148,7 +166,9 @@ def sample(path: str, out: str) -> int:
     rng = random.Random(SAMPLE_SEED)
     chosen += rng.sample(fullbox, FULLBOX_DRAWS) + rng.sample(rest, OTHER_DRAWS)
     Path(out).write_text("[\n" + ",\n".join(map(json.dumps, chosen)) + "\n]\n")
-    print(f"{len(chosen)} of {len(calls)} calls; wrote {out}")
+    ratios_out = Path(out).with_name("lattice_ratios.json")
+    ratios_out.write_text(json.dumps(record["lattice_ratios"], indent=0) + "\n")
+    print(f"{len(chosen)} of {len(calls)} calls; wrote {out} and {ratios_out}")
     return 0
 
 
