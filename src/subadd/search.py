@@ -14,19 +14,16 @@ Pipeline:
    Node placement.  Each level takes ``dx = (x1 - x0)/(n - 1)`` and the
    y-step rounded *down* onto the lattice of ``a*dx``: the largest
    ``dy <= (y1 - y0)/(n - 1)`` with ``dy/(a*dx) = l/m`` for integers
-   ``m + l <= 64``, provided the top row of nodes stays within one
-   unsnapped y-step of ``y1``; otherwise the plain step.  The snap keeps
-   the period 64 although the kernel accepts lattices up to 128 (see
-   "Lattice path"), so that no node moves: a level with a longer period
-   keeps its plain step and the kernel finds its lattice as it is.
-   Where rounding a refined box's edges leaves ``dy/(a*dx)`` below
-   ``l/m`` by between ``2**-44`` and ``2**-30`` relative, ``dx`` is
-   rounded down onto the lattice instead, to ``m*(dy/l)/a``.  Either step
-   is then shrunk by ulps until the last node ``x0 + (n-1)*dx`` (resp.
-   ``y0 + (n-1)*dy``) lies inside the box, so every node of every level,
-   clipped levels included, lies inside the rectangle.  The full box at
-   orders 1, 2, 2.5 and 3 needs no snapping (``l/m`` = 1, 1/2, 2/5,
-   1/3).
+   ``m + l <= 128``, the kernel's period (see "Lattice path"), provided
+   the top row of nodes stays within one unsnapped y-step of ``y1``;
+   otherwise the plain step.  Where rounding a refined box's edges leaves
+   ``dy/(a*dx)`` below ``l/m`` by between ``2**-44`` and ``2**-30``
+   relative, ``dx`` is rounded down onto the lattice instead, to
+   ``m*(dy/l)/a``.  Either step is then shrunk by ulps until the last node
+   ``x0 + (n-1)*dx`` (resp. ``y0 + (n-1)*dy``) lies inside the box, so
+   every node of every level, clipped levels included, lies inside the
+   rectangle.  The full box at orders 1, 2, 2.5 and 3 needs no snapping
+   (``l/m`` = 1, 1/2, 2/5, 1/3).
 
 2. **Newton polish** (inside :func:`find_violation`): projected Newton
    descent on the float64 gap ``G = a*f(x) + f(y) - f(s)``, ``s = a*x +
@@ -59,7 +56,7 @@ violation mechanism, so this window is where genuine violations
 concentrate (the reference witnesses follow the same pattern).  The
 y-span is widened, by less than 0.1, to an integer multiple ``k`` of the
 x-span, so that ``dy/(a*dx) = k/a`` and the scan runs on the lattice path
-at orders 1, 2 and 3 for ``sigma`` up to about 0.3.
+at orders 1, 2 and 3 for ``sigma`` up to about 0.6.
 
 :func:`reproduce_table` re-derives the five stored reference parameter
 rows: it recomputes each row's order-3 margin at the stored witness point
@@ -296,14 +293,12 @@ _BLOCK_ROWS = 64
 #: at most ``_LATTICE_PERIOD * n`` points, still O(n); a level clipped at
 #: ``grid_n`` 1601 needs 83.
 _LATTICE_PERIOD = 2 * _BLOCK_ROWS
-#: Longest period the node placement snaps a level's ``dy`` onto.  It
-#: stays 64 while the kernel takes longer lattices, so no node moves.
-_SNAP_PERIOD = 64
 #: Relative slack within which ``dy / (a*dx)`` counts as equal to ``l/m``.
 _RATIO_TOL = 2.0 ** -44
 #: How far below ``l/m`` a level's ``dy / (a*dx)`` may lie for ``dx`` to be
 #: rounded onto the lattice: above the rounding of refined box edges (1e-13
-#: at level 2), below the 2.4e-4 between two ratios with ``m + l <= 64``.
+#: at level 2), below the 2.5e-4 relative between two ratios with ``m + l
+#: <= 128`` (62/63 and 63/64).
 _SNAP_REACH = 2.0 ** -30
 #: Fewest columns for which a lattice-path scan bounds its blocks and skips
 #: those that cannot hold the minimum.  It keeps the 401-column violation
@@ -424,19 +419,18 @@ def _lattice_ratio(
     dy: float,
     keep: float,
     reach: float = _RATIO_TOL,
-    period: int = _SNAP_PERIOD,
 ) -> Optional[Tuple[int, int]]:
-    """The ``(m, l)`` with ``m + l <= period`` whose ratio ``l/m`` is the
-    largest in ``[r*keep, r*(1 + reach)]``, ``r = dy/(a*dx)`` (lowest
-    terms), or ``None`` if no ratio lies there.
+    """The ``(m, l)`` with ``m + l <= _LATTICE_PERIOD`` whose ratio ``l/m``
+    is the largest in ``[r*keep, r*(1 + reach)]``, ``r = dy/(a*dx)``
+    (lowest terms), or ``None`` if no ratio lies there.
 
     The largest ``l/m <= hi = r*(1 + reach)`` is the best lower rational
-    approximation of ``hi`` with ``m + l <= period``.  It is found by a
-    Stern–Brocot descent towards ``hi``'s exact value, which keeps two
+    approximation of ``hi`` with ``m + l <= _LATTICE_PERIOD``.  It is found
+    by a Stern–Brocot descent towards ``hi``'s exact value, which keeps two
     neighbours ``l/m <= hi < u/v`` and takes each run of steps in one
     direction as one batch.  Every ratio strictly between two neighbours
     has ``m + l`` at least the sum of theirs, so the descent stops when the
-    next mediant's sum is above ``period``, with ``l/m`` the answer.  The
+    next mediant's sum is above the period, with ``l/m`` the answer.  The
     comparison with ``hi`` is exact; a loop over ``m`` taking ``l =
     floor(hi*m)`` in float64 would also accept an ``l/m`` that ``hi*m``
     rounds up to.
@@ -445,6 +439,7 @@ def _lattice_ratio(
     r = dy / adx if adx > 0.0 else math.nan
     if not 0.0 < r < math.inf:
         return None
+    period = _LATTICE_PERIOD
     # l/m < period anyway; the cap keeps hi finite.
     lo, hi = r * keep, min(r * (1.0 + reach), period)
     p, q = hi.as_integer_ratio()
@@ -633,7 +628,7 @@ def scan_block(
         f_lhs, f_rhs = _outer_sum(np, afx, fy)
 
         bounds = None
-        ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL, period=_LATTICE_PERIOD)
+        ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
         if ratio is not None:
             # f(a*x_i + y_j) = f(s0 + k*delta) with k = m*i + l*j: evaluate
             # the lattice once, from the block's first to its last k.
@@ -730,9 +725,8 @@ def scan_gap_min(a: OrderLike, p: Params, cfg: ScanConfig) -> ScanReport:
         # Snap dy down onto the lattice of a*dx when that costs less than
         # one y-step of the box's height.  Rounding the edges c +- w/2 can
         # leave dy/(a*dx) just below l/m, out of the kernel's reach: then
-        # round dx down onto the lattice instead.  Both checks keep the
-        # snap's period; the second answers for the kernel's too, since no
-        # other ratio with m + l <= 128 lies within 2**-30 of l/m.
+        # round dx down onto the lattice instead; the second check is the
+        # kernel's own.
         ratio = _lattice_ratio(av, dx, dy, (n - 2) / (n - 1), _SNAP_REACH)
         if ratio is not None:
             m, l = ratio
@@ -781,7 +775,7 @@ def violation_scan_config(
     ``20*sigma``).
 
     With ``dy/dx = k`` every unclipped level runs on the lattice path at
-    orders 1, 2 and 3 while ``k + a <= 64`` (``sigma`` up to about 0.3).
+    orders 1, 2 and 3 while ``k + a <= 128`` (``sigma`` up to about 0.6).
     """
     p = require_instance(p, Params, "params")
     n = require_int(grid_n, "grid_n", 2, MAX_GRID_N)

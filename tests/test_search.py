@@ -201,7 +201,7 @@ def test_mirror_box_bitwise_equality(cert_params):
 
 def test_lattice_ratio_recognises_small_periods():
     """``dy/(a*dx) = l/m`` is recognised to a few ulps for small periods
-    and refused when the period would exceed one row tile; the snapping
+    and refused when the period would exceed the kernel's; the snapping
     window picks the largest ratio below ``r``."""
     exact = lambda r: search._lattice_ratio(1.0, 1.0, r, 1.0 - search._RATIO_TOL)
     assert exact(1.0) == (1, 1)
@@ -221,7 +221,9 @@ def test_lattice_ratio_recognises_small_periods():
     assert search._lattice_ratio(2.0, 1e-3, 1e307, 0.5) is None
 
 
-def _loop_lattice_ratio(a, dx, dy, keep, reach=search._RATIO_TOL, period=64):
+def _loop_lattice_ratio(
+    a, dx, dy, keep, reach=search._RATIO_TOL, period=search._LATTICE_PERIOD
+):
     """Reference: the former ``_lattice_ratio``, which tried every ``m``
     below ``period`` with ``l = floor(hi*m)`` in float64."""
     adx = a * dx
@@ -237,7 +239,7 @@ def _loop_lattice_ratio(a, dx, dy, keep, reach=search._RATIO_TOL, period=64):
     return best
 
 
-_PERIODS = [search._SNAP_PERIOD, search._LATTICE_PERIOD]
+_PERIODS = [search._LATTICE_PERIOD]
 
 
 def _seeded_ratio_cases(count):
@@ -262,11 +264,11 @@ def _seeded_ratio_cases(count):
 
 @pytest.mark.parametrize("period", _PERIODS)
 def test_lattice_ratio_walk_equals_the_loop_on_seeded_ratios(period):
-    """The Stern–Brocot walk returns the loop's ``(m, l)`` at the snap's
-    and the kernel's period."""
+    """The Stern–Brocot walk returns the loop's ``(m, l)`` at the kernel's
+    period."""
     for r, keep, reach in _seeded_ratio_cases(100_000):
         want = _loop_lattice_ratio(1.0, 1.0, r, keep, reach, period)
-        assert search._lattice_ratio(1.0, 1.0, r, keep, reach, period) == want, (
+        assert search._lattice_ratio(1.0, 1.0, r, keep, reach) == want, (
             r.hex(), keep, reach,
         )
 
@@ -283,7 +285,7 @@ def test_lattice_ratio_walk_equals_the_loop_on_recorded_ratios(period):
         keep, reach = map(float.fromhex, key.split())
         for r in map(float.fromhex, ratios):
             want = _loop_lattice_ratio(1.0, 1.0, r, keep, reach, period)
-            assert search._lattice_ratio(1.0, 1.0, r, keep, reach, period) == want
+            assert search._lattice_ratio(1.0, 1.0, r, keep, reach) == want
 
 
 @pytest.mark.parametrize("period", _PERIODS)
@@ -294,7 +296,8 @@ def test_lattice_ratio_refuses_extreme_ratios(period, r):
     """Zero, subnormal, huge, infinite and NaN ratios have no lattice and
     raise nothing, whatever ``keep`` and ``reach``."""
     for keep, reach in [(1.0 - search._RATIO_TOL, search._RATIO_TOL), (0.5, 1.0)]:
-        assert search._lattice_ratio(1.0, 1.0, r, keep, reach, period) is None
+        assert _loop_lattice_ratio(1.0, 1.0, r, keep, reach, period) is None
+        assert search._lattice_ratio(1.0, 1.0, r, keep, reach) is None
 
 
 def test_lattice_ratio_compares_exactly():
@@ -307,11 +310,10 @@ def test_lattice_ratio_compares_exactly():
     got = search._lattice_ratio(1.0, 1.0, third, 0.9, 0.0)
     assert got is not None and Fraction(got[1], got[0]) < Fraction(third)
     # Where hi is exactly a short ratio, the walk lands on it.
-    assert search._lattice_ratio(1.0, 1.0, 19 / 64, 0.99, 0.0, 128) == (64, 19)
+    assert search._lattice_ratio(1.0, 1.0, 19 / 64, 0.99, 0.0) == (64, 19)
     for r in (0.5, 0.75, 3.0, 19 / 64, 1 / 128):
-        for period in _PERIODS:
-            want = _loop_lattice_ratio(1.0, 1.0, r, 0.99, 0.0, period)
-            assert search._lattice_ratio(1.0, 1.0, r, 0.99, 0.0, period) == want
+        want = _loop_lattice_ratio(1.0, 1.0, r, 0.99, 0.0)
+        assert search._lattice_ratio(1.0, 1.0, r, 0.99, 0.0) == want
 
 
 def _record_levels(monkeypatch):
@@ -463,11 +465,13 @@ def test_violation_window_scan_runs_on_the_lattice(monkeypatch):
     orders 1 to 3.  With ``alpha = sigma``, as for the flagship, the
     refined boxes are not clipped or stay on a lattice when they are (a
     clipped level changes its aspect ratio and may leave the lattice).
-    The last triple's level-2 box is not clipped, but the rounding of its
-    edges leaves ``dy/(a*dx)`` about 1e-13 below ``k/a``."""
+    The fifth triple's level-2 box is not clipped, but the rounding of its
+    edges leaves ``dy/(a*dx)`` about 1e-13 below ``k/a``.  The last has
+    ``k = 95``, so its periods ``k + a`` are above 64."""
     calls = _record_levels(monkeypatch)
     triples = [(1.2, sigma, sigma) for sigma in (0.05, 0.03, 0.0731, 0.15)]
     triples.append((4.430756707065987, 0.03738979789817797, 0.10535597392288625))
+    triples.append((4.828365624446715, 0.47028011464613806, 0.3468698910308188))
     for mu, sigma, alpha in triples:
         p = Params(mu=mu, sigma=sigma, alpha=alpha)
         cfg = violation_scan_config(p)
@@ -482,6 +486,23 @@ def test_violation_window_scan_runs_on_the_lattice(monkeypatch):
             ]
             g = math.gcd(k, a)
             assert ratios[0] == (a // g, k // g) and None not in ratios, (sigma, a)
+
+
+def test_violation_scan_snaps_refined_levels_onto_the_kernel_lattice(monkeypatch):
+    """The node placement snaps onto every period the kernel runs on.
+    This triple's level-1 box at order 2 has ``dy/(a*dx) = 21.45``
+    (429/20, a period of 449); no ratio with ``m + l <= 64`` lies within
+    one y-step below it, but 107/5 does, so every level of the scan runs
+    on the lattice."""
+    calls = _record_levels(monkeypatch)
+    p = Params(1.2168041952520823, 0.12643367597772254, 0.013861336259216993)
+    assert find_violation(2, p) is None
+    ratios = [
+        search._lattice_ratio(2.0, args[5], args[7], 1.0 - search._RATIO_TOL)
+        for args, _ in calls
+    ]
+    assert len(ratios) == violation_scan_config(p).refine_depth + 1
+    assert ratios[1] == (5, 107) and None not in ratios, ratios
 
 
 @pytest.mark.parametrize("box", [FULL_BOX, (0.0, 1e-6, -8.0, 8.0)])
@@ -506,10 +527,11 @@ def test_kernel_peak_memory_is_row_tiled(cert_params, box):
 def test_clipped_level_runs_on_a_longer_lattice(monkeypatch):
     """At ``grid_n`` 1601 the anchor ``(5.0, 0.15, TABLE_ALPHA)``'s level-1
     box is clipped at ``y = -8``, with ``dy/(a*dx) = 19/64``, a period of
-    83.  Every level, that one included, evaluates ``f`` at no more than
-    about ``(_LATTICE_PERIOD + 2)*n`` points, where the node path would
-    take ``n**2``.  The report is the one the node path gave, bit for
-    bit."""
+    83.  Every level evaluates ``f`` at no more than about
+    ``(_LATTICE_PERIOD + 2)*n`` points, where the node path would take
+    ``n**2``; that one at its ``2*n`` nodes and the ``83*(n - 1) + 1``
+    points of its lattice.  The report is the one the node path gave, bit
+    for bit."""
     n = 1601
     counts = []
     evaluator = search._evaluator
@@ -529,7 +551,7 @@ def test_clipped_level_runs_on_a_longer_lattice(monkeypatch):
     rep = scan_gap_min(2.0, p, ScanConfig(box=FULL_BOX, grid_n=n, refine_depth=3))
     assert len(counts) == 4
     assert max(counts) <= (search._LATTICE_PERIOD + 2) * n, counts
-    assert counts[1] > (search._SNAP_PERIOD + 2) * n, counts
+    assert counts[1] == 2 * n + 83 * (n - 1) + 1, counts
     got = (rep.min_gap.hex(), rep.argmin.x.hex(), rep.argmin.y.hex(), rep.evaluations)
     assert got == ("0x0.0p+0", "0x0.0p+0", "-0x1.f666666666666p+2", 4 * n * n)
 
@@ -548,9 +570,7 @@ def _broadcast_add_scan_block(a, mu, sigma, alpha, x0, dx, y0, dy, i0, i1, j0, j
         xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
         ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
         afx, fy = a * f(xs), f(ys)
-        ratio = search._lattice_ratio(
-            a, dx, dy, 1.0 - search._RATIO_TOL, period=search._LATTICE_PERIOD
-        )
+        ratio = search._lattice_ratio(a, dx, dy, 1.0 - search._RATIO_TOL)
         if ratio is not None:
             m, l = ratio
             ks = np.arange(m * i0 + l * j0, m * (i1 - 1) + l * (j1 - 1) + 1.0)
@@ -660,10 +680,10 @@ def test_kernel_outer_sum_is_the_broadcast_add(monkeypatch):
         assert tuple(map(type, got)) == (float, int, int), args
         a, dx, dy = args[0], args[5], args[7]
         tol = 1.0 - search._RATIO_TOL
-        lattice = search._lattice_ratio(a, dx, dy, tol, period=search._LATTICE_PERIOD)
+        lattice = search._lattice_ratio(a, dx, dy, tol)
         seen["lattice" if lattice else "node"] += 1
         seen["period 65 to 128"] += bool(lattice) and sum(lattice) > 64
-        longer = search._lattice_ratio(a, dx, dy, tol, period=256)
+        longer = _loop_lattice_ratio(a, dx, dy, tol, period=256)
         seen["period above 128"] += not lattice and bool(longer)
         seen["non-finite"] += non_finite
         seen["none finite"] += want[1] < 0

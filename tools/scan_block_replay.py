@@ -15,7 +15,8 @@ attributes ``search.scan_block`` and ``search._lattice_ratio`` (which
 sources, with the triples of this checkout's ``perfbench/workloads.py``:
 
 - ``fullbox``: ``scan_gap_min`` at order 2 over the ``fullbox-scan`` pools
-  of seeds 1 to 20, at ``grid_n`` 801, 1601 and 2401 and refine depth 3;
+  of seeds 1 to 20, at ``grid_n`` 801, 1601 and 2401 and refine depth 3
+  (the ``tools/violation_matrix.py`` full-box scans);
 - ``atlas``: ``find_violation(2, p)`` over the ``atlas-sweep`` pools of
   seeds 101 and 202;
 - ``violation-matrix``: ``find_violation`` over the
@@ -26,10 +27,13 @@ source that met it first: its 12 arguments (floats as ``float.hex``) and
 its result as ``[float.hex(value), i, j]``, so the sign of a zero counts.
 Each ``_lattice_ratio`` call's ``r = dy/(a*dx)`` is kept under
 ``"lattice_ratios"`` with its ``keep`` and ``reach``, so a test can call
-the function again with ``a = dx = 1`` and ``dy = r`` at any period: the
-record maps ``"keep reach"`` (as ``float.hex``) to the sorted
-``float.hex`` of the distinct ratios.  A record of the three sources holds
-6,258 calls and 1,821 ratios and takes about 10 s on a 2-core Xeon VM.
+the function again with ``a = dx = 1`` and ``dy = r`` at the kernel's
+period: the record maps ``"keep reach"`` (as ``float.hex``) to the sorted
+``float.hex`` of the distinct ratios.  The spy takes the arguments of
+this checkout's ``_lattice_ratio``; a checkout whose ``_lattice_ratio``
+still takes a ``period`` is recorded with that checkout's copy of this
+tool.  A record of the three sources holds 6,258 calls and 1,825 ratios
+and takes about 10 s on a 2-core Xeon VM.
 
 ``replay`` calls ``scan_block`` from ``SRC_DIR`` with every recorded
 argument tuple and prints the number of calls, the number whose result
@@ -52,7 +56,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FULLBOX_SEEDS = range(1, 21)
 FULLBOX_DRAWS = 150
 OTHER_DRAWS = 100
 SAMPLE_SEED = 20261019
@@ -94,19 +97,16 @@ def record(src: str, out: str) -> int:
                           "result": result_key(result)}
         return result
 
-    def ratio_spy(a, dx, dy, keep, reach=search._RATIO_TOL, **kwargs):
+    def ratio_spy(a, dx, dy, keep, reach=search._RATIO_TOL):
         adx = a * dx
         ratios.setdefault((keep, reach), set()).add(dy / adx if adx > 0.0 else math.nan)
-        return lattice_ratio(a, dx, dy, keep, reach, **kwargs)
+        return lattice_ratio(a, dx, dy, keep, reach)
 
     search.scan_block, search._lattice_ratio = spy, ratio_spy
-    frozen = workloads.load_frozen()
     source[0] = "fullbox"
-    for seed in FULLBOX_SEEDS:
-        for p in workloads.triple_pool(seed, frozen, workloads.SCAN_TRIPLES):
-            for n in workloads.SCAN_GRIDS:
-                cfg = search.ScanConfig(workloads.FULL_BOX, n, workloads.SCAN_DEPTH)
-                search.scan_gap_min(2.0, p, cfg)
+    for _ in violation_matrix.fullbox_scans(search, workloads):
+        pass
+    frozen = workloads.load_frozen()
     pools = [workloads.triple_pool(seed, frozen, workloads.ATLAS_POOL)
              for seed in violation_matrix.SEEDS]
     source[0] = "atlas"
@@ -156,9 +156,7 @@ def sample(path: str, out: str) -> int:
     calls, chosen, fullbox, rest = record["calls"], [], [], []
     for call in calls:
         a, _, _, _, _, dx, _, dy, _, _, j0, j1 = decode(call["args"])
-        ratio = search._lattice_ratio(
-            a, dx, dy, 1.0 - search._RATIO_TOL, period=search._LATTICE_PERIOD
-        )
+        ratio = search._lattice_ratio(a, dx, dy, 1.0 - search._RATIO_TOL)
         if ratio is None or (j1 - j0 >= search._BOUND_MIN_COLS and sum(ratio) > 3):
             chosen.append(call)
         else:

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Record :func:`subadd.search.find_violation` and
 :func:`subadd.certificate.certify_S2` over the ``atlas-sweep`` triple
+pools, and :func:`subadd.search.scan_gap_min` over the ``fullbox-scan``
 pools, so two checkouts can be diffed, and compare two records.
 
 Usage::
@@ -22,16 +23,21 @@ the six anchors), so both runs see the same inputs.
   prints the overall verdict and the five condition verdicts, or the
   type of the toolkit error it raised (``RangeError`` in the overflow
   band).
+- Each case ``(seed, scan-<n>, index)``, over the ``fullbox-scan`` pools
+  of seeds 1 to 20 at ``grid_n`` 801, 1601 and 2401 and refine depth 3,
+  runs ``scan_gap_min`` at order 2 and prints ``min_gap`` and the argmin
+  as ``repr`` floats, so the files differ where a full-box node moves.
 
-A run takes about 6 s on a 2-core Xeon VM, 0.2 s of it in the certificates.
+A run takes about 8 s on a 2-core Xeon VM, 0.2 s of it in the certificates
+and 1.5 s in the 480 full-box scans.
 
 ``--compare`` reads two such records and prints whether they hold the
 same hit cases; over the cases hit in both, how many margins of the
 second are smaller than, equal to and larger than the first's (exact
 float comparison); the largest relative margin change; the largest move
-of the point (max-norm); and the certificate cases whose lines differ.
-It exits 1 when the hit sets differ, a margin is smaller, or a
-certificate line differs.
+of the point (max-norm); the certificate cases whose lines differ; and
+how many full-box scan lines differ.  It exits 1 when the hit sets
+differ, a margin is smaller, or a certificate or scan line differs.
 """
 
 from __future__ import annotations
@@ -44,6 +50,20 @@ SEEDS = (101, 202)
 CERT_SEEDS = (101, 202, 303, 404, 505)
 ORDERS = (1, 2, 3)
 CERTIFY = "certify"
+FULLBOX_SEEDS = range(1, 21)
+
+
+def fullbox_scans(search, workloads):
+    """``(case, report)`` of ``scan_gap_min`` at order 2 over the
+    ``fullbox-scan`` pools of ``FULLBOX_SEEDS``, at each of the workload's
+    grids and its refine depth."""
+    frozen = workloads.load_frozen()
+    for seed in FULLBOX_SEEDS:
+        pool = workloads.triple_pool(seed, frozen, workloads.SCAN_TRIPLES)
+        for index, p in enumerate(pool):
+            for n in workloads.SCAN_GRIDS:
+                cfg = search.ScanConfig(workloads.FULL_BOX, n, workloads.SCAN_DEPTH)
+                yield f"({seed}, scan-{n}, {index})", search.scan_gap_min(2.0, p, cfg)
 
 
 def record(src: str) -> int:
@@ -72,29 +92,35 @@ def record(src: str) -> int:
                 v = search.find_violation(order, p)
                 found = "None" if v is None else f"{v.margin!r}, {v.point.x!r}, {v.point.y!r}"
                 print(f"({seed}, {order}, {index}) → {found}")
+    for case, r in fullbox_scans(search, workloads):
+        print(f"{case} → {r.min_gap!r}, {r.argmin.x!r}, {r.argmin.y!r}")
     return 0
 
 
 def read(path: str) -> tuple:
-    """``{case: None or (margin, x, y)}`` of one record's searches and
-    ``{case: line}`` of its certificates."""
-    cases, certs = {}, {}
+    """``{case: None or (margin, x, y)}`` of one record's searches,
+    ``{case: line}`` of its certificates and ``{case: line}`` of its
+    full-box scans."""
+    cases, certs, scans = {}, {}, {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         case, found = line.split(" → ")
         if f", {CERTIFY}, " in case:
             certs[case] = found
+        elif ", scan-" in case:
+            scans[case] = found
         elif found == "None":
             cases[case] = None
         else:
             cases[case] = tuple(map(float, found.split(", ")))
-    return cases, certs
+    return cases, certs, scans
 
 
 def compare(before_path: str, after_path: str) -> int:
-    (before, certs_b), (after, certs_a) = read(before_path), read(after_path)
-    if before.keys() != after.keys() or certs_b.keys() != certs_a.keys():
+    records = read(before_path), read(after_path)
+    if any(b.keys() != a.keys() for b, a in zip(*records)):
         print("the records hold different cases")
         return 1
+    (before, certs_b, scans_b), (after, certs_a, scans_a) = records
     hits_b = {c for c, v in before.items() if v is not None}
     hits_a = {c for c, v in after.items() if v is not None}
     print(f"hit cases: {len(hits_b)} before, {len(hits_a)} after, "
@@ -125,7 +151,12 @@ def compare(before_path: str, after_path: str) -> int:
           f"{raised} raise after")
     for case in differ:
         print(f"  {case}: {certs_b[case]} → {certs_a[case]}")
-    return 0 if hits_b == hits_a and smaller == 0 and not differ else 1
+    moved = sorted(c for c in scans_b if scans_b[c] != scans_a[c])
+    print(f"full-box scan cases: {len(scans_b)}, {len(moved)} differ")
+    for case in moved:
+        print(f"  {case}: {scans_b[case]} → {scans_a[case]}")
+    ok = hits_b == hits_a and smaller == 0 and not differ and not moved
+    return 0 if ok else 1
 
 
 def main() -> int:
