@@ -64,6 +64,7 @@ from .errors import (
     ConstructionBugError,
     InputError,
     describe,
+    require_finite,
     require_fraction,
     require_instance,
     require_int,
@@ -473,20 +474,21 @@ class Cone:
         small elements (exact value < ``eps``; a mix of BASE-ray, RESERVE-
         ray, and two-generator off-ray shapes, knee branch included).
 
-        ``eps`` must be a rational in ``(0, 1)``.  Each sample is checked
-        by exact comparison of the outward enclosure's upper endpoint
-        against ``1 + eps``, so a ``True`` answer is rigorous.  The
+        ``eps`` must lie in ``(0, 1)``: a finite float, whose binary value
+        is taken exactly, or an exact rational as
+        :func:`~subadd.errors.require_fraction` accepts it.  Each sample
+        is checked by exact comparison of the outward enclosure's upper
+        endpoint against ``1 + eps``, so a ``True`` answer is rigorous.  The
         construction makes failure impossible: on a BASE ray,
         ``f(x) <= x + p_n (q_n - 1) < x + 1 - p_n < 1 + eps`` whenever
         ``x < eps``; off the rays ``f(x) = x < eps``.
         """
         require_int(samples, "samples", 1)
-        try:
-            eps_frac = Fraction(eps)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(
-                f"eps must be a rational number, got {describe(eps)}"
-            ) from exc
+        eps_frac = (
+            Fraction(require_finite(eps, "eps"))
+            if isinstance(eps, float)
+            else require_fraction(eps, "eps")
+        )
         if not 0 < eps_frac < 1:
             raise InputError(f"eps must lie in (0, 1), got {describe(eps, str)}")
         base_ids = [

@@ -19,6 +19,7 @@ package exports the first two.  Messages print a caller's value through
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -93,18 +94,27 @@ def require_int(
     return value
 
 
+_RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def require_fraction(value: object, what: str) -> Fraction:
     """Return ``value`` as an exact :class:`~fractions.Fraction`.
 
-    Accepts a ``Fraction``, an ``int`` (``bool`` excluded) or a ``'p/q'``
-    string; raise :class:`InputError` naming ``what`` otherwise.  Floats
-    are refused because every caller decides exactly."""
+    Accepts a ``Fraction``, an ``int`` (``bool`` excluded) or a string of
+    the form ``'p'`` or ``'p/q'``: an optional sign and ASCII digits,
+    optionally ``/`` and digits, with surrounding whitespace; raise
+    :class:`InputError` naming ``what`` otherwise.  Floats are refused
+    because every caller decides exactly.  Other strings ``Fraction``
+    would read are refused before any number is built: it turns
+    ``'1e999999999'`` into ``10**999999999``, which takes minutes."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if not _RATIONAL_STRING.fullmatch(value.strip()):
+                raise ValueError("not of the form p or p/q")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{what} is not a valid rational: {value!r}") from exc

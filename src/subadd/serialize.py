@@ -19,7 +19,7 @@ from typing import Any, Dict, Type
 
 import subadd
 
-from .errors import InputError
+from .errors import InputError, describe, require_fraction
 
 __all__ = ["to_jsonable", "from_jsonable"]
 
@@ -74,25 +74,20 @@ def from_jsonable(data: Any) -> Any:
     if isinstance(data, dict):
         if "__enum__" in data:
             name = data["__enum__"]
-            cls = _ENUMS.get(name)
+            cls = _ENUMS.get(name) if isinstance(name, str) else None
             if cls is None:
-                raise InputError(f"unknown enum kind {name!r}")
-            try:
-                return cls[data["value"]]
-            except KeyError as exc:
-                raise InputError(
-                    f"unknown member {data.get('value')!r} of enum {name}"
-                ) from exc
+                raise InputError(f"unknown enum kind {describe(name)}")
+            member = data.get("value")
+            if not (isinstance(member, str) and member in cls.__members__):
+                raise InputError(f"unknown member {describe(member)} of enum {name}")
+            return cls[member]
         if "__kind__" in data:
             name = data["__kind__"]
             if name == "Fraction":
-                try:
-                    return Fraction(data["value"])
-                except (KeyError, ValueError, ZeroDivisionError) as exc:
-                    raise InputError(f"bad Fraction payload {data!r}") from exc
-            cls = _DATACLASSES.get(name)
+                return require_fraction(data.get("value"), "Fraction payload value")
+            cls = _DATACLASSES.get(name) if isinstance(name, str) else None
             if cls is None:
-                raise InputError(f"unknown dataclass kind {name!r}")
+                raise InputError(f"unknown dataclass kind {describe(name)}")
             kwargs = {
                 k: from_jsonable(v) for k, v in data.items() if k != "__kind__"
             }

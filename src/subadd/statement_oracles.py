@@ -2,20 +2,26 @@
 
 Each oracle spot-checks one statement that the certificate's soundness
 story leans on, by direct numeric evaluation — no interval rigour here,
-but deterministic sampling and explicit tolerances.  The checks:
+but deterministic sampling at fixed sample counts and explicit
+tolerances.  Each check validates its arguments once and then runs the
+float64 expression trees of :mod:`subadd.analytic_core` in its loop.
+The checks:
 
 - :func:`check_rolle_identity` — the three-point curvature probe
   ``v = 4 (r(0) - 2 r(t/2) + r(t)) / t^2`` must land inside the range of
-  ``r''`` on ``(0, t)`` (a mean-value consequence for C^2 functions);
+  ``r''`` on ``(0, t)``, sampled at 10,000 nodes (a mean-value
+  consequence for C^2 functions);
 - :func:`check_monotone_f` — the working function increases on the
-  positive axis (claimed for ``mu >= 1``; other parameters may refute it,
-  which the check reports honestly as ``False``);
+  positive axis, sampled at 10,000 nodes of ``(0, 1]`` (claimed for
+  ``mu >= 1``; other parameters may refute it, which the check reports
+  honestly as ``False``);
 - :func:`check_symmetrization` — the order-2 gap on the small region is
-  minimised on the positive quadrant: ``gap(x, y) >= gap(|x|, |y|)``
-  (claimed for ``mu >= 1``);
+  minimised on the positive quadrant: ``gap(x, y) >= gap(|x|, |y|)`` at
+  2,000 seeded points (claimed for ``mu >= 1``);
 - :func:`check_tau_concavity` — along the segment ``y = t - 2x`` the gap
-  restricted to ``x in [0, t/2]`` is concave (claimed under both
-  small-region certificate conditions, which are preconditions here);
+  restricted to ``x in [0, t/2]`` is concave at 1,001 points (claimed
+  under both small-region certificate conditions, which are
+  preconditions here);
 - :func:`semigroup_member` / :func:`semigroup_search` — exact decision of
   membership of a rational target in the additive semigroup generated by
   rational generators with a bounded number of terms;
@@ -39,14 +45,12 @@ from typing import Optional, Sequence, Tuple
 from .analytic_core import (
     Params,
     _evaluator,
+    _f_prime,
     _float64_sigma,
     _g_second,
+    _gap,
     _h_second,
     _phi_float64,
-    eval_f,
-    f_prime,
-    gap,
-    h_second,
 )
 from .certificate import check_region_B
 from .errors import (
@@ -98,58 +102,54 @@ class SemigroupStatus(enum.Enum):
     BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 
-def _r_and_r2(fn: str, p: Optional[Params]):
-    """Resolve a Rolle handle to ``(r, r'')`` float64 evaluators."""
-    if fn not in _ROLLE_HANDLES:
-        raise InputError(
-            f"unknown function handle {describe(fn)}; expected one of {_ROLLE_HANDLES}"
-        )
-    if fn == "g":
-        return _evaluator(math, "g"), (lambda s: _g_second(math, s))
-    p = require_instance(p, Params, "params")
-    r = _evaluator(math, fn, p.mu, p.sigma, p.alpha)
-    if fn == "h":
-        return r, (lambda s: h_second(s, p))
-    return r, lambda s: _g_second(math, s) + p.alpha * _phi_float64(
-        _h_second(math, s, p.mu, _float64_sigma(p, "h_second"))
-    )
-
-
 def rolle_probe(fn: str, t: float, p: Optional[Params] = None) -> float:
     """The three-point curvature probe
     ``v = 4 (r(0) - 2 r(t/2) + r(t)) / t^2`` for ``t > 0``."""
     t = require_finite(t, "t")
     if t <= 0.0:
         raise DomainError(f"rolle probe requires t > 0, got {t}")
-    r, _ = _r_and_r2(fn, p)
+    if fn not in _ROLLE_HANDLES:
+        raise InputError(
+            f"unknown function handle {describe(fn)}; expected one of {_ROLLE_HANDLES}"
+        )
+    if fn == "g":
+        r = _evaluator(math, "g")
+    else:
+        p = require_instance(p, Params, "params")
+        r = _evaluator(math, fn, p.mu, p.sigma, p.alpha)
     return 4.0 * (r(0.0) - 2.0 * r(t / 2.0) + r(t)) / (t * t)
 
 
-def check_rolle_identity(
-    fn: str, t: float, p: Optional[Params] = None, n: int = 10_000
-) -> bool:
+def check_rolle_identity(fn: str, t: float, p: Optional[Params] = None) -> bool:
     """Check that the curvature probe lies within the sampled range of
     ``r''`` on ``(0, t)``, widened by 1e-8.
 
     A mean-value consequence guarantees ``v = r''(xi)`` for some interior
-    ``xi``; sampling ``n`` half-offset interior nodes brackets the range.
+    ``xi``; sampling 10,000 half-offset interior nodes brackets the range.
+    For ``"f"`` and ``"h"``, ``r''`` divides by ``sigma**2``, which raises
+    :class:`RangeError` when it is not a normal double; the probe itself
+    does not.
     """
     v = rolle_probe(fn, t, p)
-    require_int(n, "n", 1)
-    _, r2 = _r_and_r2(fn, p)
-    lo = math.inf
-    hi = -math.inf
-    for k in range(n):
-        s = t * ((k + 0.5) / n)
-        val = r2(s)
-        lo = min(lo, val)
-        hi = max(hi, val)
-    return (lo - _UPPER_TOL) <= v <= (hi + _UPPER_TOL)
+    n = 10_000
+    if fn == "g":
+        r2 = lambda s: _g_second(math, s)
+    else:
+        mu, sigma, alpha = p.mu, _float64_sigma(p, "h_second"), p.alpha
+        if fn == "h":
+            r2 = lambda s: _phi_float64(_h_second(math, s, mu, sigma))
+        else:
+            r2 = lambda s: _g_second(math, s) + alpha * _phi_float64(
+                _h_second(math, s, mu, sigma)
+            )
+    vals = [r2(t * ((k + 0.5) / n)) for k in range(n)]
+    return (min(vals) - _UPPER_TOL) <= v <= (max(vals) + _UPPER_TOL)
 
 
-def check_monotone_f(p: Params, n: int = 10_000) -> bool:
+def check_monotone_f(p: Params) -> bool:
     """Check that the working function increases on ``(0, 1]``:
-    ``f' > 0`` on a dense grid there and sampled values nondecreasing.
+    ``f' > 0`` at the 10,000 nodes ``k / 10,000`` there and the sampled
+    values nondecreasing.
 
     The claim is local to the unit interval — with ``mu >= 1`` the bump
     term ``(mu - t) h(t)`` is still nonnegative on ``(0, 1]``, which is
@@ -158,37 +158,42 @@ def check_monotone_f(p: Params, n: int = 10_000) -> bool:
 
     Precondition ``mu >= 1`` (the statement's hypothesis); other parameter
     combinations raise :class:`PreconditionError` rather than answering.
+    ``f'`` divides by ``sigma**2``: :class:`RangeError` when that square
+    is not a normal double.
     """
     p = require_instance(p, Params, "params")
-    require_int(n, "n", 1)
+    n = 10_000
     if p.mu < 1.0:
         raise PreconditionError(
             f"monotonicity is claimed for mu >= 1 only, got mu={p.mu}"
         )
+    mu, sigma, alpha = p.mu, _float64_sigma(p, "f_prime"), p.alpha
+    f = _evaluator(math, "f", mu, sigma, alpha)
     prev = 0.0  # f(0) = 0
     for k in range(n):
         t = (k + 1.0) / n
-        if not f_prime(t, p) > 0.0:
+        if not _f_prime(math, t, mu, sigma, alpha) > 0.0:
             return False
-        val = eval_f(t, p)
+        val = f(t)
         if val < prev - 1e-12:
             return False
         prev = val
     return True
 
 
-def check_symmetrization(p: Params, n: int = 2_000) -> bool:
+def check_symmetrization(p: Params) -> bool:
     """Check ``gap(2, f, x, y) >= gap(2, f, |x|, |y|)`` on the small
-    region (``2|x| + |y| <= 1``) at ``n`` seeded-random sample points.
+    region (``2|x| + |y| <= 1``) at 2,000 seeded-random sample points.
 
     Precondition ``mu >= 1`` (the statement's hypothesis).
     """
     p = require_instance(p, Params, "params")
-    require_int(n, "n", 1)
+    n = 2_000
     if p.mu < 1.0:
         raise PreconditionError(
             f"symmetrization is claimed for mu >= 1 only, got mu={p.mu}"
         )
+    f = _evaluator(math, "f", p.mu, p.sigma, p.alpha)
     rng = random.Random(_SYMMETRIZATION_SEED)
     checked = 0
     while checked < n:
@@ -197,14 +202,15 @@ def check_symmetrization(p: Params, n: int = 2_000) -> bool:
         if 2.0 * abs(x) + abs(y) > 1.0:
             continue
         checked += 1
-        if gap(2.0, "f", x, y, p) < gap(2.0, "f", abs(x), abs(y), p) - 1e-10:
+        if _gap(2.0, f, x, y) < _gap(2.0, f, abs(x), abs(y)) - 1e-10:
             return False
     return True
 
 
-def check_tau_concavity(p: Params, t: float, n: int = 1_001) -> bool:
+def check_tau_concavity(p: Params, t: float) -> bool:
     """Check concavity of ``x -> gap(2, f, x, t - 2x)`` on ``[0, t/2]``
-    via second differences (each ``<= 1e-8``).
+    via second differences (each ``<= 1e-8``) at 1,001 equally spaced
+    points.
 
     ``t`` must lie in ``(0, 1]``.  Preconditions: both small-region
     certificate conditions hold (``TRUE``); otherwise the concavity
@@ -214,7 +220,7 @@ def check_tau_concavity(p: Params, t: float, n: int = 1_001) -> bool:
     t = require_finite(t, "t")
     if not 0.0 < t <= 1.0:
         raise DomainError(f"tau concavity requires t in (0, 1], got {t}")
-    require_int(n, "n", 3)
+    n = 1_001
     b_mu, b_alpha = check_region_B(p)
     if b_mu.verdict is not Tristate.TRUE or b_alpha.verdict is not Tristate.TRUE:
         raise PreconditionError(
@@ -222,11 +228,12 @@ def check_tau_concavity(p: Params, t: float, n: int = 1_001) -> bool:
             f"conditions; got {b_mu.name}={b_mu.verdict.name}, "
             f"{b_alpha.name}={b_alpha.verdict.name}"
         )
+    f = _evaluator(math, "f", p.mu, p.sigma, p.alpha)
     half = t / 2.0
     vals = []
     for k in range(n):
         x = half * k / (n - 1)
-        vals.append(gap(2.0, "f", x, t - 2.0 * x, p))
+        vals.append(_gap(2.0, f, x, t - 2.0 * x))
     for k in range(1, n - 1):
         if vals[k - 1] - 2.0 * vals[k] + vals[k + 1] > 1e-8:
             return False

@@ -2,10 +2,11 @@
 
 Each parameter of each public function, constructor and entry method,
 sequences included, gets ``inf``, ``-inf``, ``nan``, ``True``, ``"x"``,
-``None`` and ``10**400``, the others keeping valid values.  The call must
-return a result or raise a :class:`~subadd.errors.ToolkitError`; any other
-exception is a leak.  ``10**400`` is skipped for counts with no upper
-bound, where it is a legitimately huge request.
+``None``, ``"1e999999999"`` and ``10**400``, the others keeping valid
+values.  The call must return a result or raise a
+:class:`~subadd.errors.ToolkitError`; any other exception is a leak.
+``10**400`` is skipped for counts with no upper bound, where it is a
+legitimately huge request.
 """
 
 import math
@@ -28,7 +29,8 @@ from subadd import (
 )
 from subadd.errors import describe
 
-HOSTILE = (math.inf, -math.inf, math.nan, True, "x", None)
+#: ``"1e999999999"`` is ``10**999999999`` to ``fractions.Fraction``.
+HOSTILE = (math.inf, -math.inf, math.nan, True, "x", None, "1e999999999")
 #: Huge ints; ``repr()`` refuses the second, of more than 4,300 digits.
 HUGE = (10**400, 10**5000)
 
@@ -101,14 +103,10 @@ ENTRIES = {
         (),
     ),
     "rolle_probe": (subadd.rolle_probe, dict(fn="f", t=0.5, p=P), ()),
-    "check_rolle_identity": (
-        subadd.check_rolle_identity, dict(fn="f", t=0.5, p=P, n=50), ("n",)
-    ),
-    "check_monotone_f": (subadd.check_monotone_f, dict(p=P, n=50), ("n",)),
-    "check_symmetrization": (subadd.check_symmetrization, dict(p=P, n=50), ("n",)),
-    "check_tau_concavity": (
-        subadd.check_tau_concavity, dict(p=P, t=0.5, n=11), ("n",)
-    ),
+    "check_rolle_identity": (subadd.check_rolle_identity, dict(fn="f", t=0.5, p=P), ()),
+    "check_monotone_f": (subadd.check_monotone_f, dict(p=P), ()),
+    "check_symmetrization": (subadd.check_symmetrization, dict(p=P), ()),
+    "check_tau_concavity": (subadd.check_tau_concavity, dict(p=P, t=0.5), ()),
     "semigroup_search": (
         subadd.semigroup_search,
         dict(target=HALF, generators=(HALF,), max_terms=3, budget=1000),

@@ -87,8 +87,15 @@ def test_unknown_kinds_rejected():
         from_jsonable({"__enum__": "Mystery", "value": "A"})
     with pytest.raises(InputError):
         from_jsonable({"__enum__": "Tristate", "value": "MAYBE"})
+    for bad in ("1/0", None, [1, 2], "1e999999999", 0.5):
+        with pytest.raises(InputError):
+            from_jsonable({"__kind__": "Fraction", "value": bad})
     with pytest.raises(InputError):
-        from_jsonable({"__kind__": "Fraction", "value": "1/0"})
+        from_jsonable({"__enum__": "Verdict", "value": ["x"]})
+    with pytest.raises(InputError):
+        from_jsonable({"__enum__": ["x"], "value": "A"})
+    with pytest.raises(InputError):
+        from_jsonable({"__kind__": ["x"]})
     with pytest.raises(InputError):
         from_jsonable({"__kind__": "Params", "mu": 1.2})  # missing fields
 

@@ -11,7 +11,7 @@ import pytest
 import _frozen
 from subadd.analytic_core import Params, gap
 from subadd.certificate import Verdict, certify_S2
-from subadd.errors import DomainError, InputError, PreconditionError
+from subadd.errors import DomainError, InputError, PreconditionError, RangeError
 from subadd.statement_oracles import (
     RationalityCase,
     SemigroupStatus,
@@ -63,9 +63,6 @@ def test_probe_errors():
         rolle_probe("f", 1.0, None)  # parameterised handles need params
     with pytest.raises(InputError):
         rolle_probe("h", 1.0, None)
-    for bad_n in (0, 2.5, True):
-        with pytest.raises(InputError):
-            check_rolle_identity("g", 0.5, None, bad_n)
 
 
 def test_probe_and_tau_take_any_real_but_bool(cert_params):
@@ -99,7 +96,27 @@ def test_curvature_identity_random_tuples(cert_params):
         fn = ("f", "g", "h")[k % 3]
         t = rng.uniform(0.05, 3.0)
         p = certified[k % len(certified)]
-        assert check_rolle_identity(fn, t, p, n=2_000), (fn, t, p)
+        assert check_rolle_identity(fn, t, p), (fn, t, p)
+
+
+def test_curvature_identity_fails_on_a_bump_narrower_than_the_samples():
+    # The probe's midpoint t/2 sits on the bump's peak, mu = 0.5, so
+    # v = 4 (0 - 2 + 0) = -8 for h.  The nearest node lies 5e-5 = 5 sigma
+    # away, where h'' is positive: no node sees its trough of -2 / sigma**2.
+    p = Params(mu=0.5, sigma=1e-5, alpha=1.0)
+    assert check_rolle_identity("h", 1.0, p) is False
+    assert check_rolle_identity("f", 1.0, p) is False
+
+
+def test_sigma_squared_underflow_is_refused_by_the_derivative_checks_only():
+    p = Params(mu=1.0, sigma=1e-200, alpha=1.0)
+    # The probe evaluates r alone, which needs no sigma**2.
+    assert rolle_probe("h", 1.0, p) == 4.0
+    for fn in ("h", "f"):
+        with pytest.raises(RangeError, match="h_second: sigma\\*\\*2 underflows"):
+            check_rolle_identity(fn, 1.0, p)
+    with pytest.raises(RangeError, match="f_prime: sigma\\*\\*2 underflows"):
+        check_monotone_f(Params(mu=1.2, sigma=1e-200, alpha=0.05))
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +134,19 @@ def test_monotone_refuses_small_mu():
         check_monotone_f(Params(mu=0.9, sigma=0.1, alpha=0.1))
 
 
-def test_monotone_validates_sample_count(cert_params):
-    # n = 0 would check no point and answer True.
-    for bad_n in (0, -1, 2.5, True):
-        with pytest.raises(InputError):
-            check_monotone_f(cert_params, bad_n)
-
-
 def test_symmetrization_holds(cert_params):
-    assert check_symmetrization(cert_params, n=10_000)
+    assert check_symmetrization(cert_params)
+    # The public gap as a reference on 10,000 points of the oracle's draw.
+    rng = random.Random(20240)
+    checked = 0
+    while checked < 10_000:
+        x, y = rng.uniform(-0.5, 0.5), rng.uniform(-1.0, 1.0)
+        if 2.0 * abs(x) + abs(y) > 1.0:
+            continue
+        checked += 1
+        assert gap(2.0, "f", x, y, cert_params) >= gap(
+            2.0, "f", abs(x), abs(y), cert_params
+        ) - 1e-10, (x, y)
 
 
 def test_symmetrization_refuses_small_mu():
