@@ -7,8 +7,12 @@ irrational:
 - RESERVE generator ``k`` (k >= 1) has value ``1 / sqrt(prime(2k))``
 
 (``prime(i)`` is the i-th prime; BASE takes the odd positions and RESERVE
-the even ones, so all generators use distinct primes).  Generator counts
-and indices are capped at :data:`MAX_GENERATORS`.  Because rational
+the even ones, so all generators use distinct primes).  A cone is built
+from its two counts alone, ``Cone(n_base, n_reserve)``, holding BASE
+``1..n_base`` and RESERVE ``1..n_reserve``: each generator's prime and
+coefficient follow from its id by the rule above, stated once, so the
+certificate behind :func:`q_of` holds for every BASE generator of every
+cone.  Both counts are capped at :data:`MAX_GENERATORS`.  Because rational
 multiples of square roots of distinct primes are linearly independent over
 the rationals, every element of the generated cone — a finite sum
 ``sum r_i * gen_i`` with strictly positive rational ``r_i`` — has a
@@ -58,7 +62,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import (
     ConstructionBugError,
@@ -87,11 +91,15 @@ __all__ = [
 
 _UPPER_BOUND_SEED = 771077
 
-#: Largest generator count accepted by :func:`make_generators` and largest
-#: BASE index accepted by :func:`q_of`.  BASE generator ``n`` carries the
+#: Largest generator count accepted by :class:`Cone` and largest BASE index
+#: accepted by :func:`q_of`.  BASE generator ``n`` carries the
 #: exact coefficient ``2^-n``, so the cap bounds coefficient size, and it
 #: bounds the prime cache at ``prime(2 * MAX_GENERATORS)``.
 MAX_GENERATORS = 1000
+
+#: Largest row count of :meth:`Cone.liminf_sequence` and sample count of
+#: :meth:`Cone.upper_bound_check`: either takes about 0.6 s and 20 MB there.
+_MAX_COUNT = 10_000
 
 #: Primes found so far, in order; grown on demand by :func:`_nth_prime`.
 _PRIMES: List[int] = [2, 3]
@@ -148,6 +156,16 @@ class Generator:
     def value_interval(self) -> Interval:
         """Outward-rounded enclosure of the (irrational) real value."""
         return _value_interval(self.coef, self.prime)
+
+
+def _generator(gid: GeneratorId) -> Generator:
+    """The construction's rule: BASE ``n`` has prime ``prime(2n-1)`` and
+    coefficient ``2^-n``; RESERVE ``k`` has prime ``prime(2k)`` and
+    coefficient 1."""
+    i = gid.index
+    if gid.kind is GeneratorKind.BASE:
+        return Generator(gid, _nth_prime(2 * i - 1), Fraction(1, 2**i))
+    return Generator(gid, _nth_prime(2 * i), Fraction(1))
 
 
 def _fraction_interval(fr: Fraction) -> Interval:
@@ -266,7 +284,7 @@ def q_of(n: int) -> int:
     ``1 - 2^-n < p_n q < 1``.  ``n`` must lie in ``[1, MAX_GENERATORS]``.
     """
     require_int(n, "n", 1, MAX_GENERATORS)
-    prime = _nth_prime(2 * n - 1)
+    prime = _generator(GeneratorId(GeneratorKind.BASE, n)).prime
     m = (2**n - 1) ** 2 * prime
     q = math.isqrt(m) + 1
     if not (m < q * q and q * q < 4**n * prime):
@@ -277,34 +295,24 @@ def q_of(n: int) -> int:
 
 
 class Cone:
-    """A finitely generated instance of the construction.
-
-    Build with :func:`make_generators`.  All coefficient arithmetic is
+    """A finitely generated instance of the construction: BASE generators
+    ``1..n_base`` and RESERVE generators ``1..n_reserve``, each count in
+    ``[1, MAX_GENERATORS]``.  Primes and coefficients follow from the ids
+    (see the module docstring), and every BASE scale :func:`q_of` is
+    computed and certified here, once.  All coefficient arithmetic is
     exact; the only approximate outputs are outward-rounded interval
     enclosures of real values.
     """
 
-    def __init__(self, generators: Sequence[Generator]) -> None:
-        generators = require_sequence(generators, "generators")
-        if not generators:
-            raise InputError("a cone needs at least one generator")
-        self._by_id: Dict[GeneratorId, Generator] = {}
-        primes = set()
-        for gen in generators:
-            require_instance(gen, Generator, "generator")
-            if gen.gid in self._by_id:
-                raise InputError(f"duplicate generator {gen.gid}")
-            if gen.prime in primes:
-                raise InputError(
-                    f"duplicate prime {gen.prime}: generator values must be "
-                    f"linearly independent"
-                )
-            primes.add(gen.prime)
-            self._by_id[gen.gid] = gen
-        self._ids = tuple(sorted(self._by_id, key=lambda g: g.sort_key()))
-        self._scales: Dict[GeneratorId, int] = {}
-        self.n_base = sum(1 for gid in self._by_id if gid.kind is GeneratorKind.BASE)
-        self.n_reserve = len(self._by_id) - self.n_base
+    def __init__(self, n_base: int, n_reserve: int) -> None:
+        self.n_base = require_int(n_base, "n_base", 1, MAX_GENERATORS)
+        self.n_reserve = require_int(n_reserve, "n_reserve", 1, MAX_GENERATORS)
+        self._ids = tuple(
+            [GeneratorId(GeneratorKind.BASE, n) for n in range(1, n_base + 1)]
+            + [GeneratorId(GeneratorKind.RESERVE, k) for k in range(1, n_reserve + 1)]
+        )
+        self._by_id = {gid: _generator(gid) for gid in self._ids}
+        self._scales = {n: q_of(n) for n in range(1, n_base + 1)}
 
     # -- introspection ------------------------------------------------------
 
@@ -321,11 +329,7 @@ class Cone:
         """Certified scale of BASE generator ``n`` of this cone."""
         gid = GeneratorId(GeneratorKind.BASE, n)
         self.generator(gid)  # must exist in this cone
-        q = self._scales.get(gid)
-        if q is None:
-            q = q_of(n)
-            self._scales[gid] = q
-        return q
+        return self._scales[n]
 
     def element_value_interval(self, x: ConeElement) -> Interval:
         """Outward-rounded enclosure of the real value of ``x``."""
@@ -453,12 +457,10 @@ class Cone:
         """The approach-zero sequence with unmoved values: rows ``(k,
         value(x_k), value(f(x_k)))`` for ``x_k = (1/k) *`` (RESERVE
         generator 1), whose real value is ``1 / (k sqrt(prime(2)))``.  The
-        map fixes each ``x_k``; this is re-verified exactly per row."""
-        require_int(N, "N", 1)
-        if self.n_reserve < 1:
-            raise InputError("liminf sequence needs at least one RESERVE generator")
+        map fixes each ``x_k``; this is re-verified exactly per row.
+        ``N`` must lie in ``[1, 10,000]``."""
+        require_int(N, "N", 1, _MAX_COUNT)
         gid = GeneratorId(GeneratorKind.RESERVE, 1)
-        self.generator(gid)
         rows = []
         for k in range(1, N + 1):
             x_k = ConeElement(((gid, Fraction(1, k)),))
@@ -472,7 +474,8 @@ class Cone:
     def upper_bound_check(self, eps, samples: int) -> bool:
         """Certify ``value(f(x)) < 1 + eps`` on ``samples`` seeded-random
         small elements (exact value < ``eps``; a mix of BASE-ray, RESERVE-
-        ray, and two-generator off-ray shapes, knee branch included).
+        ray, and two-generator off-ray shapes, knee branch included);
+        ``samples`` must lie in ``[1, 10,000]``.
 
         ``eps`` must lie in ``(0, 1)``: a finite float, whose binary value
         is taken exactly, or an exact rational as
@@ -483,7 +486,7 @@ class Cone:
         ``f(x) <= x + p_n (q_n - 1) < x + 1 - p_n < 1 + eps`` whenever
         ``x < eps``; off the rays ``f(x) = x < eps``.
         """
-        require_int(samples, "samples", 1)
+        require_int(samples, "samples", 1, _MAX_COUNT)
         eps_frac = (
             Fraction(require_finite(eps, "eps"))
             if isinstance(eps, float)
@@ -491,14 +494,8 @@ class Cone:
         )
         if not 0 < eps_frac < 1:
             raise InputError(f"eps must lie in (0, 1), got {describe(eps, str)}")
-        base_ids = [
-            gid for gid in self.generator_ids() if gid.kind is GeneratorKind.BASE
-        ]
-        other_ids = [
-            gid for gid in self.generator_ids() if gid.kind is GeneratorKind.RESERVE
-        ]
-        if not base_ids:
-            raise InputError("upper bound check needs BASE generators")
+        base_ids = self._ids[: self.n_base]
+        other_ids = self._ids[self.n_base :]
         rng = random.Random(_UPPER_BOUND_SEED)
         bound = 1 + eps_frac
 
@@ -510,7 +507,7 @@ class Cone:
 
         for _ in range(samples):
             shape = rng.randrange(3)
-            if shape == 0 or not other_ids:  # single BASE ray (knee branch mix)
+            if shape == 0:  # single BASE ray (knee branch mix)
                 gid = base_ids[rng.randrange(len(base_ids))]
                 t = Fraction(rng.randint(1, 999), 1000)
                 x = ConeElement(((gid, small_coeff(gid, t)),))
@@ -535,27 +532,9 @@ class Cone:
 
 
 def make_generators(n_base: int, n_reserve: int) -> Cone:
-    """Build the standard cone instance: BASE generators ``1..n_base``
-    (values ``2^-n / sqrt(prime(2n-1))``: primes 2, 5, 11, ...) and
-    RESERVE generators ``1..n_reserve`` (values ``1 / sqrt(prime(2k))``:
-    primes 3, 7, 13, ...).  Both counts must lie in ``[1, MAX_GENERATORS]``."""
-    require_int(n_base, "n_base", 1, MAX_GENERATORS)
-    require_int(n_reserve, "n_reserve", 1, MAX_GENERATORS)
-    gens = []
-    for n in range(1, n_base + 1):
-        gens.append(
-            Generator(
-                gid=GeneratorId(GeneratorKind.BASE, n),
-                prime=_nth_prime(2 * n - 1),
-                coef=Fraction(1, 2**n),
-            )
-        )
-    for k in range(1, n_reserve + 1):
-        gens.append(
-            Generator(
-                gid=GeneratorId(GeneratorKind.RESERVE, k),
-                prime=_nth_prime(2 * k),
-                coef=Fraction(1),
-            )
-        )
-    return Cone(gens)
+    """The standard cone instance, ``Cone(n_base, n_reserve)``: BASE
+    generators ``1..n_base`` (values ``2^-n / sqrt(prime(2n-1))``: primes
+    2, 5, 11, ...) and RESERVE generators ``1..n_reserve`` (values
+    ``1 / sqrt(prime(2k))``: primes 3, 7, 13, ...).  Both counts must lie
+    in ``[1, MAX_GENERATORS]``."""
+    return Cone(n_base, n_reserve)

@@ -40,6 +40,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+import sys
 from typing import Optional, Sequence, Tuple
 
 from .analytic_core import (
@@ -57,6 +58,7 @@ from .errors import (
     DomainError,
     InputError,
     PreconditionError,
+    RangeError,
     describe,
     require_finite,
     require_fraction,
@@ -104,7 +106,17 @@ class SemigroupStatus(enum.Enum):
 
 def rolle_probe(fn: str, t: float, p: Optional[Params] = None) -> float:
     """The three-point curvature probe
-    ``v = 4 (r(0) - 2 r(t/2) + r(t)) / t^2`` for ``t > 0``."""
+    ``v = 4 (r(0) - 2 r(t/2) + r(t)) / t^2`` for ``t > 0``.  Raises
+    :class:`RangeError` when ``t * t`` is not a normal double (``t``
+    below about 1.5e-154 or above about 1.3e154)."""
+    return _probe(fn, t, p)[0]
+
+
+def _probe(fn: str, t: float, p: Optional[Params]) -> Tuple[float, float]:
+    """:func:`rolle_probe`'s value ``v`` and a bound on its float64
+    rounding error, ``2**-50 * 4 (|r(0)| + 2 |r(t/2)| + |r(t)|) / t^2``
+    (eight units in the last place on each term of the second difference,
+    whose cancellation leaves that error while ``v`` stays of order 1)."""
     t = require_finite(t, "t")
     if t <= 0.0:
         raise DomainError(f"rolle probe requires t > 0, got {t}")
@@ -117,7 +129,12 @@ def rolle_probe(fn: str, t: float, p: Optional[Params] = None) -> float:
     else:
         p = require_instance(p, Params, "params")
         r = _evaluator(math, fn, p.mu, p.sigma, p.alpha)
-    return 4.0 * (r(0.0) - 2.0 * r(t / 2.0) + r(t)) / (t * t)
+    t2 = t * t
+    if not sys.float_info.min <= t2 < math.inf:
+        raise RangeError(f"rolle probe: t*t = {t2!r} is not a normal double, t = {t!r}")
+    r0, rh, rt = r(0.0), r(t / 2.0), r(t)
+    err = 2.0**-50 * 4.0 * (abs(r0) + 2.0 * abs(rh) + abs(rt)) / t2
+    return 4.0 * (r0 - 2.0 * rh + rt) / t2, err
 
 
 def check_rolle_identity(fn: str, t: float, p: Optional[Params] = None) -> bool:
@@ -128,9 +145,17 @@ def check_rolle_identity(fn: str, t: float, p: Optional[Params] = None) -> bool:
     ``xi``; sampling 10,000 half-offset interior nodes brackets the range.
     For ``"f"`` and ``"h"``, ``r''`` divides by ``sigma**2``, which raises
     :class:`RangeError` when it is not a normal double; the probe itself
-    does not.
+    does not.  The probe's float64 rounding error, at most
+    ``2**-50 * 4 (|r(0)| + 2 |r(t/2)| + |r(t)|) / t^2``, must fit in the
+    1e-8 widening: :class:`RangeError` when that bound does not, as at
+    ``t = 1e-8``, where either answer would be rounding noise.
     """
-    v = rolle_probe(fn, t, p)
+    v, err = _probe(fn, t, p)
+    if err > _UPPER_TOL:
+        raise RangeError(
+            f"rolle probe at t={t!r}: its float64 rounding bound {err:.3g} "
+            f"exceeds the {_UPPER_TOL} slack"
+        )
     n = 10_000
     if fn == "g":
         r2 = lambda s: _g_second(math, s)

@@ -20,6 +20,7 @@ from subadd.cone import (
     GeneratorId,
     GeneratorKind,
     WitnessCase,
+    _generator,
     _nth_prime,
     make_generators,
     q_of,
@@ -163,27 +164,41 @@ def test_builder_validation():
         make_generators(100_000_000, 5)
 
 
-def test_cone_rejects_duplicate_primes():
-    g1 = Generator(gid=B(1), prime=2, coef=Fraction(1, 2))
-    g2 = Generator(gid=R(1), prime=2, coef=Fraction(1))
-    with pytest.raises(InputError):
-        Cone([g1, g2])
-
-
-def test_cone_rejects_duplicate_ids():
-    g1 = Generator(gid=B(1), prime=2, coef=Fraction(1, 2))
-    g2 = Generator(gid=B(1), prime=3, coef=Fraction(1, 2))
-    with pytest.raises(InputError):
-        Cone([g1, g2])
+def test_cone_is_built_from_its_two_counts():
+    # the counts alone fix every generator: Cone and make_generators agree
+    # in ids, generators and scales, ids in sorted order
+    for n, k in ((1, 1), (3, 1), (20, 5), (60, 5)):
+        cone = Cone(n, k)
+        built = make_generators(n, k)
+        ids = tuple(map(B, range(1, n + 1))) + tuple(map(R, range(1, k + 1)))
+        assert cone.generator_ids() == built.generator_ids() == ids
+        assert [cone.generator(g) for g in ids] == [built.generator(g) for g in ids]
+        assert [cone.q_of(i) for i in range(1, n + 1)] == [
+            built.q_of(i) for i in range(1, n + 1)
+        ]
+        assert (cone.n_base, cone.n_reserve) == (n, k)
+    # no cone takes a list of generators, so none holds a generator that
+    # the certificate behind q_of does not cover
+    gens = [make_generators(1, 1).generator(B(1)), Generator(R(1), 7, Fraction(1))]
+    for bad in ((gens, 1), (1, gens), (gens[0], 1)):
+        with pytest.raises(InputError, match="must be an int"):
+            Cone(*bad)
+    # q_of and the cone take the prime from the one rule, _generator
+    for n in (1, 2, 7, 60, MAX_GENERATORS):
+        rule = _generator(B(n))
+        assert Cone(n, 1).generator(B(n)) == rule
+        assert rule.coef == Fraction(1, 2**n)
+        m = (2**n - 1) ** 2 * rule.prime
+        assert q_of(n) == math.isqrt(m) + 1
+    assert _generator(R(4)) == Generator(R(4), _nth_prime(8), Fraction(1))
 
 
 def test_cone_refuses_generators_that_are_not_a_sequence():
     # repr() refuses ints of more than 4300 digits, so the message gives
     # the bit length.
     for bad, got in ((math.inf, "inf"), (10**5000, "an int of 16610 bits")):
-        for build in (lambda: Cone(bad), lambda: ConeElement(bad)):
-            with pytest.raises(InputError, match=f"must be a sequence, got {got}"):
-                build()
+        with pytest.raises(InputError, match=f"must be a sequence, got {got}"):
+            ConeElement(bad)
 
 
 def test_generator_value_intervals(cone):
@@ -465,9 +480,10 @@ def test_liminf_rows_decrease_to_zero(cone):
 def test_liminf_validation(cone):
     with pytest.raises(InputError):
         cone.liminf_sequence(0)
-    base_only = Cone([Generator(gid=B(1), prime=2, coef=Fraction(1, 2))])
-    with pytest.raises(InputError):
-        base_only.liminf_sequence(5)
+    # the row count is capped: a huge N is refused at once, not run
+    for huge in (10_001, 10**5000):
+        with pytest.raises(InputError, match="N must be <= 10000"):
+            cone.liminf_sequence(huge)
 
 
 def test_upper_bound_check(cone):
@@ -488,6 +504,9 @@ def test_upper_bound_check_validation(cone):
         cone.upper_bound_check(Fraction(1, 2), 0)
     with pytest.raises(InputError):
         cone.upper_bound_check(Fraction(1, 2), 2.0)
+    for huge in (10_001, 10**5000):
+        with pytest.raises(InputError, match="samples must be <= 10000"):
+            cone.upper_bound_check(Fraction(1, 2), huge)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,25 @@ def test_curvature_identity_examples(cert_params):
     assert check_rolle_identity("f", 0.75, cert_params)
 
 
+def test_curvature_identity_refuses_a_t_its_rounding_cannot_resolve(cert_params):
+    # At t = 1e-8 the second difference cancels: the probe of g lands
+    # about 3e-8 above g'' on (0, t), beyond the 1e-8 slack, and its
+    # rounding bound (1.4e-6) says so.  At 1e-160 t*t is subnormal (the
+    # probe read 0.0), at 1e-170 it is 0 (ZeroDivisionError).
+    for t in (1e-8, 1e-160, 1e-170):
+        for fn in ("g", "f"):
+            with pytest.raises(RangeError):
+                check_rolle_identity(fn, t, cert_params)
+    for t in (1e-160, 1e-170):
+        with pytest.raises(RangeError, match="not a normal double"):
+            rolle_probe("g", t)
+    # the rounding bound at 1e-5 is 1.4e-9, and the CLI's t values pass
+    assert check_rolle_identity("g", 1e-5)
+    assert check_rolle_identity("f", 1e-5, cert_params)
+    for fn, t in (("f", 0.75), ("g", 0.5), ("h", 1.25)):
+        assert check_rolle_identity(fn, t, cert_params)
+
+
 def test_curvature_identity_random_tuples(cert_params):
     rng = random.Random(20260818)
     certified = [cert_params]
