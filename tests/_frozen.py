@@ -16,8 +16,6 @@ Tests compare:
 
 from __future__ import annotations
 
-from mpmath import mpf, workprec
-
 # The flagship parameter triple (mu, sigma, alpha) used throughout.
 CERT_MU = 1.2
 CERT_SIGMA = 0.05
@@ -171,14 +169,22 @@ LIMINF_AT_600 = "0.00096225044864937627418"
 INV_SQRT_3 = "0.57735026918962576451"
 
 
+# mpmath is imported by the helpers below, not here: the benchmark reads
+# these constants, and its exact-cone and scan workloads never use mpmath.
+
+
 def as_mpf(decimal_string: str):
     """Parse a frozen decimal at high precision."""
+    from mpmath import mpf, workprec
+
     with workprec(300):
         return mpf(decimal_string)
 
 
 def close_to_frozen(value, decimal_string: str, tol: float = 1e-20) -> bool:
     """|value - frozen| <= tol * max(1, |frozen|), evaluated at 300 bits."""
+    from mpmath import mpf, workprec
+
     with workprec(300):
         ref = mpf(decimal_string)
         return abs(mpf(value) - ref) <= mpf(tol) * max(1, abs(ref))
@@ -186,6 +192,8 @@ def close_to_frozen(value, decimal_string: str, tol: float = 1e-20) -> bool:
 
 def rel_err(value, decimal_string: str) -> float:
     """Relative error of ``value`` against a frozen decimal."""
+    from mpmath import mpf, workprec
+
     with workprec(300):
         ref = mpf(decimal_string)
         scale = max(1, abs(ref))

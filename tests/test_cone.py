@@ -4,6 +4,7 @@ witnesses, and the boundary behaviour of the induced value functional
 (image values approaching 1 from below along the base rays, and
 approaching 0 along the reserve ray)."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -22,11 +23,13 @@ from subadd.cone import (
     WitnessCase,
     _generator,
     _nth_prime,
+    _value_interval,
     make_generators,
     q_of,
 )
 from subadd.errors import ConstructionBugError, InputError
-from subadd.intervals import Interval, Tristate, certainly_le
+from subadd.intervals import Interval, Tristate, certainly_le, iadd
+from subadd.serialize import from_jsonable, to_jsonable
 
 BASE = GeneratorKind.BASE
 RESERVE = GeneratorKind.RESERVE
@@ -90,8 +93,17 @@ def test_q_of_validation():
 
 def test_cone_q_of_requires_known_ray(small_cone):
     assert small_cone.q_of(3) == 24
-    with pytest.raises(InputError):
-        small_cone.q_of(4)  # not a base ray of this cone
+    # n is checked by the one rule the module-level q_of uses, with this
+    # cone's BASE count as the cap
+    for bad, message in (
+        (4, "n must be <= 3, got 4"),  # not a base ray of this cone
+        (0, "n must be >= 1, got 0"),
+        (True, "n must be an int, got True"),
+        (2.0, "n must be an int, got 2.0"),
+    ):
+        with pytest.raises(InputError) as info:
+            small_cone.q_of(bad)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +231,28 @@ def test_generator_ids_sorted_once(cone):
     assert cone.generator_ids() is ids
 
 
+def test_generator_id_contract():
+    """Ids built separately are one key: equal, with equal hashes.  The
+    cached hash and sort key are not fields, so neither the dataclass
+    fields nor the JSON carry them."""
+    for kind in GeneratorKind:
+        for i in (1, 2, 60, MAX_GENERATORS):
+            a, b = GeneratorId(kind, i), GeneratorId(kind=kind, index=i)
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert {a: 1}[b] == 1
+            back = from_jsonable(to_jsonable(a))
+            assert back == a and hash(back) == hash(a)
+    assert B(1) != R(1) and B(1) != B(2)
+    assert [f.name for f in dataclasses.fields(GeneratorId)] == ["kind", "index"]
+    assert to_jsonable(B(3)) == {
+        "__kind__": "GeneratorId",
+        "kind": {"__enum__": "GeneratorKind", "value": "BASE"},
+        "index": 3,
+    }
+    assert repr(B(3)) == "GeneratorId(kind=<GeneratorKind.BASE: 'BASE'>, index=3)"
+    assert (B(5).sort_key(), R(2).sort_key()) == ((0, 5), (1, 2))
+
+
 def test_unknown_generator_lookup(cone):
     with pytest.raises(InputError):
         cone.generator(B(21))
@@ -231,17 +265,37 @@ def test_unknown_generator_lookup(cone):
 # ---------------------------------------------------------------------------
 
 
+_B1 = "GeneratorId(kind=<GeneratorKind.BASE: 'BASE'>, index=1)"
+_B4 = "GeneratorId(kind=<GeneratorKind.BASE: 'BASE'>, index=4)"
+_R1 = "GeneratorId(kind=<GeneratorKind.RESERVE: 'RESERVE'>, index=1)"
+_R2 = "GeneratorId(kind=<GeneratorKind.RESERVE: 'RESERVE'>, index=2)"
+_EXACT = "must be an exact rational (Fraction, int, or 'p/q' string)"
+
+
 def test_element_validation():
-    with pytest.raises(InputError):
-        ConeElement(coeffs=())
-    with pytest.raises(InputError):
-        ConeElement(coeffs=((B(1), Fraction(0)),))
-    with pytest.raises(InputError):
-        ConeElement(coeffs=((B(1), Fraction(-1, 2)),))
-    with pytest.raises(InputError):
-        ConeElement(coeffs=((B(1), Fraction(1)), (B(1), Fraction(2))))
-    with pytest.raises(InputError):
-        ConeElement(coeffs=(("b1", Fraction(1)),))
+    for coeffs, message in (
+        ((), "a cone element must have at least one generator"),
+        (((B(1), 0.5),), f"coefficient of {_B1} {_EXACT}, got 0.5"),
+        (((B(1), True),), f"coefficient of {_B1} {_EXACT}, got True"),
+        (((B(1), Fraction(0)),), f"coefficient of {_B1} must be > 0, got 0"),
+        (((B(1), 0),), f"coefficient of {_B1} must be > 0, got 0"),
+        (((R(1), Fraction(-1, 2)),), f"coefficient of {_R1} must be > 0, got -1/2"),
+        (((R(1), "-1/2"),), f"coefficient of {_R1} must be > 0, got -1/2"),
+        (((B(1), "half"),), f"coefficient of {_B1} is not a valid rational: 'half'"),
+        (
+            ((B(1), Fraction(1)), (B(1), Fraction(2))),
+            f"duplicate generator {_B1} in element",
+        ),
+        ((("b1", 1),), "coefficient key must be a GeneratorId instance, got 'b1'"),
+        (
+            (1, 2),
+            "coeffs must be a mapping or iterable of (GeneratorId, Fraction) "
+            "pairs, got (1, 2)",
+        ),
+    ):
+        with pytest.raises(InputError) as info:
+            ConeElement(coeffs)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bad", [0.5, True, "1/0", "half", "-1/2", 0])
@@ -250,6 +304,34 @@ def test_element_rejects_inexact_or_nonpositive_coefficients(bad):
     cone's own ``> 0`` check."""
     with pytest.raises(InputError):
         ConeElement(coeffs=((B(1), bad),))
+
+
+def test_map_and_pair_error_messages(small_cone):
+    """Each public entry point names the argument it refuses."""
+    ok = ConeElement(((B(1), Fraction(1)),))
+    far = ConeElement(((B(4), Fraction(1)),))
+    far_y = ConeElement(((B(1), Fraction(1)), (R(2), Fraction(1, 2))))
+    c = small_cone
+    for call, message in (
+        (lambda: c.apply_f("x"), "x must be a ConeElement instance, got 'x'"),
+        (lambda: c.apply_f(far), f"x uses unknown generator {_B4}"),
+        (lambda: c.apply_f_inv(3), "y must be a ConeElement instance, got 3"),
+        (lambda: c.apply_f_inv(far_y), f"y uses unknown generator {_R2}"),
+        (
+            lambda: c.check_subadditive_pair(None, ok),
+            "x must be a ConeElement instance, got None",
+        ),
+        (
+            lambda: c.check_subadditive_pair(ok, {B(1): 1}),
+            f"y must be a ConeElement instance, got {{{_B1}: 1}}",
+        ),
+        (lambda: c.check_subadditive_pair(far, ok), f"x uses unknown generator {_B4}"),
+        (lambda: c.check_subadditive_pair(ok, far_y), f"y uses unknown generator {_R2}"),
+        (lambda: c.element_value_interval(far), f"x uses unknown generator {_B4}"),
+    ):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_element_accepts_exact_coefficients():
@@ -421,6 +503,68 @@ def test_witness_fuzz_never_negative(cone):
     assert seen == set(WitnessCase)
 
 
+def _random_element(ids, rng):
+    """Drawn as the cone-exact benchmark draws: 1 to 3 generators,
+    coefficients p/q with 1 <= p, q <= 50."""
+    chosen = rng.sample(ids, rng.randint(1, 3))
+    return ConeElement(
+        tuple((gid, Fraction(rng.randint(1, 50), rng.randint(1, 50))) for gid in chosen)
+    )
+
+
+def test_witnesses_match_an_independent_slack_oracle():
+    """Every witness equals, slack for slack and with its case tag, the
+    slacks recomputed here from the knee formula: ``K(r) + K(s) - K(r +
+    s)`` on a shared BASE ray, else ``K(r) - r`` on each BASE-ray
+    summand's generator and 0 on every other generator of the support.
+    ``q_n`` comes from its integer certificate on trial-division primes."""
+    n_base, n_reserve = 60, 5
+    cone = make_generators(n_base, n_reserve)
+    primes = _trial_division_primes(2 * n_base)
+    q = {}
+    for n in range(1, n_base + 1):
+        low = (2**n - 1) ** 2 * primes[2 * n - 2]
+        q[n] = math.isqrt(low) + 1
+        assert (q[n] - 1) ** 2 <= low < q[n] ** 2 < 4**n * primes[2 * n - 2]
+
+    def knee(n, r):
+        return q[n] * r if r <= 1 else r + q[n] - 1
+
+    def ray(x):
+        (gid, r), *rest = x.coeffs
+        return (gid.index, r) if not rest and gid.kind is BASE else None
+
+    rng = random.Random(26026)
+    ids = cone.generator_ids()
+    seen = set()
+    for _ in range(2_000):
+        x, y = _random_element(ids, rng), _random_element(ids, rng)
+        rx, ry = ray(x), ray(y)
+        dx, dy = x.to_dict(), y.to_dict()
+        support = sorted(set(dx) | set(dy), key=lambda g: (g.kind is RESERVE, g.index))
+        if rx and ry and rx[0] == ry[0]:
+            n, r, s = rx[0], rx[1], ry[1]
+            tag = WitnessCase.SAME_RAY
+            expected = ((B(n), knee(n, r) + knee(n, s) - knee(n, r + s)),)
+        else:
+            tag = (
+                WitnessCase.CROSS_RAY if rx and ry
+                else WitnessCase.RAY_PLUS_OFFRAY if rx or ry
+                else WitnessCase.BOTH_OFFRAY
+            )
+            gain = {}
+            for rn in (rx, ry):
+                if rn:
+                    gain[B(rn[0])] = knee(*rn) - rn[1]
+            expected = tuple((g, gain.get(g, Fraction(0))) for g in support)
+        w = cone.check_subadditive_pair(x, y)
+        assert w.case_tag is tag
+        assert w.slacks == expected
+        assert all(type(s) is Fraction for _, s in w.slacks)
+        seen.add(tag)
+    assert seen == set(WitnessCase)
+
+
 # ---------------------------------------------------------------------------
 # boundary behaviour of the value functional
 # ---------------------------------------------------------------------------
@@ -538,6 +682,31 @@ def test_element_value_enclosures_contain_exact_value(cone):
                 )
             assert enc.lo <= float(exact) <= enc.hi
             assert enc.width() < 1e-12 * max(1.0, enc.hi)
+
+
+def test_cached_enclosures_match_value_interval():
+    """The cone keeps each generator's ``1 / sqrt(prime)`` enclosure; its
+    enclosures equal, bit for bit, the sums of :func:`_value_interval`
+    that recompute that factor per coefficient."""
+    cone = make_generators(60, 5)
+    rng = random.Random(26027)
+
+    def reference(x):
+        total = Interval.point(0.0)
+        for gid, c in x.coeffs:
+            gen = cone.generator(gid)
+            total = iadd(total, _value_interval(c * gen.coef, gen.prime))
+        return total
+
+    ids = cone.generator_ids()
+    for gid in ids:
+        for _ in range(20):
+            c = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            x = ConeElement(((gid, c),))
+            assert cone.element_value_interval(x) == reference(x)
+    for _ in range(500):
+        x = _random_element(ids, rng)
+        assert cone.element_value_interval(x) == reference(x)
 
 
 def test_element_value_rejects_foreign_rays(small_cone):
