@@ -68,6 +68,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import (
     ConstructionBugError,
     InputError,
+    RangeError,
     describe,
     require_finite,
     require_fraction,
@@ -349,11 +350,18 @@ class Cone:
     def element_value_interval(self, x: ConeElement) -> Interval:
         """Outward-rounded enclosure of the real value of ``x``.  Each term
         is :func:`_value_interval`'s ``imul(coefficient, 1 / sqrt(prime))``
-        with the factor cached, so the two agree bit for bit."""
+        with the factor cached, so the two agree bit for bit.  Raises
+        :class:`RangeError` when a term's exact value is beyond the float64
+        range."""
         x = self._check_element(x, "x")
         total = Interval.point(0.0)
         for gid, c in x.coeffs:
-            scaled = _fraction_interval(c * self._by_id[gid].coef)
+            try:
+                scaled = _fraction_interval(c * self._by_id[gid].coef)
+            except OverflowError:
+                raise RangeError(
+                    f"the term of {gid} is beyond the float64 range"
+                ) from None
             total = iadd(total, imul(scaled, self._inv_sqrt[gid]))
         return total
 

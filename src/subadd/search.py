@@ -99,9 +99,13 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
   ``+-0`` as equal.  The product runs in SIMD, numpy's broadcast add
   does not.
 - The ``n^2`` part is tiled in row blocks of 64 rows into one reused
-  buffer, and the lattice path's ``f`` values number at most ``128*n``,
-  so peak memory is O(n), not O(n^2), on both paths; the block bounds
-  below let the loop skip whole 64 x 64 blocks of it.
+  buffer, and the lattice path's ``f`` values ``fs`` number at most
+  ``128*n``, so peak memory is O(n), not O(n^2), on both paths; the block
+  bounds below let the loop skip whole 64 x 64 blocks of it.  A lattice
+  call holds ``fs``, the row-tile buffer (``64*n`` entries) and O(chunk)
+  temporaries: ``f`` is evaluated into ``fs``, and the bounds' envelope
+  pass runs over it, ``_LATTICE_CHUNK`` (2**14) points at a time, so no
+  other array is as long as the lattice.
 - Block bounds.  On the lattice path with at least ``_BOUND_MIN_COLS``
   (512) columns, each 64-row tile x 64-column block gets a float64 lower
   bound ``lb`` on its gaps ``fl(fl(u_i + v_j) - fs_k)`` (see "Outer
@@ -118,11 +122,13 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
 
   exactly.  The kernel takes the window's ``c = (fs[kB] - fs[kA])/(kB -
   kA)`` and bounds each bracket from linear envelopes, computed in one
-  pass over ``w = [u, v, -fs]``: per chunk of ``w`` (64 points of ``u``,
-  a tile's rows; 64 of ``v``, a block's columns; ``size = 64*max(1, (m +
-  l)//4)`` of ``-fs``, about a quarter of a window and at least 64), its
-  end-to-end slope ``d`` and ``low``, the minimum of ``w_p - d*p`` over
-  its offsets ``p``.  On a chunk, for any slope ``s``, ``w_p - s*p >= low
+  pass over ``w = [u, v, -fs]``, built one group of whole chunks (the
+  chunks that start in one stretch of ``_LATTICE_CHUNK`` entries) at a
+  time: per chunk of ``w`` (64 points of ``u``, a tile's rows; 64 of
+  ``v``, a block's columns; ``size = 64*max(1, (m + l)//4)`` of ``-fs``,
+  about a quarter of a window and at least 64), its end-to-end slope
+  ``d`` and ``low``, the minimum of ``w_p - d*p`` over its offsets
+  ``p``.  On a chunk, for any slope ``s``, ``w_p - s*p >= low
   + min(0, (d - s)*span)``.  The first two brackets take ``s = c*m`` and
   ``s = c*l`` on the tile's and the block's chunk; the third takes ``s =
   -c`` on each chunk of ``-fs`` that meets the window, shifted by ``c``
@@ -289,6 +295,21 @@ FULL_BOX = (-8.0, 8.0, -8.0, 8.0)
 #: Rows per tile of a scan's O(n^2) part, and columns per block of the
 #: block bounds.
 _BLOCK_ROWS = 64
+#: Lattice points per chunk: ``scan_block`` evaluates ``f`` over its
+#: lattice this many points at a time, and ``_block_bounds`` runs its
+#: envelope pass over groups of whole chunks of about as many, so a
+#: level's temporaries are O(chunk) beside ``fs`` itself.  Every period-3
+#: full-box lattice (7,201 points at ``grid_n`` 2401) is one chunk, and so
+#: are 1,890 of the 1,901 distinct violation-window lattices of the
+#: ``atlas-sweep`` pools of seeds 101 and 202 (the longest: 46,801 points,
+#: period 117).  The period-83 level clipped at ``grid_n`` 1601 (132,801
+#: points) is nine.  In one pass over its whole lattice, its call peaked at
+#: 7.19 MiB of allocations (tracemalloc, cold layout cache); in chunks of
+#: 2**11 to 2**14 points at 2.37 MiB, of which ``fs`` is 1.01 and the
+#: row-tile buffer 0.78; in chunks of 2**15 at 2.61 and of 2**16 at 4.11.
+#: The call also got faster: in-process medians of 150 calls, 3.5 to 4.0
+#: ms against 5.1 to 6.2 ms on three alternating pairs, 2-core Xeon VM.
+_LATTICE_CHUNK = 2**14
 #: Longest lattice period ``m + l`` the kernel runs on.  Its lattice holds
 #: at most ``_LATTICE_PERIOD * n`` points, still O(n); a level clipped at
 #: ``grid_n`` 1601 needs 83.
@@ -488,14 +509,15 @@ def _bound_layout(ni: int, nj: int, m: int, l: int):
     every level of a scan at one ``grid_n`` shares them (see "Block
     bounds" in the module docstring).  All are read-only.  The largest, the
     offset of each entry of ``w`` in its chunk, is uint16, since a chunk
-    holds at most 2048 entries."""
+    holds at most 2048 entries, and is built without a full-length
+    temporary."""
     np = _load_numpy()
     nk = m * (ni - 1) + l * (nj - 1) + 1
     size = _BLOCK_ROWS * max(1, (m + l) // 4)
     tiles, blocks = -(-ni // _BLOCK_ROWS), -(-nj // _BLOCK_ROWS)
     # Chunks of w = [u, v, -fs]: one per tile, one per block, then chunks
     # of fs of size points, about a quarter of a block's lattice range.
-    fs0 = ni + nj
+    fs0, n_uv = ni + nj, tiles + blocks
     starts = np.concatenate((
         np.arange(0, ni, _BLOCK_ROWS),
         np.arange(ni, fs0, _BLOCK_ROWS),
@@ -503,6 +525,17 @@ def _bound_layout(ni: int, nj: int, m: int, l: int):
     ))
     counts = np.diff(starts, append=fs0 + nk)
     span = counts - 1
+    offset = np.empty(fs0 + nk, dtype=np.uint16)
+    for lo, hi, step in ((0, ni, _BLOCK_ROWS), (ni, fs0, _BLOCK_ROWS), (fs0, fs0 + nk, size)):
+        whole = lo + (hi - lo) // step * step
+        offset[lo:whole].reshape(-1, step)[:] = np.arange(step)
+        offset[whole:hi] = np.arange(hi - whole)
+    # Groups of whole chunks: the chunks that start in one stretch of
+    # _LATTICE_CHUNK entries of w.  Rows: first chunk, end chunk, first
+    # entry, end entry.
+    c_a = np.flatnonzero(np.diff(starts // _LATTICE_CHUNK, prepend=-1))
+    c_b = np.append(c_a[1:], starts.size)
+    groups = np.stack((c_a, c_b, starts[c_a], np.append(starts, fs0 + nk)[c_b]), axis=1)
     # Block (t, b) starts at lattice index 64*(m*t + l*b); blocks of one
     # start k_a share the window [k_a, k_b], which holds their ranges.
     k_a, inv = np.unique(
@@ -514,14 +547,20 @@ def _bound_layout(ni: int, nj: int, m: int, l: int):
     # the window's first; past its last chunk, that one again.
     q_a, q_b = k_a // size, k_b // size
     q = np.minimum(q_a + np.arange(int((q_b - q_a).max()) + 1)[:, None], q_b)
-    chunks = tiles + blocks + q
+    chunks = n_uv + q
     arrays = (
-        starts,
         counts,
-        # Each entry's offset in its chunk.
-        (np.arange(fs0 + nk) - np.repeat(starts, counts)).astype(np.uint16),
-        # The chunks' and the windows' last entries, then their first.
-        np.concatenate((starts + span, fs0 + k_b, starts, fs0 + k_a)),
+        offset,
+        # Each chunk's first entry in its group, and the groups.
+        starts - groups[:, 2].repeat(c_b - c_a),
+        groups,
+        # The last entries (row 0) and the first (row 1) of the chunks of
+        # [u, v]; then of the chunks of fs and of the windows, in fs.
+        np.stack((starts[:n_uv] + span[:n_uv], starts[:n_uv])),
+        np.stack((
+            np.concatenate((starts[n_uv:] - fs0 + span[n_uv:], k_b)),
+            np.concatenate((starts[n_uv:] - fs0, k_a)),
+        )),
         np.maximum(np.concatenate((span, k_b - k_a)), 1).astype(np.float64),
         span.astype(np.float64),
         inv.reshape(tiles, blocks),
@@ -544,23 +583,29 @@ def _block_bounds(np, u, v, fs, m, l):
     slope ``c`` of ``fs`` over the block's window (see "Block bounds" in
     the module docstring); NaN where an input of the block is NaN."""
     layout = _bound_layout(u.size, v.size, m, l)
-    tiles, starts, counts, offset, edges, divisor, span = layout[:7]
-    inv, chunks, chunk_span, shift, width = layout[7:]
-    n, rows, cols = starts.size, slice(0, tiles), slice(tiles, tiles + inv.shape[1])
-    # One envelope pass over w = [u, v, -fs].  Rows of env: each chunk's
-    # slope d and then each window's slope e of -fs (e = -c); each chunk's
-    # low, the least w_p - d*p; and its largest |w|.
-    w = np.empty(offset.size)
-    w[: u.size], w[u.size : -fs.size] = u, v
-    np.negative(fs, out=w[-fs.size :])
-    at = w[edges]
+    tiles, counts, offset, first, groups, edges_uv, edges_fs = layout[:7]
+    divisor, span, inv, chunks, chunk_span, shift, width = layout[7:]
+    n, rows, cols = counts.size, slice(0, tiles), slice(tiles, tiles + inv.shape[1])
+    # One envelope pass over w = [u, v, -fs], a group of chunks at a time.
+    # Rows of env: each chunk's slope d and then each window's slope e of
+    # -fs (e = -c); each chunk's low, the least w_p - d*p; and its largest
+    # |w|.
+    uv, fs0 = np.concatenate((u, v)), u.size + v.size
+    at = np.empty((2, divisor.size))
+    at[:, : edges_uv.shape[1]] = uv[edges_uv]
+    np.negative(fs[edges_fs], out=at[:, edges_uv.shape[1] :])
     env = np.empty((3, divisor.size))
-    np.divide(np.subtract(at[: divisor.size], at[divisor.size :]), divisor, out=env[0])
+    np.divide(np.subtract(at[0], at[1]), divisor, out=env[0])
     d, e = env[0, :n], env[0, n:]
-    t = np.repeat(d, counts)
-    t = np.subtract(w, np.multiply(t, offset, out=t), out=t)
-    np.minimum.reduceat(t, starts, out=env[1, :n])
-    np.maximum.reduceat(np.abs(w, out=t), starts, out=env[2, :n])
+    for c_a, c_b, s_a, s_b in groups.tolist():
+        w = np.empty(s_b - s_a)
+        cut = min(max(fs0 - s_a, 0), s_b - s_a)
+        w[:cut] = uv[s_a : s_a + cut]
+        np.negative(fs[s_a + cut - fs0 : s_b - fs0], out=w[cut:])
+        t = np.repeat(d[c_a:c_b], counts[c_a:c_b])
+        t = np.subtract(w, np.multiply(t, offset[s_a:s_b], out=t), out=t)
+        np.minimum.reduceat(t, first[c_a:c_b], out=env[1, c_a:c_b])
+        np.maximum.reduceat(np.abs(w, out=t), first[c_a:c_b], out=env[2, c_a:c_b])
     low, top = env[1, :n], env[2, :n]
     # Per window: the fs bracket, the least bound over its chunks of -fs at
     # slope e, each shifted by c times its offset from k_a; the largest
@@ -634,9 +679,23 @@ def scan_block(
             # the lattice once, from the block's first to its last k.
             m, l = ratio
             delta = a * dx / m
-            k0 = m * i0 + l * j0
-            ks = np.arange(k0, m * (i1 - 1) + l * (j1 - 1) + 1, dtype=np.float64)
-            fs = f((a * x0 + y0) + ks * delta)
+            s0, k0 = a * x0 + y0, m * i0 + l * j0
+            nk = m * (ni - 1) + l * (nj - 1) + 1
+
+            def lattice_f(c):
+                """``f`` over the chunk of the lattice from ``k0 + c``."""
+                end = min(nk, c + _LATTICE_CHUNK)
+                return f(s0 + np.arange(k0 + c, k0 + end, dtype=np.float64) * delta)
+
+            # The first chunk's values grow in place into fs (no copy when
+            # they are the whole lattice), and each later chunk is written
+            # into it.  An fs taken before the first chunk instead doubled
+            # the minor page faults of an atlas-sweep operation (107
+            # against 57, seed-601 pool).
+            fs = lattice_f(0)
+            fs.resize(nk, refcheck=False)
+            for c in range(_LATTICE_CHUNK, nk, _LATTICE_CHUNK):
+                fs[c : c + _LATTICE_CHUNK] = lattice_f(c)
             # Node (i, j) of the block reads fs[m*(i - i0) + l*(j - j0)].
             fs_nodes = np.lib.stride_tricks.as_strided(
                 fs, shape=(ni, nj), strides=(m * fs.itemsize, l * fs.itemsize),

@@ -174,3 +174,21 @@ def test_hostile_scalars_raise_toolkit_errors_only(name):
             except Exception as exc:  # any other type is a leak
                 leaks.append(f"{param}={describe(value):.20}: {type(exc).__name__}: {exc}")
     assert not leaks, "\n".join(leaks)
+
+
+@pytest.mark.parametrize("kind", list(GeneratorKind))
+def test_huge_exact_coefficient(kind):
+    """A valid element whose one coefficient, ``10**400``, is beyond the
+    float64 range: the exact maps and the pair check return exact results,
+    and the float enclosure raises :class:`RangeError`, not
+    ``OverflowError``."""
+    gid = GeneratorId(kind, 1)
+    big = ConeElement({gid: Fraction(10**400)})
+    image = CONE.apply_f(big)
+    q = CONE.q_of(1) if kind is GeneratorKind.BASE else 1
+    assert image.to_dict() == {gid: Fraction(10**400) + (q - 1)}
+    assert CONE.apply_f_inv(image) == big
+    witness = CONE.check_subadditive_pair(big, big)
+    assert witness.slacks == ((gid, Fraction(q - 1)),)
+    with pytest.raises(subadd.RangeError, match="beyond the float64 range"):
+        CONE.element_value_interval(big)

@@ -524,6 +524,87 @@ def test_kernel_peak_memory_is_row_tiled(cert_params, box):
     assert peak < 32 * 2**20
 
 
+def _recorded_calls():
+    """``(args, result)`` of each call in ``scan_block_replay.json``, the
+    arguments decoded, the result as recorded."""
+    calls = json.loads(Path(__file__).with_name("scan_block_replay.json").read_text())
+    for call in calls:
+        args = tuple(float.fromhex(a) if isinstance(a, str) else a for a in call["args"])
+        yield args, call["result"]
+
+
+def test_long_lattice_level_holds_fs_and_chunk_sized_temporaries():
+    """The first recorded call is the level of period 83 clipped at
+    ``grid_n`` 1601: 132,801 lattice points.  With its layout built for
+    the call, it allocates ``fs`` (1.0 MiB), the row-tile buffer (0.8
+    MiB) and chunk-sized temporaries, less than 3 MiB; one pass over the
+    whole lattice took 7.19 MiB.  Its result is the recorded one."""
+    args, result = next(_recorded_calls())
+    assert search._lattice_ratio(args[0], args[5], args[7], 1.0 - search._RATIO_TOL) == (64, 19)
+    search._bound_layout.cache_clear()
+    tracemalloc.start()
+    try:
+        value, i, j = scan_block(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [value.hex(), i, j] == result
+    assert peak < 3 * 2**20, peak
+
+
+def _at_chunk(monkeypatch, chunk, run):
+    """``run()`` with ``_LATTICE_CHUNK`` set to ``chunk``, and the layouts,
+    which hold its groups, built anew."""
+    monkeypatch.setattr(search, "_LATTICE_CHUNK", chunk)
+    search._bound_layout.cache_clear()
+    try:
+        return run()
+    finally:
+        search._bound_layout.cache_clear()
+
+
+def test_lattice_chunk_changes_no_bit(monkeypatch):
+    """``fs``, the block bounds and the result of every bounded recorded
+    call of period above 3 are the same, bit for bit, with the lattice in one
+    chunk and in chunks of 2**10 points; so are the bounds of seeded
+    random blocks (see ``_random_bound_inputs``) in one chunk and with
+    every chunk of ``w`` its own group."""
+    bounds, seen = search._block_bounds, []
+
+    def spy(*args):
+        lb = bounds(*args)
+        seen.append(args[3].tobytes() + lb.tobytes())
+        return lb
+
+    monkeypatch.setattr(search, "_block_bounds", spy)
+    calls = [
+        (args, result) for args, result in _recorded_calls()
+        if args[11] - args[10] >= search._BOUND_MIN_COLS
+        and sum(search._lattice_ratio(args[0], args[5], args[7], 1.0 - search._RATIO_TOL)) > 3
+    ]
+
+    def scans():
+        seen.clear()
+        results = [scan_block(*args) for args, _ in calls]
+        return [[v.hex(), i, j] for v, i, j in results], list(seen)
+
+    one_chunk = _at_chunk(monkeypatch, 2**30, scans)
+    assert one_chunk == _at_chunk(monkeypatch, 2**10, scans)
+    assert one_chunk[0] == [result for _, result in calls]
+    assert len(seen) == len(calls) > 10
+
+    rng = random.Random(20261021)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = [_random_bound_inputs(rng)[:5] for _ in range(60)]
+
+        def block_bounds():
+            return [bounds(np, *block).tobytes() for block in blocks]
+
+        assert _at_chunk(monkeypatch, 2**30, block_bounds) == _at_chunk(
+            monkeypatch, 1, block_bounds
+        )
+
+
 def test_clipped_level_runs_on_a_longer_lattice(monkeypatch):
     """At ``grid_n`` 1601 the anchor ``(5.0, 0.15, TABLE_ALPHA)``'s level-1
     box is clipped at ``y = -8``, with ``dy/(a*dx) = 19/64``, a period of
@@ -931,12 +1012,11 @@ def test_kernel_replays_recorded_calls_bit_for_bit():
     every bounded call on a lattice of period above 3, and draws of the
     others.  Each returns its recorded ``(value, i, j)``, compared as
     ``float.hex``, so the sign of a zero counts."""
-    calls = json.loads(Path(__file__).with_name("scan_block_replay.json").read_text())
+    calls = list(_recorded_calls())
     bounded = 0
-    for call in calls:
-        args = tuple(float.fromhex(a) if isinstance(a, str) else a for a in call["args"])
+    for args, result in calls:
         value, i, j = scan_block(*args)
-        assert [value.hex(), i, j] == call["result"], call
+        assert [value.hex(), i, j] == result, args
         bounded += args[11] - args[10] >= search._BOUND_MIN_COLS
     assert len(calls) > 250 and bounded > 150, (len(calls), bounded)
 

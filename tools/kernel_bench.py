@@ -7,6 +7,8 @@ Usage::
     python3 tools/kernel_bench.py LABEL=SRC_DIR [LABEL=SRC_DIR ...] [--out PATH]
     OPENBLAS_NUM_THREADS=1 python3 tools/kernel_bench.py before=../old/src \
         after=src --out BENCH_kernel_blas1.json
+    python3 tools/kernel_bench.py before=../old/src after=src \
+        --out BENCH_kernel_memory.json
 
 Each of ``ROUNDS`` rounds starts one fresh interpreter per ``SRC_DIR``,
 with ``SRC_DIR`` first on ``PYTHONPATH``, taking the checkouts in turn and
@@ -41,12 +43,16 @@ the median (``(depth + 1) * grid_n**2`` grid nodes covered per scan, each
 evaluated or excluded by its block's bound), the share of those nodes
 the kernel computed (the entries of its outer-sum products, counted by a
 spy on ``numpy.matmul`` in one more scan; every case runs on the lattice
-path, one product per evaluated span), and the process CPU time over
+path, one product per evaluated span), the process CPU time over
 wall time of the timed scans (above 1 when BLAS threads work alongside
-the main one).  It also holds the host (``lscpu``), the Python
-and numpy versions, ``OPENBLAS_NUM_THREADS`` as the children saw it, and
-whether every label returned the same ``ScanReport`` for each case.  A run
-with four labels takes about 40 s on a 2-core Xeon VM.
+the main one), and ``peak_alloc_mib``, the peak of Python-tracked
+allocations (``tracemalloc``, MiB) of one more untimed scan, run after
+clearing the kernel's block-bound layout cache so that building the
+layouts counts, the largest over the rounds.  It also holds the host
+(``lscpu``), the Python and numpy versions, ``OPENBLAS_NUM_THREADS`` as
+the children saw it, and whether every label returned the same
+``ScanReport`` for each case.  A run with two labels takes about 10 s on
+a 2-core Xeon VM.
 """
 
 from __future__ import annotations
@@ -80,11 +86,12 @@ CASES = {
 
 #: Run by each fresh interpreter: ``{"numpy": version, "cases": {name:
 #: {"seconds": [...], "cpu_seconds": [...], "evaluations": n, "computed":
-#: n, "report": repr}}}`` on stdout.
+#: n, "peak": bytes, "report": repr}}}`` on stdout.
 CHILD = """
-import json, sys, time
+import json, sys, time, tracemalloc
 import numpy
 from subadd import Params, ScanConfig, scan_gap_min, violation_scan_config
+from subadd import search
 cases, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
 p = Params(mu=1.2, sigma=0.05, alpha=0.05)
 matmul, computed = numpy.matmul, [0]
@@ -111,9 +118,16 @@ for name, (n, depth, box) in cases.items():
         scan_gap_min(2.0, p, cfg)
     finally:
         numpy.matmul = matmul
+    search._bound_layout.cache_clear()
+    tracemalloc.start()
+    try:
+        scan_gap_min(2.0, p, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     out[name] = dict(
         seconds=seconds, cpu_seconds=cpu_seconds, evaluations=report.evaluations,
-        computed=computed[0], report=repr(report),
+        computed=computed[0], peak=peak, report=repr(report),
     )
 print(json.dumps({"numpy": numpy.__version__, "cases": out}))
 """
@@ -147,7 +161,9 @@ def run_child(src: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def summary(seconds: list, cpu_seconds: list, evaluations: int, computed: int) -> dict:
+def summary(
+    seconds: list, cpu_seconds: list, evaluations: int, computed: int, peak: int
+) -> dict:
     q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
     return {
         "median_ms": round(median * 1e3, 3),
@@ -156,6 +172,7 @@ def summary(seconds: list, cpu_seconds: list, evaluations: int, computed: int) -
         "evals_per_s": round(evaluations / median),
         "computed_share": round(computed / evaluations, 4),
         "cpu_per_wall": round(sum(cpu_seconds) / sum(seconds), 3),
+        "peak_alloc_mib": round(peak / 2**20, 3),
         "evaluations": evaluations,
         "samples": len(seconds),
     }
@@ -174,6 +191,7 @@ def main(argv=None) -> int:
     cpu_seconds = {label: {name: [] for name in CASES} for label in sources}
     counts, reports, numpy_versions = {}, {name: set() for name in CASES}, set()
     computed = {label: {} for label in sources}
+    peaks = {label: {name: 0 for name in CASES} for label in sources}
     for r in range(ROUNDS):
         order = list(sources) if r % 2 == 0 else list(reversed(sources))
         for label in order:
@@ -184,6 +202,7 @@ def main(argv=None) -> int:
                 cpu_seconds[label][name] += case["cpu_seconds"]
                 counts[name] = case["evaluations"]
                 computed[label][name] = case["computed"]
+                peaks[label][name] = max(peaks[label][name], case["peak"])
                 reports[name].add(case["report"])
         print(f"round {r + 1} of {ROUNDS} done", file=sys.stderr)
 
@@ -203,7 +222,8 @@ def main(argv=None) -> int:
         "results": {
             label: {
                 name: summary(
-                    s, cpu_seconds[label][name], counts[name], computed[label][name]
+                    s, cpu_seconds[label][name], counts[name], computed[label][name],
+                    peaks[label][name],
                 )
                 for name, s in cases.items()
             }
@@ -218,7 +238,8 @@ def main(argv=None) -> int:
                 f"[{s['q1_ms']:.3f}, {s['q3_ms']:.3f}] "
                 f"{s['evals_per_s'] / 1e6:7.1f}M evals/s, "
                 f"{s['computed_share']:6.1%} computed, "
-                f"CPU/wall {s['cpu_per_wall']:.2f}"
+                f"CPU/wall {s['cpu_per_wall']:.2f}, "
+                f"peak {s['peak_alloc_mib']:.2f} MiB"
             )
     print(f"same reports: {record['same_reports']}; wrote {args.out}")
     return 0
