@@ -63,6 +63,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from ._limits import MAX_PREC_BITS, MIN_PREC_BITS
 from .errors import (
     DomainError,
     InputError,
@@ -100,14 +101,6 @@ __all__ = [
 #: Valid ``fn`` handles for :func:`gap`: the full function, the base
 #: profile alone, the raw bump, and the pinned bump ``h - h(0)``.
 GAP_FUNCTION_HANDLES = ("f", "g", "h", "h-h0")
-
-#: Smallest accepted working precision of :class:`HighPrecision`, in bits
-#: of mantissa.
-MIN_PREC_BITS = 128
-#: Largest accepted working precision.  A :func:`~subadd.search.verify_point`
-#: at the cap takes about 2.5 s, and one at four times it about 30 s (2-core
-#: Xeon VM); from ``10**400`` bits on, mpmath fails with ``OverflowError``.
-MAX_PREC_BITS = 65_536
 
 
 @dataclass(frozen=True)

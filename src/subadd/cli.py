@@ -27,6 +27,12 @@ as ``certify`` checks order 2 only; ``--precision-bits`` (>= 128) to
 Each runner returns one record ``(exit_code, json_payload, csv_header,
 csv_rows, text_lines)`` and :func:`run` renders the ``--format`` asked for.
 
+Loading this module, building the parser and ``--help`` import no library
+module: the help texts and defaults read :mod:`subadd._limits`.  Building
+a configuration imports :mod:`subadd.analytic_core` (and
+:mod:`subadd.search` for the subcommands that scan), and each runner
+imports the modules it runs when it runs.
+
 Exit codes: 0 = affirmative/clean result, 1 = negative result or internal
 failure (not certified, violation found, table mismatch, oracle failure),
 2 = invalid input (bad flags, bad config file, bad parameter values).
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import os
@@ -44,18 +51,15 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import statement_oracles
-from .analytic_core import MAX_PREC_BITS, MIN_PREC_BITS, Order, Params
-from .certificate import Verdict, certify_S2
-from .cone import (
+from ._limits import (
+    FULL_BOX,
     MAX_GENERATORS,
-    Cone,
-    ConeElement,
-    GeneratorId,
-    GeneratorKind,
-    make_generators,
+    MAX_GRID_N,
+    MAX_PREC_BITS,
+    MAX_REFINE_DEPTH,
+    MIN_PREC_BITS,
 )
 from .errors import (
     DomainError,
@@ -65,20 +69,38 @@ from .errors import (
     require_instance,
     require_int,
 )
-from .intervals import Interval
-from .search import (
-    FULL_BOX,
-    MAX_GRID_N,
-    MAX_REFINE_DEPTH,
-    ScanConfig,
-    find_violation,
-    reproduce_table,
-    scan_gap_min,
-    violation_scan_config,
-)
-from .serialize import to_jsonable
+
+if TYPE_CHECKING:
+    from .analytic_core import Order, Params
+    from .cone import Cone, ConeElement
+    from .intervals import Interval
+    from .search import ScanConfig
 
 __all__ = ["RunConfig", "build_parser", "run", "main"]
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``subadd.<module>.<name>`` that imports the module
+    on its first call and looks the name up in it at every call."""
+
+    def call(*args, **kwargs):
+        found = importlib.import_module(f".{module}", __package__)
+        return getattr(found, name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+#: The library functions the runners call.  A command loads only the
+#: modules it runs, and rebinding a function in its module reaches the
+#: runners; rebinding the name here does too (``perfbench/tracing.py``
+#: does both).
+certify_S2 = _deferred("certificate", "certify_S2")
+scan_gap_min = _deferred("search", "scan_gap_min")
+find_violation = _deferred("search", "find_violation")
+reproduce_table = _deferred("search", "reproduce_table")
+make_generators = _deferred("cone", "make_generators")
+to_jsonable = _deferred("serialize", "to_jsonable")
 
 _SUBCOMMANDS = {
     "certify": "check the five sufficient conditions rigorously",
@@ -191,6 +213,8 @@ class RunConfig:
     n_reserve: int = 2
 
     def __post_init__(self) -> None:
+        from .analytic_core import Order, Params
+
         if self.subcommand not in _SUBCOMMANDS:
             raise InputError(
                 f"unknown subcommand {self.subcommand!r}; "
@@ -199,6 +223,8 @@ class RunConfig:
         require_instance(self.params, Params, "params")
         require_instance(self.order, Order, "order")
         if self.scan is not None:
+            from .search import ScanConfig
+
             require_instance(self.scan, ScanConfig, "scan")
         if self.output_format not in _FORMATS:
             raise InputError(
@@ -285,6 +311,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     errors come in a fixed order and a subcommand never parses a config
     value it does not take.
     """
+    from .analytic_core import Order, Params
+
     sub = args.subcommand
     filecfg = _parse_config_file(args.config) if args.config else {}
     defaults = {**_DEFAULTS, **_SCAN_DEFAULTS.get(sub, {})}
@@ -317,13 +345,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     output = pick("format", "precision-bits")
     scan = None
     if sub in _GRID:
+        from . import search
+
         grid = pick("grid-n", "refine-depth", "tolerance", "box")
         if isinstance(grid.get("box"), str):
             grid["box"] = _parse_box(grid["box"])
         if "box" in grid:
-            scan = ScanConfig(**grid)
+            scan = search.ScanConfig(**grid)
         else:
-            scan = violation_scan_config(params, **grid)
+            scan = search.violation_scan_config(params, **grid)
     return RunConfig(sub, params, order, scan, **output, **pick("n-base", "n-reserve"))
 
 
@@ -344,6 +374,8 @@ def _fmt_params(p: Params) -> str:
 
 
 def _run_certify(config: RunConfig):
+    from .certificate import Verdict
+
     report = certify_S2(config.params)
     rows = [
         (
@@ -487,6 +519,8 @@ def _run_table(config: RunConfig):
 
 
 def _run_oracles(config: RunConfig):
+    from . import statement_oracles
+
     p = config.params
     results: List[Tuple[str, str, str]] = []
 
@@ -565,6 +599,8 @@ def _run_oracles(config: RunConfig):
 
 
 def _random_cone_element(cone: Cone, rng: random.Random) -> ConeElement:
+    from .cone import ConeElement
+
     ids = cone.generator_ids()
     count = rng.randint(1, min(3, len(ids)))
     chosen = rng.sample(range(len(ids)), count)
@@ -577,6 +613,8 @@ def _random_cone_element(cone: Cone, rng: random.Random) -> ConeElement:
 
 
 def _run_cone(config: RunConfig):
+    from .cone import GeneratorId, GeneratorKind
+
     cone = make_generators(config.n_base, config.n_reserve)
     limsup = cone.limsup_sequence(config.n_base)
     liminf = cone.liminf_sequence(10)

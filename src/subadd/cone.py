@@ -65,6 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from ._limits import MAX_GENERATORS
 from .errors import (
     ConstructionBugError,
     InputError,
@@ -76,7 +77,7 @@ from .errors import (
     require_int,
     require_sequence,
 )
-from .intervals import Interval, iadd, idiv, imul, isqrt
+from .intervals import _ARITH_STEPS, Interval, _down, _up, idiv, imul, isqrt
 
 __all__ = [
     "GeneratorKind",
@@ -92,12 +93,6 @@ __all__ = [
 ]
 
 _UPPER_BOUND_SEED = 771077
-
-#: Largest generator count accepted by :class:`Cone` and largest BASE index
-#: accepted by :func:`q_of`.  BASE generator ``n`` carries the
-#: exact coefficient ``2^-n``, so the cap bounds coefficient size, and it
-#: bounds the prime cache at ``prime(2 * MAX_GENERATORS)``.
-MAX_GENERATORS = 1000
 
 #: Largest row count of :meth:`Cone.liminf_sequence` and sample count of
 #: :meth:`Cone.upper_bound_check`: at the cap either takes 0.3 to 0.5 s, in a
@@ -348,22 +343,37 @@ class Cone:
         return self._scales[require_int(n, "n", 1, self.n_base)]
 
     def element_value_interval(self, x: ConeElement) -> Interval:
-        """Outward-rounded enclosure of the real value of ``x``.  Each term
-        is :func:`_value_interval`'s ``imul(coefficient, 1 / sqrt(prime))``
-        with the factor cached, so the two agree bit for bit.  Raises
-        :class:`RangeError` when a term's exact value is beyond the float64
-        range."""
+        """Outward-rounded enclosure of the real value of ``x``: from 0,
+        ``iadd`` each term, :func:`_value_interval`'s ``imul(coefficient,
+        1 / sqrt(prime))`` with the factor cached.  The endpoints are
+        computed here in floats, by the operations of
+        :func:`_fraction_interval`, ``imul`` and ``iadd`` in their order,
+        and one :class:`Interval` is built at the end, so the result is that
+        sum's bit for bit.  Raises :class:`RangeError` when a term's exact
+        value or the sum is beyond the float64 range."""
         x = self._check_element(x, "x")
-        total = Interval.point(0.0)
+        lo = hi = 0.0
         for gid, c in x.coeffs:
+            # The term's rational as an unreduced num / den: int true
+            # division rounds correctly, as float() of the Fraction does.
+            coef = self._by_id[gid].coef
+            num, den = c.numerator * coef.numerator, c.denominator * coef.denominator
             try:
-                scaled = _fraction_interval(c * self._by_id[gid].coef)
+                f = num / den
             except OverflowError:
                 raise RangeError(
                     f"the term of {gid} is beyond the float64 range"
                 ) from None
-            total = iadd(total, imul(scaled, self._inv_sqrt[gid]))
-        return total
+            f_num, f_den = f.as_integer_ratio()
+            if f_num * den == num * f_den:
+                s_lo = s_hi = f
+            else:
+                s_lo, s_hi = math.nextafter(f, -math.inf), math.nextafter(f, math.inf)
+            v = self._inv_sqrt[gid]
+            products = (s_lo * v.lo, s_lo * v.hi, s_hi * v.lo, s_hi * v.hi)
+            lo = _down(lo + _down(min(products), _ARITH_STEPS), _ARITH_STEPS)
+            hi = _up(hi + _up(max(products), _ARITH_STEPS), _ARITH_STEPS)
+        return Interval(lo, hi)  # raises RangeError if an endpoint overflowed
 
     # -- the knee map -------------------------------------------------------
 

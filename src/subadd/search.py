@@ -193,6 +193,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ._limits import FULL_BOX, MAX_GRID_N, MAX_REFINE_DEPTH
 from .analytic_core import (
     MAX_PREC_BITS,
     MIN_PREC_BITS,
@@ -276,21 +277,6 @@ _GAP_NOISE = 2.0**-48
 _DEFAULT_GRID_N = 401
 _DEFAULT_REFINE_DEPTH = 2
 _DEFAULT_TOLERANCE = 1e-9
-
-#: Largest accepted ``grid_n``.  A level costs ``grid_n**2`` gap
-#: evaluations: 1e8 at the cap, seconds of work, where ``grid_n`` 1e5
-#: would take hours.  The toolkit and its tests use at most 2401.
-MAX_GRID_N = 10_001
-
-#: Largest accepted ``refine_depth``.  Level ``k`` scans a box ``10**-k``
-#: the size of the original, so from about level 17 a box of unit scale
-#: is narrower than one ulp of its centre and each further level rescans
-#: one point at ``grid_n**2`` evaluations; ``10.0 ** 309`` overflows.
-MAX_REFINE_DEPTH = 30
-
-#: The reference window ``[-8, 8]^2`` as a ``box``: :func:`reproduce_table`
-#: scans it, and so does ``subadd scan`` by default.
-FULL_BOX = (-8.0, 8.0, -8.0, 8.0)
 
 #: Rows per tile of a scan's O(n^2) part, and columns per block of the
 #: block bounds.

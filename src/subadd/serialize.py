@@ -8,14 +8,20 @@ encoded as ``{"__enum__": name, "value": member-name}``.  Floats are
 passed through as-is (JSON round-trips binary64 exactly via repr);
 rationals go through exact ``"p/q"`` strings.  Tuples are encoded as JSON
 arrays and decoded back to tuples, matching the dataclasses' field types.
+
+Encoding asks only the object's own module whether its class is public,
+so it loads no other module; the first decode builds the registry of
+names from the package's ``__all__``, which loads every library module.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import sys
 from fractions import Fraction
-from typing import Any, Dict, Type
+from typing import Any, Dict, Tuple, Type
 
 import subadd
 
@@ -23,17 +29,29 @@ from .errors import InputError, describe, require_fraction
 
 __all__ = ["to_jsonable", "from_jsonable"]
 
-#: The package's public classes; its dataclasses and enums are encodable.
-_CLASSES = [
-    cls for cls in (getattr(subadd, name) for name in subadd.__all__)
-    if isinstance(cls, type)
-]
-_DATACLASSES: Dict[str, Type] = {
-    cls.__name__: cls for cls in _CLASSES if dataclasses.is_dataclass(cls)
-}
-_ENUMS: Dict[str, Type] = {
-    cls.__name__: cls for cls in _CLASSES if issubclass(cls, enum.Enum)
-}
+
+@functools.cache
+def _registry() -> Tuple[Dict[str, Type], Dict[str, Type]]:
+    """``(dataclasses, enums)`` by name: the public classes of the package,
+    those named in its ``__all__``."""
+    classes = [
+        cls for cls in (getattr(subadd, name) for name in subadd.__all__)
+        if isinstance(cls, type)
+    ]
+    return (
+        {cls.__name__: cls for cls in classes if dataclasses.is_dataclass(cls)},
+        {cls.__name__: cls for cls in classes if issubclass(cls, enum.Enum)},
+    )
+
+
+def _public(cls: type) -> bool:
+    """Whether ``cls`` is named in the ``__all__`` of the library module
+    that defines it: one of the registry's classes, found without it."""
+    package, _, module = cls.__module__.rpartition(".")
+    if package != __package__ or module not in subadd._LIBRARY:
+        return False
+    found = sys.modules[cls.__module__]
+    return cls.__name__ in found.__all__ and getattr(found, cls.__name__) is cls
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -42,12 +60,11 @@ def to_jsonable(obj: Any) -> Any:
         return obj
     if isinstance(obj, Fraction):
         return {"__kind__": "Fraction", "value": f"{obj.numerator}/{obj.denominator}"}
-    for name, cls in _ENUMS.items():
-        if isinstance(obj, cls):
-            return {"__enum__": name, "value": obj.name}
+    if isinstance(obj, enum.Enum) and _public(type(obj)):
+        return {"__enum__": type(obj).__name__, "value": obj.name}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         name = type(obj).__name__
-        if name not in _DATACLASSES:
+        if not _public(type(obj)):
             raise InputError(f"cannot encode unregistered dataclass {name}")
         out: Dict[str, Any] = {"__kind__": name}
         for field in dataclasses.fields(obj):
@@ -72,9 +89,10 @@ def from_jsonable(data: Any) -> Any:
     if isinstance(data, list):
         return tuple(from_jsonable(v) for v in data)
     if isinstance(data, dict):
+        dataclass_kinds, enum_kinds = _registry()
         if "__enum__" in data:
             name = data["__enum__"]
-            cls = _ENUMS.get(name) if isinstance(name, str) else None
+            cls = enum_kinds.get(name) if isinstance(name, str) else None
             if cls is None:
                 raise InputError(f"unknown enum kind {describe(name)}")
             member = data.get("value")
@@ -85,7 +103,7 @@ def from_jsonable(data: Any) -> Any:
             name = data["__kind__"]
             if name == "Fraction":
                 return require_fraction(data.get("value"), "Fraction payload value")
-            cls = _DATACLASSES.get(name) if isinstance(name, str) else None
+            cls = dataclass_kinds.get(name) if isinstance(name, str) else None
             if cls is None:
                 raise InputError(f"unknown dataclass kind {describe(name)}")
             kwargs = {

@@ -1,9 +1,15 @@
 """Shared fixtures: the two reference parameter triples and small helpers."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subadd
 from subadd import Params
 
 
@@ -31,3 +37,22 @@ def ulps_apart(a: float, b: float) -> int:
         x = math.nextafter(x, math.inf)
         steps += 1
     return steps
+
+
+def subadd_env():
+    """This environment, with this checkout's ``subadd`` on the path of a
+    child interpreter."""
+    src = str(Path(subadd.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def fresh_json(probe: str):
+    """Run ``probe`` in a fresh interpreter that imports this checkout's
+    ``subadd``; its last stdout line, parsed as JSON."""
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=subadd_env(), capture_output=True,
+        text=True, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])

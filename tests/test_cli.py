@@ -9,15 +9,13 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import subadd
-
+from conftest import subadd_env
 from subadd.analytic_core import Order, Params
 from subadd.certificate import CertificateReport, certify_S2
-from subadd import cli
+from subadd import certificate, cli, cone, search, statement_oracles
 from subadd.cli import RunConfig, build_config, build_parser, main
 from subadd.intervals import Interval
 from subadd.search import MAX_GRID_N, MAX_REFINE_DEPTH, ScanConfig, Violation
@@ -301,21 +299,12 @@ def test_violate_rejects_grid_n_below_two(capsys, grid_n):
     assert err.startswith("error: grid_n") and err.count("\n") == 1
 
 
-def _subadd_env():
-    """This environment, with this checkout's ``subadd`` on the path of a
-    child interpreter."""
-    src = str(Path(subadd.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 def _cold_cli(*argv):
     """Run ``python -m subadd.cli`` in a fresh interpreter; returns
     (exit_code, stdout, stderr)."""
     proc = subprocess.run(
         [sys.executable, "-m", "subadd.cli", *argv],
-        env=_subadd_env(), capture_output=True, text=True,
+        env=subadd_env(), capture_output=True, text=True,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -341,7 +330,7 @@ def test_closed_stdout_exits_without_a_traceback():
     | head -0``: the child takes over 100 ms to import, and its stdout pipe
     is closed at once."""
     with subprocess.Popen(
-        [sys.executable, "-m", "subadd.cli", "certify"], env=_subadd_env(),
+        [sys.executable, "-m", "subadd.cli", "certify"], env=subadd_env(),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     ) as proc:
         proc.stdout.close()
@@ -386,34 +375,37 @@ def test_huge_box_scan_runs_without_traceback():
 
 
 #: Everything the CLI may load beyond the standard library: the two
-#: runtime dependencies (mpmath uses gmpy2 when it is installed) and the
-#: package's own modules.
+#: runtime dependencies (mpmath uses gmpy2 when it is installed).
 _CLI_THIRD_PARTY = {"numpy", "mpmath", "gmpy2"}
-_CLI_PACKAGE_MODULES = {
-    "subadd",
-    "subadd.analytic_core",
-    "subadd.certificate",
-    "subadd.cli",
-    "subadd.cone",
-    "subadd.errors",
-    "subadd.intervals",
-    "subadd.search",
-    "subadd.serialize",
-    "subadd.statement_oracles",
-}
-#: Per case, the third-party modules it may load and those it must.
-#: Importing the package or the CLI, and the subcommands that neither scan
-#: nor evaluate in high precision, load none; ``scan`` loads numpy for its
-#: kernel, and ``violate`` and ``table`` confirm in mpmath as well.
+#: What importing the CLI loads of the package besides ``subadd`` itself:
+#: the CLI, the errors, and the limits its help texts state.
+_CLI = "cli errors _limits"
+#: What building a configuration adds: every subcommand takes ``Params``.
+_CONFIG = _CLI + " analytic_core"
+_SCANNING = _CONFIG + " search"
+#: Per case, the ``subadd`` modules it loads besides the package, then the
+#: third-party modules it may load and those it must.  A case is an import
+#: statement or the arguments of one ``cli.main`` call.  Each command
+#: loads only the modules it runs, and ``--help`` loads no library module.
+#: Importing the CLI or the package, and the subcommands that neither scan
+#: nor evaluate in high precision, load no third-party module; ``scan``
+#: loads numpy for its kernel, and ``violate`` and ``table`` confirm in
+#: mpmath as well.
 _CLI_IMPORT_CASES = {
-    "import subadd": (set(), set()),
-    "import subadd.cli": (set(), set()),
-    "certify": (set(), set()),
-    "oracles": (set(), set()),
-    "cone": (set(), set()),
-    "scan": ({"numpy"}, {"numpy"}),
-    "violate": (_CLI_THIRD_PARTY, {"numpy", "mpmath"}),
-    "table": (_CLI_THIRD_PARTY, {"numpy", "mpmath"}),
+    "import subadd": ("", set(), set()),
+    "import subadd.cli": (_CLI, set(), set()),
+    "from subadd import cli": (_CLI, set(), set()),
+    "--help": (_CLI, set(), set()),
+    **{f"{sub} --help": (_CLI, set(), set()) for sub in cli._SUBCOMMANDS},
+    "certify": (_CONFIG + " intervals certificate", set(), set()),
+    "certify --format json": (
+        _CONFIG + " intervals certificate serialize", set(), set()
+    ),
+    "oracles": (_CONFIG + " intervals certificate statement_oracles", set(), set()),
+    "cone": (_CONFIG + " intervals cone", set(), set()),
+    "scan": (_SCANNING, {"numpy"}, {"numpy"}),
+    "violate": (_SCANNING, _CLI_THIRD_PARTY, {"numpy", "mpmath"}),
+    "table": (_SCANNING, _CLI_THIRD_PARTY, {"numpy", "mpmath"}),
 }
 
 
@@ -421,7 +413,7 @@ def _fresh_interpreter(probe, blas_threads=None):
     """stdout of ``probe`` run by a fresh interpreter that imports this
     checkout's ``subadd``; ``OPENBLAS_NUM_THREADS`` is ``blas_threads``, or
     unset when None."""
-    env = _subadd_env()
+    env = subadd_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
@@ -433,12 +425,13 @@ def _fresh_interpreter(probe, blas_threads=None):
 
 def _modules_loaded_by(case):
     """Modules a fresh interpreter loads for ``case``: an import statement,
-    or a subcommand run at its defaults through ``cli.main``."""
-    if not case.startswith("import "):
+    or the arguments of one ``cli.main`` call (a subcommand runs at its
+    defaults)."""
+    if not case.startswith(("import ", "from ")):
         case = (
             "from subadd.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main([{case!r}]) in (0, 1)"
+            f"    assert main({case.split()!r}) in (0, 1)"
         )
     probe = (
         "import contextlib, io, json, sys\n"
@@ -450,12 +443,11 @@ def _modules_loaded_by(case):
 
 
 def test_cli_import_loads_only_runtime_dependencies():
-    for case, (allowed, required) in _CLI_IMPORT_CASES.items():
+    for case, (modules, allowed, required) in _CLI_IMPORT_CASES.items():
         loaded = _modules_loaded_by(case)
         package = {m for m in loaded if m == "subadd" or m.startswith("subadd.")}
-        assert package <= _CLI_PACKAGE_MODULES
+        assert package == {"subadd", *(f"subadd.{m}" for m in modules.split())}, case
         outside = {m.split(".")[0] for m in loaded - package} - set(sys.stdlib_module_names)
-        assert outside <= _CLI_THIRD_PARTY
         assert required <= outside <= allowed, case
 
 
@@ -692,10 +684,11 @@ class _Reached(Exception):
 
 
 def _library_calls(monkeypatch):
-    """Replace the library functions ``cli`` calls with spies; returns a
-    function that runs one invocation up to its first computation and gives
-    the calls it made, each ``(name, args, kwargs)``.
-    ``violation_scan_config`` only builds a box and runs through."""
+    """Replace the library functions ``cli`` calls with spies, in the
+    library modules; returns a function that runs one invocation up to its
+    first computation and gives the calls it made, each ``(name, args,
+    kwargs)``.  ``violation_scan_config`` only builds a box and runs
+    through."""
     calls = []
 
     def spy(name, through=None):
@@ -707,20 +700,23 @@ def _library_calls(monkeypatch):
 
         return call
 
-    for name in (
-        "certify_S2", "scan_gap_min", "find_violation", "reproduce_table",
-        "make_generators",
+    for module, name in (
+        (certificate, "certify_S2"),
+        (search, "scan_gap_min"),
+        (search, "find_violation"),
+        (search, "reproduce_table"),
+        (cone, "make_generators"),
     ):
-        monkeypatch.setattr(cli, name, spy(name))
+        monkeypatch.setattr(module, name, spy(name))
     monkeypatch.setattr(
-        cli, "violation_scan_config",
-        spy("violation_scan_config", cli.violation_scan_config),
+        search, "violation_scan_config",
+        spy("violation_scan_config", search.violation_scan_config),
     )
     for name in (
         "check_rolle_identity", "check_monotone_f", "check_symmetrization",
         "check_tau_concavity", "semigroup_member", "indicator_example_check",
     ):
-        monkeypatch.setattr(cli.statement_oracles, name, spy(name))
+        monkeypatch.setattr(statement_oracles, name, spy(name))
 
     def calls_of(*argv):
         calls.clear()

@@ -27,7 +27,7 @@ from subadd.cone import (
     make_generators,
     q_of,
 )
-from subadd.errors import ConstructionBugError, InputError
+from subadd.errors import ConstructionBugError, InputError, RangeError
 from subadd.intervals import Interval, Tristate, certainly_le, iadd
 from subadd.serialize import from_jsonable, to_jsonable
 
@@ -684,29 +684,94 @@ def test_element_value_enclosures_contain_exact_value(cone):
             assert enc.width() < 1e-12 * max(1.0, enc.hi)
 
 
+def _summed_value_intervals(cone, x):
+    """``x``'s enclosure as the ``iadd`` from 0 of the terms'
+    :func:`_value_interval`, each recomputing ``1 / sqrt(prime)``: as
+    ``(lo.hex(), hi.hex())``, or the type of the error raised; a term that
+    ``float()`` cannot convert counts as a :class:`RangeError`."""
+    try:
+        total = Interval.point(0.0)
+        for gid, c in x.coeffs:
+            gen = cone.generator(gid)
+            total = iadd(total, _value_interval(c * gen.coef, gen.prime))
+    except OverflowError:
+        return RangeError
+    except Exception as exc:
+        return type(exc)
+    return total.lo.hex(), total.hi.hex()
+
+
+def _enclosure_bits(cone, x):
+    """``cone.element_value_interval(x)`` in the form of the above."""
+    try:
+        enc = cone.element_value_interval(x)
+    except Exception as exc:
+        return type(exc)
+    return enc.lo.hex(), enc.hi.hex()
+
+
 def test_cached_enclosures_match_value_interval():
     """The cone keeps each generator's ``1 / sqrt(prime)`` enclosure; its
     enclosures equal, bit for bit, the sums of :func:`_value_interval`
     that recompute that factor per coefficient."""
     cone = make_generators(60, 5)
     rng = random.Random(26027)
-
-    def reference(x):
-        total = Interval.point(0.0)
-        for gid, c in x.coeffs:
-            gen = cone.generator(gid)
-            total = iadd(total, _value_interval(c * gen.coef, gen.prime))
-        return total
-
     ids = cone.generator_ids()
     for gid in ids:
         for _ in range(20):
             c = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
             x = ConeElement(((gid, c),))
-            assert cone.element_value_interval(x) == reference(x)
+            assert _enclosure_bits(cone, x) == _summed_value_intervals(cone, x)
     for _ in range(500):
         x = _random_element(ids, rng)
-        assert cone.element_value_interval(x) == reference(x)
+        assert _enclosure_bits(cone, x) == _summed_value_intervals(cone, x)
+
+
+#: Coefficients at the edges of the float64 range: exact doubles (dyadic
+#: rationals, the largest double), rationals that round to a double's
+#: neighbour, round up to the largest double or overflow, and ones that
+#: underflow to subnormals or to zero.
+_EDGE_COEFFICIENTS = (
+    Fraction(3, 8),
+    Fraction(2**53 - 1),
+    Fraction(2**53 + 1),
+    Fraction(1, 2**60),
+    Fraction(10**300),
+    Fraction(10**308, 7),
+    Fraction(2**1024 - 2**970),
+    Fraction(2**1024 - 2**970 + 1),
+    Fraction(2**1024 - 2**969),
+    Fraction(10**400),
+    Fraction(1, 10**300),
+    Fraction(1, 2**1074),
+    Fraction(3, 2**1075),
+    Fraction(1, 10**330),
+)
+
+
+def test_enclosures_match_value_interval_at_the_float64_edges():
+    """Bit for bit, or the same error, on every edge coefficient of every
+    generator, on pairs of them, and on sums that overflow though each
+    term is finite."""
+    cone = make_generators(60, 5)
+    ids = cone.generator_ids()
+    outcomes = set()
+    for gid in ids:
+        for c in _EDGE_COEFFICIENTS:
+            x = ConeElement(((gid, c),))
+            got = _enclosure_bits(cone, x)
+            assert got == _summed_value_intervals(cone, x), (gid, c)
+            outcomes.add(got if isinstance(got, type) else "finite")
+    rng = random.Random(7)
+    for _ in range(400):
+        pair = rng.sample(ids, 2)
+        x = ConeElement(tuple((gid, rng.choice(_EDGE_COEFFICIENTS)) for gid in pair))
+        assert _enclosure_bits(cone, x) == _summed_value_intervals(cone, x), x
+    near_max = Fraction(17 * 10**307)
+    overflow = ConeElement(((R(1), near_max), (R(2), near_max), (B(1), 2 * near_max)))
+    assert _summed_value_intervals(cone, overflow) is RangeError
+    assert _enclosure_bits(cone, overflow) is RangeError
+    assert outcomes == {"finite", RangeError}
 
 
 def test_element_value_rejects_foreign_rays(small_cone):

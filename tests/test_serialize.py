@@ -32,6 +32,10 @@ from subadd.search import (
 from subadd.serialize import from_jsonable, to_jsonable
 from subadd.statement_oracles import RationalityCase, SemigroupStatus
 
+from conftest import fresh_json
+
+LIBRARY_MODULES = [getattr(subadd, m) for m in subadd._LIBRARY]
+
 
 def round_trip(obj):
     """Encode, push through real JSON text, decode."""
@@ -119,10 +123,20 @@ def test_registry_is_the_public_dataclasses_and_enums():
     nothing else is registered."""
     public = [getattr(subadd, name) for name in subadd.__all__]
     classes = [v for v in public if isinstance(v, type)]
-    assert serialize._DATACLASSES == {
+    registered_dataclasses, registered_enums = serialize._registry()
+    assert registered_dataclasses == {
         c.__name__: c for c in classes if dataclasses.is_dataclass(c)
     }
-    assert serialize._ENUMS == {c.__name__: c for c in classes if issubclass(c, enum.Enum)}
+    assert registered_enums == {c.__name__: c for c in classes if issubclass(c, enum.Enum)}
+    # The encoder's own test agrees, class by class.
+    registered = {*registered_dataclasses.values(), *registered_enums.values()}
+    encodable = {
+        v
+        for m in map(vars, LIBRARY_MODULES)
+        for v in m.values()
+        if isinstance(v, type) and (dataclasses.is_dataclass(v) or issubclass(v, enum.Enum))
+    }
+    assert {c for c in encodable if serialize._public(c)} == registered
 
 
 def test_core_dataclasses_round_trip(cert_params):
@@ -217,3 +231,98 @@ def test_nested_payload_round_trip(cert_params):
     assert back["config"]["params"] == cert_params
     assert back["rows"] == ((1, Interval(lo=0.5, hi=0.75)), (2, None))
     assert back["alpha"] == Fraction(1, 20)
+
+
+# ---------------------------------------------------------------------------
+# the registry is built on first decode
+# ---------------------------------------------------------------------------
+
+
+def _one_of_every_kind(cert_params):
+    """A payload holding an instance of every registered kind."""
+    cone = make_generators(3, 1)
+    gid = GeneratorId(kind=GeneratorKind.BASE, index=2)
+    x = ConeElement(((gid, Fraction(7, 3)),))
+    config = ScanConfig(box=(-1.0, 1.0, -1.0, 1.0), grid_n=5, refine_depth=0)
+    return {
+        "report": certify_S2(cert_params),
+        "config": config,
+        "element": x,
+        "flags": RegionFlags(in_A=False, in_B=True, in_C=True),
+        "scan": scan_gap_min(2.0, cert_params, config),
+        "violation": Violation(Order(2.0), cert_params, Point(0.0, 1.2), 0.01),
+        "row": TableRow(1.5, 0.05, 0.1, 0.0, 1.4, 0.02, -0.06, 0.001),
+        "generator": cone.generator(gid),
+        "witness": cone.check_subadditive_pair(x, x),
+        "enums": [Tristate.UNKNOWN, *RationalityCase, *SemigroupStatus],
+    }
+
+
+def _kinds(encoded):
+    """The ``__kind__`` and ``__enum__`` names in an encoded payload."""
+    if isinstance(encoded, list):
+        return set().union(*map(_kinds, encoded))
+    if isinstance(encoded, dict):
+        own = {encoded[k] for k in ("__kind__", "__enum__") if k in encoded}
+        return own.union(*map(_kinds, encoded.values()))
+    return set()
+
+
+def test_every_registered_kind_decodes_in_a_fresh_interpreter(cert_params):
+    encoded = to_jsonable(_one_of_every_kind(cert_params))
+    registered_dataclasses, registered_enums = serialize._registry()
+    assert _kinds(encoded) == {"Fraction", *registered_dataclasses, *registered_enums}
+    probe = (
+        "import json, sys\n"
+        "from subadd.serialize import from_jsonable, to_jsonable\n"
+        "before = sorted(m for m in sys.modules if m.startswith('subadd'))\n"
+        f"decoded = from_jsonable(json.loads({json.dumps(encoded)!r}))\n"
+        "print(json.dumps([before, to_jsonable(decoded), repr(decoded)]))"
+    )
+    before, again, text = fresh_json(probe)
+    assert before == ["subadd", "subadd.errors", "subadd.serialize"]
+    assert again == encoded
+    assert text == repr(from_jsonable(encoded))
+
+
+def test_unregistered_dataclasses_are_refused_in_a_fresh_interpreter():
+    """``cli.RunConfig``, a dataclass of another module, and one that
+    borrows a registered name are all refused, before any decode and
+    without loading a library module the object does not come from."""
+    probe = (
+        "import dataclasses, json, sys\n"
+        "from subadd.cli import build_config, build_parser\n"
+        "from subadd.errors import InputError\n"
+        "from subadd.serialize import to_jsonable\n"
+        "@dataclasses.dataclass\n"
+        "class Thing:\n"
+        "    x: int = 1\n"
+        "@dataclasses.dataclass\n"
+        "class Params:\n"
+        "    mu: float = 1.2\n"
+        "errors = []\n"
+        "for obj in (build_config(build_parser().parse_args(['certify'])), Thing(), Params()):\n"
+        "    try:\n"
+        "        to_jsonable({'x': obj})\n"
+        "    except InputError as exc:\n"
+        "        errors.append(str(exc))\n"
+        "print(json.dumps([errors, sorted(m for m in sys.modules if m.startswith('subadd'))]))"
+    )
+    errors, loaded = fresh_json(probe)
+    assert errors == [
+        f"cannot encode unregistered dataclass {name}"
+        for name in ("RunConfig", "Thing", "Params")
+    ]
+    assert "subadd.search" not in loaded and "subadd.cone" not in loaded
+
+
+def test_unregistered_dataclasses_are_refused():
+    from subadd.cli import build_config, build_parser
+
+    @dataclasses.dataclass
+    class Point:  # borrows a registered name
+        x: float = 0.0
+
+    for obj in (build_config(build_parser().parse_args(["cone"])), Point()):
+        with pytest.raises(InputError, match="unregistered dataclass"):
+            to_jsonable(obj)
