@@ -29,9 +29,9 @@ csv_rows, text_lines)`` and :func:`run` renders the ``--format`` asked for.
 
 Loading this module, building the parser and ``--help`` import no library
 module: the help texts and defaults read :mod:`subadd._limits`.  Building
-a configuration imports :mod:`subadd.analytic_core` (and
-:mod:`subadd.search` for the subcommands that scan), and each runner
-imports the modules it runs when it runs.
+a configuration imports :mod:`subadd.analytic_core` for the subcommands
+that take parameters (and :mod:`subadd.search` for those that scan), and
+each runner imports the modules it runs when it runs.
 
 Exit codes: 0 = affirmative/clean result, 1 = negative result or internal
 failure (not certified, violation found, table mismatch, oracle failure),
@@ -199,13 +199,15 @@ _NOT_A = {float: "not a number", int: "not an integer"}
 class RunConfig:
     """Fully resolved invocation: what :func:`run` executes.
 
+    ``params`` is set for the subcommands that take ``--mu/--sigma/--alpha``
+    and ``order`` for those that take ``--a``, each ``None`` otherwise;
     ``scan`` is the resolved grid configuration for the subcommands that
     scan (``scan``, ``violate``, ``table``) and ``None`` otherwise.
     """
 
     subcommand: str
-    params: Params
-    order: Order
+    params: Optional[Params] = None
+    order: Optional[Order] = None
     scan: Optional[ScanConfig] = None
     output_format: str = "text"
     precision_bits: int = MIN_PREC_BITS
@@ -213,15 +215,17 @@ class RunConfig:
     n_reserve: int = 2
 
     def __post_init__(self) -> None:
-        from .analytic_core import Order, Params
-
         if self.subcommand not in _SUBCOMMANDS:
             raise InputError(
                 f"unknown subcommand {self.subcommand!r}; "
                 f"expected one of {', '.join(_SUBCOMMANDS)}"
             )
-        require_instance(self.params, Params, "params")
-        require_instance(self.order, Order, "order")
+        if self.subcommand in _PARAMS:
+            from .analytic_core import Order, Params
+
+            require_instance(self.params, Params, "params")
+            if self.subcommand in _WINDOW:
+                require_instance(self.order, Order, "order")
         if self.scan is not None:
             from .search import ScanConfig
 
@@ -311,8 +315,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     errors come in a fixed order and a subcommand never parses a config
     value it does not take.
     """
-    from .analytic_core import Order, Params
-
     sub = args.subcommand
     filecfg = _parse_config_file(args.config) if args.config else {}
     defaults = {**_DEFAULTS, **_SCAN_DEFAULTS.get(sub, {})}
@@ -340,8 +342,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 out[opt.dest] = value
         return out
 
-    params = Params(**pick("mu", "sigma", "alpha"))
-    order = Order(**pick("a"))
+    params = order = None
+    if sub in _PARAMS:
+        from .analytic_core import Order, Params
+
+        params = Params(**pick("mu", "sigma", "alpha"))
+        if sub in _WINDOW:
+            order = Order(**pick("a"))
     output = pick("format", "precision-bits")
     scan = None
     if sub in _GRID:

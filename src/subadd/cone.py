@@ -77,7 +77,7 @@ from .errors import (
     require_int,
     require_sequence,
 )
-from .intervals import _ARITH_STEPS, Interval, _down, _up, idiv, imul, isqrt
+from .intervals import Interval, iadd, idiv, imul, isqrt
 
 __all__ = [
     "GeneratorKind",
@@ -345,35 +345,20 @@ class Cone:
     def element_value_interval(self, x: ConeElement) -> Interval:
         """Outward-rounded enclosure of the real value of ``x``: from 0,
         ``iadd`` each term, :func:`_value_interval`'s ``imul(coefficient,
-        1 / sqrt(prime))`` with the factor cached.  The endpoints are
-        computed here in floats, by the operations of
-        :func:`_fraction_interval`, ``imul`` and ``iadd`` in their order,
-        and one :class:`Interval` is built at the end, so the result is that
-        sum's bit for bit.  Raises :class:`RangeError` when a term's exact
-        value or the sum is beyond the float64 range."""
+        1 / sqrt(prime))`` with the factor cached, so the two agree bit for
+        bit.  Raises :class:`RangeError` when a term's exact value or the
+        sum is beyond the float64 range."""
         x = self._check_element(x, "x")
-        lo = hi = 0.0
+        total = Interval.point(0.0)
         for gid, c in x.coeffs:
-            # The term's rational as an unreduced num / den: int true
-            # division rounds correctly, as float() of the Fraction does.
-            coef = self._by_id[gid].coef
-            num, den = c.numerator * coef.numerator, c.denominator * coef.denominator
             try:
-                f = num / den
+                scaled = _fraction_interval(c * self._by_id[gid].coef)
             except OverflowError:
                 raise RangeError(
                     f"the term of {gid} is beyond the float64 range"
                 ) from None
-            f_num, f_den = f.as_integer_ratio()
-            if f_num * den == num * f_den:
-                s_lo = s_hi = f
-            else:
-                s_lo, s_hi = math.nextafter(f, -math.inf), math.nextafter(f, math.inf)
-            v = self._inv_sqrt[gid]
-            products = (s_lo * v.lo, s_lo * v.hi, s_hi * v.lo, s_hi * v.hi)
-            lo = _down(lo + _down(min(products), _ARITH_STEPS), _ARITH_STEPS)
-            hi = _up(hi + _up(max(products), _ARITH_STEPS), _ARITH_STEPS)
-        return Interval(lo, hi)  # raises RangeError if an endpoint overflowed
+            total = iadd(total, imul(scaled, self._inv_sqrt[gid]))
+        return total
 
     # -- the knee map -------------------------------------------------------
 
@@ -545,12 +530,9 @@ class Cone:
 
         for _ in range(samples):
             shape = rng.randrange(3)
-            if shape == 0:  # single BASE ray (knee branch mix)
-                gid = base_ids[rng.randrange(len(base_ids))]
-                t = Fraction(rng.randint(1, 999), 1000)
-                x = ConeElement(((gid, small_coeff(gid, t)),))
-            elif shape == 1:  # single RESERVE ray
-                gid = other_ids[rng.randrange(len(other_ids))]
+            if shape < 2:  # single BASE (knee branch mix) or RESERVE ray
+                pool = (base_ids, other_ids)[shape]
+                gid = pool[rng.randrange(len(pool))]
                 t = Fraction(rng.randint(1, 999), 1000)
                 x = ConeElement(((gid, small_coeff(gid, t)),))
             else:  # two-generator off-ray element

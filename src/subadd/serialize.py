@@ -9,19 +9,20 @@ passed through as-is (JSON round-trips binary64 exactly via repr);
 rationals go through exact ``"p/q"`` strings.  Tuples are encoded as JSON
 arrays and decoded back to tuples, matching the dataclasses' field types.
 
-Encoding asks only the object's own module whether its class is public,
-so it loads no other module; the first decode builds the registry of
-names from the package's ``__all__``, which loads every library module.
+One rule, :func:`_public`, says which classes JSON carries, in both
+directions: a class named in the ``__all__`` of the library module that
+defines it.  Encoding asks only the object's own module, so it loads no
+other module; decoding looks each kind up by name in the lazy ``subadd``
+namespace, which loads the library modules only up to the kind's own.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import sys
 from fractions import Fraction
-from typing import Any, Dict, Tuple, Type
+from typing import Any, Dict, Optional
 
 import subadd
 
@@ -30,28 +31,24 @@ from .errors import InputError, describe, require_fraction
 __all__ = ["to_jsonable", "from_jsonable"]
 
 
-@functools.cache
-def _registry() -> Tuple[Dict[str, Type], Dict[str, Type]]:
-    """``(dataclasses, enums)`` by name: the public classes of the package,
-    those named in its ``__all__``."""
-    classes = [
-        cls for cls in (getattr(subadd, name) for name in subadd.__all__)
-        if isinstance(cls, type)
-    ]
-    return (
-        {cls.__name__: cls for cls in classes if dataclasses.is_dataclass(cls)},
-        {cls.__name__: cls for cls in classes if issubclass(cls, enum.Enum)},
-    )
-
-
 def _public(cls: type) -> bool:
     """Whether ``cls`` is named in the ``__all__`` of the library module
-    that defines it: one of the registry's classes, found without it."""
+    that defines it: the one rule, for both directions, of which classes
+    JSON carries."""
     package, _, module = cls.__module__.rpartition(".")
     if package != __package__ or module not in subadd._LIBRARY:
         return False
     found = sys.modules[cls.__module__]
     return cls.__name__ in found.__all__ and getattr(found, cls.__name__) is cls
+
+
+def _kind(name: Any, test) -> Optional[type]:
+    """The public class the package names ``name``, if ``test`` holds for
+    it; the lazy namespace loads the library modules up to its own."""
+    cls = getattr(subadd, name, None) if isinstance(name, str) else None
+    if isinstance(cls, type) and test(cls) and _public(cls):
+        return cls
+    return None
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -89,10 +86,9 @@ def from_jsonable(data: Any) -> Any:
     if isinstance(data, list):
         return tuple(from_jsonable(v) for v in data)
     if isinstance(data, dict):
-        dataclass_kinds, enum_kinds = _registry()
         if "__enum__" in data:
             name = data["__enum__"]
-            cls = enum_kinds.get(name) if isinstance(name, str) else None
+            cls = _kind(name, lambda cls: issubclass(cls, enum.Enum))
             if cls is None:
                 raise InputError(f"unknown enum kind {describe(name)}")
             member = data.get("value")
@@ -103,7 +99,7 @@ def from_jsonable(data: Any) -> Any:
             name = data["__kind__"]
             if name == "Fraction":
                 return require_fraction(data.get("value"), "Fraction payload value")
-            cls = dataclass_kinds.get(name) if isinstance(name, str) else None
+            cls = _kind(name, dataclasses.is_dataclass)
             if cls is None:
                 raise InputError(f"unknown dataclass kind {describe(name)}")
             kwargs = {

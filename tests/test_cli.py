@@ -380,7 +380,8 @@ _CLI_THIRD_PARTY = {"numpy", "mpmath", "gmpy2"}
 #: What importing the CLI loads of the package besides ``subadd`` itself:
 #: the CLI, the errors, and the limits its help texts state.
 _CLI = "cli errors _limits"
-#: What building a configuration adds: every subcommand takes ``Params``.
+#: What building a configuration adds for the subcommands that take
+#: ``Params``.
 _CONFIG = _CLI + " analytic_core"
 _SCANNING = _CONFIG + " search"
 #: Per case, the ``subadd`` modules it loads besides the package, then the
@@ -402,7 +403,7 @@ _CLI_IMPORT_CASES = {
         _CONFIG + " intervals certificate serialize", set(), set()
     ),
     "oracles": (_CONFIG + " intervals certificate statement_oracles", set(), set()),
-    "cone": (_CONFIG + " intervals cone", set(), set()),
+    "cone": (_CLI + " intervals cone", set(), set()),
     "scan": (_SCANNING, {"numpy"}, {"numpy"}),
     "violate": (_SCANNING, _CLI_THIRD_PARTY, {"numpy", "mpmath"}),
     "table": (_SCANNING, _CLI_THIRD_PARTY, {"numpy", "mpmath"}),

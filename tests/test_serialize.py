@@ -19,7 +19,7 @@ from subadd.cone import (
     GeneratorKind,
     make_generators,
 )
-from subadd.errors import InputError
+from subadd.errors import InputError, describe
 from subadd.intervals import Interval, Tristate
 from subadd.search import (
     ScanConfig,
@@ -118,25 +118,62 @@ def test_enum_round_trips():
             assert round_trip(member) is member
 
 
-def test_registry_is_the_public_dataclasses_and_enums():
-    """Every dataclass and enum the package exports is encodable, and
-    nothing else is registered."""
-    public = [getattr(subadd, name) for name in subadd.__all__]
-    classes = [v for v in public if isinstance(v, type)]
-    registered_dataclasses, registered_enums = serialize._registry()
-    assert registered_dataclasses == {
-        c.__name__: c for c in classes if dataclasses.is_dataclass(c)
-    }
-    assert registered_enums == {c.__name__: c for c in classes if issubclass(c, enum.Enum)}
-    # The encoder's own test agrees, class by class.
-    registered = {*registered_dataclasses.values(), *registered_enums.values()}
-    encodable = {
-        v
-        for m in map(vars, LIBRARY_MODULES)
-        for v in m.values()
+def _dataclasses_and_enums(values):
+    return {
+        v for v in values
         if isinstance(v, type) and (dataclasses.is_dataclass(v) or issubclass(v, enum.Enum))
     }
-    assert {c for c in encodable if serialize._public(c)} == registered
+
+
+def _exported_kinds():
+    """The dataclasses and enums the package's ``__all__`` names."""
+    return _dataclasses_and_enums(getattr(subadd, name) for name in subadd.__all__)
+
+
+@dataclasses.dataclass
+class _Unlisted:
+    x: int = 1
+
+
+class _UnlistedEnum(enum.Enum):
+    A = "A"
+
+
+def test_registry_is_the_public_dataclasses_and_enums():
+    """Every dataclass and enum the package exports decodes by its name;
+    every other one, in the package's modules or outside them, is refused
+    both ways with the message it always had."""
+    from subadd import cli
+
+    exported = _exported_kinds()
+    modules = [*LIBRARY_MODULES, cli, serialize]
+    classes = _dataclasses_and_enums(v for m in modules for v in vars(m).values())
+    assert exported <= classes and cli.RunConfig in classes
+    for cls in classes | {_Unlisted, _UnlistedEnum}:
+        name = cls.__name__
+        assert serialize._public(cls) == (cls in exported), name
+        if issubclass(cls, enum.Enum):
+            instance = next(iter(cls))
+            payload = {"__enum__": name, "value": instance.name}
+            refusals = (f"cannot encode object of type {name}", "unknown enum kind")
+        else:
+            instance = cls.__new__(cls)
+            # A field no dataclass has: a known kind fails on the payload.
+            payload = {"__kind__": name, "__not_a_field__": 0}
+            refusals = (f"cannot encode unregistered dataclass {name}", "unknown dataclass kind")
+        if cls in exported and isinstance(instance, enum.Enum):
+            assert round_trip(instance) is instance
+        elif cls in exported:
+            with pytest.raises(InputError, match=f"^bad payload for {name}: "):
+                from_jsonable(payload)
+        else:
+            for call, arg, message in zip(
+                (to_jsonable, from_jsonable), (instance, payload),
+                (refusals[0], f"{refusals[1]} {describe(name)}"),
+            ):
+                with pytest.raises(InputError) as refused:
+                    call(arg)
+                assert str(refused.value) == message
 
 
 def test_core_dataclasses_round_trip(cert_params):
@@ -270,8 +307,7 @@ def _kinds(encoded):
 
 def test_every_registered_kind_decodes_in_a_fresh_interpreter(cert_params):
     encoded = to_jsonable(_one_of_every_kind(cert_params))
-    registered_dataclasses, registered_enums = serialize._registry()
-    assert _kinds(encoded) == {"Fraction", *registered_dataclasses, *registered_enums}
+    assert _kinds(encoded) == {"Fraction", *(cls.__name__ for cls in _exported_kinds())}
     probe = (
         "import json, sys\n"
         "from subadd.serialize import from_jsonable, to_jsonable\n"
@@ -283,6 +319,26 @@ def test_every_registered_kind_decodes_in_a_fresh_interpreter(cert_params):
     assert before == ["subadd", "subadd.errors", "subadd.serialize"]
     assert again == encoded
     assert text == repr(from_jsonable(encoded))
+
+
+def test_decoding_loads_the_library_modules_up_to_each_kinds_own():
+    """Decoding ``subadd certify --format json`` finds each kind in the
+    lazy namespace: it loads the certificate and the library modules
+    before it, and none after."""
+    from subadd import cli
+
+    args = cli.build_parser().parse_args(["certify", "--format", "json"])
+    code, output = cli.run(cli.build_config(args))
+    assert code == 0
+    probe = (
+        "import json, sys\n"
+        "from subadd.serialize import from_jsonable\n"
+        f"decoded = from_jsonable(json.loads({output!r}))\n"
+        "assert type(decoded).__name__ == 'CertificateReport'\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('subadd'))))"
+    )
+    modules = ("_limits", "analytic_core", "certificate", "errors", "intervals", "serialize")
+    assert fresh_json(probe) == ["subadd", *(f"subadd.{m}" for m in modules)]
 
 
 def test_unregistered_dataclasses_are_refused_in_a_fresh_interpreter():

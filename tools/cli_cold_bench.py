@@ -22,9 +22,10 @@ order every other round (``--rounds``, default 10).  The conditions:
   label's own, filled by one untimed run of each command before the first
   round, so every command reads all of its bytecode from there.
 
-The commands and their documented exit codes are those of the
-``cli-cold`` workload (``perfbench/workloads.py``); a run whose exit code
-differs, or whose stdout differs between labels, is reported.  One sample
+The commands and their documented exit codes are read from the
+``cli-cold`` workload, ``CLI_COMMANDS`` in ``perfbench/workloads.py``
+(imported with this checkout's ``src``); a run whose exit code differs,
+or whose stdout differs between labels, is reported.  One sample
 is the wall time of one command's interpreter, start to exit, as the
 workload measures it; a round's total is the sum over the six.
 
@@ -54,16 +55,11 @@ from pathlib import Path
 from kernel_bench import host
 
 ROOT = Path(__file__).resolve().parent.parent
-ROUNDS = 10
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 #: The ``cli-cold`` workload's commands, with their documented exit codes.
-COMMANDS = (
-    (("certify", "--format", "json"), 0),
-    (("scan",), 1),
-    (("violate", "--format", "json"), 1),
-    (("table",), 1),
-    (("oracles",), 0),
-    (("cone",), 0),
-)
+from workloads import CLI_COMMANDS as COMMANDS  # noqa: E402
+
+ROUNDS = 10
 CONDITIONS = ("no-bytecode", "warm-cache")
 
 
