@@ -526,63 +526,44 @@ def _run_table(config: RunConfig):
 
 
 def _run_oracles(config: RunConfig):
-    from . import statement_oracles
+    from . import statement_oracles as so
 
     p = config.params
+    gens = (Fraction(1, 2), Fraction(1, 3))
+    # (name, check, positional arguments, passing answer, detail)
+    battery = [
+        *(
+            (f"rolle-identity-{handle}", so.check_rolle_identity, (handle, t, p), True,
+             f"interior-slope probe at t={t} lies in the sampled range")
+            for handle, t in (("f", 0.75), ("g", 0.5), ("h", 1.25))
+        ),
+        ("monotone-increasing-f", so.check_monotone_f, (p,), True,
+         "derivative positive and nondecreasing on the sampled ray"),
+        ("symmetrization-reduction", so.check_symmetrization, (p,), True,
+         "gap(x, y) >= gap(|x|, |y|) on sampled small-region pairs"),
+        ("tau-concavity", so.check_tau_concavity, (p, 1.0), True,
+         "restricted profile has nonpositive second differences"),
+        ("semigroup-membership-positive", so.semigroup_member,
+         (Fraction(7, 6), gens, 5), True,
+         "7/6 reachable from {1/2, 1/3} within 5 terms"),
+        ("semigroup-membership-negative", so.semigroup_member,
+         (Fraction(1, 5), gens, 5), False,
+         "1/5 provably unreachable from {1/2, 1/3}"),
+        *(
+            (f"indicator-order-{a}", so.indicator_example_check, (a,), expected,
+             f"step-function example is {'' if expected else 'not '}"
+             f"{a}-subadditive as expected")
+            for a, expected in ((1, False), (2, True), (3, True))
+        ),
+    ]
     results: List[Tuple[str, str, str]] = []
-
-    def record(name: str, fn, detail: str) -> None:
+    for name, check, args, passing, detail in battery:
         try:
-            ok = fn()
+            answer = check(*args)
         except PreconditionError as exc:
             results.append((name, "skipped", str(exc)))
         else:
-            results.append((name, "pass" if ok else "fail", detail))
-
-    for handle, t in (("f", 0.75), ("g", 0.5), ("h", 1.25)):
-        record(
-            f"rolle-identity-{handle}",
-            lambda handle=handle, t=t: statement_oracles.check_rolle_identity(
-                handle, t, p
-            ),
-            f"interior-slope probe at t={t} lies in the sampled range",
-        )
-    record(
-        "monotone-increasing-f",
-        lambda: statement_oracles.check_monotone_f(p),
-        "derivative positive and nondecreasing on the sampled ray",
-    )
-    record(
-        "symmetrization-reduction",
-        lambda: statement_oracles.check_symmetrization(p),
-        "gap(x, y) >= gap(|x|, |y|) on sampled small-region pairs",
-    )
-    record(
-        "tau-concavity",
-        lambda: statement_oracles.check_tau_concavity(p, 1.0),
-        "restricted profile has nonpositive second differences",
-    )
-    demo_gens = (Fraction(1, 2), Fraction(1, 3))
-    record(
-        "semigroup-membership-positive",
-        lambda: statement_oracles.semigroup_member(Fraction(7, 6), demo_gens, 5)
-        is True,
-        "7/6 reachable from {1/2, 1/3} within 5 terms",
-    )
-    record(
-        "semigroup-membership-negative",
-        lambda: statement_oracles.semigroup_member(Fraction(1, 5), demo_gens, 5)
-        is False,
-        "1/5 provably unreachable from {1/2, 1/3}",
-    )
-    for a, expected in ((1, False), (2, True), (3, True)):
-        record(
-            f"indicator-order-{a}",
-            lambda a=a, expected=expected: statement_oracles.indicator_example_check(a)
-            is expected,
-            f"step-function example is {'' if expected else 'not '}"
-            f"{a}-subadditive as expected",
-        )
+            results.append((name, "pass" if answer is passing else "fail", detail))
 
     failed = [name for name, status, _ in results if status == "fail"]
     payload = {
@@ -610,11 +591,10 @@ def _random_cone_element(cone: Cone, rng: random.Random) -> ConeElement:
 
     ids = cone.generator_ids()
     count = rng.randint(1, min(3, len(ids)))
-    chosen = rng.sample(range(len(ids)), count)
     return ConeElement(
         tuple(
-            (ids[i], Fraction(rng.randint(1, 50), rng.randint(1, 50)))
-            for i in chosen
+            (gid, Fraction(rng.randint(1, 50), rng.randint(1, 50)))
+            for gid in rng.sample(ids, count)
         )
     )
 

@@ -381,27 +381,22 @@ class Cone:
                 raise InputError(f"{what} uses unknown generator {describe(gid, str)}")
         return x
 
-    def apply_f(self, x: ConeElement) -> ConeElement:
-        """The map: knee on single-BASE-ray elements, identity off the
-        rays (multi-generator elements and RESERVE rays are fixed)."""
-        return self._f(self._check_element(x, "x"))
-
-    def _f(self, x: ConeElement) -> ConeElement:
-        # The map on an element already checked to lie in this cone.
+    def _ray(self, x: ConeElement, knee) -> ConeElement:
+        # ``knee`` (the map or its inverse) on a single-BASE-ray element of
+        # this cone; ``x`` itself off the rays.
         gid = x.single_base_ray()
         if gid is None:
             return x
-        r = x.coeffs[0][1]
-        return ConeElement(((gid, self._knee(self._scales[gid.index], r)),))
+        return ConeElement(((gid, knee(self._scales[gid.index], x.coeffs[0][1])),))
+
+    def apply_f(self, x: ConeElement) -> ConeElement:
+        """The map: knee on single-BASE-ray elements, identity off the
+        rays (multi-generator elements and RESERVE rays are fixed)."""
+        return self._ray(self._check_element(x, "x"), self._knee)
 
     def apply_f_inv(self, y: ConeElement) -> ConeElement:
         """Exact inverse of :meth:`apply_f`."""
-        y = self._check_element(y, "y")
-        gid = y.single_base_ray()
-        if gid is None:
-            return y
-        s = y.coeffs[0][1]
-        return ConeElement(((gid, self._knee_inv(self._scales[gid.index], s)),))
+        return self._ray(self._check_element(y, "y"), self._knee_inv)
 
     # -- certification ------------------------------------------------------
 
@@ -421,9 +416,9 @@ class Cone:
         """
         x = self._check_element(x, "x")
         y = self._check_element(y, "y")
-        fx = self._f(x).to_dict()
-        fy = self._f(y).to_dict()
-        fs = self._f(x + y).to_dict()
+        fx = self._ray(x, self._knee).to_dict()
+        fy = self._ray(y, self._knee).to_dict()
+        fs = self._ray(x + y, self._knee).to_dict()
         support = sorted(set(fx) | set(fy) | set(fs), key=lambda g: g.sort_key())
         zero = Fraction(0)
         slacks = []
@@ -455,12 +450,8 @@ class Cone:
         ``n`` itself and ``f(p_n) = q_n p_n``.  The exact integer
         certificate behind :func:`q_of` proves ``1 - 2^-n < q_n p_n < 1``
         for every row; the returned intervals are display enclosures of
-        the two real values."""
-        require_int(N, "N", 1)
-        if N > self.n_base:
-            raise InputError(
-                f"N={describe(N)} exceeds the {self.n_base} BASE generators"
-            )
+        the two real values.  ``N`` must lie in ``[1, n_base]``."""
+        require_int(N, "N", 1, self.n_base)
         rows = []
         one = Fraction(1)
         for n in range(1, N + 1):

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -227,6 +228,32 @@ def test_oracles_skip_when_hypothesis_fails(capsys):
     assert statuses["symmetrization-reduction"] == "skipped"
     assert statuses["tau-concavity"] == "skipped"
     assert statuses["indicator-order-2"] == "pass"
+
+
+def test_oracles_fail_when_each_answer_flips(monkeypatch, capsys):
+    # Each check returns the opposite of its row's passing answer.
+    for name in (
+        "check_rolle_identity", "check_monotone_f", "check_symmetrization",
+        "check_tau_concavity",
+    ):
+        monkeypatch.setattr(statement_oracles, name, lambda *args: False)
+    monkeypatch.setattr(
+        statement_oracles, "semigroup_member",
+        lambda target, gens, max_terms: target == Fraction(1, 5),
+    )
+    monkeypatch.setattr(statement_oracles, "indicator_example_check", lambda a: a == 1)
+    names = [
+        "rolle-identity-f", "rolle-identity-g", "rolle-identity-h",
+        "monotone-increasing-f", "symmetrization-reduction", "tau-concavity",
+        "semigroup-membership-positive", "semigroup-membership-negative",
+        "indicator-order-1", "indicator-order-2", "indicator-order-3",
+    ]
+    code, out, err = run_cli(capsys, "oracles")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[1:-1]] == [f"oracle {n}" for n in names]
+    assert all(": FAIL (" in line for line in lines[1:-1])
+    assert lines[-1] == f"result: 0/11 passed, failures: {', '.join(names)}"
 
 
 # ---------------------------------------------------------------------------

@@ -601,7 +601,7 @@ def test_limsup_values_match_frozen(cone):
 def test_limsup_validation(cone):
     with pytest.raises(InputError):
         cone.limsup_sequence(0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="N must be <= 20, got 21"):
         cone.limsup_sequence(21)  # only 20 base rays
     with pytest.raises(InputError):
         cone.limsup_sequence(2.0)
