@@ -29,9 +29,11 @@ The namespace is lazy (PEP 562): ``import subadd`` loads no library
 module.  The first access of a name, ``subadd.Cone`` say, looks for it in
 the library modules already loaded, then imports the others in the order
 of ``_LIBRARY`` until one lists it; the name is then bound here, so later
-accesses are plain lookups.  The package's other modules (``cli``,
-``serialize``) are not searched for: ``from subadd import cli`` loads the
-CLI alone.  ``subadd.__all__``, ``dir(subadd)`` and
+accesses are plain lookups.  A walk that finds a name in no module has
+loaded them all, so it binds every public name (as ``__all__`` does), and
+each later unknown name is refused without a lookup.  The package's other
+modules (``cli``, ``serialize``) are not searched for: ``from subadd
+import cli`` loads the CLI alone.  ``subadd.__all__``, ``dir(subadd)`` and
 ``from subadd import *`` load every library module and bind every name.
 So a command loads only the modules it runs: ``subadd certify`` never
 compiles the search or the cone, and ``subadd cone`` never compiles the
@@ -81,7 +83,8 @@ def __getattr__(name: str):
     # A dunder, or a submodule outside the library (``from subadd import
     # cli`` imports it once this raises), is no library name.
     if (
-        not name.startswith("__")
+        "__all__" not in namespace
+        and not name.startswith("__")
         and name.isidentifier()
         and importlib.util.find_spec(f"{__name__}.{name}") is None
     ):
@@ -89,6 +92,7 @@ def __getattr__(name: str):
             if name in found.__all__:
                 namespace[name] = getattr(found, name)
                 return namespace[name]
+        __getattr__("__all__")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -8,7 +8,8 @@ Subcommands::
               (exit 1 iff a violation is confirmed, 0 when none is found)
     table     re-derive the stored reference rows (exit 0 iff reproduced)
     oracles   run the supporting-statement oracle battery (exit 0 iff all pass)
-    cone      build the exact cone construction and self-check it
+    cone      prove the cone construction's theorem per generator (exit 0 iff
+              every fact, witness and round trip holds)
 
 Every option is one row of ``_OPTIONS``: the flag ``--NAME`` and the key
 ``NAME`` of the ``--config FILE`` (a ``key = value`` file, ``_`` allowed
@@ -46,9 +47,8 @@ import importlib
 import io
 import json
 import os
-import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -121,8 +121,6 @@ _SCAN_DEFAULTS = {
     "table": {"box": FULL_BOX},
 }
 
-_CONE_PAIRS = 200
-_CONE_SEED = 20260818
 _CONE_EPS = Fraction(1, 2)
 
 #: Absolute agreement required for a reference-table margin to count as
@@ -586,89 +584,96 @@ def _run_oracles(config: RunConfig):
     return (1 if failed else 0), payload, ("oracle", "status", "detail"), results, lines
 
 
-def _random_cone_element(cone: Cone, rng: random.Random) -> ConeElement:
-    from .cone import ConeElement
+def _cone_pairs(cone: Cone) -> List[Tuple[ConeElement, ConeElement]]:
+    """One fixed pair ``(x, y)`` for each case of the lemma, ``SAME_RAY``
+    with ``x + y`` below and then above the knee: those whose generators
+    the cone has (``CROSS_RAY`` needs two BASE rays)."""
+    from .cone import ConeElement, GeneratorId, GeneratorKind
 
-    ids = cone.generator_ids()
-    count = rng.randint(1, min(3, len(ids)))
-    return ConeElement(
-        tuple(
-            (gid, Fraction(rng.randint(1, 50), rng.randint(1, 50)))
-            for gid in rng.sample(ids, count)
-        )
+    b1, b2 = (GeneratorId(GeneratorKind.BASE, n) for n in (1, 2))
+    r1 = GeneratorId(GeneratorKind.RESERVE, 1)
+    pairs = (
+        ({b1: Fraction(1, 3)}, {b1: Fraction(1, 2)}),
+        ({b1: Fraction(1, 2)}, {b1: 1}),
+        ({b1: 1}, {b2: 1}),
+        ({b1: 1}, {r1: 1}),
+        ({r1: 1}, {b1: 1, r1: 1}),
     )
+    ids = set(cone.generator_ids())
+    return [(ConeElement(x), ConeElement(y)) for x, y in pairs if {*x, *y} <= ids]
+
+
+def _fmt_terms(terms) -> str:
+    """``c*B1 + c*R2`` for ``(GeneratorId, Fraction)`` pairs: an element's
+    coefficients or a witness's slacks."""
+    return " + ".join(f"{c}*{gid.kind.value[0]}{gid.index}" for gid, c in terms)
 
 
 def _run_cone(config: RunConfig):
-    from .cone import GeneratorId, GeneratorKind
-
     cone = make_generators(config.n_base, config.n_reserve)
+    facts = cone.ray_facts()
     limsup = cone.limsup_sequence(config.n_base)
     liminf = cone.liminf_sequence(10)
-
-    rng = random.Random(_CONE_SEED)
-    pairs_valid = 0
-    round_trips_exact = 0
-    for _ in range(_CONE_PAIRS):
-        x = _random_cone_element(cone, rng)
-        y = _random_cone_element(cone, rng)
-        if cone.check_subadditive_pair(x, y).is_valid():
-            pairs_valid += 1
-        if cone.apply_f_inv(cone.apply_f(x)) == x:
-            round_trips_exact += 1
-    upper_ok = cone.upper_bound_check(_CONE_EPS, _CONE_PAIRS)
+    witnesses = []
+    for x, y in _cone_pairs(cone):
+        total = x + y
+        exact = cone.apply_f_inv(cone.apply_f(total)) == total
+        witnesses.append((x, y, cone.check_subadditive_pair(x, y), exact))
+    upper_ok = cone.upper_bound_check(_CONE_EPS)
     all_ok = (
-        pairs_valid == _CONE_PAIRS
-        and round_trips_exact == _CONE_PAIRS
+        all(f.holds() for f in facts)
+        and all(w.is_valid() and exact for _, _, w, exact in witnesses)
         and upper_ok
     )
 
-    scale_rows = [
-        (
-            n,
-            cone.generator(GeneratorId(GeneratorKind.BASE, n)).prime,
-            cone.q_of(n),
-            value,
-            image,
-        )
-        for n, value, image in limsup
-    ]
+    scale_rows = [(f, value, image) for f, (_, value, image) in zip(facts, limsup)]
     payload = {
         "n_base": config.n_base,
         "n_reserve": config.n_reserve,
         "scales": [
-            {"n": n, "prime": prime, "q": q, "value": value, "image": image}
-            for n, prime, q, value, image in scale_rows
+            {**asdict(f), "value": value, "image": image}
+            for f, value, image in scale_rows
         ],
         "liminf": [
             {"k": k, "value": value, "image": image}
             for k, value, image in liminf
         ],
-        "pairs_checked": _CONE_PAIRS,
-        "pairs_valid": pairs_valid,
-        "round_trips_exact": round_trips_exact,
+        "witnesses": [
+            {"x": x, "y": y, "witness": w, "round_trip_exact": exact}
+            for x, y, w, exact in witnesses
+        ],
         "upper_bound_ok": upper_ok,
         "all_ok": all_ok,
     }
-    header = ("n", "prime", "q", "value_lo", "value_hi", "image_lo", "image_hi")
+    header = (
+        "n", "prime", "q", "knee_ok", "limsup_ok", "below_one",
+        "value_lo", "value_hi", "image_lo", "image_hi",
+    )
     rows = [
-        (n, prime, q, value.lo, value.hi, image.lo, image.hi)
-        for n, prime, q, value, image in scale_rows
+        (*astuple(f), value.lo, value.hi, image.lo, image.hi)
+        for f, value, image in scale_rows
     ]
     ks = ", ".join(f"k={k}: <={value.hi!r}" for k, value, _ in liminf[:4])
     lines = [
         f"cone: {config.n_base} BASE + {config.n_reserve} RESERVE generators",
-        "scale certificates (integer-exact, image of BASE ray n in "
-        "(1 - 2^-n, 1)):",
+        "lemma: f is K_n(r) = min(q r, r + q - 1) on BASE ray n and fixes the "
+        "rest; x + y lies on ray n only if x and y do",
+        "per-generator facts (integer-exact): q >= 1 (K_n concave, increasing, "
+        "onto), (2^n - 1)^2 prime < q^2 < 4^n prime (1 - 2^-n < p_n q < 1):",
         *(
-            f"  n={n}: prime={prime} q={q} value~{_fmt_interval(value)} "
-            f"image~{_fmt_interval(image)}"
-            for n, prime, q, value, image in scale_rows
+            f"  n={f.n}: prime={f.prime} q={f.q} value~{_fmt_interval(value)} "
+            f"image~{_fmt_interval(image)} facts {'hold' if f.holds() else 'FAIL'}"
+            for f, value, image in scale_rows
         ),
         f"reserve ray is fixed pointwise; approach-zero values {ks} ...",
-        f"subadditivity witnesses: {pairs_valid}/{_CONE_PAIRS} random pairs valid",
-        f"exact round-trips: {round_trips_exact}/{_CONE_PAIRS}",
-        f"small-element image bound (< 1 + {_CONE_EPS}): "
+        "subadditivity witnesses, one per case:",
+        *(
+            f"  {w.case_tag.value}: x={_fmt_terms(x.coeffs)}, y={_fmt_terms(y.coeffs)}"
+            f": f(x) + f(y) - f(x + y) = {_fmt_terms(w.slacks)}; round trip of "
+            f"x + y {'exact' if exact else 'INEXACT'}"
+            for x, y, w, exact in witnesses
+        ),
+        f"small-element image bound (< 1 + {_CONE_EPS}), from the facts: "
         f"{'PASS' if upper_ok else 'FAIL'}",
         f"result: {'all checks passed' if all_ok else 'CHECKS FAILED'}",
     ]

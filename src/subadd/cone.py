@@ -42,24 +42,41 @@ stretches each BASE ray and fixes the elements beside it, so ``x = p_1``
 the value of RESERVE generator 1), yet ``f(x) = q_1 p_1`` (about 0.70711)
 lies above ``f(y) = y``.
 
-Why it matters.  ``K_n`` is concave with ``K_n(0) = 0``, hence subadditive
-on its ray, and ``K_n(r) >= r``; together these certify real-number
-subadditivity of the whole map pair-by-pair
-(:meth:`Cone.check_subadditive_pair` returns the per-generator slack
-vector of ``f(x) + f(y) - f(x + y)``, every entry a nonnegative exact
-rational).  Meanwhile the BASE rays show the map's wild behaviour near
-zero: ``p_n -> 0`` while ``f(p_n) = q_n p_n -> 1`` from below
+The proof, per generator.  By linear independence ``x + y`` lies on BASE
+ray ``n`` only if ``x`` and ``y`` both do, so the map is subadditive once
+each knee map is, and a bijection once each knee map is.  Three exact
+integer facts per BASE generator settle it, and :meth:`Cone.ray_facts`
+decides them:
+
+- ``q_n >= 1``: ``K_n`` is concave with ``K_n(0) = 0`` (so subadditive on
+  its ray) and ``K_n(r) >= r`` (so ``f(x) + f(y) >= x + y = f(x + y)``
+  when the sum leaves the rays), and strictly increasing and onto the
+  positive rationals (so the map is a bijection);
+- ``(2^n - 1)^2 * prime < q_n^2``, i.e. ``p_n q_n > 1 - 2^-n``: the limsup;
+- ``q_n^2 < 4^n * prime``, i.e. ``p_n q_n < 1``: with ``q_n >= 1`` it
+  bounds the map near zero, since ``K_n(r) = min(q_n r, r + q_n - 1)``
+  makes the sup of ``f`` over BASE-ray ``n`` elements of value below
+  ``eps`` equal ``min(q_n eps, eps + p_n (q_n - 1)) < 1 + eps``, and off
+  those rays ``f(x) = x`` (:meth:`Cone.upper_bound_check`).
+
+:meth:`Cone.check_subadditive_pair` shows one pair's case of the lemma: the
+per-generator slack vector of ``f(x) + f(y) - f(x + y)``, every entry a
+nonnegative exact rational.  The BASE rays show the map's wild behaviour
+near zero: ``p_n -> 0`` while ``f(p_n) = q_n p_n -> 1`` from below
 (:meth:`Cone.limsup_sequence`), and the reserve sequence ``x_k = (1/k) *``
 (RESERVE generator 1) tends to 0 with ``f(x_k) = x_k``
 (:meth:`Cone.liminf_sequence`).  So the map has no limit at 0: liminf 0,
 limsup 1.
+
+Scope.  The paper's theorem covers any positive rational cone that is not
+finitely generated; this module builds one such cone, the rational span
+of the generators above.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,17 +103,17 @@ __all__ = [
     "ConeElement",
     "WitnessCase",
     "SubadditivityWitness",
+    "RayFacts",
     "Cone",
     "make_generators",
     "q_of",
     "MAX_GENERATORS",
 ]
 
-_UPPER_BOUND_SEED = 771077
-
-#: Largest row count of :meth:`Cone.liminf_sequence` and sample count of
-#: :meth:`Cone.upper_bound_check`: at the cap either takes 0.3 to 0.5 s, in a
-#: process of about 21 MB peak RSS (2-core Xeon VM, Python 3.11).
+#: Largest row count of :meth:`Cone.liminf_sequence`, which at the cap
+#: takes about 0.55 s in a process of about 19 MB peak RSS (2-core Xeon VM,
+#: Python 3.11); also the largest ``samples`` that
+#: :meth:`Cone.upper_bound_check` accepts and no longer uses.
 _MAX_COUNT = 10_000
 
 #: Primes found so far, in order; grown on demand by :func:`_nth_prime`.
@@ -284,6 +301,34 @@ class SubadditivityWitness:
         return all(s >= 0 for _, s in self.slacks)
 
 
+@dataclass(frozen=True)
+class RayFacts:
+    """The exact integer facts of BASE generator ``n`` (value ``p_n``,
+    ``prime``, scale ``q``) that the module docstring's proof rests on, as
+    :meth:`decide` decides them:
+
+    - ``knee_ok``: ``q >= 1``, so ``K_n`` is concave, strictly increasing
+      and onto, with ``K_n(0) = 0`` and ``K_n(r) >= r``;
+    - ``limsup_ok``: ``(2^n - 1)^2 * prime < q^2``, i.e. ``p_n q > 1 - 2^-n``;
+    - ``below_one``: ``q^2 < 4^n * prime``, i.e. ``p_n q < 1``.
+    """
+
+    n: int
+    prime: int
+    q: int
+    knee_ok: bool
+    limsup_ok: bool
+    below_one: bool
+
+    @classmethod
+    def decide(cls, n: int, prime: int, q: int) -> "RayFacts":
+        low, high = (2**n - 1) ** 2 * prime, 4**n * prime
+        return cls(n, prime, q, q >= 1, low < q * q, q * q < high)
+
+    def holds(self) -> bool:
+        return self.knee_ok and self.limsup_ok and self.below_one
+
+
 def q_of(n: int) -> int:
     """The certified scale of BASE generator ``n``: the smallest integer
     ``q`` with ``p_n * q > 1 - 2^-n``, i.e. the smallest integer in the
@@ -297,9 +342,8 @@ def q_of(n: int) -> int:
     """
     require_int(n, "n", 1, MAX_GENERATORS)
     prime = _generator(GeneratorId(GeneratorKind.BASE, n)).prime
-    m = (2**n - 1) ** 2 * prime
-    q = math.isqrt(m) + 1
-    if not (m < q * q and q * q < 4**n * prime):
+    q = math.isqrt((2**n - 1) ** 2 * prime) + 1
+    if not RayFacts.decide(n, prime, q).holds():
         raise ConstructionBugError(
             f"scale certification failed for n={n}: prime={prime}, q={q}"
         )
@@ -440,6 +484,15 @@ class Cone:
             tag = WitnessCase.BOTH_OFFRAY
         return SubadditivityWitness(case_tag=tag, slacks=tuple(slacks))
 
+    def ray_facts(self) -> Tuple[RayFacts, ...]:
+        """The per-generator proof: :class:`RayFacts` of BASE generators
+        ``1..n_base``, each decided by exact integer comparisons of this
+        cone's scale ``q_n``."""
+        return tuple(
+            RayFacts.decide(n, self._by_id[GeneratorId(GeneratorKind.BASE, n)].prime, q)
+            for n, q in self._scales.items()
+        )
+
     # -- boundary behaviour at zero ------------------------------------------
 
     def limsup_sequence(
@@ -485,20 +538,18 @@ class Cone:
             rows.append((k, value, self.element_value_interval(image)))
         return tuple(rows)
 
-    def upper_bound_check(self, eps, samples: int) -> bool:
-        """Certify ``value(f(x)) < 1 + eps`` on ``samples`` seeded-random
-        small elements (exact value < ``eps``; a mix of BASE-ray, RESERVE-
-        ray, and two-generator off-ray shapes, knee branch included);
-        ``samples`` must lie in ``[1, 10,000]``.
+    def upper_bound_check(self, eps, samples: int = 1) -> bool:
+        """Decide ``value(f(x)) < 1 + eps`` for every element ``x`` of value
+        below ``eps``, from :meth:`ray_facts`: on BASE ray ``n`` the sup of
+        ``f`` over such elements is ``min(q_n eps, eps + p_n (q_n - 1))``,
+        which ``q_n >= 1`` and ``p_n q_n < 1`` put below ``eps + 1 - p_n <
+        1 + eps``; off the BASE rays ``f(x) = x < eps``.  So ``True`` is a
+        proof, by exact integer comparisons alone.
 
         ``eps`` must lie in ``(0, 1)``: a finite float, whose binary value
         is taken exactly, or an exact rational as
-        :func:`~subadd.errors.require_fraction` accepts it.  Each sample
-        is checked by exact comparison of the outward enclosure's upper
-        endpoint against ``1 + eps``, so a ``True`` answer is rigorous.  The
-        construction makes failure impossible: on a BASE ray,
-        ``f(x) <= x + p_n (q_n - 1) < x + 1 - p_n < 1 + eps`` whenever
-        ``x < eps``; off the rays ``f(x) = x < eps``.
+        :func:`~subadd.errors.require_fraction` accepts it.  ``samples``
+        must lie in ``[1, 10,000]``; it is checked and not used.
         """
         require_int(samples, "samples", 1, _MAX_COUNT)
         eps_frac = (
@@ -508,38 +559,7 @@ class Cone:
         )
         if not 0 < eps_frac < 1:
             raise InputError(f"eps must lie in (0, 1), got {describe(eps, str)}")
-        base_ids = self._ids[: self.n_base]
-        other_ids = self._ids[self.n_base :]
-        rng = random.Random(_UPPER_BOUND_SEED)
-        bound = 1 + eps_frac
-
-        def small_coeff(gid: GeneratorId, t: Fraction) -> Fraction:
-            # Exact value of {gid: r} is r * coef / sqrt(prime) with
-            # coef = 2^-n (BASE) or 1 (RESERVE); r = t * eps / coef gives
-            # value t * eps / sqrt(prime) < eps whenever t < 1.
-            return t * eps_frac / self._by_id[gid].coef
-
-        for _ in range(samples):
-            shape = rng.randrange(3)
-            if shape < 2:  # single BASE (knee branch mix) or RESERVE ray
-                pool = (base_ids, other_ids)[shape]
-                gid = pool[rng.randrange(len(pool))]
-                t = Fraction(rng.randint(1, 999), 1000)
-                x = ConeElement(((gid, small_coeff(gid, t)),))
-            else:  # two-generator off-ray element
-                ids = rng.sample(self.generator_ids(), 2)
-                t1 = Fraction(rng.randint(1, 499), 1000)
-                t2 = Fraction(rng.randint(1, 499), 1000)
-                x = ConeElement(
-                    (
-                        (ids[0], small_coeff(ids[0], t1)),
-                        (ids[1], small_coeff(ids[1], t2)),
-                    )
-                )
-            enclosure = self.element_value_interval(self.apply_f(x))
-            if not Fraction(enclosure.hi) < bound:
-                return False
-        return True
+        return all(f.knee_ok and f.below_one for f in self.ray_facts())
 
 
 def make_generators(n_base: int, n_reserve: int) -> Cone:

@@ -283,6 +283,34 @@ def test_cone_json_intervals_decode(capsys):
     assert row["image"].lo > 1.0 - 0.5**4
 
 
+@pytest.mark.parametrize(
+    "n_base, absent", [("2", set()), ("1", {cone.WitnessCase.CROSS_RAY})]
+)
+def test_cone_witnesses_cover_every_case_the_cone_admits(capsys, n_base, absent):
+    code, out, _ = run_cli(
+        capsys, "cone", "--n-base", n_base, "--n-reserve", "1", "--format", "json"
+    )
+    assert code == 0
+    witnesses = from_jsonable(json.loads(out))["witnesses"]
+    cases = [w["witness"].case_tag for w in witnesses]
+    assert set(cases) == set(cone.WitnessCase) - absent
+    assert all(w["witness"].is_valid() and w["round_trip_exact"] for w in witnesses)
+    # SAME_RAY twice: x + y below the knee, then above it
+    same = [w for w in witnesses if w["witness"].case_tag is cone.WitnessCase.SAME_RAY]
+    sums = [(w["x"] + w["y"]).coeffs[0][1] for w in same]
+    assert len(sums) == 2 and sums[0] <= 1 < sums[1]
+
+
+def test_cone_fails_when_a_fact_fails(capsys, monkeypatch):
+    q_of = cone.q_of
+    monkeypatch.setattr(cone, "q_of", lambda n: q_of(n) + (n == 1))
+    code, out, _ = run_cli(capsys, "cone", "--n-base", "2", "--n-reserve", "1")
+    assert code == 1
+    assert "n=1: prime=2 q=3 " in out and out.count("facts FAIL") == 1
+    assert "from the facts: FAIL" in out
+    assert out.endswith("result: CHECKS FAILED\n")
+
+
 def test_cone_rejects_zero_generators(capsys):
     code, _, err = run_cli(capsys, "cone", "--n-base", "0")
     assert code == 2

@@ -653,6 +653,41 @@ def test_upper_bound_check_validation(cone):
             cone.upper_bound_check(Fraction(1, 2), huge)
 
 
+def test_ray_facts_hold_on_every_base_ray(cone):
+    facts = cone.ray_facts()
+    assert [f.n for f in facts] == list(range(1, 21))
+    for f in facts:
+        assert f.holds()
+        assert (f.prime, f.q) == (cone.generator(B(f.n)).prime, q_of(f.n))
+    assert cone.upper_bound_check(Fraction(1, 2))  # samples defaults to 1
+
+
+def test_a_scale_one_too_small_fails_the_limsup_fact():
+    c = make_generators(20, 1)
+    for n in range(1, 21):
+        c._scales[n] -= 1
+    for f in c.ray_facts():
+        assert f.knee_ok and f.below_one
+        assert not f.limsup_ok and not f.holds()
+    # a smaller scale still bounds the map near zero
+    assert c.upper_bound_check(Fraction(1, 2))
+
+
+def test_a_scale_one_too_large_fails_the_upper_bound():
+    # q_1 = 2 is the only integer in (sqrt(2), 2 sqrt(2)), and 3^2 > 4 * 2.
+    # On the other BASE rays that window, ((2^n - 1) sqrt(prime), 2^n
+    # sqrt(prime)), is sqrt(prime) >= sqrt(5) wide, so q_n + 1 may lie in it.
+    c = make_generators(3, 1)
+    c._scales[1] += 1
+    first = c.ray_facts()[0]
+    assert first.knee_ok and first.limsup_ok
+    assert not first.below_one and not first.holds()
+    assert not c.upper_bound_check(Fraction(1, 2))
+    c._scales[1] = 0
+    assert not c.ray_facts()[0].knee_ok
+    assert not c.upper_bound_check(Fraction(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # value enclosures
 # ---------------------------------------------------------------------------

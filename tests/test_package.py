@@ -1,5 +1,9 @@
 """The package namespace: the union of the library modules' ``__all__``."""
 
+import importlib.util
+
+import pytest
+
 import subadd
 from conftest import fresh_json
 from subadd import (
@@ -148,3 +152,31 @@ def test_unknown_names_raise_attribute_error():
     # cli and serialize are submodules, not re-exported names.
     assert missed == ["__wrapped__", "no_such_name", "cli", "serialize"]
     assert "subadd.cli" not in loaded and "subadd.serialize" not in loaded
+
+
+def test_a_repeated_refusal_looks_nothing_up(monkeypatch):
+    """The walk that refuses a name binds every public name: refusing it
+    again calls no ``find_spec`` and walks no library module."""
+    name = "NoSuchKindToRefuseTwice"
+    monkeypatch.delitem(vars(subadd), "__all__", raising=False)
+    calls = []
+    find_spec = importlib.util.find_spec
+    modules = subadd._modules
+
+    def counted_find_spec(*args, **kwargs):
+        calls.append("find_spec")
+        return find_spec(*args, **kwargs)
+
+    def counted_modules(*args, **kwargs):
+        calls.append("walk")
+        return modules(*args, **kwargs)
+
+    monkeypatch.setattr(importlib.util, "find_spec", counted_find_spec)
+    monkeypatch.setattr(subadd, "_modules", counted_modules)
+    with pytest.raises(AttributeError, match=name):
+        getattr(subadd, name)
+    assert calls[:2] == ["find_spec", "walk"]
+    calls.clear()
+    with pytest.raises(AttributeError, match=name):
+        getattr(subadd, name)
+    assert calls == []

@@ -291,6 +291,7 @@ def _one_of_every_kind(cert_params):
         "row": TableRow(1.5, 0.05, 0.1, 0.0, 1.4, 0.02, -0.06, 0.001),
         "generator": cone.generator(gid),
         "witness": cone.check_subadditive_pair(x, x),
+        "facts": cone.ray_facts()[0],
         "enums": [Tristate.UNKNOWN, *RationalityCase, *SemigroupStatus],
     }
 
