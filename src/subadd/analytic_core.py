@@ -39,9 +39,10 @@ for the public float64 functions and the polish in :mod:`subadd.search`,
 and :mod:`subadd.intervals` (``exp=iexp``, ``log1p=ilog1p``, with
 :class:`~subadd.intervals.Interval` operands) for the certificate in
 :mod:`subadd.certificate`, which evaluates ``h(0)``, ``phi`` and ``C``
-with them.  A namespace needs only ``exp`` and ``log1p``, and its
-numbers ``+ - * /`` and ``abs``.  ``Interval`` has no ``abs`` yet, so it
-runs every tree but ``h''``, ``f''`` and the gap.
+with them, and for :mod:`subadd.statement_oracles`, which encloses
+``f'``, ``f''``, ``g''`` and ``h''`` over intervals of ``x``.  A
+namespace needs only ``exp`` and ``log1p``, and its numbers ``+ - * /``
+and ``abs``.
 
 The public functions and the high-precision methods share their
 validation as well, so they accept and reject exactly the same arguments.
@@ -230,8 +231,8 @@ def _require_gap_args(a: OrderLike, fn: str, x: float, y: float, p: Optional[Par
 # namespace ``lib``: ``math`` for float64 scalars, ``numpy`` for the scan
 # kernel's arrays, ``mpmath`` for HighPrecision, whose arguments and
 # parameters are mpf at the working precision, and an interval namespace
-# for the certificate, whose parameters are Intervals.  The even profiles
-# take ``r = |t|``.
+# for the certificate and the statement oracles, whose parameters are
+# Intervals.  The even profiles take ``r = |t|``.
 
 
 def _g(lib, r):

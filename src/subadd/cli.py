@@ -7,7 +7,7 @@ Subcommands::
     violate   full violation search with high-precision confirmation
               (exit 1 iff a violation is confirmed, 0 when none is found)
     table     re-derive the stored reference rows (exit 0 iff reproduced)
-    oracles   run the supporting-statement oracle battery (exit 0 iff all pass)
+    oracles   run the supporting-statement oracle battery (exit 1 iff one fails)
     cone      prove the cone construction's theorem per generator (exit 0 iff
               every fact, witness and round trip holds)
 
@@ -525,22 +525,23 @@ def _run_table(config: RunConfig):
 
 def _run_oracles(config: RunConfig):
     from . import statement_oracles as so
+    from .intervals import Tristate
 
     p = config.params
     gens = (Fraction(1, 2), Fraction(1, 3))
     # (name, check, positional arguments, passing answer, detail)
     battery = [
         *(
-            (f"rolle-identity-{handle}", so.check_rolle_identity, (handle, t, p), True,
-             f"interior-slope probe at t={t} lies in the sampled range")
+            (f"rolle-identity-{handle}", so.check_rolle_identity, (handle, t, p),
+             Tristate.TRUE, f"curvature probe at t={t} is a value of {handle}'' on [0, {t}]")
             for handle, t in (("f", 0.75), ("g", 0.5), ("h", 1.25))
         ),
-        ("monotone-increasing-f", so.check_monotone_f, (p,), True,
-         "derivative positive and nondecreasing on the sampled ray"),
+        ("monotone-increasing-f", so.check_monotone_f, (p,), Tristate.TRUE,
+         "f' > 0 on [0, 1]"),
         ("symmetrization-reduction", so.check_symmetrization, (p,), True,
          "gap(x, y) >= gap(|x|, |y|) on sampled small-region pairs"),
-        ("tau-concavity", so.check_tau_concavity, (p, 1.0), True,
-         "restricted profile has nonpositive second differences"),
+        ("tau-concavity", so.check_tau_concavity, (p, 1.0), Tristate.TRUE,
+         "2 f''(x) + 4 f''(1 - 2x) < 0 on [0, 1/2]"),
         ("semigroup-membership-positive", so.semigroup_member,
          (Fraction(7, 6), gens, 5), True,
          "7/6 reachable from {1/2, 1/3} within 5 terms"),
@@ -561,9 +562,10 @@ def _run_oracles(config: RunConfig):
         except PreconditionError as exc:
             results.append((name, "skipped", str(exc)))
         else:
-            results.append((name, "pass" if answer is passing else "fail", detail))
+            status = "pass" if answer is passing else "fail"
+            results.append((name, "unknown" if answer is Tristate.UNKNOWN else status, detail))
 
-    failed = [name for name, status, _ in results if status == "fail"]
+    failed, unknown = ([n for n, st, _ in results if st == s] for s in ("fail", "unknown"))
     payload = {
         "params": p,
         "oracles": [
@@ -578,8 +580,9 @@ def _run_oracles(config: RunConfig):
             f"oracle {name}: {status.upper()} ({detail})"
             for name, status, detail in results
         ),
-        f"result: {len(results) - len(failed)}/{len(results)} passed"
-        + (f", failures: {', '.join(failed)}" if failed else ""),
+        f"result: {len(results) - len(failed) - len(unknown)}/{len(results)} passed"
+        + (f", failures: {', '.join(failed)}" if failed else "")
+        + (f", unknown: {', '.join(unknown)}" if unknown else ""),
     ]
     return (1 if failed else 0), payload, ("oracle", "status", "detail"), results, lines
 

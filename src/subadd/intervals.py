@@ -19,11 +19,12 @@ widening is sufficient.
 :class:`Interval` also takes the operators ``+ - * /``, with their
 reflected forms, so the expression trees of :mod:`subadd.analytic_core`
 run on intervals unchanged.  Each operator calls the function of the same
-operation here (``x * x`` on one object calls :func:`isq`); unary ``-`` is
-exact.  An operand that is not an :class:`Interval` is lifted through
-:meth:`Interval.point`, so it must be an exact endpoint: a ``float``, or
-an ``int`` (not ``bool``) that converts to ``float`` without rounding.
-Anything else raises :class:`InputError` instead of being rounded.
+operation here (``x * x`` on one object calls :func:`isq`); unary ``-``
+and ``abs`` are exact.  An operand that is not an :class:`Interval` is
+lifted through :meth:`Interval.point`, so it must be an exact endpoint: a
+``float``, or an ``int`` (not ``bool``) that converts to ``float``
+without rounding.  Anything else raises :class:`InputError` instead of
+being rounded.
 
 Comparisons are three-valued: :func:`certainly_le` answers ``TRUE`` only
 when the intervals prove the inequality, ``FALSE`` only when they refute
@@ -154,6 +155,13 @@ class Interval:
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
+
+    def __abs__(self) -> "Interval":
+        if self.lo >= 0.0:
+            return self
+        if self.hi <= 0.0:
+            return -self
+        return Interval(0.0, max(-self.lo, self.hi))
 
 
 def _down(x: float, steps: int) -> float:

@@ -1,27 +1,28 @@
-"""Numeric oracles for the supporting analytic statements.
+"""Oracles for the supporting analytic statements.
 
-Each oracle spot-checks one statement that the certificate's soundness
-story leans on, by direct numeric evaluation — no interval rigour here,
-but deterministic sampling at fixed sample counts and explicit
-tolerances.  Each check validates its arguments once and then runs the
-float64 expression trees of :mod:`subadd.analytic_core` in its loop.
-The checks:
+Each oracle decides one statement that the certificate's soundness story
+leans on.  The three 1-D checks run the expression trees of
+:mod:`subadd.analytic_core` on the certificate's interval namespace and
+answer a :class:`~subadd.intervals.Tristate`: ``TRUE`` when outward-rounded
+enclosures prove the statement, ``FALSE`` when they refute it at a point,
+and ``UNKNOWN`` when :data:`_CELLS` bisections settle neither or an
+enclosure overflows.  No sample count or tolerance enters them.  The
+checks:
 
 - :func:`check_rolle_identity` — the three-point curvature probe
-  ``v = 4 (r(0) - 2 r(t/2) + r(t)) / t^2`` must land inside the range of
-  ``r''`` on ``(0, t)``, sampled at 10,000 nodes (a mean-value
-  consequence for C^2 functions);
-- :func:`check_monotone_f` — the working function increases on the
-  positive axis, sampled at 10,000 nodes of ``(0, 1]`` (claimed for
-  ``mu >= 1``; other parameters may refute it, which the check reports
-  honestly as ``False``);
-- :func:`check_symmetrization` — the order-2 gap on the small region is
-  minimised on the positive quadrant: ``gap(x, y) >= gap(|x|, |y|)`` at
-  2,000 seeded points (claimed for ``mu >= 1``);
+  ``v = 4 (r(0) - 2 r(t/2) + r(t)) / t^2`` lies in the range of ``r''`` on
+  ``[0, t]``, as the mean value theorem says it must for C^2 functions;
+- :func:`check_monotone_f` — ``f' > 0`` on ``[0, 1]``, so the working
+  function increases there (claimed for ``mu >= 1``; other parameters may
+  refute it, which the check reports honestly as ``FALSE``);
 - :func:`check_tau_concavity` — along the segment ``y = t - 2x`` the gap
-  restricted to ``x in [0, t/2]`` is concave at 1,001 points (claimed
-  under both small-region certificate conditions, which are
-  preconditions here);
+  restricted to ``x in [0, t/2]`` is concave: its second derivative
+  ``2 f''(x) + 4 f''(t - 2x)`` is negative there (claimed under both
+  small-region certificate conditions, which are preconditions here);
+- :func:`check_symmetrization` — the order-2 gap on the small region is
+  minimised on the positive quadrant: ``gap(x, y) >= gap(|x|, |y|)``,
+  sampled at 2,000 seeded points with a 1e-10 slack (claimed for
+  ``mu >= 1``; it is 2-D, answers a ``bool``, and is not yet a proof);
 - :func:`semigroup_member` / :func:`semigroup_search` — exact decision of
   membership of a rational target in the additive semigroup generated by
   rational generators with a bounded number of terms;
@@ -38,22 +39,23 @@ would be meaningless rather than ``False``.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 import random
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .analytic_core import (
     Params,
     _evaluator,
     _f_prime,
+    _f_second,
     _float64_sigma,
     _g_second,
     _gap,
     _h_second,
-    _phi_float64,
 )
-from .certificate import check_region_B
+from .certificate import _I, check_region_B
 from .errors import (
     DomainError,
     InputError,
@@ -66,7 +68,7 @@ from .errors import (
     require_int,
     require_sequence,
 )
-from .intervals import Tristate
+from .intervals import Interval, Tristate
 
 __all__ = [
     "RationalityCase",
@@ -84,7 +86,9 @@ __all__ = [
 
 _ROLLE_HANDLES = ("f", "g", "h")
 _SYMMETRIZATION_SEED = 20240
-_UPPER_TOL = 1e-8
+#: The most cells :func:`_decide` splits before it answers ``UNKNOWN``.
+_CELLS = 256
+_ZERO = Interval.point(0.0)
 
 
 class RationalityCase(enum.Enum):
@@ -104,19 +108,45 @@ class SemigroupStatus(enum.Enum):
     BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 
 
+def _decide(lo: float, hi: float, enclose: Callable, c: Interval) -> Tristate:
+    """Whether ``w(x) > c`` for every ``x`` in ``[lo, hi]``, where
+    ``enclose(X)`` encloses ``w`` on the :class:`Interval` ``X`` and ``c``
+    encloses the bound.
+
+    Moore–Skelboe bisection: the cell with the least lower bound is split
+    first.  ``TRUE`` once that bound exceeds ``c`` (so every cell's does),
+    ``FALSE`` once ``w`` at a cell's midpoint is at most ``c``, and
+    ``UNKNOWN`` after :data:`_CELLS` splits or when an enclosure
+    overflows, since it then bounds nothing.
+    """
+    try:
+        cells = [(enclose(Interval(lo, hi)).lo, lo, hi)]
+        for _ in range(_CELLS):
+            bound, a, b = heapq.heappop(cells)
+            if bound > c.hi:
+                return Tristate.TRUE
+            m = 0.5 * (a + b)
+            if enclose(Interval.point(m)).hi <= c.lo:
+                return Tristate.FALSE
+            for u, v in ((a, m), (m, b)):
+                heapq.heappush(cells, (enclose(Interval(u, v)).lo, u, v))
+    except RangeError:
+        pass
+    return Tristate.UNKNOWN
+
+
 def rolle_probe(fn: str, t: float, p: Optional[Params] = None) -> float:
     """The three-point curvature probe
     ``v = 4 (r(0) - 2 r(t/2) + r(t)) / t^2`` for ``t > 0``.  Raises
     :class:`RangeError` when ``t * t`` is not a normal double (``t``
     below about 1.5e-154 or above about 1.3e154)."""
-    return _probe(fn, t, p)[0]
+    t, q = _probe_args(fn, t, p)
+    return _probe(math, fn, t, q)
 
 
-def _probe(fn: str, t: float, p: Optional[Params]) -> Tuple[float, float]:
-    """:func:`rolle_probe`'s value ``v`` and a bound on its float64
-    rounding error, ``2**-50 * 4 (|r(0)| + 2 |r(t/2)| + |r(t)|) / t^2``
-    (eight units in the last place on each term of the second difference,
-    whose cancellation leaves that error while ``v`` stays of order 1)."""
+def _probe_args(fn: str, t: float, p: Optional[Params]):
+    """``(t, q)`` for the probe of handle ``fn``: ``t`` validated, and
+    ``q`` the parameters ``(mu, sigma, alpha)``, empty for ``"g"``."""
     t = require_finite(t, "t")
     if t <= 0.0:
         raise DomainError(f"rolle probe requires t > 0, got {t}")
@@ -124,60 +154,59 @@ def _probe(fn: str, t: float, p: Optional[Params]) -> Tuple[float, float]:
         raise InputError(
             f"unknown function handle {describe(fn)}; expected one of {_ROLLE_HANDLES}"
         )
-    if fn == "g":
-        r = _evaluator(math, "g")
-    else:
-        p = require_instance(p, Params, "params")
-        r = _evaluator(math, fn, p.mu, p.sigma, p.alpha)
+    p = None if fn == "g" else require_instance(p, Params, "params")
     t2 = t * t
     if not sys.float_info.min <= t2 < math.inf:
         raise RangeError(f"rolle probe: t*t = {t2!r} is not a normal double, t = {t!r}")
-    r0, rh, rt = r(0.0), r(t / 2.0), r(t)
-    err = 2.0**-50 * 4.0 * (abs(r0) + 2.0 * abs(rh) + abs(rt)) / t2
-    return 4.0 * (r0 - 2.0 * rh + rt) / t2, err
+    return t, () if p is None else (p.mu, p.sigma, p.alpha)
 
 
-def check_rolle_identity(fn: str, t: float, p: Optional[Params] = None) -> bool:
-    """Check that the curvature probe lies within the sampled range of
-    ``r''`` on ``(0, t)``, widened by 1e-8.
+def _probe(lib, fn: str, t, q):
+    """The probe over ``lib``, whose numbers ``t`` and ``q`` are: floats
+    for ``math``, Intervals for ``_I`` (``0.0 * t`` is their zero)."""
+    r = _evaluator(lib, fn, *q)
+    return 4.0 * (r(0.0 * t) - 2.0 * r(t / 2.0) + r(t)) / (t * t)
 
-    A mean-value consequence guarantees ``v = r''(xi)`` for some interior
-    ``xi``; sampling 10,000 half-offset interior nodes brackets the range.
-    For ``"f"`` and ``"h"``, ``r''`` divides by ``sigma**2``, which raises
-    :class:`RangeError` when it is not a normal double; the probe itself
-    does not.  The probe's float64 rounding error, at most
-    ``2**-50 * 4 (|r(0)| + 2 |r(t/2)| + |r(t)|) / t^2``, must fit in the
-    1e-8 widening: :class:`RangeError` when that bound does not, as at
-    ``t = 1e-8``, where either answer would be rounding noise.
+
+def check_rolle_identity(fn: str, t: float, p: Optional[Params] = None) -> Tristate:
+    """Decide whether the curvature probe lies in the range of ``r''`` on
+    ``[0, t]``.
+
+    The mean value theorem gives ``v = r''(xi)`` for some interior ``xi``.
+    :func:`_probe` encloses the exact ``v``; ``TRUE`` when enclosures of
+    ``r''`` refute both ``r'' > v`` and ``r'' < v`` on ``[0, t]``, which
+    gives a point on each side of ``v`` and so, by continuity, the value
+    itself; ``FALSE`` when they prove either; ``UNKNOWN`` otherwise.  An
+    ``UNKNOWN`` is expected where the probe's enclosure is too wide (its
+    second difference cancels: ``t = 1e-8``), and for ``"h"`` where the
+    bump lies about 27 sigma or more beyond ``t``, as ``h`` and ``h''``
+    underflow to 0 on ``[0, t]``.  Raises :class:`RangeError` as
+    :func:`rolle_probe` does, and for ``"f"`` and ``"h"``, whose ``r''``
+    divides by ``sigma**2``, when that square is not a normal double.
     """
-    v, err = _probe(fn, t, p)
-    if err > _UPPER_TOL:
-        raise RangeError(
-            f"rolle probe at t={t!r}: its float64 rounding bound {err:.3g} "
-            f"exceeds the {_UPPER_TOL} slack"
-        )
-    n = 10_000
-    if fn == "g":
-        r2 = lambda s: _g_second(math, s)
-    else:
-        mu, sigma, alpha = p.mu, _float64_sigma(p, "h_second"), p.alpha
-        if fn == "h":
-            r2 = lambda s: _phi_float64(_h_second(math, s, mu, sigma))
-        else:
-            r2 = lambda s: _g_second(math, s) + alpha * _phi_float64(
-                _h_second(math, s, mu, sigma)
-            )
-    vals = [r2(t * ((k + 0.5) / n)) for k in range(n)]
-    return (min(vals) - _UPPER_TOL) <= v <= (max(vals) + _UPPER_TOL)
+    t, q = _probe_args(fn, t, p)
+    if q:  # r'' divides by sigma**2; check it before any interval arithmetic
+        _float64_sigma(p, "h_second")
+    q = tuple(map(Interval.point, q))
+    r2 = {"f": lambda x: _f_second(_I, x, *q), "g": lambda x: _g_second(_I, x),
+          "h": lambda x: _h_second(_I, x, *q[:2])}[fn]
+    try:
+        v = _probe(_I, fn, Interval.point(t), q)
+    except RangeError:
+        return Tristate.UNKNOWN
+    sides = (_decide(0.0, t, r2, v), _decide(0.0, t, lambda x: -r2(x), -v))
+    if Tristate.TRUE in sides:
+        return Tristate.FALSE
+    return Tristate.TRUE if sides == (Tristate.FALSE, Tristate.FALSE) else Tristate.UNKNOWN
 
 
-def check_monotone_f(p: Params) -> bool:
-    """Check that the working function increases on ``(0, 1]``:
-    ``f' > 0`` at the 10,000 nodes ``k / 10,000`` there and the sampled
-    values nondecreasing.
+def check_monotone_f(p: Params) -> Tristate:
+    """Decide ``f' > 0`` on ``[0, 1]``, so that the working function
+    increases there: ``TRUE`` when enclosures of the ``f'`` tree prove it,
+    ``FALSE`` at a point where ``f' <= 0``, ``UNKNOWN`` otherwise.
 
     The claim is local to the unit interval — with ``mu >= 1`` the bump
-    term ``(mu - t) h(t)`` is still nonnegative on ``(0, 1]``, which is
+    term ``(mu - t) h(t)`` is still nonnegative on ``[0, 1]``, which is
     what makes the statement unconditional; past the bump peak ``f`` may
     genuinely decrease when ``alpha`` is large.
 
@@ -187,23 +216,12 @@ def check_monotone_f(p: Params) -> bool:
     is not a normal double.
     """
     p = require_instance(p, Params, "params")
-    n = 10_000
     if p.mu < 1.0:
         raise PreconditionError(
             f"monotonicity is claimed for mu >= 1 only, got mu={p.mu}"
         )
-    mu, sigma, alpha = p.mu, _float64_sigma(p, "f_prime"), p.alpha
-    f = _evaluator(math, "f", mu, sigma, alpha)
-    prev = 0.0  # f(0) = 0
-    for k in range(n):
-        t = (k + 1.0) / n
-        if not _f_prime(math, t, mu, sigma, alpha) > 0.0:
-            return False
-        val = f(t)
-        if val < prev - 1e-12:
-            return False
-        prev = val
-    return True
+    q = tuple(map(Interval.point, (p.mu, _float64_sigma(p, "f_prime"), p.alpha)))
+    return _decide(0.0, 1.0, lambda x: _f_prime(_I, x, *q), _ZERO)
 
 
 def check_symmetrization(p: Params) -> bool:
@@ -232,10 +250,11 @@ def check_symmetrization(p: Params) -> bool:
     return True
 
 
-def check_tau_concavity(p: Params, t: float) -> bool:
-    """Check concavity of ``x -> gap(2, f, x, t - 2x)`` on ``[0, t/2]``
-    via second differences (each ``<= 1e-8``) at 1,001 equally spaced
-    points.
+def check_tau_concavity(p: Params, t: float) -> Tristate:
+    """Decide concavity of ``x -> gap(2, f, x, t - 2x)`` on ``[0, t/2]``:
+    ``TRUE`` when enclosures prove its second derivative
+    ``2 f''(x) + 4 f''(t - 2x)`` negative there, ``FALSE`` at a point where
+    it is ``>= 0``, ``UNKNOWN`` otherwise.
 
     ``t`` must lie in ``(0, 1]``.  Preconditions: both small-region
     certificate conditions hold (``TRUE``); otherwise the concavity
@@ -245,7 +264,6 @@ def check_tau_concavity(p: Params, t: float) -> bool:
     t = require_finite(t, "t")
     if not 0.0 < t <= 1.0:
         raise DomainError(f"tau concavity requires t in (0, 1], got {t}")
-    n = 1_001
     b_mu, b_alpha = check_region_B(p)
     if b_mu.verdict is not Tristate.TRUE or b_alpha.verdict is not Tristate.TRUE:
         raise PreconditionError(
@@ -253,16 +271,9 @@ def check_tau_concavity(p: Params, t: float) -> bool:
             f"conditions; got {b_mu.name}={b_mu.verdict.name}, "
             f"{b_alpha.name}={b_alpha.verdict.name}"
         )
-    f = _evaluator(math, "f", p.mu, p.sigma, p.alpha)
-    half = t / 2.0
-    vals = []
-    for k in range(n):
-        x = half * k / (n - 1)
-        vals.append(_gap(2.0, f, x, t - 2.0 * x))
-    for k in range(1, n - 1):
-        if vals[k - 1] - 2.0 * vals[k] + vals[k + 1] > 1e-8:
-            return False
-    return True
+    q = tuple(map(Interval.point, (p.mu, p.sigma, p.alpha)))
+    f2 = lambda x: _f_second(_I, x, *q)
+    return _decide(0.0, t / 2.0, lambda x: -(2.0 * f2(x) + 4.0 * f2(t - 2.0 * x)), _ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -316,9 +316,9 @@ def test_criterion_6_documented_invariants(capsys):
         for k in range(100):
             fn = ("f", "g", "h")[k % 3]
             t = rng.uniform(0.05, 3.0)
-            if not statement_oracles.check_rolle_identity(
+            if statement_oracles.check_rolle_identity(
                 fn, t, certified[k % len(certified)]
-            ):
+            ) is not Tristate.TRUE:
                 return False
         return True
 

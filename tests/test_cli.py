@@ -18,7 +18,7 @@ from subadd.analytic_core import Order, Params
 from subadd.certificate import CertificateReport, certify_S2
 from subadd import certificate, cli, cone, search, statement_oracles
 from subadd.cli import RunConfig, build_config, build_parser, main
-from subadd.intervals import Interval
+from subadd.intervals import Interval, Tristate
 from subadd.search import MAX_GRID_N, MAX_REFINE_DEPTH, ScanConfig, Violation
 from subadd.serialize import from_jsonable
 
@@ -232,11 +232,9 @@ def test_oracles_skip_when_hypothesis_fails(capsys):
 
 def test_oracles_fail_when_each_answer_flips(monkeypatch, capsys):
     # Each check returns the opposite of its row's passing answer.
-    for name in (
-        "check_rolle_identity", "check_monotone_f", "check_symmetrization",
-        "check_tau_concavity",
-    ):
-        monkeypatch.setattr(statement_oracles, name, lambda *args: False)
+    for name in ("check_rolle_identity", "check_monotone_f", "check_tau_concavity"):
+        monkeypatch.setattr(statement_oracles, name, lambda *args: Tristate.FALSE)
+    monkeypatch.setattr(statement_oracles, "check_symmetrization", lambda p: False)
     monkeypatch.setattr(
         statement_oracles, "semigroup_member",
         lambda target, gens, max_terms: target == Fraction(1, 5),
@@ -254,6 +252,36 @@ def test_oracles_fail_when_each_answer_flips(monkeypatch, capsys):
     assert [line.split(":")[0] for line in lines[1:-1]] == [f"oracle {n}" for n in names]
     assert all(": FAIL (" in line for line in lines[1:-1])
     assert lines[-1] == f"result: 0/11 passed, failures: {', '.join(names)}"
+
+
+def test_oracles_unknown_is_neither_pass_nor_fail(monkeypatch, capsys):
+    monkeypatch.setattr(
+        statement_oracles, "check_rolle_identity", lambda *args: Tristate.UNKNOWN
+    )
+    monkeypatch.setattr(statement_oracles, "check_tau_concavity", lambda *args: Tristate.FALSE)
+    code, out, _ = run_cli(capsys, "oracles")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1].startswith("oracle rolle-identity-f: UNKNOWN (curvature probe at t=0.75")
+    assert lines[-1] == (
+        "result: 7/11 passed, failures: tau-concavity, unknown: rolle-identity-f, "
+        "rolle-identity-g, rolle-identity-h"
+    )
+    monkeypatch.setattr(statement_oracles, "check_tau_concavity", lambda *args: Tristate.TRUE)
+    code, out, _ = run_cli(capsys, "oracles", "--format", "json")
+    assert code == 0
+    statuses = {e["oracle"]: e["status"] for e in json.loads(out)["oracles"]}
+    assert [statuses[f"rolle-identity-{h}"] for h in "fgh"] == ["unknown"] * 3
+    assert statuses["tau-concavity"] == "pass"
+
+
+def test_oracles_far_bump_reads_unknown_and_exits_0(capsys):
+    # With the bump 37.5 sigma beyond t = 1.25, h underflows on [0, t]:
+    # its curvature row cannot be decided, and refutes nothing.
+    code, out, _ = run_cli(capsys, "oracles", "--mu", "5", "--sigma", "0.1")
+    assert code == 0
+    assert "oracle rolle-identity-h: UNKNOWN (" in out
+    assert out.splitlines()[-1] == "result: 10/11 passed, unknown: rolle-identity-h"
 
 
 # ---------------------------------------------------------------------------

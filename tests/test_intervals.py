@@ -177,6 +177,30 @@ def test_square_splits_at_zero():
     assert sharp.hi <= 4.0 + 8.0 * math.ulp(4.0)
 
 
+def test_abs_is_exact_in_each_sign_case():
+    nonneg = Interval(0.0, 2.5)
+    assert abs(nonneg) is nonneg
+    assert abs(Interval(-3.0, -0.5)) == Interval(0.5, 3.0)
+    assert abs(Interval(-3.0, 2.0)) == Interval(0.0, 3.0)
+    assert abs(Interval(-1.0, 4.0)) == Interval(0.0, 4.0)
+
+
+def test_abs_contains_the_absolute_value_of_every_sampled_point():
+    """At seeded points of seeded intervals of each sign, ``|x|`` lies in
+    ``abs(X)``, which is no wider than the exact image: its ends are
+    ``|x|`` at points of ``X``."""
+    rng = random.Random(20261021)
+    for k in range(3_000):
+        shift = (-20.0, 0.0, 20.0)[k % 3]  # negative, mostly straddling, positive
+        x = _rand_interval(rng, shift - 10.0, shift + 10.0)
+        out = abs(x)
+        for _ in range(5):
+            t = min(max(rng.uniform(x.lo, x.hi), x.lo), x.hi)
+            assert out.contains(abs(t))
+        assert out.hi == max(-x.lo, x.hi)
+        assert out.lo == (0.0 if x.lo <= 0.0 <= x.hi else min(abs(x.lo), abs(x.hi)))
+
+
 # ---------------------------------------------------------------------------
 # three-valued comparison
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Sampling oracles for the supporting statements: the three-point
-curvature probe, monotonicity/symmetrization/concavity checks, exact
-semigroup membership, and the two-valued step-function example."""
+"""Oracles for the supporting statements: the three-point curvature
+probe, the curvature, monotonicity and concavity checks decided on
+interval enclosures, the sampled symmetrization check, exact semigroup
+membership, and the two-valued step-function example."""
 
 import math
 import random
@@ -9,9 +10,22 @@ from fractions import Fraction
 import pytest
 
 import _frozen
-from subadd.analytic_core import Params, gap
-from subadd.certificate import Verdict, certify_S2
+from subadd import statement_oracles
+from subadd.analytic_core import (
+    HighPrecision,
+    Params,
+    _evaluator,
+    _f_prime,
+    _f_second,
+    _g_second,
+    _gap,
+    _h_second,
+    gap,
+    h_second,
+)
+from subadd.certificate import Verdict, _I, certify_S2
 from subadd.errors import DomainError, InputError, PreconditionError, RangeError
+from subadd.intervals import Interval, Tristate
 from subadd.statement_oracles import (
     RationalityCase,
     SemigroupStatus,
@@ -76,28 +90,30 @@ def test_probe_and_tau_take_any_real_but_bool(cert_params):
 
 
 def test_curvature_identity_examples(cert_params):
-    assert check_rolle_identity("h", 1.0, cert_params)
-    assert check_rolle_identity("g", 0.5)
-    assert check_rolle_identity("f", 0.75, cert_params)
+    assert check_rolle_identity("h", 1.0, cert_params) is Tristate.TRUE
+    assert check_rolle_identity("g", 0.5) is Tristate.TRUE
+    assert check_rolle_identity("f", 0.75, cert_params) is Tristate.TRUE
 
 
 def test_curvature_identity_refuses_a_t_its_rounding_cannot_resolve(cert_params):
-    # At t = 1e-8 the second difference cancels: the probe of g lands
-    # about 3e-8 above g'' on (0, t), beyond the 1e-8 slack, and its
-    # rounding bound (1.4e-6) says so.  At 1e-160 t*t is subnormal (the
-    # probe read 0.0), at 1e-170 it is 0 (ZeroDivisionError).
-    for t in (1e-8, 1e-160, 1e-170):
-        for fn in ("g", "f"):
-            with pytest.raises(RangeError):
+    # At t = 1e-8 the second difference cancels: the probe's enclosure is
+    # about 4e-6 wide, wider than the range of r'' on [0, t] (about 2e-8
+    # for g''), so neither side of r'' can be refuted.  At
+    # 1e-160 t*t is subnormal (the probe read 0.0), at 1e-170 it is 0
+    # (ZeroDivisionError): both raise before any enclosure.
+    for fn in ("g", "f"):
+        assert check_rolle_identity(fn, 1e-8, cert_params) is Tristate.UNKNOWN
+        for t in (1e-160, 1e-170):
+            with pytest.raises(RangeError, match="not a normal double"):
                 check_rolle_identity(fn, t, cert_params)
     for t in (1e-160, 1e-170):
         with pytest.raises(RangeError, match="not a normal double"):
             rolle_probe("g", t)
-    # the rounding bound at 1e-5 is 1.4e-9, and the CLI's t values pass
-    assert check_rolle_identity("g", 1e-5)
-    assert check_rolle_identity("f", 1e-5, cert_params)
+    # at 1e-5 the enclosure still decides, and the CLI's t values do
+    assert check_rolle_identity("g", 1e-5) is Tristate.TRUE
+    assert check_rolle_identity("f", 1e-5, cert_params) is Tristate.TRUE
     for fn, t in (("f", 0.75), ("g", 0.5), ("h", 1.25)):
-        assert check_rolle_identity(fn, t, cert_params)
+        assert check_rolle_identity(fn, t, cert_params) is Tristate.TRUE
 
 
 def test_curvature_identity_random_tuples(cert_params):
@@ -115,16 +131,92 @@ def test_curvature_identity_random_tuples(cert_params):
         fn = ("f", "g", "h")[k % 3]
         t = rng.uniform(0.05, 3.0)
         p = certified[k % len(certified)]
-        assert check_rolle_identity(fn, t, p), (fn, t, p)
+        assert check_rolle_identity(fn, t, p) is Tristate.TRUE, (fn, t, p)
 
 
 def test_curvature_identity_fails_on_a_bump_narrower_than_the_samples():
-    # The probe's midpoint t/2 sits on the bump's peak, mu = 0.5, so
-    # v = 4 (0 - 2 + 0) = -8 for h.  The nearest node lies 5e-5 = 5 sigma
-    # away, where h'' is positive: no node sees its trough of -2 / sigma**2.
+    """Sampling fails here, and the enclosures do not.  At t = 1 the
+    probe's midpoint t/2 sits on the bump's peak, mu = 0.5, so
+    v = 4 (0 - 2 + 0) = -8 for h.  Of 10,000 half-offset nodes of (0, 1)
+    the nearest lies 5e-5 = 5 sigma away, where h'' is positive: none sees
+    the trough of -2 / sigma**2, so a sampled range misses v.  Bisection
+    finds the trough, at t = 1.25 too, and for sigma = 1e-9."""
     p = Params(mu=0.5, sigma=1e-5, alpha=1.0)
-    assert check_rolle_identity("h", 1.0, p) is False
-    assert check_rolle_identity("f", 1.0, p) is False
+    v = rolle_probe("h", 1.0, p)
+    assert v == -8.0
+    assert min(h_second((k + 0.5) / 10_000, p) for k in range(10_000)) > v
+    for q, t in ((p, 1.0), (p, 1.25), (Params(mu=0.5, sigma=1e-9, alpha=1.0), 1.0)):
+        for fn in ("h", "f"):
+            assert check_rolle_identity(fn, t, q) is Tristate.TRUE, (fn, t, q)
+
+
+def test_curvature_identity_is_unknown_where_the_bump_underflows():
+    # With the bump 37.5 sigma beyond t = 1.25, h and h'' underflow to 0 on
+    # [0, t]: their enclosures are [0, tiny] and the probe's straddles 0,
+    # so no point of r'' is proven below it.  g'' dominates f''.
+    p = Params(mu=5.0, sigma=0.1, alpha=0.05)
+    assert check_rolle_identity("h", 1.25, p) is Tristate.UNKNOWN
+    assert check_rolle_identity("f", 1.25, p) is Tristate.TRUE
+
+
+def test_an_enclosure_that_overflows_reads_unknown():
+    # ((x - mu) / sigma)**2 exceeds the double range: at 1e312 for the
+    # probe's h(t) here, at 1e600 in f' on [0, 1] below.  The float64 trees
+    # read those h as 0; an overflowed enclosure bounds nothing.
+    far = Params(mu=1000.0, sigma=1e-153, alpha=1.0)
+    for fn in ("f", "h"):
+        assert check_rolle_identity(fn, 1.0, far) is Tristate.UNKNOWN
+    assert check_monotone_f(Params(mu=1e300, sigma=1.0, alpha=1.0)) is Tristate.UNKNOWN
+
+
+def test_a_positive_f_second_refutes_curvature_and_concavity(monkeypatch, cert_params):
+    # With f'' enclosed in [1, 2] on every cell, r'' > v is proven on
+    # [0, t] for the negative probe of f, and the concavity's second
+    # derivative is at least 6 at every point.
+    assert rolle_probe("f", 0.75, cert_params) < 0.0
+    monkeypatch.setattr(
+        statement_oracles, "_f_second", lambda lib, r, *q: Interval(1.0, 2.0)
+    )
+    assert check_rolle_identity("f", 0.75, cert_params) is Tristate.FALSE
+    assert check_tau_concavity(cert_params, 1.0) is Tristate.FALSE
+
+
+def test_enclosures_contain_high_precision_values():
+    """The three checks decide on interval enclosures of these trees.  On
+    seeded cells, for the flagship and two table rows, each cell's
+    enclosure and each point's contains the 200-bit value of the same
+    tree at the cell's ends and midpoint; so does the order-2 and order-3
+    gap's on 2-D cells."""
+    hp = HighPrecision(200)
+    rng = random.Random(20261020)
+    table_alpha = 0.117783036
+    for mu, sigma, alpha in ((1.2, 0.05, 0.05), (1.5, 0.05, table_alpha), (5.0, 0.15, table_alpha)):
+        p = Params(mu, sigma, alpha)
+        trees = (
+            (_f_prime, (mu, sigma, alpha)),
+            (_f_second, (mu, sigma, alpha)),
+            (_h_second, (mu, sigma)),
+            (_g_second, ()),
+        )
+        f = _evaluator(_I, "f", *map(Interval.point, (mu, sigma, alpha)))
+        for _ in range(40):
+            a = rng.uniform(0.0, mu + 1.0)
+            b = a + 10.0 ** rng.uniform(-9.0, 0.0)
+            for tree, args in trees:
+                q = tuple(map(Interval.point, args))
+                cell = tree(_I, Interval(a, b), *q)
+                for x in (a, 0.5 * (a + b), b):
+                    exact = hp._run(tree, x, *args)
+                    point = tree(_I, Interval.point(x), *q)
+                    assert cell.lo <= exact <= cell.hi, (tree.__name__, p, a, b, x)
+                    assert point.lo <= exact <= point.hi, (tree.__name__, p, x)
+            x0, y0 = rng.uniform(-2.0, 2.0), rng.uniform(-8.0, 8.0)
+            x1, y1 = (c + 10.0 ** rng.uniform(-9.0, 0.0) for c in (x0, y0))
+            for order in (2.0, 3.0):
+                cell = _gap(order, f, Interval(x0, x1), Interval(y0, y1))
+                for x, y in ((x0, y0), (0.5 * (x0 + x1), 0.5 * (y0 + y1)), (x1, y1)):
+                    exact = hp.gap(order, "f", x, y, p)
+                    assert cell.lo <= exact <= cell.hi, (p, order, x, y)
 
 
 def test_sigma_squared_underflow_is_refused_by_the_derivative_checks_only():
@@ -144,8 +236,8 @@ def test_sigma_squared_underflow_is_refused_by_the_derivative_checks_only():
 
 
 def test_monotone_examples(cert_params):
-    assert check_monotone_f(cert_params)
-    assert check_monotone_f(Params(mu=1.0, sigma=0.3, alpha=1.0))
+    assert check_monotone_f(cert_params) is Tristate.TRUE
+    assert check_monotone_f(Params(mu=1.0, sigma=0.3, alpha=1.0)) is Tristate.TRUE
 
 
 def test_monotone_refuses_small_mu():
@@ -154,7 +246,7 @@ def test_monotone_refuses_small_mu():
 
 
 def test_symmetrization_holds(cert_params):
-    assert check_symmetrization(cert_params)
+    assert check_symmetrization(cert_params) is True
     # The public gap as a reference on 10,000 points of the oracle's draw.
     rng = random.Random(20240)
     checked = 0
@@ -187,8 +279,8 @@ def test_gap_even_under_joint_sign_flip(cert_params):
 
 
 def test_tau_concavity_examples(cert_params):
-    assert check_tau_concavity(cert_params, 1.0)
-    assert check_tau_concavity(cert_params, 0.2)
+    assert check_tau_concavity(cert_params, 1.0) is Tristate.TRUE
+    assert check_tau_concavity(cert_params, 0.2) is Tristate.TRUE
 
 
 def test_tau_chord_starts_at_zero(cert_params):
