@@ -14,9 +14,9 @@ profile plus a scaled ring bump — and provides:
   evaluated rigorously, with an honest tri-state verdict;
 - ``search``: deterministic grid scanning and refinement for violations of
   a-subadditivity, with high-precision confirmation of any hit;
-- ``statement_oracles``: numeric spot-checks of the supporting analytic
-  statements (mean-value identities, monotonicity, symmetrization,
-  concavity, a semigroup membership test, an indicator-function example);
+- ``statement_oracles``: decisions of the supporting analytic statements
+  (mean-value identities, monotonicity, symmetrization, concavity, a
+  semigroup membership test, an indicator-function example);
 - ``cone``: an exact rational construction mapping a countable positive
   cone into the subadditive world via per-generator knee maps;
 - ``cli``: a ``subadd`` command exposing all of the above.

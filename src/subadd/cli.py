@@ -538,8 +538,8 @@ def _run_oracles(config: RunConfig):
         ),
         ("monotone-increasing-f", so.check_monotone_f, (p,), Tristate.TRUE,
          "f' > 0 on [0, 1]"),
-        ("symmetrization-reduction", so.check_symmetrization, (p,), True,
-         "gap(x, y) >= gap(|x|, |y|) on sampled small-region pairs"),
+        ("symmetrization-reduction", so.check_symmetrization, (p,), Tristate.TRUE,
+         "gap(x, y) >= gap(|x|, |y|) on 2|x| + |y| <= 1 (f nondecreasing on [0, 1])"),
         ("tau-concavity", so.check_tau_concavity, (p, 1.0), Tristate.TRUE,
          "2 f''(x) + 4 f''(1 - 2x) < 0 on [0, 1/2]"),
         ("semigroup-membership-positive", so.semigroup_member,
@@ -565,14 +565,15 @@ def _run_oracles(config: RunConfig):
             status = "pass" if answer is passing else "fail"
             results.append((name, "unknown" if answer is Tristate.UNKNOWN else status, detail))
 
-    failed, unknown = ([n for n, st, _ in results if st == s] for s in ("fail", "unknown"))
+    named = {s: [n for n, st, _ in results if st == s]
+             for s in ("pass", "fail", "unknown", "skipped")}
     payload = {
         "params": p,
         "oracles": [
             {"oracle": name, "status": status, "detail": detail}
             for name, status, detail in results
         ],
-        "all_passed": not failed,
+        "all_passed": len(named["pass"]) == len(results),
     }
     lines = [
         f"parameters: {_fmt_params(p)}",
@@ -580,11 +581,12 @@ def _run_oracles(config: RunConfig):
             f"oracle {name}: {status.upper()} ({detail})"
             for name, status, detail in results
         ),
-        f"result: {len(results) - len(failed) - len(unknown)}/{len(results)} passed"
-        + (f", failures: {', '.join(failed)}" if failed else "")
-        + (f", unknown: {', '.join(unknown)}" if unknown else ""),
+        f"result: {len(named['pass'])}/{len(results)} passed" + "".join(
+            f", {label}: {', '.join(named[s])}" for s, label in
+            (("fail", "failures"), ("unknown", "unknown"), ("skipped", "skipped")) if named[s]
+        ),
     ]
-    return (1 if failed else 0), payload, ("oracle", "status", "detail"), results, lines
+    return (1 if named["fail"] else 0), payload, ("oracle", "status", "detail"), results, lines
 
 
 def _cone_pairs(cone: Cone) -> List[Tuple[ConeElement, ConeElement]]:

@@ -1,7 +1,7 @@
 """Oracles for the supporting analytic statements.
 
 Each oracle decides one statement that the certificate's soundness story
-leans on.  The three 1-D checks run the expression trees of
+leans on.  The four analytic checks run the expression trees of
 :mod:`subadd.analytic_core` on the certificate's interval namespace and
 answer a :class:`~subadd.intervals.Tristate`: ``TRUE`` when outward-rounded
 enclosures prove the statement, ``FALSE`` when they refute it at a point,
@@ -20,9 +20,9 @@ checks:
   ``2 f''(x) + 4 f''(t - 2x)`` is negative there (claimed under both
   small-region certificate conditions, which are preconditions here);
 - :func:`check_symmetrization` — the order-2 gap on the small region is
-  minimised on the positive quadrant: ``gap(x, y) >= gap(|x|, |y|)``,
-  sampled at 2,000 seeded points with a 1e-10 slack (claimed for
-  ``mu >= 1``; it is 2-D, answers a ``bool``, and is not yet a proof);
+  minimised on the positive quadrant: ``gap(x, y) >= gap(|x|, |y|)``.
+  Since ``f`` is even this is exactly ``f`` nondecreasing on ``[0, 1]``,
+  decided by the same ``f' > 0`` bisection (claimed for ``mu >= 1``);
 - :func:`semigroup_member` / :func:`semigroup_search` — exact decision of
   membership of a rational target in the additive semigroup generated by
   rational generators with a bounded number of terms;
@@ -41,7 +41,6 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-import random
 import sys
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -52,7 +51,6 @@ from .analytic_core import (
     _f_second,
     _float64_sigma,
     _g_second,
-    _gap,
     _h_second,
 )
 from .certificate import _I, check_region_B
@@ -85,7 +83,6 @@ __all__ = [
 ]
 
 _ROLLE_HANDLES = ("f", "g", "h")
-_SYMMETRIZATION_SEED = 20240
 #: The most cells :func:`_decide` splits before it answers ``UNKNOWN``.
 _CELLS = 256
 _ZERO = Interval.point(0.0)
@@ -115,7 +112,7 @@ def _decide(lo: float, hi: float, enclose: Callable, c: Interval) -> Tristate:
 
     Moore–Skelboe bisection: the cell with the least lower bound is split
     first.  ``TRUE`` once that bound exceeds ``c`` (so every cell's does),
-    ``FALSE`` once ``w`` at a cell's midpoint is at most ``c``, and
+    ``FALSE`` once ``w`` at a cell's midpoint is below ``c``, and
     ``UNKNOWN`` after :data:`_CELLS` splits or when an enclosure
     overflows, since it then bounds nothing.
     """
@@ -126,7 +123,7 @@ def _decide(lo: float, hi: float, enclose: Callable, c: Interval) -> Tristate:
             if bound > c.hi:
                 return Tristate.TRUE
             m = 0.5 * (a + b)
-            if enclose(Interval.point(m)).hi <= c.lo:
+            if enclose(Interval.point(m)).hi < c.lo:
                 return Tristate.FALSE
             for u, v in ((a, m), (m, b)):
                 heapq.heappush(cells, (enclose(Interval(u, v)).lo, u, v))
@@ -200,10 +197,19 @@ def check_rolle_identity(fn: str, t: float, p: Optional[Params] = None) -> Trist
     return Tristate.TRUE if sides == (Tristate.FALSE, Tristate.FALSE) else Tristate.UNKNOWN
 
 
+def _f_increasing(p: Params, claim: str) -> Tristate:
+    """Decide ``f' > 0`` on ``[0, 1]`` for a ``claim`` made for ``mu >= 1``."""
+    p = require_instance(p, Params, "params")
+    if p.mu < 1.0:
+        raise PreconditionError(f"{claim} is claimed for mu >= 1 only, got mu={p.mu}")
+    q = tuple(map(Interval.point, (p.mu, _float64_sigma(p, "f_prime"), p.alpha)))
+    return _decide(0.0, 1.0, lambda x: _f_prime(_I, x, *q), _ZERO)
+
+
 def check_monotone_f(p: Params) -> Tristate:
     """Decide ``f' > 0`` on ``[0, 1]``, so that the working function
     increases there: ``TRUE`` when enclosures of the ``f'`` tree prove it,
-    ``FALSE`` at a point where ``f' <= 0``, ``UNKNOWN`` otherwise.
+    ``FALSE`` at a point where ``f' < 0``, ``UNKNOWN`` otherwise.
 
     The claim is local to the unit interval — with ``mu >= 1`` the bump
     term ``(mu - t) h(t)`` is still nonnegative on ``[0, 1]``, which is
@@ -215,46 +221,29 @@ def check_monotone_f(p: Params) -> Tristate:
     ``f'`` divides by ``sigma**2``: :class:`RangeError` when that square
     is not a normal double.
     """
-    p = require_instance(p, Params, "params")
-    if p.mu < 1.0:
-        raise PreconditionError(
-            f"monotonicity is claimed for mu >= 1 only, got mu={p.mu}"
-        )
-    q = tuple(map(Interval.point, (p.mu, _float64_sigma(p, "f_prime"), p.alpha)))
-    return _decide(0.0, 1.0, lambda x: _f_prime(_I, x, *q), _ZERO)
+    return _f_increasing(p, "monotonicity")
 
 
-def check_symmetrization(p: Params) -> bool:
-    """Check ``gap(2, f, x, y) >= gap(2, f, |x|, |y|)`` on the small
-    region (``2|x| + |y| <= 1``) at 2,000 seeded-random sample points.
+def check_symmetrization(p: Params) -> Tristate:
+    """Decide ``gap(2, f, x, y) >= gap(2, f, |x|, |y|)`` on the small
+    region ``2|x| + |y| <= 1``.
 
-    Precondition ``mu >= 1`` (the statement's hypothesis).
+    ``f`` is even, so there ``gap(x, y) - gap(|x|, |y|) = f(2|x| + |y|) -
+    f(|2x + y|)`` with ``|2x + y| <= 2|x| + |y| <= 1``, and every pair
+    ``0 <= u <= v <= 1`` occurs, at ``x = (u + v)/4``, ``y = -(v - u)/2``.
+    The statement is exactly "``f`` is nondecreasing on ``[0, 1]``",
+    decided as :func:`check_monotone_f` decides ``f' > 0`` (``FALSE`` at a
+    point where ``f' < 0``), with its precondition ``mu >= 1`` and its
+    :class:`RangeError`.
     """
-    p = require_instance(p, Params, "params")
-    n = 2_000
-    if p.mu < 1.0:
-        raise PreconditionError(
-            f"symmetrization is claimed for mu >= 1 only, got mu={p.mu}"
-        )
-    f = _evaluator(math, "f", p.mu, p.sigma, p.alpha)
-    rng = random.Random(_SYMMETRIZATION_SEED)
-    checked = 0
-    while checked < n:
-        x = rng.uniform(-0.5, 0.5)
-        y = rng.uniform(-1.0, 1.0)
-        if 2.0 * abs(x) + abs(y) > 1.0:
-            continue
-        checked += 1
-        if _gap(2.0, f, x, y) < _gap(2.0, f, abs(x), abs(y)) - 1e-10:
-            return False
-    return True
+    return _f_increasing(p, "symmetrization")
 
 
 def check_tau_concavity(p: Params, t: float) -> Tristate:
     """Decide concavity of ``x -> gap(2, f, x, t - 2x)`` on ``[0, t/2]``:
     ``TRUE`` when enclosures prove its second derivative
     ``2 f''(x) + 4 f''(t - 2x)`` negative there, ``FALSE`` at a point where
-    it is ``>= 0``, ``UNKNOWN`` otherwise.
+    it is ``> 0``, ``UNKNOWN`` otherwise.
 
     ``t`` must lie in ``(0, 1]``.  Preconditions: both small-region
     certificate conditions hold (``TRUE``); otherwise the concavity

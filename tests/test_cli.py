@@ -219,7 +219,8 @@ def test_oracles_json_statuses(capsys):
 
 
 def test_oracles_skip_when_hypothesis_fails(capsys):
-    # mu < 1 makes three oracles refuse; refusals are not failures.
+    # mu < 1 makes three oracles refuse; refusals are neither passes nor
+    # failures.
     code, out, _ = run_cli(capsys, "oracles", "--mu", "0.9", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -228,13 +229,20 @@ def test_oracles_skip_when_hypothesis_fails(capsys):
     assert statuses["symmetrization-reduction"] == "skipped"
     assert statuses["tau-concavity"] == "skipped"
     assert statuses["indicator-order-2"] == "pass"
+    assert payload["all_passed"] is False
+    code, out, _ = run_cli(capsys, "oracles", "--mu", "0.9")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "result: 8/11 passed, skipped: monotone-increasing-f, "
+        "symmetrization-reduction, tau-concavity"
+    )
 
 
 def test_oracles_fail_when_each_answer_flips(monkeypatch, capsys):
     # Each check returns the opposite of its row's passing answer.
-    for name in ("check_rolle_identity", "check_monotone_f", "check_tau_concavity"):
+    for name in ("check_rolle_identity", "check_monotone_f", "check_symmetrization",
+                 "check_tau_concavity"):
         monkeypatch.setattr(statement_oracles, name, lambda *args: Tristate.FALSE)
-    monkeypatch.setattr(statement_oracles, "check_symmetrization", lambda p: False)
     monkeypatch.setattr(
         statement_oracles, "semigroup_member",
         lambda target, gens, max_terms: target == Fraction(1, 5),
@@ -277,11 +285,14 @@ def test_oracles_unknown_is_neither_pass_nor_fail(monkeypatch, capsys):
 
 def test_oracles_far_bump_reads_unknown_and_exits_0(capsys):
     # With the bump 37.5 sigma beyond t = 1.25, h underflows on [0, t]:
-    # its curvature row cannot be decided, and refutes nothing.
+    # its curvature row cannot be decided, and refutes nothing.  The
+    # small-region conditions fail here, so tau-concavity is skipped.
     code, out, _ = run_cli(capsys, "oracles", "--mu", "5", "--sigma", "0.1")
     assert code == 0
     assert "oracle rolle-identity-h: UNKNOWN (" in out
-    assert out.splitlines()[-1] == "result: 10/11 passed, unknown: rolle-identity-h"
+    assert out.splitlines()[-1] == (
+        "result: 9/11 passed, unknown: rolle-identity-h, skipped: tau-concavity"
+    )
 
 
 # ---------------------------------------------------------------------------

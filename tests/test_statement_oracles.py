@@ -1,7 +1,8 @@
 """Oracles for the supporting statements: the three-point curvature
 probe, the curvature, monotonicity and concavity checks decided on
-interval enclosures, the sampled symmetrization check, exact semigroup
-membership, and the two-valued step-function example."""
+interval enclosures, the symmetrization check that reduces to
+monotonicity, exact semigroup membership, and the two-valued step-function
+example."""
 
 import math
 import random
@@ -26,6 +27,7 @@ from subadd.analytic_core import (
 from subadd.certificate import Verdict, _I, certify_S2
 from subadd.errors import DomainError, InputError, PreconditionError, RangeError
 from subadd.intervals import Interval, Tristate
+from subadd.search import TABLE_ALPHA, TABLE_REFERENCE_ROWS
 from subadd.statement_oracles import (
     RationalityCase,
     SemigroupStatus,
@@ -167,6 +169,9 @@ def test_an_enclosure_that_overflows_reads_unknown():
     for fn in ("f", "h"):
         assert check_rolle_identity(fn, 1.0, far) is Tristate.UNKNOWN
     assert check_monotone_f(Params(mu=1e300, sigma=1.0, alpha=1.0)) is Tristate.UNKNOWN
+    # sigma**2 overflows in f' at sigma = 1e300; the 2,000-point sampler
+    # that symmetrization used to be answered True here.
+    assert check_symmetrization(Params(mu=1.2, sigma=1e300, alpha=0.05)) is Tristate.UNKNOWN
 
 
 def test_a_positive_f_second_refutes_curvature_and_concavity(monkeypatch, cert_params):
@@ -226,8 +231,9 @@ def test_sigma_squared_underflow_is_refused_by_the_derivative_checks_only():
     for fn in ("h", "f"):
         with pytest.raises(RangeError, match="h_second: sigma\\*\\*2 underflows"):
             check_rolle_identity(fn, 1.0, p)
-    with pytest.raises(RangeError, match="f_prime: sigma\\*\\*2 underflows"):
-        check_monotone_f(Params(mu=1.2, sigma=1e-200, alpha=0.05))
+    for check in (check_monotone_f, check_symmetrization):
+        with pytest.raises(RangeError, match="f_prime: sigma\\*\\*2 underflows"):
+            check(Params(mu=1.2, sigma=1e-200, alpha=0.05))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +252,11 @@ def test_monotone_refuses_small_mu():
 
 
 def test_symmetrization_holds(cert_params):
-    assert check_symmetrization(cert_params) is True
-    # The public gap as a reference on 10,000 points of the oracle's draw.
+    table = [Params(mu, sigma, TABLE_ALPHA) for mu, sigma, *_ in TABLE_REFERENCE_ROWS]
+    for p in (cert_params, *table):
+        assert check_symmetrization(p) is Tristate.TRUE, p
+    # The public gap as an independent float64 reference on 10,000 seeded
+    # points of the small region.
     rng = random.Random(20240)
     checked = 0
     while checked < 10_000:
@@ -261,21 +270,56 @@ def test_symmetrization_holds(cert_params):
 
 
 def test_symmetrization_refuses_small_mu():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="symmetrization is claimed for mu >= 1 only"):
         check_symmetrization(Params(mu=0.5, sigma=0.1, alpha=0.1))
+
+
+def test_symmetrization_answers_as_monotonicity(monkeypatch, cert_params):
+    # Symmetrization on the small region is f nondecreasing on [0, 1]:
+    # the two oracles decide the same f' > 0 and must agree on every
+    # triple, whichever answer it gets (sigma past about 1e154 overflows
+    # the enclosures of f').
+    rng = random.Random(34)
+    answers = set()
+    for _ in range(60):
+        p = Params(
+            mu=rng.uniform(1.0, 5.0),
+            sigma=10.0 ** rng.uniform(-3.0, 300.0),
+            alpha=10.0 ** rng.uniform(-3.0, 1.5),
+        )
+        answer = check_symmetrization(p)
+        assert answer is check_monotone_f(p), p
+        answers.add(answer)
+    assert answers == {Tristate.TRUE, Tristate.UNKNOWN}
+    # A negative f' refutes both; f' = 0 refutes neither, since a constant
+    # f is nondecreasing.
+    for f_prime, answer in (
+        (Interval(-2.0, -1.0), Tristate.FALSE), (Interval.point(0.0), Tristate.UNKNOWN)
+    ):
+        monkeypatch.setattr(statement_oracles, "_f_prime", lambda lib, t, *q: f_prime)
+        assert check_symmetrization(cert_params) is answer
+        assert check_monotone_f(cert_params) is answer
 
 
 def test_gap_even_under_joint_sign_flip(cert_params):
     # Flipping both signs negates a*x + y, and the working function is
     # even, so the gap is bitwise unchanged.
+    hp = HighPrecision(200)
+    q = (cert_params.mu, cert_params.sigma, cert_params.alpha)
+
+    def symmetrization_identity(lib, x, y, mu, sigma, alpha):
+        # Both sides at 200 bits, where 2x + y is exact.
+        f = _evaluator(lib, "f", mu, sigma, alpha)
+        lhs = _gap(2, f, x, y) - _gap(2, f, abs(x), abs(y))
+        return lhs - (f(2 * abs(x) + abs(y)) - f(abs(2 * x + y)))
+
     rng = random.Random(5)
     for _ in range(2_000):
         x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
         assert gap(2.0, "f", -x, -y, cert_params) == gap(2.0, "f", x, y, cert_params)
-        # On the nonnegative quadrant, symmetrization is the identity.
-        assert gap(2.0, "f", abs(x), abs(y), cert_params) == gap(
-            2.0, "f", abs(x), abs(y), cert_params
-        )
+        # f is even, so gap(x, y) - gap(|x|, |y|) = f(2|x| + |y|) - f(|2x + y|),
+        # the identity that reduces symmetrization to monotonicity.
+        assert abs(hp._run(symmetrization_identity, x, y, *q)) < 1e-50, (x, y)
 
 
 def test_tau_concavity_examples(cert_params):

@@ -120,6 +120,7 @@ def cases():
     yield ["scan", "--tolerance", "nan"]
     yield ["scan", "--box=0,1,nan,1"]
     yield ["scan", "--box=2,3,2,3", "--grid-n", "101", "--refine-depth", "0"]
+    yield ["oracles", "--mu", "0.9"]
     yield ["oracles", "--mu", "0.9", "--format", "json"]
     # the bump 37.5 sigma beyond t = 1.25: rolle-identity-h reads UNKNOWN
     yield ["oracles", "--mu", "5", "--sigma", "0.1"]
