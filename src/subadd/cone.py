@@ -214,6 +214,10 @@ def _value_interval(coef: Fraction, prime: int) -> Interval:
     return imul(_fraction_interval(coef), _inv_sqrt(prime))
 
 
+def _by_sort_key(item: Tuple[GeneratorId, Fraction]) -> Tuple[int, int]:
+    return item[0].sort_key()
+
+
 @dataclass(frozen=True, slots=True)
 class ConeElement:
     """A cone element as its unique sparse coefficient vector: a sorted,
@@ -251,7 +255,7 @@ class ConeElement:
                 if c <= 0:
                     raise InputError(f"{what} must be > 0, got {describe(c, str)}")
             seen[gid] = c
-        ordered = tuple(sorted(seen.items(), key=lambda kv: kv[0].sort_key()))
+        ordered = tuple(sorted(seen.items(), key=_by_sort_key))
         object.__setattr__(self, "coeffs", ordered)
 
     def to_dict(self) -> Dict[GeneratorId, Fraction]:
@@ -268,13 +272,25 @@ class ConeElement:
             return self.coeffs[0][0]
         return None
 
+    @classmethod
+    def _trusted(cls, coeffs: Tuple[Tuple[GeneratorId, Fraction], ...]) -> "ConeElement":
+        # An element from coefficients already sorted and valid, without
+        # ``__post_init__``'s checks.
+        element = object.__new__(cls)
+        object.__setattr__(element, "coeffs", coeffs)
+        return element
+
     def __add__(self, other: "ConeElement") -> "ConeElement":
+        """The sum, coefficient by coefficient, sorted by
+        :meth:`GeneratorId.sort_key`.  Two elements' ids are valid and
+        their coefficients exact and positive, so the sum's are too and it
+        is built without ``__post_init__``'s checks."""
         if not isinstance(other, ConeElement):
             return NotImplemented
-        merged = self.to_dict()
+        merged = dict(self.coeffs)
         for gid, c in other.coeffs:
-            merged[gid] = merged.get(gid, Fraction(0)) + c
-        return ConeElement(tuple(merged.items()))
+            merged[gid] = merged[gid] + c if gid in merged else c
+        return ConeElement._trusted(tuple(sorted(merged.items(), key=_by_sort_key)))
 
 
 class WitnessCase(enum.Enum):
@@ -451,7 +467,10 @@ class Cone:
 
         Classifies the pair (same BASE ray / two BASE rays / one on, one
         off / both off) and returns the per-generator slack vector of
-        ``f(x) + f(y) - f(x + y)`` (exact rationals, all >= 0).  On the
+        ``f(x) + f(y) - f(x + y)`` (exact rationals, all >= 0), each
+        coordinate computed from the map's own images.  The map keeps each
+        element's support, so the witness's support is that of ``x + y``,
+        built once, in its sorted order.  On the
         same ray the slack is the knee map's concavity slack
         ``K(r) + K(s) - K(r + s)``; in every other case the sum leaves
         the BASE rays, so ``f(x + y) = x + y`` and the slack per mapped
@@ -462,12 +481,10 @@ class Cone:
         y = self._check_element(y, "y")
         fx = self._ray(x, self._knee).to_dict()
         fy = self._ray(y, self._knee).to_dict()
-        fs = self._ray(x + y, self._knee).to_dict()
-        support = sorted(set(fx) | set(fy) | set(fs), key=lambda g: g.sort_key())
         zero = Fraction(0)
         slacks = []
-        for gid in support:
-            slack = fx.get(gid, zero) + fy.get(gid, zero) - fs.get(gid, zero)
+        for gid, fs in self._ray(x + y, self._knee).coeffs:
+            slack = fx.get(gid, zero) + fy.get(gid, zero) - fs
             if slack < 0:
                 raise ConstructionBugError(
                     f"negative slack {slack} on {gid} for x={x.coeffs}, "

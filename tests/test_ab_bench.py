@@ -5,6 +5,7 @@ stub layer that starts no toolkit process."""
 import importlib.util
 import json
 import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -56,7 +57,10 @@ def bench(sources, tmp_path, *extra):
     ["cone", "{A}"],
     ["cone", "a={A}", "--rounds", "0"],
     ["no-such-layer", "a={A}"],
-], ids=["duplicate-label", "missing-equals", "zero-rounds", "unknown-layer"])
+    ["cone", "a={A}", "--base", "no-such-revision"],
+    ["cone", "base={A}", "--base", "HEAD"],
+], ids=["duplicate-label", "missing-equals", "zero-rounds", "unknown-layer",
+        "unknown-base", "base-label-taken"])
 def test_argument_errors_exit_2(sources, argv):
     argv = [a.format(A=sources / "A", B=sources / "B") for a in argv]
     with pytest.raises(SystemExit) as exc:
@@ -103,3 +107,45 @@ def test_wrong_exit_code_exits_1(monkeypatch, sources, tmp_path):
     code, record = bench(sources, tmp_path, "--rounds", "1")
     assert code == 1 and record["same_results"] is True
     assert record["wrong_exit_codes"] == [["A", "case", 3], ["B", "case", 3]]
+
+
+def test_base_is_a_worktree_of_the_revision_removed_on_exit(monkeypatch, sources, tmp_path):
+    """``--base HEAD`` times HEAD's ``src`` as label ``base``, first in
+    each even round, from a ``git worktree`` that is gone afterwards."""
+    root = ab_bench.ROOT
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True,
+                              text=True, check=True).stdout
+
+    def count(listing):
+        return sum(line.startswith("worktree ") for line in listing.splitlines())
+
+    try:
+        before = git("worktree", "list", "--porcelain")
+        head_cone = git("show", "HEAD:src/subadd/cone.py")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("needs a git checkout with git on PATH")
+    seen, trees = [], []
+
+    def run(env, work):
+        src = Path(env["PYTHONPATH"].split(os.pathsep)[0])
+        label_file = src / "label.txt"
+        if label_file.exists():
+            seen.append(label_file.read_text())
+        else:
+            assert (src / "subadd" / "cone.py").read_text() == head_cone
+            seen.append("base")
+        trees.append(git("worktree", "list", "--porcelain"))
+        return {"case": {"ms": [1.0], "ops": 1, "digest": "same"}}
+
+    monkeypatch.setitem(ab_bench.LAYERS, "stub", ab_bench.Layer(run))
+    out = tmp_path / "out.json"
+    code = ab_bench.main(["stub", f"A={sources / 'A'}", "--base", "HEAD", "--rounds", "2",
+                          "--out", str(out)])
+    record = json.loads(out.read_text())
+    assert code == 0 and record["same_results"] is True
+    assert list(record["results"]) == ["base", "A"]
+    assert seen == ["base", "A", "A", "base"]
+    assert [count(t) for t in trees] == [count(before) + 1] * 4
+    assert git("worktree", "list", "--porcelain") == before

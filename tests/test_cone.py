@@ -565,6 +565,53 @@ def test_witnesses_match_an_independent_slack_oracle():
     assert seen == set(WitnessCase)
 
 
+def test_sum_equals_the_checked_element_of_the_merged_coefficients():
+    """``x + y`` skips ``ConeElement``'s checks, so over pairs drawn as the
+    cone-exact benchmark draws them it must equal, coefficient for
+    coefficient, the checked element built from the merged dict: ids in
+    ``sort_key`` order, each coefficient a ``Fraction`` > 0.  The sum
+    commutes."""
+    ids = make_generators(60, 5).generator_ids()
+    rng = random.Random(35035)
+    shared = 0
+    for _ in range(2_000):
+        x, y = _random_element(ids, rng), _random_element(ids, rng)
+        merged = x.to_dict()
+        for gid, c in y.coeffs:
+            merged[gid] = merged.get(gid, Fraction(0)) + c
+        total = x + y
+        assert total.coeffs == ConeElement(merged).coeffs
+        keys = [gid.sort_key() for gid in total.support()]
+        assert keys == sorted(set(keys))
+        assert all(type(c) is Fraction and c > 0 for _, c in total.coeffs)
+        assert total == y + x and total.coeffs == (y + x).coeffs
+        shared += len(merged) < len(x.coeffs) + len(y.coeffs)
+    assert shared > 0  # some pairs share a generator, so some sums add
+
+
+@pytest.mark.parametrize(
+    "other", [1, Fraction(1), None, {B(1): Fraction(1)}, ((B(1), Fraction(1)),)],
+    ids=["int", "fraction", "none", "mapping", "pairs"],
+)
+def test_sum_with_a_non_element_fails(other):
+    x = ConeElement(((B(1), Fraction(1)),))
+    with pytest.raises(TypeError):
+        x + other
+    with pytest.raises(TypeError):
+        other + x
+
+
+def test_knee_images_keep_the_element_check(small_cone, monkeypatch):
+    """Only sums skip the check: a knee image is the map's output, so a
+    knee value that is not > 0 still raises where the image is built."""
+    monkeypatch.setattr(Cone, "_knee", staticmethod(lambda q, r: Fraction(0)))
+    x = ConeElement(((B(1), Fraction(1, 2)),))
+    with pytest.raises(InputError, match="must be > 0"):
+        small_cone.apply_f(x)
+    with pytest.raises(InputError, match="must be > 0"):
+        small_cone.check_subadditive_pair(x, x)
+
+
 # ---------------------------------------------------------------------------
 # boundary behaviour of the value functional
 # ---------------------------------------------------------------------------

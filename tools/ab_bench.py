@@ -4,8 +4,10 @@ turn, and write ``BENCH_<layer>.json``.
 
 Usage::
 
-    python3 tools/ab_bench.py LAYER LABEL=SRC_DIR [LABEL=SRC_DIR ...] [--rounds N] [--out PATH]
+    python3 tools/ab_bench.py LAYER LABEL=SRC_DIR [LABEL=SRC_DIR ...] [--base REV] \
+        [--rounds N] [--out PATH]
     python3 tools/ab_bench.py cone before=../old/src after=src
+    python3 tools/ab_bench.py cone --base HEAD~1 after=src
     OPENBLAS_NUM_THREADS=1 python3 tools/ab_bench.py kernel before=../old/src \
         after=src --out BENCH_kernel_blas1.json
     python3 tools/ab_bench.py cli-cold after=src --rounds 1 --out /tmp/cli_cold.json
@@ -15,7 +17,10 @@ directory of its own, and every child interpreter runs from that
 directory with the copy first on ``PYTHONPATH``, in the caller's
 environment otherwise (``cli-cold`` sets the bytecode variables itself;
 whether the other layers' children compile the toolkit or read its
-cached bytecode can move a kernel case by a quarter).  Each of
+cached bytecode can move a kernel case by a quarter).  ``--base REV``
+adds the label ``base``, taken first: the ``src`` of revision ``REV`` of
+this repository, checked out with ``git worktree add`` under the scratch
+directory and removed on exit.  Each of
 ``--rounds`` rounds (default 10) runs the layer once per label, taking
 the labels in turn and reversing their order every other round.
 
@@ -38,6 +43,7 @@ the labels in turn and reversing their order every other round.
   ``p/q`` with ``1 <= p, q <= 50``), runs each case once over the pool
   untimed, then ``REPEATS`` times timed; one sample is one pass over the
   pool divided by its size.  The cases: ``check_subadditive_pair``;
+  ``sum``, ``x + y``, the sum that check builds once;
   ``round_trip``, ``apply_f_inv(apply_f(x))``; ``element``,
   ``ConeElement(coeffs)`` from the drawn, unsorted pairs; and
   ``element_value_interval``.
@@ -58,7 +64,7 @@ The record holds the host (``lscpu``), the Python and numpy versions,
 children saw them, the layer's settings,
 ``same_results`` (whether every label gave the same result digest for
 every case: the commands' stdout, the cone's witnesses, round trips,
-elements and enclosures, the kernel's ``ScanReport``), the wrong exit
+sums, elements and enclosures, the kernel's ``ScanReport``), the wrong exit
 codes as ``[label, case, code]``, and per label and case: the median,
 quartiles and IQR of the samples in ms (rounded to 1 ns), the sample
 count, the operations per second at the median, how many rounds the
@@ -75,6 +81,7 @@ code is wrong, 2 on a usage error, and 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -138,6 +145,7 @@ raw = [(draw(), draw()) for _ in range(pool)]
 pairs = [(ConeElement(a), ConeElement(b)) for a, b in raw]
 cases = {
     "check_subadditive_pair": lambda: [cone.check_subadditive_pair(x, y) for x, y in pairs],
+    "sum": lambda: [x + y for x, y in pairs],
     "round_trip": lambda: [cone.apply_f_inv(cone.apply_f(x)) for x, _ in pairs],
     "element": lambda: [ConeElement(a) for a, _ in raw],
     "element_value_interval": lambda: [cone.element_value_interval(x) for x, _ in pairs],
@@ -340,10 +348,30 @@ LAYERS = {
 }
 
 
+def git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+
+
+@contextlib.contextmanager
+def worktree(rev: str, scratch: Path):
+    """The ``src`` of ``rev``, checked out with ``git worktree add`` under
+    ``scratch``; the worktree is removed on exit."""
+    tree = scratch / "base"
+    added = git("worktree", "add", "--detach", str(tree), rev)
+    if added.returncode:
+        raise RuntimeError(f"git worktree add {rev} failed: {added.stderr.strip()}")
+    try:
+        yield tree / "src"
+    finally:
+        git("worktree", "remove", "--force", str(tree))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("layer", choices=LAYERS)
     ap.add_argument("sources", nargs="+", metavar="LABEL=SRC_DIR")
+    ap.add_argument("--base", metavar="REV",
+                    help="also time REV's src, from a git worktree, as label base")
     ap.add_argument("--rounds", type=int, default=ROUNDS)
     ap.add_argument("--out", help="default: BENCH_<layer>.json at the repository root")
     args = ap.parse_args(argv)
@@ -353,12 +381,21 @@ def main(argv=None) -> int:
         ap.error("give each SRC_DIR, a directory, as LABEL=SRC_DIR with distinct labels")
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
+    if args.base is not None and (
+        "base" in sources or git("rev-parse", "--verify", "--quiet",
+                                 f"{args.base}^{{commit}}").returncode
+    ):
+        ap.error("--base needs a revision of this repository and no other label base")
     out = Path(args.out or ROOT / f"BENCH_{args.layer.replace('-', '_')}.json")
     layer = LAYERS[args.layer]
 
-    rounds = {label: {} for label in sources}  # label -> case -> per-round dicts
     digests, wrong_exits = {}, []
-    with tempfile.TemporaryDirectory(prefix="ab_bench_") as scratch:
+    with contextlib.ExitStack() as stack:
+        scratch = stack.enter_context(tempfile.TemporaryDirectory(prefix="ab_bench_"))
+        if args.base is not None:
+            sources = {"base": stack.enter_context(worktree(args.base, Path(scratch))),
+                       **sources}
+        rounds = {label: {} for label in sources}  # label -> case -> per-round dicts
         works, envs = {}, {}
         for i, (label, src) in enumerate(sources.items()):
             work = works[label] = Path(scratch) / str(i)
