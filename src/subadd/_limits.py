@@ -1,19 +1,10 @@
 """Argument caps and the reference window, stated once without imports.
 
 The modules that enforce these re-export them as public names
-(:mod:`subadd.analytic_core` the precisions, :mod:`subadd.search` the grid
-caps and ``FULL_BOX``, :mod:`subadd.cone` the generator cap).  The CLI
-reads them here for its help texts and defaults, so that building its
-parser loads none of those modules.
+(:mod:`subadd.search` the grid caps and ``FULL_BOX``, :mod:`subadd.cone`
+the generator cap).  The CLI reads them here for its help texts and
+defaults, so that building its parser loads none of those modules.
 """
-
-#: Smallest accepted working precision of
-#: :class:`~subadd.analytic_core.HighPrecision`, in bits of mantissa.
-MIN_PREC_BITS = 128
-#: Largest accepted working precision.  A :func:`~subadd.search.verify_point`
-#: at the cap takes about 2.5 s, and one at four times it about 30 s (2-core
-#: Xeon VM); from ``10**400`` bits on, mpmath fails with ``OverflowError``.
-MAX_PREC_BITS = 65_536
 
 #: Largest accepted ``grid_n``.  A level costs ``grid_n**2`` gap
 #: evaluations: 1e8 at the cap, seconds of work, where ``grid_n`` 1e5

@@ -64,7 +64,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ._limits import MAX_PREC_BITS, MIN_PREC_BITS
 from .errors import (
     DomainError,
     InputError,
@@ -102,6 +101,14 @@ __all__ = [
 #: Valid ``fn`` handles for :func:`gap`: the full function, the base
 #: profile alone, the raw bump, and the pinned bump ``h - h(0)``.
 GAP_FUNCTION_HANDLES = ("f", "g", "h", "h-h0")
+
+#: Smallest accepted working precision of :class:`HighPrecision`, in bits
+#: of mantissa.
+MIN_PREC_BITS = 128
+#: Largest accepted working precision.  A :func:`~subadd.search.verify_point`
+#: at the cap takes about 2.5 s, and one at four times it about 30 s (2-core
+#: Xeon VM); from ``10**400`` bits on, mpmath fails with ``OverflowError``.
+MAX_PREC_BITS = 65_536
 
 
 @dataclass(frozen=True)
@@ -209,7 +216,8 @@ def _require_off_kink(x: float, p: Optional[Params]):
 
 def _require_gap_args(a: OrderLike, fn: str, x: float, y: float, p: Optional[Params]):
     """``(a, x, y, q)`` for a gap; ``q`` is ``(mu, sigma, alpha)``, or
-    empty for the handle ``"g"``, which ignores ``p``."""
+    empty for the handle ``"g"``, which ignores ``p``.  ``a*x + y`` must
+    be finite in float64."""
     av = order_value(a)
     x = require_finite(x, "x")
     y = require_finite(y, "y")
@@ -218,10 +226,13 @@ def _require_gap_args(a: OrderLike, fn: str, x: float, y: float, p: Optional[Par
             f"unknown function handle {describe(fn)}; expected one of "
             f"{GAP_FUNCTION_HANDLES}"
         )
-    if fn == "g":
-        return av, x, y, ()
-    p = require_instance(p, Params, "params")
-    return av, x, y, (p.mu, p.sigma, p.alpha)
+    q = ()
+    if fn != "g":
+        p = require_instance(p, Params, "params")
+        q = (p.mu, p.sigma, p.alpha)
+    if not math.isfinite(av * x + y):
+        raise InputError(f"a*x + y overflowed for a={av}, x={x}, y={y}")
+    return av, x, y, q
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +406,6 @@ def gap(a: OrderLike, fn: str, x: float, y: float, p: Optional[Params] = None) -
     value is a violation with margin ``-gap``.
     """
     av, x, y, q = _require_gap_args(a, fn, x, y, p)
-    if not math.isfinite(av * x + y):
-        raise InputError(f"a*x + y overflowed for a={av}, x={x}, y={y}")
     return _gap(av, _evaluator(math, fn, *q), x, y)
 
 

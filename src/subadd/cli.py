@@ -20,10 +20,10 @@ subcommand takes only the options its runner reads, and its ``--help``
 lists them: ``--config FILE`` and ``--format`` {text,json,csv} go to all
 six; ``--mu/--sigma/--alpha`` (defaults 1.2/0.05/0.05) to all but
 ``table`` and ``cone``; ``--a`` (default 2.0) to ``scan`` and ``violate``,
-as ``certify`` checks order 2 only; ``--precision-bits`` (>= 128) to
-``violate`` and ``table``.  ``scan`` grids ``[-8, 8]^2`` at 801 nodes and
-3 refinements; ``violate`` and ``table`` take their scan defaults from
-:mod:`subadd.search`.
+as ``certify`` checks order 2 only.  ``scan`` grids ``[-8, 8]^2`` at 801
+nodes and 3 refinements; ``violate`` and ``table`` take their scan
+defaults from :mod:`subadd.search`.  Confirmations take no precision
+option: :func:`subadd.search.verify_point` works it out from the point.
 
 Each runner returns one record ``(exit_code, json_payload, csv_header,
 csv_rows, text_lines)`` and :func:`run` renders the ``--format`` asked for.
@@ -57,9 +57,7 @@ from ._limits import (
     FULL_BOX,
     MAX_GENERATORS,
     MAX_GRID_N,
-    MAX_PREC_BITS,
     MAX_REFINE_DEPTH,
-    MIN_PREC_BITS,
 )
 from .errors import (
     DomainError,
@@ -150,7 +148,6 @@ _ALL = tuple(_SUBCOMMANDS)
 _PARAMS = ("certify", "scan", "violate", "oracles")
 _WINDOW = ("scan", "violate")
 _GRID = ("scan", "violate", "table")
-_CONFIRM = ("violate", "table")
 _OPTIONS = (
     _Option("mu", float, _PARAMS, dict(help="ring centre (> 0)")),
     _Option("sigma", float, _PARAMS, dict(help="ring width (> 0)")),
@@ -162,13 +159,6 @@ _OPTIONS = (
     _Option(
         "format", str, _ALL,
         dict(choices=_FORMATS, dest="output_format", help="output format"),
-    ),
-    _Option(
-        "precision-bits", int, _CONFIRM,
-        dict(
-            help="working precision for confirmations "
-            f"({MIN_PREC_BITS} to {MAX_PREC_BITS})"
-        ),
     ),
     _Option(
         "box", str, _WINDOW, dict(metavar="X0,X1,Y0,Y1", help="search rectangle")
@@ -208,7 +198,6 @@ class RunConfig:
     order: Optional[Order] = None
     scan: Optional[ScanConfig] = None
     output_format: str = "text"
-    precision_bits: int = MIN_PREC_BITS
     n_base: int = 20
     n_reserve: int = 2
 
@@ -233,7 +222,6 @@ class RunConfig:
                 f"format must be one of {', '.join(_FORMATS)}, "
                 f"got {self.output_format!r}"
             )
-        require_int(self.precision_bits, "precision-bits", MIN_PREC_BITS, MAX_PREC_BITS)
         require_int(self.n_base, "n-base", 1, MAX_GENERATORS)
         require_int(self.n_reserve, "n-reserve", 1, MAX_GENERATORS)
 
@@ -347,7 +335,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         params = Params(**pick("mu", "sigma", "alpha"))
         if sub in _WINDOW:
             order = Order(**pick("a"))
-    output = pick("format", "precision-bits")
     scan = None
     if sub in _GRID:
         from . import search
@@ -359,7 +346,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             scan = search.ScanConfig(**grid)
         else:
             scan = search.violation_scan_config(params, **grid)
-    return RunConfig(sub, params, order, scan, **output, **pick("n-base", "n-reserve"))
+    return RunConfig(sub, params, order, scan, **pick("format", "n-base", "n-reserve"))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +432,7 @@ def _run_scan(config: RunConfig):
 
 def _run_violate(config: RunConfig):
     p, cfg = config.params, config.scan
-    violation = find_violation(config.order, p, cfg, prec_bits=config.precision_bits)
+    violation = find_violation(config.order, p, cfg)
     payload = {
         "params": p, "order": config.order, "config": cfg, "violation": violation
     }
@@ -465,7 +452,7 @@ def _run_violate(config: RunConfig):
         f"  point: x={v.point.x!r} y={v.point.y!r}",
         (
             f"  margin: {v.margin!r} "
-            f"(high-precision -gap at {config.precision_bits} bits; "
+            f"(high-precision -gap, at 128 bits or more as the point needs; "
             f"positive means the inequality fails)"
         ),
     ]
@@ -476,7 +463,6 @@ def _run_table(config: RunConfig):
     rows = reproduce_table(
         grid_n=config.scan.grid_n,
         refine_depth=config.scan.refine_depth,
-        prec_bits=config.precision_bits,
     )
     match = [abs(r.margin - r.expected_margin) <= _TABLE_MATCH_TOL for r in rows]
     clear = [r.scan_min_gap >= -config.scan.tolerance for r in rows]

@@ -43,7 +43,8 @@ Pipeline:
 
 3. **High-precision confirmation**: the candidate's margin ``-gap`` is
    recomputed by :func:`verify_point` with
-   :class:`subadd.analytic_core.HighPrecision` (128 bits minimum).  A
+   :class:`subadd.analytic_core.HighPrecision`, at 128 bits or, far from
+   the origin, as many more as the point's size needs.  A
    violation is reported only when that margin, rounded to float64, is
    strictly positive, so float64 noise can never manufacture a false
    violation.
@@ -206,6 +207,7 @@ from .analytic_core import (
     _f_prime,
     _f_second,
     _gap,
+    _require_gap_args,
     gap,
     order_value,
 )
@@ -909,7 +911,6 @@ def find_violation(
     a: OrderLike,
     p: Params,
     cfg: Optional[ScanConfig] = None,
-    prec_bits: int = MIN_PREC_BITS,
 ) -> Optional[Violation]:
     """Search for an order-``a`` subadditivity violation of the working
     function.
@@ -923,7 +924,6 @@ def find_violation(
     high-precision margin.
     """
     av = order_value(a)
-    require_int(prec_bits, "prec_bits", MIN_PREC_BITS, MAX_PREC_BITS)
     if cfg is None:
         cfg = violation_scan_config(p)
     report = scan_gap_min(av, p, cfg)
@@ -933,7 +933,7 @@ def find_violation(
     bx, by = _newton_polish(
         av, p, cfg.box, report.argmin.x, report.argmin.y, report.min_gap
     )
-    margin = verify_point(av, p, bx, by, prec_bits)
+    margin = verify_point(av, p, bx, by)
     if not margin > 0:
         return None
     return Violation(order=Order(av), params=p, point=Point(bx, by), margin=margin)
@@ -943,14 +943,25 @@ def verify_point(
     a: OrderLike, p: Params, x: float, y: float, prec_bits: int = MIN_PREC_BITS
 ) -> float:
     """High-precision violation margin ``-gap`` at one point (positive
-    means the inequality fails there), rounded to float64."""
-    return float(-HighPrecision(prec_bits).gap(a, "f", x, y, p))
+    means the inequality fails there), rounded to float64.
+
+    ``prec_bits`` is a floor.  The gap's terms are of the size of ``m =
+    max(|a*x|, |y|, |a*x + y|)`` and cancel down to a few units, so each
+    doubling of ``m`` past 64 costs one more bit: with ``2**(e-1) <= m <
+    2**e``, the evaluation runs at ``max(prec_bits, MIN_PREC_BITS +
+    max(0, e - 6))`` bits, and every point with ``m < 64`` at
+    ``prec_bits``.
+    """
+    require_int(prec_bits, "prec_bits", MIN_PREC_BITS, MAX_PREC_BITS)
+    av, x, y, _ = _require_gap_args(a, "f", x, y, p)
+    e = math.frexp(max(abs(av * x), abs(y), abs(av * x + y)))[1]
+    bits = max(prec_bits, MIN_PREC_BITS + max(0, e - 6))
+    return float(-HighPrecision(bits).gap(av, "f", x, y, p))
 
 
 def reproduce_table(
     grid_n: int = _DEFAULT_GRID_N,
     refine_depth: int = _DEFAULT_REFINE_DEPTH,
-    prec_bits: int = MIN_PREC_BITS,
 ) -> Tuple[TableRow, ...]:
     """Re-derive the five stored reference rows.
 
@@ -963,7 +974,7 @@ def reproduce_table(
     rows = []
     for mu, sigma, x_star, y_star, expected in TABLE_REFERENCE_ROWS:
         p = Params(mu=mu, sigma=sigma, alpha=TABLE_ALPHA)
-        margin = verify_point(3.0, p, x_star, y_star, prec_bits=prec_bits)
+        margin = verify_point(3.0, p, x_star, y_star)
         scan = scan_gap_min(
             2.0,
             p,

@@ -235,6 +235,28 @@ def test_gap_overflow_guard(cert_params):
         gap(1e308, "g", 1e308, 1e308)
 
 
+@pytest.mark.parametrize(
+    "a, fn, x, y",
+    [
+        (2, "f", 1e308, 1e308),
+        (1, "g", 1.7e308, 1.7e308),
+        (1e308, "h-h0", 10.0, 0.0),
+        (3, "h", -1e308, -1.7e308),
+    ],
+)
+def test_gap_overflow_is_refused_alike_in_both_paths(cert_params, a, fn, x, y):
+    """Where ``a*x + y`` overflows float64, ``gap`` and
+    ``HighPrecision.gap`` raise the same :class:`InputError`: the
+    high-precision path would otherwise evaluate ``w`` at a point that the
+    float64 path cannot name (at ``(2, 1e308, 1e308)`` it returned 0.0)."""
+    with pytest.raises(InputError) as fl:
+        gap(a, fn, x, y, cert_params)
+    with pytest.raises(InputError) as hp:
+        HighPrecision().gap(a, fn, x, y, cert_params)
+    assert str(hp.value) == str(fl.value)
+    assert "a*x + y overflowed" in str(fl.value)
+
+
 # ---------------------------------------------------------------------------
 # structural identities
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ import mpmath
 import pytest
 
 import _frozen
-from subadd.analytic_core import Params, classify_region
+from subadd import certificate
+from subadd.analytic_core import HighPrecision, Params, _evaluator, _gap, classify_region
 from subadd.errors import RangeError
 from subadd.certificate import (
     CAVEAT,
@@ -330,3 +331,32 @@ def test_certificate_soundness_cross_check(cert_params):
     assert margin > 0.0
     assert verify_point(2, cert_params, x, y, prec_bits=256) == margin
     assert abs(scan.min_gap + margin) <= 1e-9 * max(1.0, margin)
+
+
+def _interval_gap(a, p, x, y):
+    """The gap tree over the certificate's interval namespace, every
+    argument and parameter a point :class:`Interval`."""
+    point = Interval.point
+    w = _evaluator(certificate._I, "f", point(p.mu), point(p.sigma), point(p.alpha))
+    return _gap(point(a), w, point(x), point(y))
+
+
+def test_interval_gap_tree_encloses_the_1000_bit_gap(cert_params):
+    """On seeded ``(p, a, x, y)`` the float64 interval enclosure of the gap
+    contains its 1,000-bit value, and at the flagship's confirmed order-2
+    point it lies strictly below 0: a violation margin can come from an
+    enclosure instead of a high-precision evaluation."""
+    hp = HighPrecision(1000)
+    rng = random.Random(20261021)
+    for _ in range(200):
+        p = Params(rng.uniform(1.0, 3.0), rng.uniform(0.03, 0.2), rng.uniform(0.01, 0.2))
+        a = rng.choice((1.0, 2.0, 3.0, rng.uniform(0.5, 4.0)))
+        x, y = rng.uniform(-0.6, 0.6), rng.uniform(-4.0, 4.0)
+        enclosure = _interval_gap(a, p, x, y)
+        value = hp.gap(a, "f", x, y, p)
+        assert enclosure.lo <= value <= enclosure.hi, (p, a, x, y)
+    x, y = 0.024693601075866576, 1.1365913836096029
+    enclosure = _interval_gap(2.0, cert_params, x, y)
+    assert enclosure.lo <= hp.gap(2.0, "f", x, y, cert_params) <= enclosure.hi
+    assert enclosure.hi < 0.0
+    assert -enclosure.hi <= verify_point(2, cert_params, x, y) <= -enclosure.lo

@@ -611,15 +611,22 @@ def test_invalid_format_exits_two(capsys):
     assert code == 2
 
 
-def test_low_precision_exits_two(capsys):
-    code, _, err = run_cli(capsys, "violate", "--precision-bits", "64")
-    assert code == 2
-    assert "precision-bits" in err
-    code, _, err = run_cli(capsys, "violate", "--precision-bits", "65537")
-    assert code == 2
-    assert "precision-bits must be <= 65536" in err
-    code, out, _ = run_cli(capsys, "violate", "--help")
-    assert code == 0 and "(128 to 65536)" in " ".join(out.split())
+@pytest.mark.parametrize("sub", ["violate", "table"])
+def test_precision_bits_exits_two_as_flag_and_as_key(tmp_path, capsys, sub):
+    """Confirmations work out their precision from the point, so neither
+    the flag nor the config key exists: each is an input error."""
+    code, out, err = run_cli(capsys, sub, "--precision-bits", "160")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --precision-bits 160" in err
+    assert "Traceback" not in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("precision-bits = 160\n")
+    code, out, err = run_cli(capsys, sub, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {cfg}:1: unknown key 'precision-bits'; valid keys: "
+        f"{', '.join(cli._KEYS)}\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +705,6 @@ _KEY_VALUES = {
     "alpha": "0.04",
     "a": "3",
     "format": "json",
-    "precision-bits": "160",
     "box": "-0.1,0.1,0.9,1.4",
     "grid-n": "41",
     "refine-depth": "1",
@@ -715,16 +721,15 @@ def _config_from(argv, tmp_path, text):
 
 
 def test_key_values_cover_every_config_key():
-    assert set(_KEY_VALUES) == set(cli._KEYS) and len(_KEY_VALUES) == 12
+    assert set(_KEY_VALUES) == set(cli._KEYS) and len(_KEY_VALUES) == 11
 
 
 #: The options each subcommand takes: those its runner reads.
 _TAKES = {
     "certify": "mu sigma alpha config format",
     "scan": "mu sigma alpha a config format box grid-n refine-depth tolerance",
-    "violate": "mu sigma alpha a config format precision-bits box grid-n "
-    "refine-depth tolerance",
-    "table": "config format precision-bits grid-n refine-depth",
+    "violate": "mu sigma alpha a config format box grid-n refine-depth tolerance",
+    "table": "config format grid-n refine-depth",
     "oracles": "mu sigma alpha config format",
     "cone": "config format n-base n-reserve",
 }

@@ -85,15 +85,11 @@ ENTRIES = {
         dict(box=(-0.1, 0.1, 0.9, 1.4), grid_n=21, refine_depth=0, tolerance=1e-9),
     ),
     "scan_gap_min": (subadd.scan_gap_min, dict(a=2.0, p=P, cfg=CFG)),
-    "find_violation": (
-        subadd.find_violation, dict(a=2.0, p=P, cfg=CFG, prec_bits=128)
-    ),
+    "find_violation": (subadd.find_violation, dict(a=2.0, p=P, cfg=CFG)),
     "verify_point": (
         subadd.verify_point, dict(a=2.0, p=P, x=0.01, y=1.1, prec_bits=128)
     ),
-    "reproduce_table": (
-        subadd.reproduce_table, dict(grid_n=21, refine_depth=0, prec_bits=128)
-    ),
+    "reproduce_table": (subadd.reproduce_table, dict(grid_n=21, refine_depth=0)),
     "violation_scan_config": (
         subadd.violation_scan_config,
         dict(p=P, grid_n=21, refine_depth=0, tolerance=1e-9),

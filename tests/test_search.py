@@ -239,6 +239,31 @@ def _loop_lattice_ratio(
     return best
 
 
+def _vector_lattice_ratios(r, keep, reach, period=search._LATTICE_PERIOD):
+    """``_loop_lattice_ratio(1.0, 1.0, r[k], keep[k], reach[k], period)``
+    for every ``k``, the loop over ``m`` vectorised with numpy: the same
+    float64 products and ``floor``, the same bounds, and the first ``m``
+    of the largest ``l/m`` (distinct ratios ``l/m`` with ``m`` below the
+    period differ by far more than their float64 rounding)."""
+    r, keep, reach = (np.asarray(v, dtype=np.float64)[:, None] for v in (r, keep, reach))
+    m = np.arange(1, period, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = r * keep, np.minimum(r * (1.0 + reach), period)
+        # In place: the arrays are len(r) x (period - 1).
+        l = np.floor(hi * m, out=hi * m)
+        np.minimum(l, period - m, out=l)
+        ratio = np.maximum(lo * m, 1.0, out=lo * m)
+        ok = l >= ratio
+        np.divide(l, m, out=ratio)
+        ratio[~ok] = -1.0
+    best = ratio.argmax(axis=1)
+    rows = np.arange(len(best))
+    found = (ratio[rows, best] > 0.0) & (0.0 < r[:, 0]) & (r[:, 0] < math.inf)
+    ls = np.where(found, l[rows, best], 0.0).astype(np.int64)
+    pairs = zip((best + 1).tolist(), ls.tolist())
+    return [pair if hit else None for pair, hit in zip(pairs, found.tolist())]
+
+
 _PERIODS = [search._LATTICE_PERIOD]
 
 
@@ -266,26 +291,33 @@ def _seeded_ratio_cases(count):
 def test_lattice_ratio_walk_equals_the_loop_on_seeded_ratios(period):
     """The Stern–Brocot walk returns the loop's ``(m, l)`` at the kernel's
     period."""
-    for r, keep, reach in _seeded_ratio_cases(100_000):
-        want = _loop_lattice_ratio(1.0, 1.0, r, keep, reach, period)
-        assert search._lattice_ratio(1.0, 1.0, r, keep, reach) == want, (
-            r.hex(), keep, reach,
-        )
+    cases = _seeded_ratio_cases(100_000)
+    for start in range(0, len(cases), 2_500):
+        chunk = cases[start:start + 2_500]
+        wants = _vector_lattice_ratios(*zip(*chunk), period=period)
+        for (r, keep, reach), want in zip(chunk, wants):
+            assert search._lattice_ratio(1.0, 1.0, r, keep, reach) == want, (
+                r.hex(), keep, reach,
+            )
 
 
 @pytest.mark.parametrize("period", _PERIODS)
 def test_lattice_ratio_walk_equals_the_loop_on_recorded_ratios(period):
     """Every ratio the ``fullbox-scan`` pools (seeds 1 to 20) and the
     ``tools/violation_matrix.py`` cases meet, as recorded by
-    ``tools/scan_block_replay.py``, gets the loop's ``(m, l)``."""
+    ``tools/scan_block_replay.py``, gets the loop's ``(m, l)``, and so
+    does the vectorised loop that the seeded test takes as reference."""
     path = Path(__file__).with_name("lattice_ratios.json")
     record = json.loads(path.read_text())
     assert sum(map(len, record.values())) > 1000
     for key, ratios in record.items():
         keep, reach = map(float.fromhex, key.split())
-        for r in map(float.fromhex, ratios):
+        rs = list(map(float.fromhex, ratios))
+        vector = _vector_lattice_ratios(rs, [keep] * len(rs), [reach] * len(rs), period)
+        for r, vectorised in zip(rs, vector):
             want = _loop_lattice_ratio(1.0, 1.0, r, keep, reach, period)
             assert search._lattice_ratio(1.0, 1.0, r, keep, reach) == want
+            assert vectorised == want, r.hex()
 
 
 @pytest.mark.parametrize("period", _PERIODS)
@@ -297,6 +329,7 @@ def test_lattice_ratio_refuses_extreme_ratios(period, r):
     raise nothing, whatever ``keep`` and ``reach``."""
     for keep, reach in [(1.0 - search._RATIO_TOL, search._RATIO_TOL), (0.5, 1.0)]:
         assert _loop_lattice_ratio(1.0, 1.0, r, keep, reach, period) is None
+        assert _vector_lattice_ratios([r], [keep], [reach], period) == [None]
         assert search._lattice_ratio(1.0, 1.0, r, keep, reach) is None
 
 
@@ -1179,9 +1212,9 @@ def test_newton_polish_stays_in_the_box_and_keeps_the_gap(monkeypatch, box):
     polished = []
     confirm = search.verify_point
 
-    def spy(a, p, x, y, prec_bits):
+    def spy(a, p, x, y):
         polished.append((x, y))
-        return confirm(a, p, x, y, prec_bits)
+        return confirm(a, p, x, y)
 
     monkeypatch.setattr(search, "verify_point", spy)
     for p in _ANCHORS:
@@ -1239,14 +1272,6 @@ def test_find_violation_none_when_bump_too_small():
     assert find_violation(2, p) is None
 
 
-@pytest.mark.parametrize("prec_bits", ["x", 10**400, 127])
-def test_find_violation_checks_prec_bits_before_it_scans(prec_bits):
-    """A bad precision is refused even when the scan finds no candidate,
-    so it never reaches confirmation."""
-    with pytest.raises(InputError, match="prec_bits"):
-        find_violation(2.0, Params(1.2, 0.05, 0.001), prec_bits=prec_bits)
-
-
 def test_verify_point_frozen_values(cert_params):
     m3 = verify_point(3, cert_params, 0.016, 1.137)
     assert m3 == float(-_frozen.as_mpf(_frozen.GAP3_AT_WITNESS_CERT))
@@ -1259,6 +1284,90 @@ def test_verify_point_precision_stability(cert_params):
     a = verify_point(2, cert_params, 0.0247, 1.1366, prec_bits=128)
     b = verify_point(2, cert_params, 0.0247, 1.1366, prec_bits=400)
     assert a == b  # both converged well past float64
+
+
+def _record_precisions(monkeypatch):
+    """The precision of every ``HighPrecision`` that ``search`` builds,
+    in a list that fills as it builds them."""
+    used = []
+
+    class Recording(HighPrecision):
+        def __init__(self, prec_bits):
+            used.append(prec_bits)
+            super().__init__(prec_bits)
+
+    monkeypatch.setattr(search, "HighPrecision", Recording)
+    return used
+
+
+def test_verify_point_works_out_its_precision_from_the_point(monkeypatch, cert_params):
+    """``prec_bits`` is a floor, raised by one bit for each doubling of
+    ``max(|a*x|, |y|, |a*x + y|)`` from 64 on: every point below 64
+    runs at exactly ``prec_bits``.  Bad arguments are refused before any
+    precision is worked out."""
+    used = _record_precisions(monkeypatch)
+    for a, x, y, prec_bits, bits in (
+        (2, 0.0247, 1.1366, 128, 128),
+        (2, 0.0247, 1.1366, 400, 400),
+        (1, 32.0, 32.0 - 2.0**-47, 128, 128),  # a*x + y just below 64
+        (1, 32.0, 32.0, 128, 129),  # a*x + y = 64
+        (3, -40.0, 63.5, 128, 129),  # |a*x| = 120
+        (2, 1e40, 1e40, 128, 257),  # 3e40 = 1.38 * 2**134
+        (2, 1e40, 1e40, 300, 300),
+        (1, -1e100, 1e100, 128, 455),  # a*x + y = 0; |y| in [2**332, 2**333)
+    ):
+        used.clear()
+        verify_point(a, cert_params, x, y, prec_bits=prec_bits)
+        assert used == [bits], (a, x, y, prec_bits)
+    used.clear()
+    for a, x, y in ((2, math.inf, 1.0), (2, 1e308, 1e308), (0, 1.0, 1.0)):
+        with pytest.raises(InputError):
+            verify_point(a, cert_params, x, y)
+    assert not used
+
+
+@pytest.mark.parametrize("prec_bits", ["x", 10**400, 127])
+def test_verify_point_checks_prec_bits_before_it_evaluates(monkeypatch, prec_bits):
+    """A bad precision floor is refused before any evaluation, at a point
+    whose own precision would be valid."""
+    used = _record_precisions(monkeypatch)
+    with pytest.raises(InputError, match="prec_bits"):
+        verify_point(2.0, Params(1.2, 0.05, 0.001), 0.02, 1.1, prec_bits=prec_bits)
+    assert not used
+
+
+def _far_points(rng, count):
+    """``count`` points whose coordinates have random signs and
+    magnitudes log-uniform from 1e-3 to 1e300."""
+    return [
+        tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 300.0) for _ in "xy")
+        for _ in range(count)
+    ]
+
+
+def test_verify_point_equals_8192_bits_far_from_the_origin(cert_params):
+    """Far from the origin the gap's terms cancel, and 128 bits lose the
+    margin: at the flagship's ``(1e40, 1e40)`` they read ``-128.0``.
+    ``verify_point`` equals an 8,192-bit evaluation rounded to float64
+    there and on seeded points with coordinates up to 1e300, at three
+    triples and orders, where 128 bits alone miss some of them."""
+    assert verify_point(2, cert_params, 1e40, 1e40) == -183.10819515085555
+    assert float(-HighPrecision(8192).gap(2, "f", 1e40, 1e40, cert_params)) == (
+        -183.10819515085555
+    )
+    assert float(-HighPrecision(128).gap(2, "f", 1e40, 1e40, cert_params)) == -128.0
+    rng = random.Random(20261021)
+    missed = 0
+    for p, a in (
+        (cert_params, 2),
+        (Params(1.5, 0.05, search.TABLE_ALPHA), 3),
+        (Params(2.0, 0.10, search.TABLE_ALPHA), 1),
+    ):
+        for x, y in _far_points(rng, 5):
+            want = float(-HighPrecision(8192).gap(a, "f", x, y, p))
+            assert verify_point(a, p, x, y) == want, (p, a, x.hex(), y.hex())
+            missed += float(-HighPrecision(128).gap(a, "f", x, y, p)) != want
+    assert missed >= 5
 
 
 # ---------------------------------------------------------------------------

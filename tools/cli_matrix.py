@@ -49,14 +49,13 @@ grid-n = 61
 refine-depth = 1
 tolerance = 1e-9
 format = json
-precision-bits = 160
 n-base = 4
 n-reserve = 1
 """
 
 CONFIGS = {
     "all.cfg": ALL_KEYS,
-    "underscore.cfg": "grid_n = 51\nrefine_depth = 0\nn_base = 3\nprecision_bits = 128\n",
+    "underscore.cfg": "grid_n = 51\nrefine_depth = 0\nn_base = 3\n",
     "nearline.cfg": "mu = 1.5\nalpha = 0.117783036\nformat = csv\n",
     "unknown.cfg": "mu = 1.5\nmuu = 1.5\n",
     "malformed.cfg": "# comment\n\nmu 1.5\n",
@@ -64,7 +63,7 @@ CONFIGS = {
     "badint.cfg": "grid-n = 4.5\n",
     "badscan.cfg": "box = a,b,c,d\ntolerance = loose\nrefine-depth = deep\n",
     "badformat.cfg": "format = xml\n",
-    "lowprec.cfg": "precision-bits = 64\n",
+    "precision.cfg": "precision-bits = 160\n",
     "order.cfg": "a = 3\nsigma = -1\n",
     "othercmd.cfg": "grid-n = 4.5\nn-base = 0\nn-reserve = many\n",
     "empty.cfg": "",
@@ -106,7 +105,6 @@ def cases():
     band = ["certify", "--mu", "2.35", "--sigma", "0.05", "--alpha", "0.01"]
     yield band
     yield [*band, "--format", "json"]
-    yield ["violate", "--precision-bits", "64"]
     yield ["violate", "--a", "3"]
     yield ["violate", "--alpha", "0.001", "--format", "csv"]
     yield ["violate", "--box=-0.1,0.1,0.9,1.4", "--tolerance", "1e-6"]
@@ -134,8 +132,8 @@ def cases():
     yield ["certify", "--a", "3"]
     yield ["cone", "--mu", "9"]
     yield ["table", "--alpha", "0.1"]
-    yield ["oracles", "--precision-bits", "160"]
-    yield ["scan", "--precision-bits", "160"]
+    for sub in ("scan", "violate", "table", "oracles"):
+        yield [sub, "--precision-bits", "160"]
 
 
 def main() -> int:
