@@ -107,12 +107,11 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
   temporaries: ``f`` is evaluated into ``fs``, and the bounds' envelope
   pass runs over it, ``_LATTICE_CHUNK`` (2**14) points at a time, so no
   other array is as long as the lattice.
-- Block bounds.  On the lattice path with at least ``_BOUND_MIN_COLS``
-  (512) columns, each 64-row tile x 64-column block gets a float64 lower
-  bound ``lb`` on its gaps ``fl(fl(u_i + v_j) - fs_k)`` (see "Outer
-  sums"), ``u = a*f(x)``, ``v = f(y)``.  Block ``(t, b)``, rows ``[r0,
-  r1)`` and columns ``[c0, c1)``, starts its lattice range at ``kA =
-  64*(m*t + l*b)``.  The range of every block with that start lies in
+- Block bounds.  On the lattice path, each 64-row tile x 64-column block
+  gets a float64 lower bound ``lb`` on its gaps ``fl(fl(u_i + v_j) -
+  fs_k)`` (see "Outer sums"), ``u = a*f(x)``, ``v = f(y)``.  Block ``(t,
+  b)``, rows ``[r0, r1)`` and columns ``[c0, c1)``, starts its lattice
+  range at ``kA = 64*(m*t + l*b)``.  The range of every block with that start lies in
   the window ``[kA, kB]``, ``kB = min(kA + 63*(m + l), nk - 1)`` for
   ``nk`` lattice points: a whole block's range is its window, and an
   edge block's is shorter, which keeps its bound sound and may lower it.
@@ -137,10 +136,9 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
   and the third bracket are computed once per window, not per block (112
   windows for 1,444 blocks at 2401 columns and order 2), and each block
   gathers its tile's, its block's and its window's values.  The index
-  arrays of that gather depend only on the shape ``(ni, nj, m, l)``; the
-  last ``_LAYOUT_SHAPES`` (4) shapes' arrays stay cached, read-only, so
-  that the levels of a scan share them (0.5 MB for the four shapes of
-  the ``fullbox-scan`` pools, 0.4 MB of it the level of period 83).
+  arrays of that gather depend only on the shape ``(ni, nj, m, l)``; they
+  stay cached, read-only, so that the levels of a scan share them, up to
+  ``_LAYOUT_BYTES`` (8 MiB, the cache's worst case) in all.
   Near a minimum ``G_x`` and ``G_y`` both vanish, so the bound misses the
   block's minimum by O(h*|grad G| + h**2*|f''|), where the range bound
   ``(min u + min v) - max fs`` missed it by O(h*|f'|).
@@ -163,16 +161,14 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
   or NaN.  So ``gap >= lb``: no node of a block with ``lb > best`` can
   equal or beat the running minimum ``best``.
 - Loop.  One loop visits the row tiles in row order.  Without bounds (the
-  node path, and lattices narrower than ``_BOUND_MIN_COLS``) each tile
-  evaluates every column.  With bounds, the block of lowest bound is
-  evaluated first, alone, and folded into ``best``, so that the first
-  tile already has a finite ``best`` to skip blocks against; then a tile
-  whose smallest bound is above ``best`` is skipped, and any other
-  evaluates only the contiguous column span of its blocks with ``not lb
-  > best`` (so a NaN bound, which any NaN input of the block gives, never
-  prunes).  On the seed-3 ``fullbox-scan`` pool a refined level at 2401
-  computes 0.6 to 4.4% of its nodes.  On the 401-column violation window
-  the bounds cost more than they skip (see ``_BOUND_MIN_COLS``).
+  node path) each tile evaluates every column.  With bounds, the block of
+  lowest bound is evaluated first, alone, and folded into ``best``, so
+  that the first tile already has a finite ``best`` to skip blocks
+  against; then a tile whose smallest bound is above ``best`` is skipped,
+  and any other evaluates only the contiguous column span of its blocks
+  with ``not lb > best`` (so a NaN bound, which any NaN input of the
+  block gives, never prunes).  On the seed-3 ``fullbox-scan`` pool a refined level at 2401
+  computes 0.6 to 4.4% of its nodes.
 - Results are bit-reproducible, and any block partition of the index
   rectangle gives bit-identical values: the path depends only on ``a``,
   ``dx`` and ``dy``, and lattice indices are absolute.
@@ -295,8 +291,6 @@ _BLOCK_ROWS = 64
 #: 7.19 MiB of allocations (tracemalloc, cold layout cache); in chunks of
 #: 2**11 to 2**14 points at 2.37 MiB, of which ``fs`` is 1.01 and the
 #: row-tile buffer 0.78; in chunks of 2**15 at 2.61 and of 2**16 at 4.11.
-#: The call also got faster: in-process medians of 150 calls, 3.5 to 4.0
-#: ms against 5.1 to 6.2 ms on three alternating pairs, 2-core Xeon VM.
 _LATTICE_CHUNK = 2**14
 #: Longest lattice period ``m + l`` the kernel runs on.  Its lattice holds
 #: at most ``_LATTICE_PERIOD * n`` points, still O(n); a level clipped at
@@ -309,26 +303,18 @@ _RATIO_TOL = 2.0 ** -44
 #: at level 2), below the 2.5e-4 relative between two ratios with ``m + l
 #: <= 128`` (62/63 and 63/64).
 _SNAP_REACH = 2.0 ** -30
-#: Fewest columns for which a lattice-path scan bounds its blocks and skips
-#: those that cannot hold the minimum.  It keeps the 401-column violation
-#: window, the scan of ``atlas-sweep``, unbounded: under the benchmark
-#: worker's two OpenBLAS threads, bounding it (a threshold of 0) cost
-#: ``atlas-sweep`` 14% of its ``ops_per_s`` (587.4 against 505.4) and 1.6
-#: MB of peak RSS (38.4 against 40.0 MB), medians of 5 alternating pairs,
-#: seed 101, 2-core Xeon VM.  The window's lattices have 44 shapes ``(m,
-#: l)`` over that pool, so the layouts rarely stay cached: 382 of its 958
-#: window levels miss the ``_LAYOUT_SHAPES`` cache.  Every ``fullbox-scan``
-#: grid, at 801 columns and up, is bounded.
-_BOUND_MIN_COLS = 512
 #: The block bounds subtract ``_BOUND_SLACK * 8*(W + L)``, 512 times their
 #: rounding error (see "Margin" in the module docstring).
 _BOUND_SLACK = 2.0 ** -40
-#: Grid shapes ``(rows, columns, m, l)`` whose block-bound layout stays
-#: cached: a scan's levels at one ``grid_n`` share one or two.  Four hold
-#: every shape the ``fullbox-scan`` pools meet (801, 1601 and 2401 at
-#: period 3, and 1601 at period 83), 0.5 MB in all.  A layout takes at
-#: most 5.9 MB (``MAX_GRID_N``, period 128), so the cache at most 24 MB.
-_LAYOUT_SHAPES = 4
+#: Most bytes of block-bound layouts kept cached, the least recently used
+#: dropped first.  A violation-window layout takes about 28 kB and 240 µs
+#: to build; the ``atlas-sweep`` pool of seed 101 meets 46 window shapes
+#: (1.5 MB), so 914 of its 960 levels reuse one.  The ``fullbox-scan``
+#: shapes take 0.5 MB, and the largest, 5.9 MB (``MAX_GRID_N``, period
+#: 128), fits, so its scan's levels share it too.
+_LAYOUT_BYTES = 8 * 2**20
+#: Shape ``(ni, nj, m, l)`` to ``(layout, bytes)``, least recently used first.
+_layouts: dict = {}
 
 #: Stored reference rows: (mu, sigma, x_star, y_star, stored_margin), all
 #: sharing TABLE_ALPHA.  ``stored_margin`` is the reference value this
@@ -381,8 +367,8 @@ class ScanReport:
     ``min_gap`` is the gap re-evaluated at ``argmin`` on the interpreted
     float64 path; ``evaluations`` counts the grid nodes the kernel
     covered, each either evaluated or excluded by its block's bound (see
-    "Block bounds" in the module docstring), which is exactly
-    ``(refine_depth + 1) * grid_n**2``.
+    "Block bounds" in the module docstring): ``grid_n**2`` per level run,
+    ``refine_depth + 1`` levels unless the box collapsed to a point.
     """
 
     order: Order
@@ -490,15 +476,26 @@ def _outer_sum(np, u, v):
     return lhs, rhs
 
 
-@functools.lru_cache(maxsize=_LAYOUT_SHAPES)
 def _bound_layout(ni: int, nj: int, m: int, l: int):
     """The index arrays of :func:`_block_bounds` for ``ni`` rows, ``nj``
-    columns and the lattice ``(m, l)``.  They depend on nothing else, so
-    every level of a scan at one ``grid_n`` shares them (see "Block
-    bounds" in the module docstring).  All are read-only.  The largest, the
-    offset of each entry of ``w`` in its chunk, is uint16, since a chunk
-    holds at most 2048 entries, and is built without a full-length
-    temporary."""
+    columns and the lattice ``(m, l)``, cached: they depend on nothing
+    else, so the levels of a scan share them (see ``_LAYOUT_BYTES``)."""
+    shape = (ni, nj, m, l)
+    entry = _layouts[shape] = _layouts.pop(shape, None) or _build_layout(*shape)
+    # The newest layouts that fit stay; a snapshot, as scans may use threads.
+    held = 0
+    for key, (_, size) in reversed(list(_layouts.items())):
+        held += size
+        if held > _LAYOUT_BYTES:
+            _layouts.pop(key, None)
+    return entry[0]
+
+
+def _build_layout(ni: int, nj: int, m: int, l: int):
+    """``(layout, bytes)`` for :func:`_bound_layout`.  All arrays of the
+    layout are read-only.  The largest, the offset of each entry of ``w``
+    in its chunk, is uint16, since a chunk holds at most 2048 entries, and
+    is built without a full-length temporary."""
     np = _load_numpy()
     nk = m * (ni - 1) + l * (nj - 1) + 1
     size = _BLOCK_ROWS * max(1, (m + l) // 4)
@@ -562,7 +559,7 @@ def _bound_layout(ni: int, nj: int, m: int, l: int):
     # Cached: no caller may change them, through a view either.
     for a in arrays:
         a.flags.writeable = False
-    return (tiles,) + arrays
+    return (tiles,) + arrays, sum(a.nbytes for a in arrays)
 
 
 def _block_bounds(np, u, v, fs, m, l):
@@ -660,7 +657,6 @@ def scan_block(
         afx, fy = a * f(xs), f(ys)
         f_lhs, f_rhs = _outer_sum(np, afx, fy)
 
-        bounds = None
         ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
         if ratio is not None:
             # f(a*x_i + y_j) = f(s0 + k*delta) with k = m*i + l*j: evaluate
@@ -689,8 +685,7 @@ def scan_block(
                 fs, shape=(ni, nj), strides=(m * fs.itemsize, l * fs.itemsize),
                 writeable=False,
             )
-            if nj >= _BOUND_MIN_COLS:
-                bounds = _block_bounds(np, afx, fy, fs, m, l)
+            bounds = _block_bounds(np, afx, fy, fs, m, l)
         else:
             s_lhs, s_rhs = _outer_sum(np, a * xs, ys)
 
@@ -719,7 +714,7 @@ def scan_block(
             return float(gaps.flat[flat]), i0 + r0 + bi, j0 + c0 + bj
 
         best = (np.inf, -1, -1)
-        if bounds is not None:
+        if ratio is not None:
             # The block of lowest bound first, alone: the first tile then
             # already skips blocks, where with no finite minimum it would keep
             # them all.
@@ -729,7 +724,7 @@ def scan_block(
             lows = bounds.min(axis=1).tolist()
         for t, r0 in enumerate(range(0, ni, _BLOCK_ROWS)):
             c0, c1 = 0, nj
-            if bounds is not None:
+            if ratio is not None:
                 # Only blocks whose bound is not above the running minimum can
                 # hold a node that equals or beats it; a NaN bound keeps its
                 # block (and makes its tile's lowest bound NaN).
@@ -745,7 +740,9 @@ def scan_gap_min(a: OrderLike, p: Params, cfg: ScanConfig) -> ScanReport:
     """Deterministic refined grid scan of the order-``a`` gap minimum.
 
     See the module docstring for the refinement, node-placement and
-    tie-breaking rules.
+    tie-breaking rules.  Refinement stops once a level's box is the
+    previous level's, a point on both axes; a box that still shrinks on
+    one axis (the full box at ``grid_n`` 3, depth 30) keeps every level.
     """
     av = order_value(a)
     p = require_instance(p, Params, "params")
@@ -754,7 +751,7 @@ def scan_gap_min(a: OrderLike, p: Params, cfg: ScanConfig) -> ScanReport:
     n = cfg.grid_n
 
     best: Optional[Tuple[float, float, float]] = None  # (raw gap, x, y)
-    evaluations = 0
+    evaluations, box = 0, None
     for level in range(cfg.refine_depth + 1):
         if level == 0:
             bx0, bx1, by0, by1 = x_lo, x_hi, y_lo, y_hi
@@ -767,6 +764,9 @@ def scan_gap_min(a: OrderLike, p: Params, cfg: ScanConfig) -> ScanReport:
             bx1 = min(x_hi, cx + wx / 2.0)
             by0 = max(y_lo, cy - wy / 2.0)
             by1 = min(y_hi, cy + wy / 2.0)
+        if (bx0, bx1, by0, by1) == box:  # later levels rescan the same nodes
+            break
+        box = (bx0, bx1, by0, by1)
         dx = _fit_step(bx0, bx1, n, (bx1 - bx0) / (n - 1))
         dy = (by1 - by0) / (n - 1)
         # Snap dy down onto the lattice of a*dx when that costs less than

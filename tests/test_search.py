@@ -11,6 +11,7 @@ import json
 import math
 import random
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -133,10 +134,12 @@ def test_scan_evaluation_count(cert_params):
 
 def test_scan_survives_levels_shrunk_to_a_point(cert_params):
     """Deep levels are narrower than one ulp of their centre, so their
-    steps round to 0 (here ``dx == dy == 0`` from level 18 on)."""
+    steps round to 0 (here ``dy`` from level 17 on, ``dx`` at level 19).
+    Level 20's box is level 19's point, so the scan stops after 20
+    levels."""
     cfg = ScanConfig(box=FULL_BOX, grid_n=41, refine_depth=20)
     rep = scan_gap_min(2.0, cert_params, cfg)
-    assert rep.evaluations == 21 * 41 * 41
+    assert rep.evaluations == 20 * 41 * 41
     assert rep.min_gap == gap(2.0, "f", rep.argmin.x, rep.argmin.y, cert_params)
 
 
@@ -574,7 +577,7 @@ def test_long_lattice_level_holds_fs_and_chunk_sized_temporaries():
     whole lattice took 7.19 MiB.  Its result is the recorded one."""
     args, result = next(_recorded_calls())
     assert search._lattice_ratio(args[0], args[5], args[7], 1.0 - search._RATIO_TOL) == (64, 19)
-    search._bound_layout.cache_clear()
+    search._layouts.clear()
     tracemalloc.start()
     try:
         value, i, j = scan_block(*args)
@@ -589,15 +592,22 @@ def _at_chunk(monkeypatch, chunk, run):
     """``run()`` with ``_LATTICE_CHUNK`` set to ``chunk``, and the layouts,
     which hold its groups, built anew."""
     monkeypatch.setattr(search, "_LATTICE_CHUNK", chunk)
-    search._bound_layout.cache_clear()
+    search._layouts.clear()
     try:
         return run()
     finally:
-        search._bound_layout.cache_clear()
+        search._layouts.clear()
+
+
+def _period(args):
+    """The lattice period ``m + l`` of a ``scan_block`` call, 0 on the
+    node path."""
+    ratio = search._lattice_ratio(args[0], args[5], args[7], 1.0 - search._RATIO_TOL)
+    return sum(ratio or ())
 
 
 def test_lattice_chunk_changes_no_bit(monkeypatch):
-    """``fs``, the block bounds and the result of every bounded recorded
+    """``fs``, the block bounds and the result of every recorded lattice
     call of period above 3 are the same, bit for bit, with the lattice in one
     chunk and in chunks of 2**10 points; so are the bounds of seeded
     random blocks (see ``_random_bound_inputs``) in one chunk and with
@@ -610,11 +620,7 @@ def test_lattice_chunk_changes_no_bit(monkeypatch):
         return lb
 
     monkeypatch.setattr(search, "_block_bounds", spy)
-    calls = [
-        (args, result) for args, result in _recorded_calls()
-        if args[11] - args[10] >= search._BOUND_MIN_COLS
-        and sum(search._lattice_ratio(args[0], args[5], args[7], 1.0 - search._RATIO_TOL)) > 3
-    ]
+    calls = [(args, result) for args, result in _recorded_calls() if _period(args) > 3]
 
     def scans():
         seen.clear()
@@ -732,8 +738,8 @@ def _random_kernel_block(rng):
         x0 = -rng.randint(0, 60) * dx
     else:
         x0 = rng.uniform(-8.0, 8.0) * scale
-    # Some blocks span several row tiles and are wide enough to be bounded;
-    # most of their lattices are short, as in the scans that prune.
+    # Some blocks span several row tiles and 512 or more columns; most of
+    # their lattices are short, as in the full-box scans that prune most.
     wide = rng.random() < 0.25
     kind = rng.random()
     if kind < 0.5:
@@ -754,7 +760,7 @@ def _random_kernel_block(rng):
     else:
         y0 = rng.uniform(-8.0, 8.0) * scale
     if wide:
-        ni, nj = rng.randint(65, 400), rng.randint(search._BOUND_MIN_COLS, 1200)
+        ni, nj = rng.randint(65, 400), rng.randint(512, 1200)
     else:
         ni = rng.choice([1, 2, 63, 64, 65, 129, rng.randint(1, 140)])
         nj = rng.choice([1, 2, 3, rng.randint(1, 300)])
@@ -766,8 +772,9 @@ def test_kernel_outer_sum_is_the_broadcast_add(monkeypatch):
     """``scan_block`` forms its outer sums as a rank-2 matrix product and
     skips the blocks its bounds rule out; on seeded random blocks, both
     paths, 1-row tail tiles, single rows and columns, overflowing gaps,
-    skipped tiles and blocks, and minima tied across row tiles, it returns
-    the reference's ``(value, i, j)`` exactly, the sign of ``value``
+    skipped tiles and blocks (in narrow lattice blocks of at most 300
+    columns too), and minima tied across row tiles, it returns the
+    reference's ``(value, i, j)`` exactly, the sign of ``value``
     included."""
     computed = []  # entries of each kernel outer-sum product
     np_matmul = np.matmul
@@ -779,7 +786,8 @@ def test_kernel_outer_sum_is_the_broadcast_add(monkeypatch):
     rng = random.Random(20261018)
     seen = dict.fromkeys(
         ("lattice", "node", "period 65 to 128", "period above 128",
-         "non-finite", "none finite", "zero", "skipped", "tied across tiles"),
+         "non-finite", "none finite", "zero", "skipped", "narrow lattice",
+         "narrow skipped", "tied across tiles"),
         0,
     )
     for _ in range(500):
@@ -804,7 +812,11 @@ def test_kernel_outer_sum_is_the_broadcast_add(monkeypatch):
         seen["zero"] += want[0] == 0.0
         # The lattice path forms one product per tile it evaluates.
         nodes = (args[9] - args[8]) * (args[11] - args[10])
-        seen["skipped"] += bool(lattice) and sum(computed) < nodes
+        skipped = bool(lattice) and sum(computed) < nodes
+        narrow = bool(lattice) and args[11] - args[10] < 512
+        seen["skipped"] += skipped
+        seen["narrow lattice"] += narrow
+        seen["narrow skipped"] += narrow and skipped
         seen["tied across tiles"] += tiles_at_min > 1
     assert min(seen.values()) >= 10, seen
 
@@ -832,7 +844,7 @@ def test_bounded_loop_keeps_blocks_whose_bound_is_not_above_the_minimum(
         return out
 
     monkeypatch.setattr(search, "_evaluator", lambda lib, fn, *params: f)
-    args = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, y0, 1.0, 0, 192, 0, search._BOUND_MIN_COLS)
+    args = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, y0, 1.0, 0, 192, 0, 512)
     want, _, tiles_at_min = _broadcast_add_scan_block(*args)
     assert want == (0.0, 0, 0) and tiles_at_min == 2
     assert scan_block(*args) == want
@@ -872,10 +884,10 @@ def test_bounded_loop_keeps_blocks_whose_bound_equals_the_minimum(monkeypatch, n
 
     monkeypatch.setattr(search, "_evaluator", lambda lib, fn, *params: f)
     monkeypatch.setattr(search, "_block_bounds", _range_bounds)
-    args = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, y0, 1.0, 0, 192, 0, search._BOUND_MIN_COLS)
+    args = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, y0, 1.0, 0, 192, 0, 512)
     u = f(np.arange(192.0))
-    v = f(y0 + np.arange(float(search._BOUND_MIN_COLS)))
-    fs = f(y0 + np.arange(191.0 + search._BOUND_MIN_COLS))
+    v = f(y0 + np.arange(512.0))
+    fs = f(y0 + np.arange(191.0 + 512))
     lows = _range_bounds(np, u, v, fs, 1, 1).min(axis=1)
     assert lows[1:].tolist() == [1.0, -1.0]
     assert math.isnan(lows[0]) if nan_row else lows[0] == 0.0
@@ -996,37 +1008,104 @@ def test_block_bounds_are_the_same_with_a_cold_and_a_warm_layout_cache():
         inputs = [_random_bound_inputs(rng)[:5] for _ in range(60)]
         cold = []
         for u, v, fs, m, l in inputs:
-            search._bound_layout.cache_clear()
+            search._layouts.clear()
             cold.append(search._block_bounds(np, u, v, fs, m, l))
+            [cached] = search._layouts.values()
             warm = search._block_bounds(np, u, v, fs, m, l)
-            assert search._bound_layout.cache_info().hits == 1
+            assert list(search._layouts.values()) == [cached]
             assert warm.tobytes() == cold[-1].tobytes()
-        # Again, each shape's layout cached among up to seven others.
+        # Again, each shape's layout cached among the others.
         for (u, v, fs, m, l), want in zip(inputs, cold):
             got = search._block_bounds(np, u, v, fs, m, l)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_layout_cache_holds_at_most_its_cap():
-    """Scans of more grid shapes than ``_LAYOUT_SHAPES`` leave at most that
-    many layouts cached, and every call of a cached shape is a hit."""
-    cap = search._LAYOUT_SHAPES
-    assert search._bound_layout.cache_info().maxsize == cap
-    search._bound_layout.cache_clear()
+def test_layout_cache_holds_at_most_its_byte_cap(monkeypatch):
+    """Under a cap of four layouts' bytes, scans of eight grid shapes keep
+    at most the cap cached, the latest shapes, and a repeated shape is a
+    hit.  The default cap holds the largest layout, period 128 at
+    ``MAX_GRID_N``, so that its scan's levels share it."""
+    assert search._build_layout(MAX_GRID_N, MAX_GRID_N, 1, 127)[1] <= search._LAYOUT_BYTES
+    cap = 4 * search._build_layout(64, 512, 2, 1)[1]
+    monkeypatch.setattr(search, "_LAYOUT_BYTES", cap)
+    search._layouts.clear()
+    build, built = search._build_layout, []
+
+    def spy(*shape):
+        built.append(shape)
+        return build(*shape)
+
+    monkeypatch.setattr(search, "_build_layout", spy)
     dx = 16.0 / 800
-    for k in range(cap + 4):
-        # Order 2 with dy = dx: the lattice (2, 1), bounded from 512 columns.
+    for k in range(8):
+        # Order 2 with dy = dx: the lattice (2, 1).
         args = (2.0, 1.2, 0.05, 0.05, -8.0, dx, -8.0, dx, 0, 64 + k, 0, 512 + k)
         assert scan_block(*args) == scan_block(*args)
-        info = search._bound_layout.cache_info()
-        assert info.currsize == min(k + 1, cap) and info.misses == k + 1, info
-        assert info.hits == k + 1, info
+        assert built == [(64 + i, 512 + i, 2, 1) for i in range(k + 1)]
+        assert sum(size for _, size in search._layouts.values()) <= cap
+        assert list(search._layouts)[-1] == built[-1]
+    assert 1 < len(search._layouts) < 8
+    search._layouts.clear()
+
+
+def test_a_layout_above_the_cap_is_correct_and_read_only(monkeypatch):
+    """A layout of more bytes than the cap is built, used and dropped: the
+    cache stays empty, the bounds equal those of a cached layout, bit for
+    bit, and the layout cannot be written."""
+    rng = random.Random(20261022)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v, fs, m, l = _random_bound_inputs(rng)[:5]
+        search._layouts.clear()
+        want = search._block_bounds(np, u, v, fs, m, l).tobytes()
+        monkeypatch.setattr(search, "_LAYOUT_BYTES", 100)
+        assert search._block_bounds(np, u, v, fs, m, l).tobytes() == want
+    assert not search._layouts
+    layout = search._bound_layout(130, 600, 3, 5)
+    assert not search._layouts
+    for a in layout[1:]:
+        assert not a.flags.writeable
+
+
+def test_layout_cache_serves_threads(monkeypatch):
+    """Six threads look up twelve shapes under a cap of about four layouts,
+    with a short switch interval: no lookup raises or returns another
+    shape's layout, and the cache ends within its cap.  An eviction loop
+    that iterates over the live cache raised in 4 of 6 runs of this test."""
+    shapes = [(64 + k, 70 + 3 * k, 2, 1) for k in range(12)]
+    tiles = {shape: search._build_layout(*shape)[0][0] for shape in shapes}
+    monkeypatch.setattr(search, "_LAYOUT_BYTES", 4 * search._build_layout(*shapes[-1])[1])
+    search._layouts.clear()
+    errors = []
+
+    def lookups(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(600):
+                shape = rng.choice(shapes)
+                assert search._bound_layout(*shape)[0] == tiles[shape]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lookups, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sum(size for _, size in search._layouts.values()) <= search._LAYOUT_BYTES
+    search._layouts.clear()
 
 
 def test_cached_layouts_are_read_only():
     """No array of a cached layout can be written, so that no caller can
     change the bounds of a later scan through one."""
-    search._bound_layout.cache_clear()
+    search._layouts.clear()
     layout = search._bound_layout(130, 600, 3, 5)
     arrays = [a for a in layout if isinstance(a, np.ndarray)]
     assert len(arrays) == len(layout) - 1
@@ -1037,20 +1116,41 @@ def test_cached_layouts_are_read_only():
     assert search._bound_layout(130, 600, 3, 5) is layout
 
 
+def test_find_violation_bounds_every_lattice_level(monkeypatch):
+    """At the flagship, each of the violation window's three levels runs on
+    the lattice path and computes its block bounds once."""
+    kernel, bounds, calls = search.scan_block, search._block_bounds, []
+
+    def spy_kernel(*args):
+        calls.append(_period(args))
+        return kernel(*args)
+
+    def spy_bounds(*args):
+        calls.append("bounds")
+        return bounds(*args)
+
+    monkeypatch.setattr(search, "scan_block", spy_kernel)
+    monkeypatch.setattr(search, "_block_bounds", spy_bounds)
+    assert find_violation(2.0, Params(1.2, 0.05, 0.05)) is not None
+    assert len(calls) == 6 and calls[1::2] == ["bounds"] * 3, calls
+    assert all(period > 0 for period in calls[::2]), calls
+
+
 def test_kernel_replays_recorded_calls_bit_for_bit():
     """A seeded sample of the ``scan_block`` calls that
     ``tools/scan_block_replay.py`` recorded from the ``fullbox-scan`` pools
     (seeds 1 to 20), the ``atlas-sweep`` pools and the
     ``tools/violation_matrix.py`` cases: every call on the node path,
-    every bounded call on a lattice of period above 3, and draws of the
-    others.  Each returns its recorded ``(value, i, j)``, compared as
-    ``float.hex``, so the sign of a zero counts."""
+    every call of 512 columns or more on a lattice of period above 3, and
+    draws of the others.  Each returns its recorded ``(value, i, j)``,
+    compared as ``float.hex``, so the sign of a zero counts.  Every
+    lattice call is bounded."""
     calls = list(_recorded_calls())
     bounded = 0
     for args, result in calls:
         value, i, j = scan_block(*args)
         assert [value.hex(), i, j] == result, args
-        bounded += args[11] - args[10] >= search._BOUND_MIN_COLS
+        bounded += _period(args) > 0
     assert len(calls) > 250 and bounded > 150, (len(calls), bounded)
 
 

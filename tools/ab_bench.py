@@ -50,14 +50,20 @@ the labels in turn and reversing their order every other round.
 - ``kernel``: one fresh interpreter imports numpy before the toolkit, as
   a library caller may, so OpenBLAS runs with the thread count that
   ``OPENBLAS_NUM_THREADS`` gives it, not with the toolkit's single-thread
-  pin.  It scans each of ``KERNEL_CASES`` (order 2, the flagship triple
-  ``(1.2, 0.05, 0.05)``) once untimed, then ``REPEATS`` times timed, one
-  sample per scan; one operation is one grid node covered, evaluated or
-  excluded by its block's bound, ``(depth + 1) * grid_n**2`` per scan.
-  One more scan, with a spy on ``numpy.matmul``, counts the nodes the
-  kernel computed (the entries of its outer-sum products); one more,
-  after clearing the block-bound layout cache so that building the
-  layouts counts, gives the ``tracemalloc`` peak.
+  pin.  Each of ``KERNEL_CASES`` scans, at order 2, the first triples of
+  the ``atlas-sweep`` pool of seed ``ATLAS_SEED`` (read from this
+  checkout's ``perfbench/workloads.py``): the flagship ``(1.2, 0.05,
+  0.05)`` alone, or 16 of them for ``atlas-windows-16``, whose windows
+  have several lattice shapes, so that its timed scans show the
+  block-bound layout cache's traffic.  It runs once untimed, then
+  ``REPEATS`` times timed, one sample per run; one operation is one grid
+  node covered, evaluated or excluded by its block's bound, ``grid_n**2``
+  per level run.  One more run, with a spy on ``numpy.matmul``, counts
+  the nodes the kernel computed (the entries of its outer-sum products);
+  one more, after clearing the layout cache so that building the layouts
+  counts, gives the ``tracemalloc`` peak.  The clearing works on a
+  ``src`` with the byte-capped cache and on one with the older
+  ``functools.lru_cache``.
 
 The record holds the host (``lscpu``), the Python and numpy versions,
 ``OPENBLAS_NUM_THREADS`` and ``PYTHONDONTWRITEBYTECODE`` as the
@@ -100,13 +106,17 @@ from typing import Callable, NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 10
 REPEATS = 5
+ATLAS_SEED = 101
 POOL = 4096
 SEED = 61
 CONDITIONS = ("no-bytecode", "warm-cache")
 
-#: name: (grid_n, refine_depth, box); ``None`` is the default violation
-#: window.  ``fullbox-*`` at depth 3 is the ``fullbox-scan`` configuration;
-#: ``window-401`` the scan inside ``find_violation``; ``clipped-1601`` the
+#: name: (grid_n, refine_depth, box, triples), scanning the first
+#: ``triples`` of the ``atlas-sweep`` pool of seed ``ATLAS_SEED``; box
+#: ``None`` is each triple's default violation window.  ``fullbox-*`` at
+#: depth 3 is the ``fullbox-scan`` configuration; ``window-401`` the scan
+#: inside ``find_violation``, ``atlas-windows-16`` the same for the pool's
+#: first 16 triples (14 lattice shapes); ``clipped-1601`` the
 #: refined full-box level clipped at ``y = -8`` that the anchor
 #: ``(5.0, 0.15, TABLE_ALPHA)`` meets, a lattice period of 83;
 #: ``deep-2401`` level 3 of ``fullbox-2401`` alone, around the level-2
@@ -114,16 +124,17 @@ CONDITIONS = ("no-bytecode", "warm-cache")
 #: the product over threads; it runs last, so that BLAS workers still
 #: spinning after it cannot show in another case's CPU time.
 KERNEL_CASES = {
-    "fullbox-801": (801, 3, (-8.0, 8.0, -8.0, 8.0)),
-    "fullbox-1601": (1601, 3, (-8.0, 8.0, -8.0, 8.0)),
-    "fullbox-2401": (2401, 3, (-8.0, 8.0, -8.0, 8.0)),
-    "window-401": (401, 2, None),
-    "clipped-1601": (1601, 0, (-0.8, 0.8, -8.0, -7.05)),
+    "fullbox-801": (801, 3, (-8.0, 8.0, -8.0, 8.0), 1),
+    "fullbox-1601": (1601, 3, (-8.0, 8.0, -8.0, 8.0), 1),
+    "fullbox-2401": (2401, 3, (-8.0, 8.0, -8.0, 8.0), 1),
+    "window-401": (401, 2, None, 1),
+    "atlas-windows-16": (401, 2, None, 16),
+    "clipped-1601": (1601, 0, (-0.8, 0.8, -8.0, -7.05), 1),
     "deep-2401": (
         2401, 0, (-0.032666666666666504, -0.016666666666666503,
-                  -1.1445999999999996, -1.1285999999999996),
+                  -1.1445999999999996, -1.1285999999999996), 1,
     ),
-    "fullbox-10001": (10001, 0, (-8.0, 8.0, -8.0, 8.0)),
+    "fullbox-10001": (10001, 0, (-8.0, 8.0, -8.0, 8.0), 1),
 }
 
 #: Each child prints ``{case: {"ms": [...], "ops": n, "digest": hex, ...}}``
@@ -168,41 +179,55 @@ import numpy
 from subadd import Params, ScanConfig, scan_gap_min, violation_scan_config
 from subadd import search
 cases, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
-p = Params(mu=1.2, sigma=0.05, alpha=0.05)
 matmul, computed = numpy.matmul, [0]
 
 def counting(lhs, rhs, out):
     computed[0] += out.size
     return matmul(lhs, rhs, out=out)
 
+def clear_layouts():
+    if hasattr(search, "_layouts"):
+        search._layouts.clear()
+    else:  # a src whose layout cache is a functools.lru_cache
+        search._bound_layout.cache_clear()
+
 out = {}
-for name, (n, depth, box) in cases.items():
-    if box is None:
-        cfg = violation_scan_config(p, grid_n=n, refine_depth=depth)
-    else:
-        cfg = ScanConfig(box=tuple(box), grid_n=n, refine_depth=depth)
-    report = scan_gap_min(2.0, p, cfg)
+for name, (n, depth, box, triples) in cases.items():
+    scans = []
+    for triple in triples:
+        p = Params(*triple)
+        if box is None:
+            cfg = violation_scan_config(p, grid_n=n, refine_depth=depth)
+        else:
+            cfg = ScanConfig(box=tuple(box), grid_n=n, refine_depth=depth)
+        scans.append((p, cfg))
+
+    def run():
+        return [scan_gap_min(2.0, p, cfg) for p, cfg in scans]
+
+    reports = run()
     ms, cpu_ms = [], []
     for _ in range(repeats):
         t0, c0 = time.perf_counter(), time.process_time()
-        scan_gap_min(2.0, p, cfg)
+        run()
         ms.append((time.perf_counter() - t0) * 1e3)
         cpu_ms.append((time.process_time() - c0) * 1e3)
     computed[0], numpy.matmul = 0, counting
     try:
-        scan_gap_min(2.0, p, cfg)
+        run()
     finally:
         numpy.matmul = matmul
-    search._bound_layout.cache_clear()
+    clear_layouts()
     tracemalloc.start()
     try:
-        scan_gap_min(2.0, p, cfg)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     out[name] = dict(
-        ms=ms, cpu_ms=cpu_ms, ops=report.evaluations, computed=computed[0],
-        peak=peak, digest=hashlib.sha256(repr(report).encode()).hexdigest(),
+        ms=ms, cpu_ms=cpu_ms, ops=sum(r.evaluations for r in reports),
+        computed=computed[0], peak=peak,
+        digest=hashlib.sha256(repr(reports).encode()).hexdigest(),
     )
 print(json.dumps(out))
 """
@@ -267,12 +292,33 @@ def run_child(script: str, args: list, env: dict, work: Path) -> dict:
 
 
 @functools.cache
+def workloads():
+    """This checkout's ``perfbench/workloads.py``."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    return workloads
+
+
 def cli_commands() -> tuple:
     """The ``cli-cold`` workload's commands, with their documented exit codes."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from workloads import CLI_COMMANDS
+    return workloads().CLI_COMMANDS
 
-    return CLI_COMMANDS
+
+def kernel_cases() -> dict:
+    """``KERNEL_CASES`` with each case's count of triples replaced by the
+    triples ``(mu, sigma, alpha)`` themselves."""
+    pool = workloads().triple_pool(
+        ATLAS_SEED, workloads().load_frozen(), max(c[3] for c in KERNEL_CASES.values())
+    )
+    return {
+        name: (n, depth, box, [(p.mu, p.sigma, p.alpha) for p in pool[:triples]])
+        for name, (n, depth, box, triples) in KERNEL_CASES.items()
+    }
+
+
+def kernel_round(env: dict, work: Path) -> dict:
+    return run_child(KERNEL_CHILD, [json.dumps(kernel_cases()), REPEATS], env, work)
 
 
 def cli_env(env: dict, work: Path, condition: str) -> dict:
@@ -338,10 +384,11 @@ LAYERS = {
                  "cone": "make_generators(60, 5)"},
     ),
     "kernel": Layer(
-        functools.partial(run_child, KERNEL_CHILD, [json.dumps(KERNEL_CASES), REPEATS]),
-        lambda: {"repeats": REPEATS, "cases": {
-            name: {"grid_n": n, "refine_depth": depth, "box": box or "violation window"}
-            for name, (n, depth, box) in KERNEL_CASES.items()
+        kernel_round,
+        lambda: {"repeats": REPEATS, "atlas_seed": ATLAS_SEED, "cases": {
+            name: {"grid_n": n, "refine_depth": depth, "box": box or "violation window",
+                   "triples": triples}
+            for name, (n, depth, box, triples) in KERNEL_CASES.items()
         }},
         fields=kernel_fields,
     ),

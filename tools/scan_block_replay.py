@@ -40,9 +40,8 @@ argument tuple and prints the number of calls, the number whose result
 differs, and the first few differences; it exits 1 if any differs.
 
 ``sample`` writes the test suite's two fixtures.  To ``OUT.json`` go every
-call on the node path, every bounded call (at least ``_BOUND_MIN_COLS`` =
-512 columns) on a lattice of period above 3, and seeded draws of the
-others, ``FULLBOX_DRAWS`` from the ``fullbox`` source and ``OTHER_DRAWS``
+call on the node path, every call of at least ``WIDE_COLS`` (512) columns
+on a lattice of period above 3, and seeded draws of the others, ``FULLBOX_DRAWS`` from the ``fullbox`` source and ``OTHER_DRAWS``
 from the other two.  Beside it, to ``lattice_ratios.json``, go the
 record's ratios.
 """
@@ -56,6 +55,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Fewest columns of a lattice call that ``sample`` always keeps.
+WIDE_COLS = 512
 FULLBOX_DRAWS = 150
 OTHER_DRAWS = 100
 SAMPLE_SEED = 20261019
@@ -157,7 +158,7 @@ def sample(path: str, out: str) -> int:
     for call in calls:
         a, _, _, _, _, dx, _, dy, _, _, j0, j1 = decode(call["args"])
         ratio = search._lattice_ratio(a, dx, dy, 1.0 - search._RATIO_TOL)
-        if ratio is None or (j1 - j0 >= search._BOUND_MIN_COLS and sum(ratio) > 3):
+        if ratio is None or (j1 - j0 >= WIDE_COLS and sum(ratio) > 3):
             chosen.append(call)
         else:
             (fullbox if call["source"] == "fullbox" else rest).append(call)
