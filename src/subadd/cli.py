@@ -111,8 +111,8 @@ _SUBCOMMANDS = {
 _FORMATS = ("text", "json", "csv")
 
 #: Defaults by keyword; RunConfig's fields and :mod:`subadd.search` give
-#: the rest.  ``table`` rescans the reference window at the reference
-#: tolerance: only its grid is tunable.
+#: the rest.  ``table`` rescans the reference window: only its grid is
+#: tunable.
 _DEFAULTS = {"mu": 1.2, "sigma": 0.05, "alpha": 0.05, "a": 2.0}
 _SCAN_DEFAULTS = {
     "scan": {"box": FULL_BOX, "grid_n": 801, "refine_depth": 3},
@@ -168,7 +168,6 @@ _OPTIONS = (
         "refine-depth", int, _GRID,
         dict(help=f"extra 10x refinement rounds (0 to {MAX_REFINE_DEPTH})"),
     ),
-    _Option("tolerance", float, _WINDOW, dict(help="violation threshold on -gap")),
     _Option(
         "n-base", int, ("cone",),
         dict(help=f"number of BASE generators (1 to {MAX_GENERATORS})"),
@@ -339,7 +338,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if sub in _GRID:
         from . import search
 
-        grid = pick("grid-n", "refine-depth", "tolerance", "box")
+        grid = pick("grid-n", "refine-depth", "box")
         if isinstance(grid.get("box"), str):
             grid["box"] = _parse_box(grid["box"])
         if "box" in grid:
@@ -398,7 +397,7 @@ def _run_certify(config: RunConfig):
 def _run_scan(config: RunConfig):
     report = scan_gap_min(config.order, config.params, config.scan)
     p, cfg = config.params, config.scan
-    candidate = report.min_gap < -cfg.tolerance
+    candidate = report.min_gap < 0.0
     payload = {"config": cfg, "report": report, "violation_candidate": candidate}
     header = ("a", "mu", "sigma", "alpha", "min_gap", "x", "y", "evaluations")
     row = (
@@ -421,10 +420,10 @@ def _run_scan(config: RunConfig):
         ),
         f"min gap: {report.min_gap!r} at x={report.argmin.x!r} y={report.argmin.y!r}",
         (
-            f"result: VIOLATION CANDIDATE (min gap < -{cfg.tolerance!r}); "
-            f"run 'subadd violate' to confirm in high precision"
+            "result: VIOLATION CANDIDATE (min gap < 0); "
+            "run 'subadd violate' to confirm in high precision"
             if candidate
-            else f"result: no violation candidate at tolerance {cfg.tolerance!r}"
+            else "result: no violation candidate (min gap >= 0)"
         ),
     ]
     return (1 if candidate else 0), payload, header, [row], lines
@@ -440,8 +439,7 @@ def _run_violate(config: RunConfig):
     if violation is None:
         lines = [
             f"no violation found for a={config.order.a!r} with "
-            f"{_fmt_params(p)} (scanned box "
-            f"{cfg.box}, tolerance {cfg.tolerance!r})"
+            f"{_fmt_params(p)} (scanned box {cfg.box})"
         ]
         return 0, payload, header, [], lines
     v = violation
@@ -465,7 +463,7 @@ def _run_table(config: RunConfig):
         refine_depth=config.scan.refine_depth,
     )
     match = [abs(r.margin - r.expected_margin) <= _TABLE_MATCH_TOL for r in rows]
-    clear = [r.scan_min_gap >= -config.scan.tolerance for r in rows]
+    clear = [r.scan_min_gap >= 0.0 for r in rows]
     all_ok = all(match) and all(clear)
     payload = {
         "rows": rows,

@@ -41,13 +41,14 @@ Pipeline:
    when ``sigma**2`` is 0.  It takes at most 20 steps; on the
    ``atlas-sweep`` pools, two.
 
-3. **High-precision confirmation**: the candidate's margin ``-gap`` is
-   recomputed by :func:`verify_point` with
-   :class:`subadd.analytic_core.HighPrecision`, at 128 bits or, far from
-   the origin, as many more as the point's size needs.  A
-   violation is reported only when that margin, rounded to float64, is
-   strictly positive, so float64 noise can never manufacture a false
-   violation.
+3. **High-precision confirmation**: a scan minimum is a candidate exactly
+   when it is negative, as the paper's ``gap_a(x, y) >= 0`` names no
+   threshold.  The polished candidate's margin ``-gap`` is recomputed by
+   :func:`verify_point` with :class:`subadd.analytic_core.HighPrecision`,
+   at 128 bits or, far from the origin, as many more as the point's size
+   needs.  A violation is reported only when that margin, rounded to
+   float64, is strictly positive, so float64 noise can never manufacture a
+   false violation.
 
 The default violation box searches ``x`` in ``(0, 0.1]`` and ``y`` at
 least ten bump-widths either side of the ring (``mu - 10 sigma`` to ``mu
@@ -214,7 +215,6 @@ from .errors import (
     require_finite,
     require_instance,
     require_int,
-    require_positive,
 )
 
 
@@ -274,7 +274,6 @@ _GAP_NOISE = 2.0**-48
 #: Defaults for the violation search.
 _DEFAULT_GRID_N = 401
 _DEFAULT_REFINE_DEPTH = 2
-_DEFAULT_TOLERANCE = 1e-9
 
 #: Rows per tile of a scan's O(n^2) part, and columns per block of the
 #: block bounds.
@@ -335,15 +334,14 @@ class ScanConfig:
 
     ``box`` is ``(x_lo, x_hi, y_lo, y_hi)`` with finite ordered endpoints;
     ``2 <= grid_n <= MAX_GRID_N`` nodes per axis; ``0 <= refine_depth <=
-    MAX_REFINE_DEPTH`` extra shrink rounds; ``tolerance > 0`` is the
-    negativity threshold below which a scan minimum is treated as a
-    violation candidate.
+    MAX_REFINE_DEPTH`` extra shrink rounds.  A scan minimum is a
+    violation candidate exactly when it is negative; the high-precision
+    confirmation, not a threshold, decides the rest.
     """
 
     box: Tuple[float, float, float, float]
     grid_n: int = _DEFAULT_GRID_N
     refine_depth: int = _DEFAULT_REFINE_DEPTH
-    tolerance: float = _DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         box = self.box
@@ -356,8 +354,6 @@ class ScanConfig:
             raise InputError(f"box endpoints must be ordered, got {box}")
         require_int(self.grid_n, "grid_n", 2, MAX_GRID_N)
         require_int(self.refine_depth, "refine_depth", 0, MAX_REFINE_DEPTH)
-        tol = require_positive(self.tolerance, "tolerance")
-        object.__setattr__(self, "tolerance", tol)
 
 
 @dataclass(frozen=True)
@@ -812,7 +808,6 @@ def violation_scan_config(
     p: Params,
     grid_n: int = _DEFAULT_GRID_N,
     refine_depth: int = _DEFAULT_REFINE_DEPTH,
-    tolerance: float = _DEFAULT_TOLERANCE,
 ) -> ScanConfig:
     """Default violation-hunting window for ``p``: ``x`` in ``(0, 0.1]``
     (starting at the first positive node ``0.1/grid_n``) and ``y`` around
@@ -843,7 +838,6 @@ def violation_scan_config(
         box=(x_lo, 0.1, y_lo, y_hi),
         grid_n=grid_n,
         refine_depth=refine_depth,
-        tolerance=tolerance,
     )
 
 
@@ -915,10 +909,11 @@ def find_violation(
     """Search for an order-``a`` subadditivity violation of the working
     function.
 
-    Scans ``cfg`` (default: :func:`violation_scan_config`), polishes any
-    candidate below ``-cfg.tolerance`` with projected Newton steps on the
-    gap's analytic gradient and Hessian, and confirms the final point in
-    high precision.  Returns
+    Scans ``cfg`` (default: :func:`violation_scan_config`), polishes a
+    negative scan minimum with projected Newton steps on the gap's
+    analytic gradient and Hessian, and confirms the final point in high
+    precision; no threshold enters, so a margin of any size is found if
+    the scan sees it.  Returns
     ``None`` when no candidate emerges or when confirmation fails; a
     returned :class:`Violation` always carries a strictly positive
     high-precision margin.
@@ -927,7 +922,7 @@ def find_violation(
     if cfg is None:
         cfg = violation_scan_config(p)
     report = scan_gap_min(av, p, cfg)
-    if not report.min_gap < -cfg.tolerance:
+    if not report.min_gap < 0.0:
         return None
 
     bx, by = _newton_polish(
@@ -978,12 +973,7 @@ def reproduce_table(
         scan = scan_gap_min(
             2.0,
             p,
-            ScanConfig(
-                box=FULL_BOX,
-                grid_n=grid_n,
-                refine_depth=refine_depth,
-                tolerance=_DEFAULT_TOLERANCE,
-            ),
+            ScanConfig(box=FULL_BOX, grid_n=grid_n, refine_depth=refine_depth),
         )
         rows.append(
             TableRow(

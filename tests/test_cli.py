@@ -18,6 +18,7 @@ from subadd.analytic_core import Order, Params
 from subadd.certificate import CertificateReport, certify_S2
 from subadd import certificate, cli, cone, search, statement_oracles
 from subadd.cli import RunConfig, build_config, build_parser, main
+from subadd.errors import InputError
 from subadd.intervals import Interval, Tristate
 from subadd.search import MAX_GRID_N, MAX_REFINE_DEPTH, ScanConfig, Violation
 from subadd.serialize import from_jsonable
@@ -100,6 +101,18 @@ def test_scan_flags_violation_candidate(capsys):
     assert "VIOLATION CANDIDATE" in out
 
 
+def test_scan_flags_a_negative_minimum_of_any_size(capsys):
+    code, out, _ = run_cli(
+        capsys, "scan", "--a", "1e-300", "--grid-n", "51", "--refine-depth", "1"
+    )
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        "min gap: -5.8027754226637795e-300 at x=-8.0 y=0.0",
+        "result: VIOLATION CANDIDATE (min gap < 0); "
+        "run 'subadd violate' to confirm in high precision",
+    ]
+
+
 def test_scan_clean_box_exits_zero(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--box=2,3,2,3", "--grid-n", "101", "--refine-depth", "0"
@@ -118,6 +131,10 @@ def test_scan_json_payload_reparses(capsys):
     assert payload["config"].grid_n == 51
     assert payload["report"].evaluations == 51 * 51
     assert isinstance(payload["violation_candidate"], bool)
+    old = json.loads(out)  # a config from before the threshold went
+    old["config"]["tolerance"] = 1e-9
+    with pytest.raises(InputError, match="^bad payload for ScanConfig: "):
+        from_jsonable(old)
 
 
 def test_scan_rejects_malformed_box(capsys):
@@ -148,10 +165,23 @@ def test_violate_order_three(capsys):
     assert "3.0-subadditivity" in out
 
 
+def test_violate_confirms_a_margin_below_1e_9(capsys):
+    """Just past the onset of violation the scan minimum is -6.2e-10: a
+    candidate by its sign, which the high-precision margin confirms."""
+    code, out, _ = run_cli(capsys, "violate", "--alpha", "0.03133529059886933")
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        "CONFIRMED violation of 2.0-subadditivity:",
+        "  parameters: mu=1.2 sigma=0.05 alpha=0.03133529059886933",
+        "  point: x=0.001755213987847646 y=1.1626254348804532",
+    ]
+
+
 def test_violate_none_found_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "violate", "--alpha", "0.001")
     assert code == 0
-    assert "no violation found" in out
+    assert out.startswith("no violation found for a=2.0 with ")
+    assert out.endswith(")\n") and "tolerance" not in out
 
 
 def test_violate_csv_row(capsys):
@@ -445,7 +475,7 @@ def test_tiny_sigma_scan_writes_nothing_to_stderr():
         "order a=2.0, parameters: mu=1.2 sigma=1e-200 alpha=0.05",
         "scan box [-8.0, 8.0] x [-8.0, 8.0], grid 51, refine depth 0 (2601 evaluations)",
         "min gap: 0.0 at x=0.0 y=1.2799999999999994",
-        "result: no violation candidate at tolerance 1e-09",
+        "result: no violation candidate (min gap >= 0)",
     ]
 
 
@@ -459,7 +489,7 @@ def test_huge_box_scan_runs_without_traceback():
     assert out.splitlines()[1:] == [
         "scan box [0.004, 0.1] x [-1e+307, 1e+307], grid 21, refine depth 0 (441 evaluations)",
         "min gap: 0.0 at x=0.004 y=-1e+307",
-        "result: no violation candidate at tolerance 1e-09",
+        "result: no violation candidate (min gap >= 0)",
     ]
 
 
@@ -708,7 +738,6 @@ _KEY_VALUES = {
     "box": "-0.1,0.1,0.9,1.4",
     "grid-n": "41",
     "refine-depth": "1",
-    "tolerance": "1e-6",
     "n-base": "4",
     "n-reserve": "3",
 }
@@ -721,14 +750,14 @@ def _config_from(argv, tmp_path, text):
 
 
 def test_key_values_cover_every_config_key():
-    assert set(_KEY_VALUES) == set(cli._KEYS) and len(_KEY_VALUES) == 11
+    assert set(_KEY_VALUES) == set(cli._KEYS) and len(_KEY_VALUES) == 10
 
 
 #: The options each subcommand takes: those its runner reads.
 _TAKES = {
     "certify": "mu sigma alpha config format",
-    "scan": "mu sigma alpha a config format box grid-n refine-depth tolerance",
-    "violate": "mu sigma alpha a config format box grid-n refine-depth tolerance",
+    "scan": "mu sigma alpha a config format box grid-n refine-depth",
+    "violate": "mu sigma alpha a config format box grid-n refine-depth",
     "table": "config format grid-n refine-depth",
     "oracles": "mu sigma alpha config format",
     "cone": "config format n-base n-reserve",
@@ -762,15 +791,34 @@ def test_refused_flag_shows_the_subcommand_usage(capsys, sub):
     assert err.startswith("usage: subadd [-h] {certify,")
 
 
-@pytest.mark.parametrize("sub, key", [(sub, key) for sub in _TAKES for key in _KEY_VALUES])
+#: Keys no subcommand takes any more, with a value each once took: the
+#: sign of the scan minimum decides a violation candidate, so there is no
+#: ``tolerance``.
+_RETIRED_KEYS = {"tolerance": "1e-9"}
+
+
+@pytest.mark.parametrize(
+    "sub, key", [(sub, key) for sub in _TAKES for key in [*_KEY_VALUES, *_RETIRED_KEYS]]
+)
 def test_flag_and_config_key_give_the_same_config(tmp_path, capsys, sub, key):
     """Where a subcommand takes an option, its flag and its config key set
-    the same value; elsewhere argparse refuses the flag."""
-    value = _KEY_VALUES[key]
+    the same value; elsewhere argparse refuses the flag, and a retired key
+    is refused in a config file too."""
+    value = {**_KEY_VALUES, **_RETIRED_KEYS}[key]
     if key not in _TAKES[sub].split():
         code, out, err = run_cli(capsys, sub, f"--{key}={value}")
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: --{key}={value}" in err
+        assert "Traceback" not in err
+        if key in _RETIRED_KEYS:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            code, out, err = run_cli(capsys, sub, "--config", str(cfg))
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: {cfg}:1: unknown key '{key}'; valid keys: "
+                f"{', '.join(cli._KEYS)}\n"
+            )
         return
     by_flag = build_config(build_parser().parse_args([sub, f"--{key}={value}"]))
     by_file = _config_from([sub], tmp_path, f"{key} = {value}\n")

@@ -82,7 +82,7 @@ ENTRIES = {
     "certify_S2": (subadd.certify_S2, dict(p=P)),
     "ScanConfig": (
         ScanConfig,
-        dict(box=(-0.1, 0.1, 0.9, 1.4), grid_n=21, refine_depth=0, tolerance=1e-9),
+        dict(box=(-0.1, 0.1, 0.9, 1.4), grid_n=21, refine_depth=0),
     ),
     "scan_gap_min": (subadd.scan_gap_min, dict(a=2.0, p=P, cfg=CFG)),
     "find_violation": (subadd.find_violation, dict(a=2.0, p=P, cfg=CFG)),
@@ -92,7 +92,7 @@ ENTRIES = {
     "reproduce_table": (subadd.reproduce_table, dict(grid_n=21, refine_depth=0)),
     "violation_scan_config": (
         subadd.violation_scan_config,
-        dict(p=P, grid_n=21, refine_depth=0, tolerance=1e-9),
+        dict(p=P, grid_n=21, refine_depth=0),
     ),
     "rolle_probe": (subadd.rolle_probe, dict(fn="f", t=0.5, p=P)),
     "check_rolle_identity": (subadd.check_rolle_identity, dict(fn="f", t=0.5, p=P)),

@@ -47,7 +47,6 @@ a = 2
 box = -0.1,0.1,0.9,1.4
 grid-n = 61
 refine-depth = 1
-tolerance = 1e-9
 format = json
 n-base = 4
 n-reserve = 1
@@ -61,9 +60,10 @@ CONFIGS = {
     "malformed.cfg": "# comment\n\nmu 1.5\n",
     "badnum.cfg": "mu = wide\n",
     "badint.cfg": "grid-n = 4.5\n",
-    "badscan.cfg": "box = a,b,c,d\ntolerance = loose\nrefine-depth = deep\n",
+    "badscan.cfg": "box = a,b,c,d\nrefine-depth = deep\n",
     "badformat.cfg": "format = xml\n",
     "precision.cfg": "precision-bits = 160\n",
+    "tolerance.cfg": "tolerance = 1e-9\n",
     "order.cfg": "a = 3\nsigma = -1\n",
     "othercmd.cfg": "grid-n = 4.5\nn-base = 0\nn-reserve = many\n",
     "empty.cfg": "",
@@ -107,15 +107,17 @@ def cases():
     yield [*band, "--format", "json"]
     yield ["violate", "--a", "3"]
     yield ["violate", "--alpha", "0.001", "--format", "csv"]
-    yield ["violate", "--box=-0.1,0.1,0.9,1.4", "--tolerance", "1e-6"]
+    yield ["violate", "--tolerance", "1e-9"]
+    # scan minima of -6.2e-10 and -5.8e-300: candidates by their sign
+    yield ["violate", "--alpha", "0.03133529059886933"]
+    yield ["scan", "--a", "1e-300", "--grid-n", "51", "--refine-depth", "1"]
     yield ["table", "--box=0,1,0,1"]
     yield ["scan", "--grid-n", "2.5"]
     yield ["scan", "--box=1,2,3"]
     yield ["scan", "--box=0,inf,0,1"]
     yield ["scan", "--box=1,0,0,1"]
     yield ["scan", "--box=a,b,c,d"]
-    yield ["scan", "--tolerance", "-1"]
-    yield ["scan", "--tolerance", "nan"]
+    yield ["scan", "--tolerance", "1e-9"]
     yield ["scan", "--box=0,1,nan,1"]
     yield ["scan", "--box=2,3,2,3", "--grid-n", "101", "--refine-depth", "0"]
     yield ["oracles", "--mu", "0.9"]

@@ -44,6 +44,20 @@ call on the node path, every call of at least ``WIDE_COLS`` (512) columns
 on a lattice of period above 3, and seeded draws of the others, ``FULLBOX_DRAWS`` from the ``fullbox`` source and ``OTHER_DRAWS``
 from the other two.  Beside it, to ``lattice_ratios.json``, go the
 record's ratios.
+
+The committed fixtures are reference data, kept as they were sampled:
+``tests/scan_block_replay.json`` at commit ``514d316`` and
+``tests/lattice_ratios.json`` at ``435dfab``.  Each commit's copy of this
+tool, from ``514d316`` to ``7ea95a9``, records and samples the first byte
+for byte, and ``7ea95a9``'s, the first to write the ratios, the second.
+Later records differ because ``8ddd700`` snaps node placement onto the
+kernel's lattices: 53 of the 6,258 recorded calls get other steps, 16 of
+them leave the node path, and ``sample``, which keeps every node-path
+call, writes 281 calls where the fixture holds 297 (178 shared, as the
+seeded draws fall on other calls).  The snapped levels meet 25 ratios at
+the kernel's ``keep`` where the fixture holds 23 others, and 2 more at
+the snap's ``keep``.  Every fixture call still replays bit for bit, and
+every fixture ratio still gets the loop's ``(m, l)``.
 """
 
 from __future__ import annotations
