@@ -85,8 +85,14 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
   + y0) + k*delta`` with ``delta = a*dx/m`` and the absolute lattice
   index ``k = m*i + l*j``.  ``f`` is evaluated once per lattice point of
   the block, about ``(m + l)*n`` calls, and each node reads its value
-  through a strided view.  ``s`` differs from the directly computed
-  ``a*x_i + y_j`` by a few roundings.
+  through a read-only strided view of them, an ``np.ndarray`` built on
+  their buffer.  ``s`` differs from the directly computed ``a*x_i + y_j``
+  by a few roundings.
+- One ``f`` pass.  ``f`` is elementwise, so the kernel evaluates it in
+  one call over the nodes ``[x_i, y_j]`` and, when the lattice is at most
+  ``_LATTICE_CHUNK`` points, the lattice after them: one pass per level,
+  with the bits of one call per array.  A longer lattice takes one more
+  call per chunk.
 - Node path.  Otherwise (no period ``m + l <= 128``, as for the box
   ``(0, 1e-6, -8, 8)``), ``s = a*x_i + y_j`` and ``f(s)`` are computed per
   node, one row tile at a time.
@@ -105,9 +111,9 @@ or ``(inf, -1, -1)`` if no node produced a finite value.
   ``128*n``, so peak memory is O(n), not O(n^2), on both paths; the block
   bounds below let the loop skip whole 64 x 64 blocks of it.  A lattice
   call holds ``fs``, the row-tile buffer (``64*n`` entries) and O(chunk)
-  temporaries: ``f`` is evaluated into ``fs``, and the bounds' envelope
-  pass runs over it, ``_LATTICE_CHUNK`` (2**14) points at a time, so no
-  other array is as long as the lattice.
+  temporaries: a lattice longer than a chunk is evaluated into ``fs``,
+  and the bounds' envelope pass runs over it, ``_LATTICE_CHUNK`` (2**14)
+  points at a time, so no other array is as long as the lattice.
 - Block bounds.  On the lattice path, each 64-row tile x 64-column block
   gets a float64 lower bound ``lb`` on its gaps ``fl(fl(u_i + v_j) -
   fs_k)`` (see "Outer sums"), ``u = a*f(x)``, ``v = f(y)``.  Block ``(t,
@@ -188,6 +194,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -278,18 +285,20 @@ _DEFAULT_REFINE_DEPTH = 2
 #: Rows per tile of a scan's O(n^2) part, and columns per block of the
 #: block bounds.
 _BLOCK_ROWS = 64
-#: Lattice points per chunk: ``scan_block`` evaluates ``f`` over its
-#: lattice this many points at a time, and ``_block_bounds`` runs its
-#: envelope pass over groups of whole chunks of about as many, so a
-#: level's temporaries are O(chunk) beside ``fs`` itself.  Every period-3
-#: full-box lattice (7,201 points at ``grid_n`` 2401) is one chunk, and so
-#: are 1,890 of the 1,901 distinct violation-window lattices of the
-#: ``atlas-sweep`` pools of seeds 101 and 202 (the longest: 46,801 points,
-#: period 117).  The period-83 level clipped at ``grid_n`` 1601 (132,801
-#: points) is nine.  In one pass over its whole lattice, its call peaked at
-#: 7.19 MiB of allocations (tracemalloc, cold layout cache); in chunks of
-#: 2**11 to 2**14 points at 2.37 MiB, of which ``fs`` is 1.01 and the
-#: row-tile buffer 0.78; in chunks of 2**15 at 2.61 and of 2**16 at 4.11.
+#: Lattice points per chunk.  ``scan_block`` evaluates ``f`` over a
+#: lattice of at most this many points in the one pass that also takes
+#: the level's nodes, and over a longer one this many points at a time;
+#: ``_block_bounds`` runs its envelope pass over groups of whole chunks of
+#: about as many, so a level's temporaries are O(chunk) beside ``fs``
+#: itself.  Every period-3 full-box lattice (7,201 points at ``grid_n``
+#: 2401) is one chunk, and so are 1,890 of the 1,901 distinct
+#: violation-window lattices of the ``atlas-sweep`` pools of seeds 101 and
+#: 202 (the longest: 46,801 points, period 117).  The period-83 level
+#: clipped at ``grid_n`` 1601 (132,801 points) is nine.  In one pass over
+#: its whole lattice, its call peaked at 7.19 MiB of allocations
+#: (tracemalloc, cold layout cache); in chunks of 2**11 to 2**14 points at
+#: 2.37 to 2.40 MiB, of which ``fs`` is 1.01 and the row-tile buffer 0.78;
+#: in chunks of 2**15 at 2.61 and of 2**16 at 4.11.
 _LATTICE_CHUNK = 2**14
 #: Longest lattice period ``m + l`` the kernel runs on.  Its lattice holds
 #: at most ``_LATTICE_PERIOD * n`` points, still O(n); a level clipped at
@@ -306,14 +315,22 @@ _SNAP_REACH = 2.0 ** -30
 #: rounding error (see "Margin" in the module docstring).
 _BOUND_SLACK = 2.0 ** -40
 #: Most bytes of block-bound layouts kept cached, the least recently used
-#: dropped first.  A violation-window layout takes about 28 kB and 240 µs
-#: to build; the ``atlas-sweep`` pool of seed 101 meets 46 window shapes
-#: (1.5 MB), so 914 of its 960 levels reuse one.  The ``fullbox-scan``
-#: shapes take 0.5 MB, and the largest, 5.9 MB (``MAX_GRID_N``, period
-#: 128), fits, so its scan's levels share it too.
+#: dropped first.  A violation-window layout takes about 33 kB (the
+#: flagship's takes 130 µs to build); the ``atlas-sweep`` pool of seed 101
+#: meets 46 window shapes (1.5 MB), so 914 of its 960 levels reuse one.
+#: The ``fullbox-scan`` shapes take 0.6 MB, and the largest, 6.7 MB
+#: (``MAX_GRID_N``, period 128), fits, so its scan's levels share it too.
+#: A hit moves its layout to the back and returns; only a build walks the
+#: cache to evict.
 _LAYOUT_BYTES = 8 * 2**20
 #: Shape ``(ni, nj, m, l)`` to ``(layout, bytes)``, least recently used first.
-_layouts: dict = {}
+_layouts: OrderedDict = OrderedDict()
+#: The cap that the last eviction pass kept ``_layouts`` within; a hit
+#: passes again only when ``_LAYOUT_BYTES`` has since been lowered.
+_layouts_cap = _LAYOUT_BYTES
+#: Distinct argument tuples of :func:`_lattice_ratio` kept with their walk:
+#: a ``fullbox-scan`` pool meets 37, in 198 calls.
+_RATIO_CACHE = 256
 
 #: Stored reference rows: (mu, sigma, x_star, y_star, stored_margin), all
 #: sharing TABLE_ALPHA.  ``stored_margin`` is the reference value this
@@ -404,6 +421,7 @@ class TableRow:
     expected_margin: float
 
 
+@functools.lru_cache(maxsize=_RATIO_CACHE)
 def _lattice_ratio(
     a: float,
     dx: float,
@@ -476,10 +494,20 @@ def _bound_layout(ni: int, nj: int, m: int, l: int):
     """The index arrays of :func:`_block_bounds` for ``ni`` rows, ``nj``
     columns and the lattice ``(m, l)``, cached: they depend on nothing
     else, so the levels of a scan share them (see ``_LAYOUT_BYTES``)."""
+    global _layouts_cap
     shape = (ni, nj, m, l)
-    entry = _layouts[shape] = _layouts.pop(shape, None) or _build_layout(*shape)
+    entry = _layouts.get(shape)
+    if entry is not None:
+        try:
+            _layouts.move_to_end(shape)
+        except KeyError:  # another thread dropped it meanwhile
+            pass
+        if _LAYOUT_BYTES >= _layouts_cap:
+            return entry[0]
+    else:
+        entry = _layouts[shape] = _build_layout(*shape)
     # The newest layouts that fit stay; a snapshot, as scans may use threads.
-    held = 0
+    _layouts_cap, held = _LAYOUT_BYTES, 0
     for key, (_, size) in reversed(list(_layouts.items())):
         held += size
         if held > _LAYOUT_BYTES:
@@ -488,10 +516,10 @@ def _bound_layout(ni: int, nj: int, m: int, l: int):
 
 
 def _build_layout(ni: int, nj: int, m: int, l: int):
-    """``(layout, bytes)`` for :func:`_bound_layout`.  All arrays of the
-    layout are read-only.  The largest, the offset of each entry of ``w``
-    in its chunk, is uint16, since a chunk holds at most 2048 entries, and
-    is built without a full-length temporary."""
+    """``(layout, bytes)`` for :func:`_bound_layout`: the groups of whole
+    chunks as a tuple, then read-only arrays.  The largest, the offset of
+    each entry of ``w`` in its chunk, is uint16, since a chunk holds at
+    most 2048 entries, and is built without a full-length temporary."""
     np = _load_numpy()
     nk = m * (ni - 1) + l * (nj - 1) + 1
     size = _BLOCK_ROWS * max(1, (m + l) // 4)
@@ -512,11 +540,16 @@ def _build_layout(ni: int, nj: int, m: int, l: int):
         offset[lo:whole].reshape(-1, step)[:] = np.arange(step)
         offset[whole:hi] = np.arange(hi - whole)
     # Groups of whole chunks: the chunks that start in one stretch of
-    # _LATTICE_CHUNK entries of w.  Rows: first chunk, end chunk, first
-    # entry, end entry.
+    # _LATTICE_CHUNK entries of w, as (first chunk, end chunk, first
+    # entry, end entry).
     c_a = np.flatnonzero(np.diff(starts // _LATTICE_CHUNK, prepend=-1))
     c_b = np.append(c_a[1:], starts.size)
-    groups = np.stack((c_a, c_b, starts[c_a], np.append(starts, fs0 + nk)[c_b]), axis=1)
+    groups = tuple(zip(
+        c_a.tolist(), c_b.tolist(), starts[c_a].tolist(),
+        np.append(starts, fs0 + nk)[c_b].tolist(),
+    ))
+    # Each chunk's first entry in its group.
+    first = starts - starts[c_a].repeat(c_b - c_a)
     # Block (t, b) starts at lattice index 64*(m*t + l*b); blocks of one
     # start k_a share the window [k_a, k_b], which holds their ranges.
     k_a, inv = np.unique(
@@ -529,33 +562,38 @@ def _build_layout(ni: int, nj: int, m: int, l: int):
     q_a, q_b = k_a // size, k_b // size
     q = np.minimum(q_a + np.arange(int((q_b - q_a).max()) + 1)[:, None], q_b)
     chunks = n_uv + q
+    # Each block's tile (row 0) and column block (row 1), as chunks of w.
+    pick = np.stack(np.broadcast_arrays(
+        np.arange(tiles)[:, None], tiles + np.arange(blocks)
+    ))
     arrays = (
         counts,
         offset,
-        # Each chunk's first entry in its group, and the groups.
-        starts - groups[:, 2].repeat(c_b - c_a),
-        groups,
-        # The last entries (row 0) and the first (row 1) of the chunks of
-        # [u, v]; then of the chunks of fs and of the windows, in fs.
-        np.stack((starts[:n_uv] + span[:n_uv], starts[:n_uv])),
-        np.stack((
-            np.concatenate((starts[n_uv:] - fs0 + span[n_uv:], k_b)),
-            np.concatenate((starts[n_uv:] - fs0, k_a)),
-        )),
-        np.maximum(np.concatenate((span, k_b - k_a)), 1).astype(np.float64),
-        span.astype(np.float64),
-        inv.reshape(tiles, blocks),
+        first,
+        # The last entry (row 0) and the first (row 1) of each chunk, in
+        # its group, and the divisor of its slope d.
+        np.stack((first + span, first)),
+        np.maximum(span, 1).astype(np.float64),
+        # The first (row 0) and the last (row 1) point of each window, in
+        # fs, and the divisor of its slope e = -c.
+        np.stack((k_a, k_b)),
+        np.maximum(k_b - k_a, 1).astype(np.float64),
         chunks,
         span[chunks].astype(np.float64),
         # Each window's k_a less its chunks' first indices, and its width
         # plus two chunks (the margin's L over |c|).
         (k_a - size * q).astype(np.float64),
         (k_b - k_a + 2 * size).astype(np.float64),
+        # m and l as a column, for e*m and e*l in one product.
+        np.array([[m], [l]], dtype=np.float64),
+        pick,
+        span[pick].astype(np.float64),
+        inv.reshape(tiles, blocks),
     )
     # Cached: no caller may change them, through a view either.
     for a in arrays:
         a.flags.writeable = False
-    return (tiles,) + arrays, sum(a.nbytes for a in arrays)
+    return (groups,) + arrays, sum(a.nbytes for a in arrays)
 
 
 def _block_bounds(np, u, v, fs, m, l):
@@ -564,64 +602,69 @@ def _block_bounds(np, u, v, fs, m, l):
     slope ``c`` of ``fs`` over the block's window (see "Block bounds" in
     the module docstring); NaN where an input of the block is NaN."""
     layout = _bound_layout(u.size, v.size, m, l)
-    tiles, counts, offset, first, groups, edges_uv, edges_fs = layout[:7]
-    divisor, span, inv, chunks, chunk_span, shift, width = layout[7:]
-    n, rows, cols = counts.size, slice(0, tiles), slice(tiles, tiles + inv.shape[1])
+    groups, counts, offset, first, edges, divisor, window, window_divisor = layout[:8]
+    chunks, chunk_span, shift, width, ml, pick, pick_span, inv = layout[8:]
+    ni, fs0 = u.size, u.size + v.size
     # One envelope pass over w = [u, v, -fs], a group of chunks at a time.
-    # Rows of env: each chunk's slope d and then each window's slope e of
-    # -fs (e = -c); each chunk's low, the least w_p - d*p; and its largest
-    # |w|.
-    uv, fs0 = np.concatenate((u, v)), u.size + v.size
-    at = np.empty((2, divisor.size))
-    at[:, : edges_uv.shape[1]] = uv[edges_uv]
-    np.negative(fs[edges_fs], out=at[:, edges_uv.shape[1] :])
-    env = np.empty((3, divisor.size))
-    np.divide(np.subtract(at[0], at[1]), divisor, out=env[0])
-    d, e = env[0, :n], env[0, n:]
-    for c_a, c_b, s_a, s_b in groups.tolist():
-        w = np.empty(s_b - s_a)
-        cut = min(max(fs0 - s_a, 0), s_b - s_a)
-        w[:cut] = uv[s_a : s_a + cut]
-        np.negative(fs[s_a + cut - fs0 : s_b - fs0], out=w[cut:])
-        t = np.repeat(d[c_a:c_b], counts[c_a:c_b])
+    # Rows of env: each chunk's slope d; its low, the least w_p - d*p; and
+    # its largest |w|.
+    env = np.empty((3, counts.size))
+    d, low, top = env
+    for c_a, c_b, s_a, s_b in groups:
+        w = np.concatenate((
+            u[s_a:s_b],
+            v[max(s_a - ni, 0) : max(s_b - ni, 0)],
+            np.negative(fs[max(s_a - fs0, 0) : max(s_b - fs0, 0)]),
+        ))
+        at = w.take(edges[:, c_a:c_b])
+        d_g = np.divide(np.subtract(at[0], at[1], out=at[0]), divisor[c_a:c_b], out=d[c_a:c_b])
+        t = d_g.repeat(counts[c_a:c_b])
         t = np.subtract(w, np.multiply(t, offset[s_a:s_b], out=t), out=t)
-        np.minimum.reduceat(t, first[c_a:c_b], out=env[1, c_a:c_b])
-        np.maximum.reduceat(np.abs(w, out=t), first[c_a:c_b], out=env[2, c_a:c_b])
-    low, top = env[1, :n], env[2, :n]
-    # Per window: the fs bracket, the least bound over its chunks of -fs at
-    # slope e, each shifted by c times its offset from k_a; the largest
-    # |fs| of its chunks; the margin's L; and e*m and e*l, for the u and v
-    # brackets' slopes c*m = -e*m and c*l = -e*l.
+        np.minimum.reduceat(t, first[c_a:c_b], out=low[c_a:c_b])
+        np.maximum.reduceat(np.abs(w, out=t), first[c_a:c_b], out=top[c_a:c_b])
+    # Per window: the slope e of -fs (e = -c); the fs bracket, the least
+    # bound over its chunks of -fs at slope e, each shifted by c times its
+    # offset from k_a; the largest |fs| of its chunks; the margin's L; and
+    # e*m and e*l, for the u and v brackets' slopes c*m = -e*m and c*l =
+    # -e*l.
+    at = fs.take(window)
+    e = np.divide(np.subtract(at[0], at[1], out=at[0]), window_divisor, out=at[0])
     d_f, low_f, top_f = env.take(chunks, axis=1)
-    fs_bracket = np.multiply(d_f - e, chunk_span, out=d_f)
+    fs_bracket = np.multiply(np.subtract(d_f, e, out=d_f), chunk_span, out=d_f)
     fs_bracket = np.minimum(0.0, fs_bracket, out=fs_bracket)
     fs_bracket += low_f
     fs_bracket += e * shift
     per_window = np.empty((5, e.size))
-    fs_bracket.min(axis=0, out=per_window[0])
-    top_f.max(axis=0, out=per_window[1])
+    np.minimum.reduce(fs_bracket, axis=0, out=per_window[0])
+    np.maximum.reduce(top_f, axis=0, out=per_window[1])
     np.multiply(np.abs(e), width, out=per_window[2])
-    np.multiply(e, m, out=per_window[3])
-    np.multiply(e, l, out=per_window[4])
-    # Per block: its tile's and its block's u and v brackets, and its
-    # window's values.
-    fs_bracket, top_f, reach, em, el = per_window.take(inv, axis=1)
-    lb = np.multiply(d[rows, None] + em, span[rows, None], out=em)
-    lb = np.minimum(0.0, lb, out=lb)
-    lb += low[rows, None]
-    v_bracket = np.multiply(d[cols] + el, span[cols], out=el)
-    v_bracket = np.minimum(0.0, v_bracket, out=v_bracket)
-    v_bracket += low[cols]
-    lb += v_bracket
-    lb += fs_bracket
+    np.multiply(e, ml, out=per_window[3:])
+    # Per block: its window's values, and the u and v brackets from its
+    # tile (row 0 of pick) and its column block (row 1) at the slopes
+    # c*m and c*l.
+    per_block = per_window.take(inv, axis=1)
+    d_uv, low_uv, top_uv = env.take(pick, axis=1)
+    uv_bracket = np.add(d_uv, per_block[3:], out=d_uv)
+    uv_bracket *= pick_span
+    uv_bracket = np.minimum(0.0, uv_bracket, out=uv_bracket)
+    uv_bracket += low_uv
+    lb = np.add(uv_bracket[0], uv_bracket[1], out=uv_bracket[0])
+    lb += per_block[0]
     # The margin 2**-37*(W + L); 8*(W + L) overflows if any term above did.
-    scale = top[rows, None] + top[cols]
-    scale += top_f
-    scale += reach
+    scale = np.add(top_uv[0], top_uv[1], out=top_uv[0])
+    scale += per_block[1]
+    scale += per_block[2]
     scale *= 8.0
     scale *= _BOUND_SLACK
     lb -= scale
     return lb
+
+
+def _axis(np, origin, step, lo, hi, out):
+    """``origin + k*step`` for ``k`` in ``[lo, hi)`` (multiply, then add),
+    written into ``out``."""
+    np.multiply(np.arange(lo, hi, dtype=np.float64), step, out=out)
+    return np.add(out, origin, out=out)
 
 
 def scan_block(
@@ -648,11 +691,6 @@ def scan_block(
         f = _evaluator(np, "f", mu, sigma, alpha)
 
         ni, nj = i1 - i0, j1 - j0
-        xs = x0 + np.arange(i0, i1, dtype=np.float64) * dx
-        ys = y0 + np.arange(j0, j1, dtype=np.float64) * dy
-        afx, fy = a * f(xs), f(ys)
-        f_lhs, f_rhs = _outer_sum(np, afx, fy)
-
         ratio = _lattice_ratio(a, dx, dy, 1.0 - _RATIO_TOL)
         if ratio is not None:
             # f(a*x_i + y_j) = f(s0 + k*delta) with k = m*i + l*j: evaluate
@@ -661,29 +699,45 @@ def scan_block(
             delta = a * dx / m
             s0, k0 = a * x0 + y0, m * i0 + l * j0
             nk = m * (ni - 1) + l * (nj - 1) + 1
+        # One pass of f over the nodes [xs, ys] and, when it is one chunk,
+        # the lattice after them.
+        fused = ratio is not None and nk <= _LATTICE_CHUNK
+        pts = np.empty(ni + nj + (nk if fused else 0))
+        xs = _axis(np, x0, dx, i0, i1, pts[:ni])
+        ys = _axis(np, y0, dy, j0, j1, pts[ni : ni + nj])
+        if fused:
+            _axis(np, s0, delta, k0, k0 + nk, pts[ni + nj :])
+        fv = f(pts)
+        afx, fy = fv[:ni], fv[ni : ni + nj]
+        afx *= a
+        f_lhs, f_rhs = _outer_sum(np, afx, fy)
+
+        if fused:
+            fs = fv[ni + nj :]
+        elif ratio is not None:
 
             def lattice_f(c):
                 """``f`` over the chunk of the lattice from ``k0 + c``."""
                 end = min(nk, c + _LATTICE_CHUNK)
-                return f(s0 + np.arange(k0 + c, k0 + end, dtype=np.float64) * delta)
+                return f(_axis(np, s0, delta, k0 + c, k0 + end, np.empty(end - c)))
 
-            # The first chunk's values grow in place into fs (no copy when
-            # they are the whole lattice), and each later chunk is written
-            # into it.  An fs taken before the first chunk instead doubled
-            # the minor page faults of an atlas-sweep operation (107
-            # against 57, seed-601 pool).
+            # The first chunk's values grow in place into fs, and each
+            # later chunk is written into it.  An fs taken before the first
+            # chunk instead doubled the minor page faults of an atlas-sweep
+            # operation (107 against 57, seed-601 pool).
             fs = lattice_f(0)
             fs.resize(nk, refcheck=False)
             for c in range(_LATTICE_CHUNK, nk, _LATTICE_CHUNK):
                 fs[c : c + _LATTICE_CHUNK] = lattice_f(c)
-            # Node (i, j) of the block reads fs[m*(i - i0) + l*(j - j0)].
-            fs_nodes = np.lib.stride_tricks.as_strided(
-                fs, shape=(ni, nj), strides=(m * fs.itemsize, l * fs.itemsize),
-                writeable=False,
-            )
-            bounds = _block_bounds(np, afx, fy, fs, m, l)
         else:
             s_lhs, s_rhs = _outer_sum(np, a * xs, ys)
+        if ratio is not None:
+            # Node (i, j) of the block reads fs[m*(i - i0) + l*(j - j0)].
+            fs_nodes = np.ndarray(
+                (ni, nj), buffer=fs, strides=(m * fs.itemsize, l * fs.itemsize)
+            )
+            fs_nodes.flags.writeable = False
+            bounds = _block_bounds(np, afx, fy, fs, m, l)
 
         buf = np.empty(min(ni, _BLOCK_ROWS) * nj)
 
@@ -702,19 +756,21 @@ def scan_block(
 
             # First row-major occurrence of the minimum; NaN and +-inf never
             # win.  argmin stops at a NaN, so mask only when it returns one.
-            flat = int(np.argmin(gaps))
-            if not math.isfinite(gaps.flat[flat]):
+            flat = gaps.argmin()
+            value = gaps.item(flat)
+            if not math.isfinite(value):
                 np.copyto(gaps, np.inf, where=~np.isfinite(gaps))
-                flat = int(np.argmin(gaps))
-            bi, bj = divmod(flat, c1 - c0)
-            return float(gaps.flat[flat]), i0 + r0 + bi, j0 + c0 + bj
+                flat = gaps.argmin()
+                value = gaps.item(flat)
+            bi, bj = divmod(int(flat), c1 - c0)
+            return value, i0 + r0 + bi, j0 + c0 + bj
 
         best = (np.inf, -1, -1)
         if ratio is not None:
             # The block of lowest bound first, alone: the first tile then
             # already skips blocks, where with no finite minimum it would keep
             # them all.
-            t, b = divmod(int(np.argmin(bounds)), bounds.shape[1])
+            t, b = divmod(int(bounds.argmin()), bounds.shape[1])
             c0 = b * _BLOCK_ROWS
             best = min(best, span_min(t * _BLOCK_ROWS, c0, min(nj, c0 + _BLOCK_ROWS)))
             lows = bounds.min(axis=1).tolist()
@@ -726,7 +782,7 @@ def scan_block(
                 # block (and makes its tile's lowest bound NaN).
                 if lows[t] > best[0]:
                     continue
-                keep = np.flatnonzero(~(bounds[t] > best[0]))
+                keep = (~(bounds[t] > best[0])).nonzero()[0]
                 c0, c1 = int(keep[0]) * _BLOCK_ROWS, (int(keep[-1]) + 1) * _BLOCK_ROWS
             best = min(best, span_min(r0, c0, min(nj, c1)))
         return best

@@ -1139,6 +1139,38 @@ def test_find_violation_bounds_every_lattice_level(monkeypatch):
     assert all(period > 0 for period in calls[::2]), calls
 
 
+@pytest.mark.parametrize(
+    "box, n, depth, most",
+    [(None, 401, 2, 135_424), (FULL_BOX, 801, 3, 254_080)],
+    ids=["violation-window", "fullbox-801"],
+)
+def test_bounded_scans_compute_no_more_nodes_than_recorded(monkeypatch, box, n, depth, most):
+    """The block bounds' pruning does not weaken.  A spy on
+    ``numpy.matmul``, which the kernel calls with ``out=`` for every
+    outer-sum product (``tools/ab_bench.py`` counts ``computed_share``
+    the same way), counts the nodes two flagship scans at order 2
+    compute: its default violation window (3 levels of 401**2 nodes) and
+    the full box at ``grid_n`` 801, depth 3 (4 levels).  Each count is at
+    most the one recorded with this test, 135,424 of 482,403 and 254,080
+    of 2,566,404 nodes, and above zero, so that the products still take
+    that route."""
+    computed, np_matmul = [], np.matmul
+
+    def matmul(lhs, rhs, out):
+        computed.append(out.size)
+        return np_matmul(lhs, rhs, out=out)
+
+    p = Params(1.2, 0.05, 0.05)
+    if box is None:
+        cfg = violation_scan_config(p, grid_n=n, refine_depth=depth)
+    else:
+        cfg = ScanConfig(box=box, grid_n=n, refine_depth=depth)
+    monkeypatch.setattr(np, "matmul", matmul)
+    report = scan_gap_min(2.0, p, cfg)
+    assert report.evaluations == (depth + 1) * n * n
+    assert 0 < sum(computed) <= most, sum(computed)
+
+
 def test_kernel_replays_recorded_calls_bit_for_bit():
     """A seeded sample of the ``scan_block`` calls that
     ``tools/scan_block_replay.py`` recorded at commit ``514d316`` (a fresh

@@ -55,10 +55,13 @@ the labels in turn and reversing their order every other round.
   checkout's ``perfbench/workloads.py``): the flagship ``(1.2, 0.05,
   0.05)`` alone, or 16 of them for ``atlas-windows-16``, whose windows
   have several lattice shapes, so that its timed scans show the
-  block-bound layout cache's traffic.  It runs once untimed, then
-  ``REPEATS`` times timed, one sample per run; one operation is one grid
-  node covered, evaluated or excluded by its block's bound, ``grid_n**2``
-  per level run.  One more run, with a spy on ``numpy.matmul``, counts
+  block-bound layout cache's traffic.  ``window-3`` is the flagship's
+  violation window at ``grid_n`` 3 and refine depth 2: three kernel calls
+  of nine nodes each, so its time is the fixed cost of three levels, what
+  every level pays before its work grows with the grid.  Each case runs
+  once untimed, then ``REPEATS`` times timed, one sample per run; one
+  operation is one grid node covered, evaluated or excluded by its
+  block's bound, ``grid_n**2`` per level run.  One more run, with a spy on ``numpy.matmul``, counts
   the nodes the kernel computed (the entries of its outer-sum products);
   one more, after clearing the layout cache so that building the layouts
   counts, gives the ``tracemalloc`` peak.  The clearing works on a
@@ -116,7 +119,9 @@ CONDITIONS = ("no-bytecode", "warm-cache")
 #: ``None`` is each triple's default violation window.  ``fullbox-*`` at
 #: depth 3 is the ``fullbox-scan`` configuration; ``window-401`` the scan
 #: inside ``find_violation``, ``atlas-windows-16`` the same for the pool's
-#: first 16 triples (14 lattice shapes); ``clipped-1601`` the
+#: first 16 triples (14 lattice shapes); ``window-3`` the same window at
+#: ``grid_n`` 3, whose three levels of nine nodes each cost what a level
+#: costs whatever its size; ``clipped-1601`` the
 #: refined full-box level clipped at ``y = -8`` that the anchor
 #: ``(5.0, 0.15, TABLE_ALPHA)`` meets, a lattice period of 83;
 #: ``deep-2401`` level 3 of ``fullbox-2401`` alone, around the level-2
@@ -127,6 +132,7 @@ KERNEL_CASES = {
     "fullbox-801": (801, 3, (-8.0, 8.0, -8.0, 8.0), 1),
     "fullbox-1601": (1601, 3, (-8.0, 8.0, -8.0, 8.0), 1),
     "fullbox-2401": (2401, 3, (-8.0, 8.0, -8.0, 8.0), 1),
+    "window-3": (3, 2, None, 1),
     "window-401": (401, 2, None, 1),
     "atlas-windows-16": (401, 2, None, 16),
     "clipped-1601": (1601, 0, (-0.8, 0.8, -8.0, -7.05), 1),
